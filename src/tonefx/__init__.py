@@ -19,12 +19,10 @@ from .corpus import (
     ReplyType,
     TreatmentAssignment,
     Triple,
-    TripleCountSummary,
     binarize_score,
     extract_triples,
     load_annotations,
     load_posts,
-    triple_counts,
     write_annotations,
     write_posts,
 )
@@ -46,14 +44,12 @@ from .topics import (
     DocumentTermMatrix,
     LdaModel,
     TopicModelError,
-    TopicProportions,
     Tokenizer,
     Vocabulary,
     build_dtm,
     build_vocabulary,
     default_tokenizer,
     fit_lda,
-    infer_theta,
     infer_theta_batch,
     load_model,
     save_model,
@@ -62,13 +58,11 @@ from .topics import (
     top_words,
 )
 from .inference import (
-    Confounder,
     ConfounderVariant,
     CvReport,
     InferenceError,
     OutcomeModel,
     PropensityModel,
-    build_confounder,
     build_confounder_matrix,
     cross_validate,
     f1_score,

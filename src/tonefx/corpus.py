@@ -476,39 +476,3 @@ def extract_triples(
             )
         )
     return triples
-
-
-@dataclass(frozen=True)
-class TripleCountSummary:
-    """Triple counts partitioned by debate topic and treatment arm."""
-
-    total: int
-    treated: int
-    per_reply_type: dict[str, int]
-    per_topic: dict[str, dict[str, int]]
-
-    @property
-    def control(self) -> int:
-        return self.total - self.treated
-
-    @property
-    def treated_fraction(self) -> float:
-        return self.treated / self.total if self.total else float("nan")
-
-
-def triple_counts(triples: Sequence[Triple]) -> TripleCountSummary:
-    """Summarize a triple set; partition sums always equal the input length."""
-    per_reply_type: dict[str, int] = defaultdict(int)
-    per_topic: dict[str, dict[str, int]] = defaultdict(lambda: {"control": 0, "treated": 0})
-    treated = 0
-    for triple in triples:
-        per_reply_type[triple.treatment.reply_type.value] += 1
-        arm = "treated" if triple.treatment.value == 1 else "control"
-        per_topic[triple.debate_topic][arm] += 1
-        treated += triple.treatment.value
-    return TripleCountSummary(
-        total=len(triples),
-        treated=treated,
-        per_reply_type=dict(sorted(per_reply_type.items())),
-        per_topic={topic: dict(arms) for topic, arms in sorted(per_topic.items())},
-    )

@@ -125,7 +125,7 @@ def build_estimation_input(
     return EstimationInput(
         treatments=np.asarray(treatments),
         outcomes=np.asarray(outcomes, dtype=float),
-        propensity=np.atleast_1d(scores),
+        propensity=scores,
         q0=predict_outcome(model0, features),
         q1=predict_outcome(model1, features),
         features=features,
@@ -258,9 +258,7 @@ def bootstrap_se(
             propensity_model = fit_propensity(
                 z, t.astype(int), regularization=regularization, seed=seed
             )
-            p = np.atleast_1d(
-                predict_propensity(propensity_model, z, clip_epsilon=clip_epsilon)
-            )
+            p = predict_propensity(propensity_model, z, clip_epsilon=clip_epsilon)
             model0, model1 = fit_outcome_models(z, t.astype(int), y, ridge=ridge)
             q0, q1 = predict_outcome(model0, z), predict_outcome(model1, z)
         else:
@@ -299,6 +297,8 @@ class AteEstimate:
     category_type: str | None = None
     aipw_variant: AipwVariant | None = None
     confounder_variant: str | None = None
+    # run metadata for warnings; reports do not record it
+    bootstrap_skipped: int = 0
 
     @property
     def significant(self) -> bool | None:
@@ -326,13 +326,14 @@ def estimate_all(
 
     Pass ``bootstrap_replicates=0`` to skip standard errors entirely.
     """
+    aipw_variant = AipwVariant(aipw_variant)
     results = []
     for estimator in estimators:
         estimator = Estimator(estimator)
         psi = point_estimate(data, estimator, aipw_variant=aipw_variant)
-        se: float | None = None
+        bootstrap: BootstrapResult | None = None
         if bootstrap_replicates:
-            se = bootstrap_se(
+            bootstrap = bootstrap_se(
                 data,
                 estimator,
                 replicates=bootstrap_replicates,
@@ -342,17 +343,18 @@ def estimate_all(
                 regularization=regularization,
                 ridge=ridge,
                 clip_epsilon=clip_epsilon,
-            ).standard_error
+            )
         results.append(
             AteEstimate(
                 estimator=estimator,
                 psi=psi,
-                standard_error=se,
+                standard_error=bootstrap.standard_error if bootstrap else None,
                 n=data.n,
                 reply_type=reply_type,
                 category_type=category_type,
                 aipw_variant=aipw_variant if estimator is Estimator.AIPW else None,
                 confounder_variant=confounder_variant,
+                bootstrap_skipped=bootstrap.skipped if bootstrap else 0,
             )
         )
     return results

@@ -25,7 +25,6 @@ from pathlib import Path
 
 from ..corpus import (
     CorpusError,
-    ReplyType,
     extract_triples,
     load_annotations,
     load_posts,
@@ -35,8 +34,8 @@ from ..inference import InferenceError
 from ..lexicon import LexiconError
 from ..topics import TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
-from .pipeline import PipelineError, run_pipeline
-from .report import ReportError, parse_report, render_report
+from .pipeline import PipelineError, fit_topic_models, run_pipeline
+from .report import ReportError, parse_report, render_report, triple_summary
 from .synthetic import CorpusWorld, SyntheticError, generate_corpus
 
 EXIT_OK = 0
@@ -147,22 +146,19 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     for error in annotations.record_errors:
         print(f"annotations: {error}", file=sys.stderr)
     for reply_type in config.reply_types:
-        triples = extract_triples(posts, annotations, reply_type)
-        treated = sum(t.treatment.value for t in triples)
+        counts = triple_summary(extract_triples(posts, annotations, reply_type))
         print(
-            f"triples[{reply_type.value}]: {len(triples)} "
-            f"(treated {treated}, control {len(triples) - treated})"
+            f"triples[{reply_type.value}]: {counts['total']} "
+            f"(treated {counts['treated']}, control {counts['control']})"
         )
     return EXIT_OK
 
 
 def _cmd_fit_topics(args: argparse.Namespace) -> int:
-    from .pipeline import _fit_topic_models
-
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     warnings: list[str] = []
-    models = _fit_topic_models(config, posts, warnings)
+    models = fit_topic_models(config, posts, warnings)
     for warning in warnings:
         print(warning, file=sys.stderr)
     for debate_topic, model in sorted(models.items()):

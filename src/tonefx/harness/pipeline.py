@@ -31,29 +31,23 @@ import numpy as np
 from ..corpus import (
     CorpusError,
     PostCollection,
-    ReplyType,
     Triple,
     extract_triples,
     load_annotations,
     load_posts,
 )
 from ..estimators import (
-    AipwVariant,
     AteEstimate,
     EstimationError,
-    Estimator,
-    bootstrap_se,
     build_estimation_input,
-    point_estimate,
+    estimate_all,
 )
 from ..inference import (
-    ConfounderVariant,
     InferenceError,
     build_confounder_matrix,
     cross_validate,
 )
 from ..lexicon import (
-    CategoryType,
     LexiconError,
     compute_outcome,
     load_lexicon,
@@ -110,9 +104,14 @@ def _topic_cache_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _fit_topic_models(
+def fit_topic_models(
     config: PipelineConfig, posts: PostCollection, warnings: list[str]
 ) -> dict[str, LdaModel]:
+    """Fit or load from cache one topic model per debate topic.
+
+    Every model is also published under out_dir/models; problems that
+    do not stop the run (an unreadable cache entry) go to ``warnings``.
+    """
     tokenizer = default_tokenizer()
     cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
@@ -178,7 +177,6 @@ class _CellTask:
 
 
 def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
-    warnings: list[str] = []
     data = build_estimation_input(
         task.features,
         task.treatments,
@@ -188,42 +186,26 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
         clip_epsilon=task.clip_epsilon,
         seed=task.seed,
     )
-    estimates: list[AteEstimate] = []
-    aipw_variant = AipwVariant(task.aipw_variant)
-    for name in task.estimators:
-        estimator = Estimator(name)
-        psi = point_estimate(data, estimator, aipw_variant=aipw_variant)
-        se = None
-        if task.bootstrap_replicates:
-            result = bootstrap_se(
-                data,
-                estimator,
-                replicates=task.bootstrap_replicates,
-                seed=task.seed,
-                refit=task.bootstrap_refit,
-                aipw_variant=aipw_variant,
-                regularization=task.regularization,
-                ridge=task.ridge,
-                clip_epsilon=task.clip_epsilon,
-            )
-            se = result.standard_error
-            if result.skipped:
-                warnings.append(
-                    f"cell ({task.reply_type}, {task.category_type}, {task.variant}) "
-                    f"{name}: {result.skipped} bootstrap replicates skipped"
-                )
-        estimates.append(
-            AteEstimate(
-                estimator=estimator,
-                psi=psi,
-                standard_error=se,
-                n=data.n,
-                reply_type=task.reply_type,
-                category_type=task.category_type,
-                aipw_variant=aipw_variant if estimator is Estimator.AIPW else None,
-                confounder_variant=task.variant,
-            )
-        )
+    estimates = estimate_all(
+        data,
+        task.estimators,
+        aipw_variant=task.aipw_variant,
+        bootstrap_replicates=task.bootstrap_replicates,
+        seed=task.seed,
+        refit=task.bootstrap_refit,
+        regularization=task.regularization,
+        ridge=task.ridge,
+        clip_epsilon=task.clip_epsilon,
+        reply_type=task.reply_type,
+        category_type=task.category_type,
+        confounder_variant=task.variant,
+    )
+    cell = f"cell ({task.reply_type}, {task.category_type}, {task.variant})"
+    warnings = [
+        f"{cell} {est.estimator.value}: {est.bootstrap_skipped} bootstrap replicates skipped"
+        for est in estimates
+        if est.bootstrap_skipped
+    ]
     return estimates, warnings
 
 
@@ -276,7 +258,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     # topics
     stage("topics")
     try:
-        models = _fit_topic_models(config, posts, warnings)
+        models = fit_topic_models(config, posts, warnings)
     except TopicModelError as exc:
         raise PipelineError("topics", str(exc)) from exc
     done("topics")

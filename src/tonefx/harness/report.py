@@ -3,8 +3,8 @@
 The structured rendering is versioned JSON with sorted keys and
 repr-fidelity floats, so equal runs serialize to identical bytes and
 parse back without loss.  Timing information varies run to run and is
-excluded unless explicitly requested, keeping report bodies comparable
-across reruns of the same config and seed.
+never written, keeping report bodies comparable across reruns of the
+same config and seed.
 
 The table rendering is a plain-text summary with one block per reply
 type and confounder variant: estimator rows, category-type columns,
@@ -95,9 +95,9 @@ def _estimate_to_dict(est: AteEstimate) -> dict[str, Any]:
     }
 
 
-def render_report(report: RunReport, fmt: str = "structured", include_timings: bool = False) -> str:
+def render_report(report: RunReport, fmt: str = "structured") -> str:
     if fmt == "structured":
-        return _render_structured(report, include_timings)
+        return _render_structured(report)
     if fmt == "table":
         return _render_table(report)
     if fmt == "delimited":
@@ -105,7 +105,7 @@ def render_report(report: RunReport, fmt: str = "structured", include_timings: b
     raise ReportError(f"unknown report format {fmt!r}")
 
 
-def _render_structured(report: RunReport, include_timings: bool) -> str:
+def _render_structured(report: RunReport) -> str:
     document: dict[str, Any] = {
         "format": REPORT_FORMAT,
         "version": REPORT_FORMAT_VERSION,
@@ -117,8 +117,6 @@ def _render_structured(report: RunReport, include_timings: bool) -> str:
         "warnings": report.warnings,
         "failed_cells": report.failed_cells,
     }
-    if include_timings:
-        document["timings"] = report.timings
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -170,7 +168,6 @@ def parse_report(text: str) -> RunReport:
         topic_top_words=document.get("topics", {}),
         warnings=document.get("warnings", []),
         failed_cells=document.get("failed_cells", []),
-        timings=document.get("timings", {}),
     )
 
 

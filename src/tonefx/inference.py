@@ -46,24 +46,6 @@ class ConfounderVariant(str, Enum):
     DEBATE_TOPICS_ONLY = "debate_topics_only"
 
 
-@dataclass(eq=False)
-class Confounder:
-    """Feature vector of one triple under one adjustment variant."""
-
-    triple_id: str
-    variant: ConfounderVariant
-    features: np.ndarray
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.shape != (len(self.feature_names),):
-            raise InferenceError(
-                f"triple {self.triple_id!r}: {self.features.shape[0]} features "
-                f"but {len(self.feature_names)} names"
-            )
-
-
 def _count_row(tokens: Sequence[str], index: Mapping[str, int], n_terms: int) -> np.ndarray:
     row = np.zeros(n_terms, dtype=float)
     for token in tokens:
@@ -81,55 +63,6 @@ def _full_feature_names(k: int, grouping: CategoryTypeGrouping) -> tuple[str, ..
     return tuple(names)
 
 
-def build_confounder(
-    triple: Triple,
-    variant: ConfounderVariant,
-    lda_models: Mapping[str, LdaModel],
-    lexicon: CategoryLexicon,
-    grouping: CategoryTypeGrouping,
-    debate_topics: Sequence[str] | None = None,
-    tokenizer: Tokenizer | None = None,
-) -> Confounder:
-    """Assemble the confounder vector for a single triple.
-
-    ``debate_topics`` fixes the one-hot component order for the
-    topics-only variant and defaults to the sorted model keys.
-    """
-    variant = ConfounderVariant(variant)
-    if debate_topics is None:
-        debate_topics = sorted(lda_models)
-    if variant is ConfounderVariant.DEBATE_TOPICS_ONLY:
-        if triple.debate_topic not in debate_topics:
-            raise InferenceError(
-                f"triple {triple.id!r}: unknown debate topic {triple.debate_topic!r}"
-            )
-        features = np.zeros(len(debate_topics))
-        features[list(debate_topics).index(triple.debate_topic)] = 1.0
-        names = tuple(f"debate_topic={topic}" for topic in debate_topics)
-        return Confounder(triple.id, variant, features, names)
-
-    model = lda_models.get(triple.debate_topic)
-    if model is None:
-        raise InferenceError(
-            f"triple {triple.id!r}: no topic model for debate topic {triple.debate_topic!r}"
-        )
-    tok = tokenizer or default_tokenizer()
-    index = model.vocabulary.index
-    n_terms = len(model.vocabulary)
-    counts = np.vstack(
-        [
-            _count_row(tok(triple.p1.text), index, n_terms),
-            _count_row(tok(triple.p2.text), index, n_terms),
-        ]
-    )
-    thetas = infer_theta_batch(model, counts)
-    parts = [thetas[0], thetas[1]]
-    for ctype in CategoryType:
-        parts.append(vectorize_post(lexicon, grouping, ctype, triple.p1).values)
-    features = np.concatenate(parts)
-    return Confounder(triple.id, variant, features, _full_feature_names(model.k, grouping))
-
-
 def build_confounder_matrix(
     triples: Sequence[Triple],
     variant: ConfounderVariant,
@@ -139,10 +72,11 @@ def build_confounder_matrix(
     debate_topics: Sequence[str] | None = None,
     tokenizer: Tokenizer | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Confounder rows for many triples, batching topic inference per debate topic.
+    """Confounder rows for the triples, batching topic inference per debate topic.
 
-    Row order follows the input triples.  Produces the same vectors as
-    build_confounder called per triple.
+    Row order follows the input triples.  ``debate_topics`` fixes the
+    one-hot component order for the topics-only variant and defaults to
+    the sorted model keys.
     """
     variant = ConfounderVariant(variant)
     if not triples:
@@ -204,27 +138,15 @@ def build_confounder_matrix(
     return matrix, names
 
 
-def as_feature_matrix(
-    features: np.ndarray | Sequence[Confounder],
-) -> tuple[np.ndarray, list[str]]:
-    """Coerce confounders or a raw array to (matrix, row labels for errors)."""
-    if isinstance(features, np.ndarray):
-        matrix = np.atleast_2d(np.asarray(features, dtype=float))
-        labels = [f"row {i}" for i in range(matrix.shape[0])]
-    else:
-        seq = list(features)
-        if not seq:
-            raise InferenceError("no feature rows given")
-        if isinstance(seq[0], Confounder):
-            matrix = np.vstack([c.features for c in seq])
-            labels = [f"triple {c.triple_id!r}" for c in seq]
-        else:
-            matrix = np.atleast_2d(np.asarray(seq, dtype=float))
-            labels = [f"row {i}" for i in range(matrix.shape[0])]
+def as_feature_matrix(features: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """Coerce feature rows to a finite 2-d float matrix; one row becomes 1 x d."""
+    if len(features) == 0:
+        raise InferenceError("no feature rows given")
+    matrix = np.atleast_2d(np.asarray(features, dtype=float))
     bad = np.flatnonzero(~np.all(np.isfinite(matrix), axis=1))
     if bad.size:
-        raise InferenceError(f"non-finite feature values in {labels[bad[0]]}")
-    return matrix, labels
+        raise InferenceError(f"non-finite feature values in row {bad[0]}")
+    return matrix
 
 
 def _standardizer(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -280,7 +202,6 @@ class PropensityModel:
     gradient_norm: float
     loss: float
     seed: int = 0
-    feature_names: tuple[str, ...] = ()
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -293,24 +214,24 @@ class PropensityModel:
 
 
 def fit_propensity(
-    features: np.ndarray | Sequence[Confounder],
+    features: np.ndarray,
     treatments: np.ndarray | Sequence[int],
     regularization: float = DEFAULT_REGULARIZATION,
     max_iters: int = 100,
     tol: float = 1e-8,
     seed: int = 0,
-    standardize: bool = True,
 ) -> PropensityModel:
     """Fit the treatment model by damped Newton iteration.
 
     Converges when the gradient norm drops below ``tol``.  The penalty
     keeps the Hessian positive definite, and a halving line search guards
     the occasional overshoot, so the fit is deterministic and never
-    requires randomness (``seed`` is recorded for provenance only).
+    requires randomness (``seed`` is recorded for provenance only).  If
+    the line search finds no step that lowers the loss enough, the fit
+    stops at the last accepted parameters and reports itself unconverged
+    (``gradient_norm >= tol``).
     """
-    if not isinstance(features, np.ndarray):
-        features = list(features)
-    matrix, _ = as_feature_matrix(features)
+    matrix = as_feature_matrix(features)
     t = _check_treatments(np.asarray(treatments))
     if matrix.shape[0] != t.shape[0]:
         raise InferenceError(
@@ -319,11 +240,7 @@ def fit_propensity(
     if regularization < 0:
         raise InferenceError("regularization must be nonnegative")
 
-    if standardize:
-        means, scales = _standardizer(matrix)
-    else:
-        means = np.zeros(matrix.shape[1])
-        scales = np.ones(matrix.shape[1])
+    means, scales = _standardizer(matrix)
     design = (matrix - means) / scales
 
     n, d = design.shape
@@ -331,6 +248,7 @@ def fit_propensity(
     loss, grad = logistic_loss_and_grad(params, design, t, regularization)
     grad_norm = float(np.linalg.norm(grad))
     iterations = 0
+    stalled = False
     penalty_diag = np.concatenate(([0.0], np.full(d, regularization)))
     for iterations in range(1, max_iters + 1):
         if grad_norm < tol:
@@ -352,19 +270,24 @@ def fit_propensity(
             if new_loss <= loss - 1e-4 * scale * float(grad @ step):
                 break
             scale *= 0.5
+        else:
+            stalled = True
+            iterations -= 1
+            break
         params = candidate
         loss, grad = new_loss, new_grad
         grad_norm = float(np.linalg.norm(grad))
-    if grad_norm >= tol:
+    if stalled:
+        logger.warning(
+            "propensity fit stopped after %d iterations: line search failed "
+            "with gradient norm %.2e",
+            iterations, grad_norm,
+        )
+    elif grad_norm >= tol:
         logger.warning(
             "propensity fit stopped at iteration cap %d with gradient norm %.2e",
             max_iters, grad_norm,
         )
-    names: tuple[str, ...] = ()
-    if not isinstance(features, np.ndarray):
-        first = next(iter(features), None)
-        if isinstance(first, Confounder):
-            names = first.feature_names
     return PropensityModel(
         weights=params[1:],
         intercept=float(params[0]),
@@ -375,33 +298,20 @@ def fit_propensity(
         gradient_norm=grad_norm,
         loss=loss,
         seed=seed,
-        feature_names=names,
     )
 
 
 def predict_propensity(
     model: PropensityModel,
-    features: np.ndarray | Confounder | Sequence[Confounder],
+    features: np.ndarray,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
-) -> np.ndarray | float:
-    """Treated probability, clipped into [clip_epsilon, 1 - clip_epsilon].
-
-    A single confounder or 1-d row yields a float; a matrix or sequence
-    yields an array.
-    """
+) -> np.ndarray:
+    """Treated probability per row, clipped into [clip_epsilon, 1 - clip_epsilon]."""
     if not 0.0 <= clip_epsilon < 0.5:
         raise InferenceError(f"clip_epsilon must lie in [0, 0.5), got {clip_epsilon!r}")
-    single = isinstance(features, Confounder) or (
-        isinstance(features, np.ndarray) and features.ndim == 1
-    )
-    if isinstance(features, Confounder):
-        matrix = features.features[np.newaxis, :]
-    else:
-        matrix, _ = as_feature_matrix(features)
-    design = (matrix - model.feature_means) / model.feature_scales
+    design = (as_feature_matrix(features) - model.feature_means) / model.feature_scales
     raw = expit(model.intercept + design @ model.weights)
-    clipped = np.clip(raw, clip_epsilon, 1.0 - clip_epsilon)
-    return float(clipped[0]) if single else clipped
+    return np.clip(raw, clip_epsilon, 1.0 - clip_epsilon)
 
 
 @dataclass(eq=False)
@@ -426,20 +336,13 @@ class OutcomeModel:
         return float(self.intercept - np.sum(self.weights * self.feature_means / self.feature_scales))
 
 
-def predict_outcome(model: OutcomeModel, features: np.ndarray | Sequence[Confounder]) -> np.ndarray:
-    matrix, _ = as_feature_matrix(features)
-    design = (matrix - model.feature_means) / model.feature_scales
+def predict_outcome(model: OutcomeModel, features: np.ndarray) -> np.ndarray:
+    design = (as_feature_matrix(features) - model.feature_means) / model.feature_scales
     return model.intercept + design @ model.weights
 
 
-def _fit_arm(
-    matrix: np.ndarray, outcomes: np.ndarray, arm: int, ridge: float, standardize: bool
-) -> OutcomeModel:
-    if standardize:
-        means, scales = _standardizer(matrix)
-    else:
-        means = np.zeros(matrix.shape[1])
-        scales = np.ones(matrix.shape[1])
+def _fit_arm(matrix: np.ndarray, outcomes: np.ndarray, arm: int, ridge: float) -> OutcomeModel:
+    means, scales = _standardizer(matrix)
     design = np.hstack([np.ones((matrix.shape[0], 1)), (matrix - means) / scales])
     n, p = design.shape
     if ridge > 0:
@@ -464,11 +367,10 @@ def _fit_arm(
 
 
 def fit_outcome_models(
-    features: np.ndarray | Sequence[Confounder],
+    features: np.ndarray,
     treatments: np.ndarray | Sequence[int],
     outcomes: np.ndarray | Sequence[float],
     ridge: float = 0.0,
-    standardize: bool = True,
 ) -> tuple[OutcomeModel, OutcomeModel]:
     """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares.
 
@@ -477,7 +379,7 @@ def fit_outcome_models(
     arm raises with a suggestion to pass ridge > 0 instead of silently
     picking one of many solutions.  Returns (arm 0 model, arm 1 model).
     """
-    matrix, _ = as_feature_matrix(features)
+    matrix = as_feature_matrix(features)
     t = _check_treatments(np.asarray(treatments))
     y = np.asarray(outcomes, dtype=float)
     if y.shape != t.shape or matrix.shape[0] != t.shape[0]:
@@ -489,7 +391,7 @@ def fit_outcome_models(
     models = []
     for arm in (0, 1):
         mask = t == arm
-        models.append(_fit_arm(matrix[mask], y[mask], arm, ridge, standardize))
+        models.append(_fit_arm(matrix[mask], y[mask], arm, ridge))
     return models[0], models[1]
 
 
@@ -541,7 +443,7 @@ class CvReport:
 
 
 def cross_validate(
-    features: np.ndarray | Sequence[Confounder],
+    features: np.ndarray,
     treatments: np.ndarray | Sequence[int],
     outcomes: np.ndarray | Sequence[float],
     folds: int = 5,
@@ -562,7 +464,7 @@ def cross_validate(
     reason; if every fold is skipped, the split is unusable and that is
     an error.
     """
-    matrix, _ = as_feature_matrix(features)
+    matrix = as_feature_matrix(features)
     t = np.asarray(treatments)
     y = np.asarray(outcomes, dtype=float)
     n = matrix.shape[0]

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sparse
@@ -357,19 +357,6 @@ class LdaModel:
             raise TopicModelError("each beta row must sum to 1 within 1e-9")
 
 
-@dataclass(eq=False)
-class TopicProportions:
-    """Posterior mean topic proportions of one post."""
-
-    theta: np.ndarray
-    post_id: str = ""
-
-    def __post_init__(self) -> None:
-        self.theta = np.asarray(self.theta, dtype=float)
-        if np.any(self.theta < 0) or abs(float(self.theta.sum()) - 1.0) > 1e-9:
-            raise TopicModelError("theta must be a probability vector")
-
-
 def _dirichlet_expectation(x: np.ndarray) -> np.ndarray:
     """E[log p] for p ~ Dirichlet(x), row-wise for 2-d input."""
     if x.ndim == 1:
@@ -540,17 +527,6 @@ def infer_theta_batch(
         gamma[active] = gamma_new[active]
         active &= change >= tol
     return gamma / gamma.sum(axis=1, keepdims=True)
-
-
-def infer_theta(
-    model: LdaModel,
-    doc_row: sparse.spmatrix | np.ndarray | Sequence[float],
-    post_id: str = "",
-) -> TopicProportions:
-    """Posterior mean topic proportions for a single post's count row."""
-    row = np.asarray(doc_row).reshape(1, -1) if not sparse.issparse(doc_row) else doc_row
-    theta = infer_theta_batch(model, row)[0]
-    return TopicProportions(theta=theta, post_id=post_id)
 
 
 def top_words(model: LdaModel, topic_index: int, n: int = 10) -> list[str]:

@@ -15,10 +15,10 @@ from tonefx.corpus import (
     extract_triples,
     load_annotations,
     load_posts,
-    triple_counts,
     write_annotations,
     write_posts,
 )
+from tonefx.harness.report import triple_summary
 
 from conftest import make_post
 
@@ -181,12 +181,12 @@ def test_binarize_is_monotone(a, b):
 
 def test_minicorpus_triple_counts(posts, annotations):
     nasty = extract_triples(posts, annotations, ReplyType.NASTY_NICE)
-    summary = triple_counts(nasty)
-    assert (summary.total, summary.treated, summary.control) == (48, 22, 26)
+    summary = triple_summary(nasty)
+    assert (summary["total"], summary["treated"], summary["control"]) == (48, 22, 26)
 
     attacking = extract_triples(posts, annotations, ReplyType.ATTACKING_REASONABLE)
-    summary = triple_counts(attacking)
-    assert (summary.total, summary.treated, summary.control) == (8, 4, 4)
+    summary = triple_summary(attacking)
+    assert (summary["total"], summary["treated"], summary["control"]) == (8, 4, 4)
 
     assert extract_triples(posts, annotations, ReplyType.EMOTIONAL_FACTUAL) == []
 
@@ -295,10 +295,8 @@ def test_duplicate_pair_gets_distinct_triple_ids():
 
 def test_triple_counts_partition(posts, annotations):
     triples = extract_triples(posts, annotations, ReplyType.NASTY_NICE)
-    summary = triple_counts(triples)
-    assert summary.treated + summary.control == summary.total
-    assert sum(
-        arms["treated"] + arms["control"] for arms in summary.per_topic.values()
-    ) == summary.total
-    assert summary.per_reply_type == {"nasty_nice": 48}
-    assert summary.treated_fraction == pytest.approx(22 / 48)
+    summary = triple_summary(triples)
+    assert summary["treated"] + summary["control"] == summary["total"]
+    assert sum(summary["per_topic"].values()) == summary["total"]
+    assert {t.treatment.reply_type.value for t in triples} == {"nasty_nice"}
+    assert summary["treated"] / summary["total"] == pytest.approx(22 / 48)

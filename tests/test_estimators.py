@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from tonefx import estimators
 from tonefx.estimators import (
     AipwVariant,
     AteEstimate,
@@ -288,6 +289,22 @@ def test_estimate_all_with_bootstrap():
     )
     assert all(e.standard_error is not None and e.standard_error > 0 for e in estimates)
     assert all(isinstance(e.significant, bool) for e in estimates)
+
+
+def test_estimate_all_passes_bootstrap_skips(monkeypatch):
+    draw = estimators._resample_indices
+
+    def odd_first_unit_skipped(rng, treatments, max_redraws):
+        idx = draw(rng, treatments, max_redraws)
+        return None if idx[0] % 2 else idx
+
+    monkeypatch.setattr(estimators, "_resample_indices", odd_first_unit_skipped)
+    data = _random_input(10, n=120)
+    estimates = estimate_all(data, bootstrap_replicates=20, seed=1, refit=False)
+    for estimate in estimates:
+        alone = bootstrap_se(data, estimate.estimator, replicates=20, seed=1, refit=False)
+        assert estimate.bootstrap_skipped == alone.skipped > 0
+        assert estimate.standard_error == alone.standard_error
 
 
 def test_significance_threshold():

@@ -8,12 +8,11 @@ from scipy import sparse
 from scipy.special import expit
 
 from tonefx.corpus import ReplyType, TreatmentAssignment, Triple
+from tonefx import inference
 from tonefx.inference import (
-    Confounder,
     ConfounderVariant,
     InferenceError,
     as_feature_matrix,
-    build_confounder,
     build_confounder_matrix,
     cross_validate,
     f1_score,
@@ -69,31 +68,33 @@ def models():
 
 def test_full_confounder_layout(models, lexicon_grouping):
     lexicon, grouping = lexicon_grouping
-    conf = build_confounder(
-        _triple(), ConfounderVariant.FULL, models, lexicon, grouping,
+    matrix, names = build_confounder_matrix(
+        [_triple()], ConfounderVariant.FULL, models, lexicon, grouping,
         tokenizer=surface_tokenizer(),
     )
-    assert conf.features.shape == (2 * 2 + 16,)
-    assert conf.feature_names[:2] == ("p1_theta_0", "p1_theta_1")
-    assert conf.feature_names[2:4] == ("p2_theta_0", "p2_theta_1")
-    assert conf.feature_names[4] == "p1_positive_sentiment:posemo"
-    assert conf.feature_names[-1] == "p1_linguistic_style:certainty"
+    features = matrix[0]
+    assert matrix.shape == (1, 2 * 2 + 16)
+    assert names[:2] == ("p1_theta_0", "p1_theta_1")
+    assert names[2:4] == ("p2_theta_0", "p2_theta_1")
+    assert names[4] == "p1_positive_sentiment:posemo"
+    assert names[-1] == "p1_linguistic_style:certainty"
     # both theta blocks are probability vectors
-    assert conf.features[:2].sum() == pytest.approx(1.0)
-    assert conf.features[2:4].sum() == pytest.approx(1.0)
+    assert features[:2].sum() == pytest.approx(1.0)
+    assert features[2:4].sum() == pytest.approx(1.0)
 
 
 def test_topics_only_confounder_is_one_hot(models, lexicon_grouping):
     lexicon, grouping = lexicon_grouping
-    conf = build_confounder(
-        _triple(topic="evolution"), ConfounderVariant.DEBATE_TOPICS_ONLY,
+    matrix, names = build_confounder_matrix(
+        [_triple(topic="evolution")], ConfounderVariant.DEBATE_TOPICS_ONLY,
         models, lexicon, grouping,
     )
-    assert conf.feature_names == ("debate_topic=evolution", "debate_topic=gun control")
-    np.testing.assert_array_equal(conf.features, [1.0, 0.0])
+    assert names == ("debate_topic=evolution", "debate_topic=gun control")
+    np.testing.assert_array_equal(matrix, [[1.0, 0.0]])
 
 
 def test_confounder_matrix_matches_single_path(models, lexicon_grouping):
+    # a row of a many-triple matrix equals the one-triple matrix of that triple
     lexicon, grouping = lexicon_grouping
     triples = [
         _triple(0, "gun control"),
@@ -106,12 +107,12 @@ def test_confounder_matrix_matches_single_path(models, lexicon_grouping):
         )
         assert matrix.shape == (3, len(names))
         for row, triple in zip(matrix, triples):
-            single = build_confounder(
-                triple, variant, models, lexicon, grouping,
+            single, single_names = build_confounder_matrix(
+                [triple], variant, models, lexicon, grouping,
                 tokenizer=surface_tokenizer(),
             )
-            np.testing.assert_array_equal(row, single.features)
-            assert single.feature_names == names
+            np.testing.assert_array_equal(row, single[0])
+            assert single_names == names
 
 
 def test_confounder_unknown_topic_raises(models, lexicon_grouping):
@@ -119,8 +120,6 @@ def test_confounder_unknown_topic_raises(models, lexicon_grouping):
     stranger = _triple(topic="astrology")
     for variant in ConfounderVariant:
         with pytest.raises(InferenceError, match="astrology"):
-            build_confounder(stranger, variant, models, lexicon, grouping)
-        with pytest.raises(InferenceError):
             build_confounder_matrix([stranger], variant, models, lexicon, grouping)
 
 
@@ -136,12 +135,6 @@ def test_confounder_matrix_rejects_mismatched_k(models, lexicon_grouping):
 
 
 def test_as_feature_matrix_flags_non_finite():
-    conf = Confounder(
-        "nasty_nice:x:y", ConfounderVariant.FULL,
-        np.array([0.1, np.inf]), ("a", "b"),
-    )
-    with pytest.raises(InferenceError, match="nasty_nice:x:y"):
-        as_feature_matrix([conf])
     with pytest.raises(InferenceError, match="row 1"):
         as_feature_matrix(np.array([[0.0, 1.0], [np.nan, 0.0]]))
     with pytest.raises(InferenceError, match="no feature rows"):
@@ -219,32 +212,38 @@ def test_fit_propensity_requires_both_arms():
         fit_propensity(features, np.full(50, 2))
 
 
-def test_predict_propensity_clips_and_scalarizes():
+def test_fit_propensity_stops_when_line_search_fails(monkeypatch, caplog):
+    features, treatments = _logistic_data(n=200, seed=4)
+    real = inference.logistic_loss_and_grad
+    calls = []
+
+    def no_descent(params, *args):
+        # the starting point is scored truly; every candidate step loses
+        calls.append(params)
+        loss, grad = real(params, *args)
+        return (loss, grad) if len(calls) == 1 else (loss + 1.0, grad)
+
+    monkeypatch.setattr(inference, "logistic_loss_and_grad", no_descent)
+    model = fit_propensity(features, treatments, tol=1e-8)
+    assert len(calls) == 1 + 60
+    assert model.iterations == 0
+    assert model.gradient_norm >= 1e-8
+    np.testing.assert_array_equal(model.weights, np.zeros(3))
+    assert model.intercept == 0.0
+    assert model.loss == pytest.approx(np.log(2.0))
+    assert "line search failed" in caplog.text
+
+
+def test_predict_propensity_clips_and_keeps_row_shape():
     features, treatments = _logistic_data(n=300, seed=5, weights=(3.0, 3.0, 3.0))
     model = fit_propensity(features, treatments)
     scores = predict_propensity(model, features, clip_epsilon=0.05)
     assert scores.min() >= 0.05 and scores.max() <= 0.95
     single = predict_propensity(model, features[0], clip_epsilon=0.05)
-    assert isinstance(single, float)
+    assert single.shape == (1,)
+    assert single[0] == pytest.approx(scores[0])
     with pytest.raises(InferenceError, match="clip_epsilon"):
         predict_propensity(model, features, clip_epsilon=0.5)
-
-
-def test_fit_propensity_accepts_confounder_sequences(models, lexicon_grouping):
-    lexicon, grouping = lexicon_grouping
-    confs = [
-        build_confounder(
-            _triple(i, text1=f"w{i:02d} w00", text2="w01"),
-            ConfounderVariant.FULL, models, lexicon, grouping,
-            tokenizer=surface_tokenizer(),
-        )
-        for i in range(8)
-    ]
-    treatments = [t.treatment.value for t in (_triple(i) for i in range(8))]
-    model = fit_propensity(confs, treatments)
-    assert model.feature_names == confs[0].feature_names
-    score = predict_propensity(model, confs[0])
-    assert isinstance(score, float) and 0.0 < score < 1.0
 
 
 # ---------------------------------------------------------------- outcome

@@ -1,6 +1,7 @@
 """Run configuration and the three report renderings."""
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -152,8 +153,16 @@ def test_structured_roundtrip_is_byte_identical():
 def test_structured_excludes_timings_by_default():
     report = _sample_report()
     assert "timings" not in json.loads(render_report(report))
-    with_timings = json.loads(render_report(report, include_timings=True))
-    assert with_timings["timings"] == {"topics": 1.25}
+
+
+def test_renderings_leave_out_bootstrap_skips():
+    report = _sample_report()
+    text = {fmt: render_report(report, fmt) for fmt in ("structured", "table", "delimited")}
+    report.estimates = [
+        dataclasses.replace(est, bootstrap_skipped=3) for est in report.estimates
+    ]
+    for fmt, expected in text.items():
+        assert render_report(report, fmt) == expected
 
 
 def test_structured_document_keys_are_sorted():

@@ -15,7 +15,6 @@ from tonefx.topics import (
     build_vocabulary,
     default_tokenizer,
     fit_lda,
-    infer_theta,
     infer_theta_batch,
     lemmatize_token,
     load_model,
@@ -223,14 +222,14 @@ def test_infer_theta_batch_invariant_to_batch_composition():
 def test_infer_theta_zero_count_doc_is_uniform():
     dtm = _random_dtm(seed=2)
     model = fit_lda(dtm, k=4, seed=0, max_iters=20)
-    theta = infer_theta(model, np.zeros(25))
-    np.testing.assert_array_equal(theta.theta, np.full(4, 0.25))
+    theta = infer_theta_batch(model, np.zeros((1, 25)))
+    np.testing.assert_array_equal(theta, np.full((1, 4), 0.25))
 
 
 def test_infer_theta_rejects_wrong_width():
     model = fit_lda(_random_dtm(), k=3, seed=0, max_iters=10)
     with pytest.raises(TopicModelError, match="terms"):
-        infer_theta(model, np.zeros(7))
+        infer_theta_batch(model, np.zeros((1, 7)))
 
 
 @settings(deadline=None, max_examples=25)
