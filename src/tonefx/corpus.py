@@ -175,7 +175,8 @@ def load_posts(path: str | Path) -> PostCollection:
     line number.  A duplicate post id is fatal because identity is
     load-bearing downstream.  A parent_id that does not resolve to an
     earlier post in the same discussion yields a warning and the parent is
-    treated as absent.
+    treated as absent.  Record errors and warnings are also logged, once
+    each, at WARNING level.
     """
     path = Path(path)
     if not path.exists():
@@ -280,7 +281,11 @@ def _resolved_parent(post: Post, posts: PostCollection) -> Post | None:
 
 
 def load_annotations(path: str | Path) -> AnnotationCollection:
-    """Load a line-delimited annotations file, skipping malformed records."""
+    """Load a line-delimited annotations file, skipping malformed records.
+
+    Each skipped record is reported in ``record_errors`` and logged once
+    at WARNING level.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"annotations file not found: {path}")

@@ -13,11 +13,13 @@ predictions) for one analysis cell.  Four estimators are provided:
   makes the estimate invariant to shifting all outcomes by a constant
   when the outcome model is held fixed, which the plain form is not.
 
-Standard errors come from a nonparametric bootstrap over units.  Each
-replicate draws its own generator from (seed, replicate index), so any
-replicate can be reproduced in isolation and results do not depend on
-evaluation order.  With refit enabled the nuisance models are refit on
-every resample, propagating their variability into the interval.
+Standard errors come from a nonparametric bootstrap over units, one
+pass per analysis cell.  Each replicate draws its own generator from
+(seed, replicate index), so any replicate can be reproduced in isolation
+and results do not depend on evaluation order.  With refit enabled the
+nuisance models are refit once on every resample, propagating their
+variability into the interval, and every requested estimator is scored
+from that one fit.
 """
 
 from __future__ import annotations
@@ -187,16 +189,36 @@ def point_estimate(
 
 @dataclass(eq=False)
 class BootstrapResult:
-    """Replicate estimates and the standard error they imply."""
+    """Replicate estimates of every requested estimator from one bootstrap pass.
 
-    standard_error: float
-    estimates: np.ndarray
+    Every estimator is scored on the same usable resamples, so all share
+    ``replicates_requested`` and ``skipped``.
+    """
+
+    estimates: dict[Estimator, np.ndarray]
     replicates_requested: int
     skipped: int
 
     @property
     def replicates_used(self) -> int:
         return self.replicates_requested - self.skipped
+
+    @property
+    def standard_errors(self) -> dict[Estimator, float]:
+        return {
+            estimator: float(values.std(ddof=1))
+            for estimator, values in self.estimates.items()
+        }
+
+    @property
+    def standard_error(self) -> float:
+        """The standard error of the only requested estimator."""
+        if len(self.estimates) != 1:
+            raise EstimationError(
+                f"standard_error needs one estimator, this result holds {len(self.estimates)}"
+            )
+        (standard_error,) = self.standard_errors.values()
+        return standard_error
 
 
 def _resample_indices(
@@ -214,7 +236,7 @@ def _resample_indices(
 
 def bootstrap_se(
     data: EstimationInput,
-    estimator: Estimator,
+    estimator: Estimator | Sequence[Estimator],
     replicates: int = DEFAULT_BOOTSTRAP_REPLICATES,
     seed: int = 0,
     refit: bool = True,
@@ -224,19 +246,27 @@ def bootstrap_se(
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
     max_redraws: int = 10,
 ) -> BootstrapResult:
-    """Nonparametric bootstrap standard error of one estimator.
+    """Nonparametric bootstrap of one estimator or several, in one pass.
 
-    Replicate ``i`` draws its resample from ``default_rng([seed, i])``.
-    A resample that lands entirely in one arm is redrawn up to
-    ``max_redraws`` times and then skipped (skips are counted and
-    logged).  With ``refit`` the propensity and outcome models are refit
-    on each resample; otherwise the stored per-unit nuisance values are
-    reused, which is cheaper but ignores nuisance variability.
+    ``estimator`` is one ``Estimator`` or a sequence of them.  Replicate
+    ``i`` draws its resample from ``default_rng([seed, i])``.  A resample
+    that lands entirely in one arm is redrawn up to ``max_redraws`` times
+    and then skipped (skips are counted and logged once per call).  With
+    ``refit``, and when any requested estimator uses the nuisances, the
+    propensity and outcome models are refit once per resample and every
+    requested estimator is scored from that one fit; otherwise the stored
+    per-unit nuisance values are reused, which is cheaper but ignores
+    nuisance variability.  Each estimator's replicate values equal those
+    of a call that requests it alone.
     """
-    estimator = Estimator(estimator)
+    if isinstance(estimator, str):
+        estimator = [estimator]
+    requested = list(dict.fromkeys(Estimator(e) for e in estimator))
+    if not requested:
+        raise EstimationError("no estimator requested")
     if replicates < 2:
         raise EstimationError(f"need at least 2 bootstrap replicates, got {replicates}")
-    needs_nuisances = estimator is not Estimator.UNADJUSTED
+    needs_nuisances = any(e is not Estimator.UNADJUSTED for e in requested)
     do_refit = refit and needs_nuisances
     if do_refit and data.features is None:
         raise EstimationError(
@@ -244,7 +274,7 @@ def bootstrap_se(
             "provide features or pass refit=False"
         )
 
-    estimates: list[float] = []
+    estimates: dict[Estimator, list[float]] = {e: [] for e in requested}
     skipped = 0
     for i in range(replicates):
         rng = np.random.default_rng([seed, i])
@@ -266,20 +296,18 @@ def bootstrap_se(
         replicate = EstimationInput(
             treatments=t.astype(int), outcomes=y, propensity=p, q0=q0, q1=q1
         )
-        estimates.append(point_estimate(replicate, estimator, aipw_variant=aipw_variant))
+        for e, values in estimates.items():
+            values.append(point_estimate(replicate, e, aipw_variant=aipw_variant))
     if skipped:
         logger.warning(
             "bootstrap for %s skipped %d of %d replicates (single-arm resamples)",
-            estimator.value, skipped, replicates,
+            ", ".join(e.value for e in requested), skipped, replicates,
         )
-    if len(estimates) < 2:
-        raise EstimationError(
-            f"only {len(estimates)} of {replicates} bootstrap replicates usable"
-        )
-    values = np.array(estimates)
+    used = replicates - skipped
+    if used < 2:
+        raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
     return BootstrapResult(
-        standard_error=float(values.std(ddof=1)),
-        estimates=values,
+        estimates={e: np.array(values) for e, values in estimates.items()},
         replicates_requested=replicates,
         skipped=skipped,
     )
@@ -324,31 +352,32 @@ def estimate_all(
 ) -> list[AteEstimate]:
     """Point estimates with bootstrap standard errors for the requested estimators.
 
+    All standard errors come from one ``bootstrap_se`` pass over the cell.
     Pass ``bootstrap_replicates=0`` to skip standard errors entirely.
     """
     aipw_variant = AipwVariant(aipw_variant)
+    estimators = [Estimator(e) for e in estimators]
+    bootstrap: BootstrapResult | None = None
+    if bootstrap_replicates and estimators:
+        bootstrap = bootstrap_se(
+            data,
+            estimators,
+            replicates=bootstrap_replicates,
+            seed=seed,
+            refit=refit,
+            aipw_variant=aipw_variant,
+            regularization=regularization,
+            ridge=ridge,
+            clip_epsilon=clip_epsilon,
+        )
+    standard_errors = bootstrap.standard_errors if bootstrap else {}
     results = []
     for estimator in estimators:
-        estimator = Estimator(estimator)
-        psi = point_estimate(data, estimator, aipw_variant=aipw_variant)
-        bootstrap: BootstrapResult | None = None
-        if bootstrap_replicates:
-            bootstrap = bootstrap_se(
-                data,
-                estimator,
-                replicates=bootstrap_replicates,
-                seed=seed,
-                refit=refit,
-                aipw_variant=aipw_variant,
-                regularization=regularization,
-                ridge=ridge,
-                clip_epsilon=clip_epsilon,
-            )
         results.append(
             AteEstimate(
                 estimator=estimator,
-                psi=psi,
-                standard_error=bootstrap.standard_error if bootstrap else None,
+                psi=point_estimate(data, estimator, aipw_variant=aipw_variant),
+                standard_error=standard_errors.get(estimator),
                 n=data.n,
                 reply_type=reply_type,
                 category_type=category_type,

@@ -139,12 +139,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     print(f"posts: {len(posts)} across {len(posts.discussion_ids)} discussions")
     print(f"debate topics: {', '.join(posts.debate_topics)}")
     print(f"annotations: {len(annotations)}")
-    for error in posts.record_errors:
-        print(f"posts: {error}", file=sys.stderr)
-    for warning in posts.warnings:
-        print(f"posts: {warning}", file=sys.stderr)
-    for error in annotations.record_errors:
-        print(f"annotations: {error}", file=sys.stderr)
+    # the loaders log every skipped record and parent-link warning
     for reply_type in config.reply_types:
         counts = triple_summary(extract_triples(posts, annotations, reply_type))
         print(

@@ -198,7 +198,7 @@ def test_bootstrap_is_deterministic_in_seed():
     data = _random_input(5)
     a = bootstrap_se(data, Estimator.Q, replicates=50, seed=3)
     b = bootstrap_se(data, Estimator.Q, replicates=50, seed=3)
-    np.testing.assert_array_equal(a.estimates, b.estimates)
+    np.testing.assert_array_equal(a.estimates[Estimator.Q], b.estimates[Estimator.Q])
     assert a.standard_error == b.standard_error
     c = bootstrap_se(data, Estimator.Q, replicates=50, seed=4)
     assert a.standard_error != c.standard_error
@@ -211,6 +211,11 @@ def test_bootstrap_refit_requires_features():
         bootstrap_se(stripped, Estimator.AIPW, replicates=10, seed=0, refit=True)
     result = bootstrap_se(stripped, Estimator.AIPW, replicates=10, seed=0, refit=False)
     assert result.replicates_used == 10
+    # one estimator that needs the nuisances makes the whole pass refit
+    with pytest.raises(EstimationError, match="refit=False"):
+        bootstrap_se(
+            stripped, (Estimator.UNADJUSTED, Estimator.Q), replicates=10, seed=0, refit=True
+        )
 
 
 def test_bootstrap_unadjusted_never_needs_features():
@@ -232,8 +237,76 @@ def test_bootstrap_skips_single_arm_resamples():
         data, Estimator.UNADJUSTED, replicates=200, seed=0, max_redraws=1
     )
     assert result.skipped > 0
-    assert result.replicates_used == len(result.estimates)
+    assert result.replicates_used == len(result.estimates[Estimator.UNADJUSTED])
     assert result.replicates_used + result.skipped == 200
+
+
+def _odd_first_unit_skipped(monkeypatch):
+    """Skip every resample whose first drawn unit is odd (stateless per replicate)."""
+    draw = estimators._resample_indices
+
+    def skip(rng, treatments, max_redraws):
+        idx = draw(rng, treatments, max_redraws)
+        return None if idx[0] % 2 else idx
+
+    monkeypatch.setattr(estimators, "_resample_indices", skip)
+
+
+@pytest.mark.parametrize("variant", list(AipwVariant))
+@pytest.mark.parametrize("refit", [True, False])
+@pytest.mark.parametrize("seed,n", [(0, 40), (1, 120), (2, 40)])
+def test_one_pass_matches_one_estimator_calls(seed, n, refit, variant):
+    data = _random_input(seed, n=n)
+    kwargs = dict(replicates=12, seed=seed, refit=refit, aipw_variant=variant)
+    together = bootstrap_se(data, list(Estimator), **kwargs)
+    assert list(together.estimates) == list(Estimator)
+    for estimator in Estimator:
+        alone = bootstrap_se(data, estimator, **kwargs)
+        assert list(alone.estimates) == [estimator]
+        np.testing.assert_array_equal(together.estimates[estimator], alone.estimates[estimator])
+        assert together.standard_errors[estimator] == alone.standard_error
+        assert together.skipped == alone.skipped == 0
+
+
+def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
+    _odd_first_unit_skipped(monkeypatch)
+    data = _random_input(3, n=60)
+    with caplog.at_level("WARNING", logger=estimators.logger.name):
+        together = bootstrap_se(data, list(Estimator), replicates=20, seed=5)
+    assert len(caplog.records) == 1
+    assert together.skipped > 0
+    with pytest.raises(EstimationError, match="one estimator"):
+        together.standard_error
+    for estimator in Estimator:
+        alone = bootstrap_se(data, estimator, replicates=20, seed=5)
+        assert alone.skipped == together.skipped
+        np.testing.assert_array_equal(together.estimates[estimator], alone.estimates[estimator])
+        assert together.standard_errors[estimator] == alone.standard_error
+
+
+def test_estimate_all_refits_once_per_usable_resample(monkeypatch):
+    _odd_first_unit_skipped(monkeypatch)
+    calls = {"fit_propensity": 0, "fit_outcome_models": 0}
+
+    def counted(name):
+        fit = getattr(estimators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fit(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(estimators, name, counted(name))
+    data = _random_input(4, n=80)
+    replicates = 15
+    results = estimate_all(data, bootstrap_replicates=replicates, seed=2, refit=True)
+    assert [e.estimator for e in results] == list(Estimator)
+    skipped = results[0].bootstrap_skipped
+    assert 0 < skipped < replicates
+    used = replicates - skipped
+    assert calls == {"fit_propensity": used, "fit_outcome_models": used}
 
 
 def test_bootstrap_rejects_unusable_setups():
@@ -292,13 +365,7 @@ def test_estimate_all_with_bootstrap():
 
 
 def test_estimate_all_passes_bootstrap_skips(monkeypatch):
-    draw = estimators._resample_indices
-
-    def odd_first_unit_skipped(rng, treatments, max_redraws):
-        idx = draw(rng, treatments, max_redraws)
-        return None if idx[0] % 2 else idx
-
-    monkeypatch.setattr(estimators, "_resample_indices", odd_first_unit_skipped)
+    _odd_first_unit_skipped(monkeypatch)
     data = _random_input(10, n=120)
     estimates = estimate_all(data, bootstrap_replicates=20, seed=1, refit=False)
     for estimate in estimates:

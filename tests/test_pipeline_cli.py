@@ -1,11 +1,15 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tonefx.corpus import load_annotations, load_posts
 from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tonefx.harness.config import PipelineConfig
 from tonefx.harness.pipeline import PipelineError, run_pipeline
@@ -218,6 +222,37 @@ def test_cli_ingest_prints_counts(capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "nasty_nice" in stdout and "48" in stdout
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_cli_ingest_prints_each_load_warning_once(tmp_path, verbose):
+    # in-process runs would hide logging's last-resort handler behind
+    # pytest's own log handlers, so run the command in a child process
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(Path(POSTS).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(
+        Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
+        encoding="utf-8",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    command = [sys.executable, "-m", "tonefx.harness.cli"]
+    command += ["--verbose"] * verbose + [
+        "ingest", "--posts", str(posts), "--annotations", str(annotations),
+        "--out-dir", str(tmp_path / "unused"), "--seed", "1",
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
+    messages = [
+        *loaded_posts.record_errors, *loaded_posts.warnings, *loaded_annotations.record_errors
+    ]
+    assert len(messages) == 3
+    for message in messages:
+        assert done.stderr.count(message) == 1, done.stderr
 
 
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):

@@ -49,8 +49,8 @@ def test_minicorpus_report_matches_snapshot(tmp_path):
 
 
 def test_skipped_replicate_warning_lines(tmp_path, monkeypatch):
-    # every other resample counts as single-arm, so each estimator's
-    # bootstrap skips half of its replicates
+    # every other resample counts as single-arm, so the cell's one
+    # bootstrap pass skips half of its replicates for every estimator
     calls = itertools.count()
     draw = estimators._resample_indices
 
