@@ -2,7 +2,7 @@
 
 The package walks from raw corpus files to adjusted effect estimates:
 quote-response triples with binarized tone treatments (``corpus``),
-lexicon-based outcome vectors and distances (``lexicon``), per-debate
+lexicon category rows and outcome distances (``lexicon``), per-debate
 topic models whose proportions act as ideology confounders (``topics``),
 propensity and outcome nuisance models with cross-validated diagnostics
 (``inference``), plain and doubly robust effect estimators with
@@ -30,9 +30,7 @@ from .lexicon import (
     CategoryLexicon,
     CategoryType,
     CategoryTypeGrouping,
-    CategoryVector,
     LexiconError,
-    Outcome,
     categorize_token,
     compute_outcome,
     default_grouping_path,
@@ -54,7 +52,6 @@ from .topics import (
     load_model,
     save_model,
     surface_tokenizer,
-    tokenize,
     top_words,
 )
 from .inference import (

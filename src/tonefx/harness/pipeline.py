@@ -12,6 +12,11 @@ per-topic corpus content, the tokenizer fingerprint and every fitting
 parameter, so reruns over unchanged inputs skip straight to inference.
 The fitted models are also published under out_dir/models for
 inspection regardless of cache hits.
+
+Each post's default-tokenizer tokens and its category row are computed
+at most once per run, on first use, and shared by the topics, outcomes
+and confounders stages; with cached topic models, posts outside the
+triples are never tokenized.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -62,7 +67,6 @@ from ..topics import (
     fit_lda,
     load_model,
     save_model,
-    surface_tokenizer,
     top_words,
 )
 from .config import PipelineConfig
@@ -104,13 +108,42 @@ def _topic_cache_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+class PostFeatures(dict):
+    """Per-post values keyed by post id, each computed from the post text on first lookup."""
+
+    def __init__(self, posts: PostCollection, featurize: Callable[[str], object]):
+        super().__init__()
+        self._posts = posts
+        self._featurize = featurize
+
+    def __missing__(self, post_id: str):
+        value = self[post_id] = self._featurize(self._posts.get(post_id).text)
+        return value
+
+
+def token_table(posts: PostCollection) -> PostFeatures:
+    """Default-tokenizer tokens of each post, tokenized on first lookup.
+
+    A run holds the tokens of many posts at once, and a corpus repeats
+    few token forms, so all lists share one string per form.
+    """
+    tokenizer = default_tokenizer()
+    forms: dict[str, str] = {}
+    return PostFeatures(posts, lambda text: [forms.setdefault(t, t) for t in tokenizer(text)])
+
+
 def fit_topic_models(
-    config: PipelineConfig, posts: PostCollection, warnings: list[str]
+    config: PipelineConfig,
+    posts: PostCollection,
+    post_tokens: Mapping[str, Sequence[str]],
+    warnings: list[str],
 ) -> dict[str, LdaModel]:
     """Fit or load from cache one topic model per debate topic.
 
-    Every model is also published under out_dir/models; problems that
-    do not stop the run (an unreadable cache entry) go to ``warnings``.
+    ``post_tokens`` holds each post's default-tokenizer tokens; only a
+    cache miss reads it.  Every model is also published under
+    out_dir/models; problems that do not stop the run (an unreadable
+    cache entry) go to ``warnings``.
     """
     tokenizer = default_tokenizer()
     cache_dir = Path(config.out_dir) / "cache"
@@ -132,10 +165,15 @@ def fit_topic_models(
                     f"({exc}); refitting"
                 )
         if model is None:
+            token_lists = [post_tokens[post.id] for post in subset]
             vocabulary = build_vocabulary(
-                subset, min_df=config.min_df, max_df=config.max_df, tokenizer=tokenizer
+                token_lists, min_df=config.min_df, max_df=config.max_df
             )
-            dtm = build_dtm(subset, vocabulary, tokenizer=tokenizer)
+            dtm = build_dtm(token_lists, vocabulary)
+            if dtm.zero_rows:
+                logger.warning(
+                    "%d of %d posts have no in-vocabulary tokens", len(dtm.zero_rows), dtm.n_docs
+                )
             model = fit_lda(
                 dtm,
                 k=config.k,
@@ -200,12 +238,15 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
         category_type=task.category_type,
         confounder_variant=task.variant,
     )
-    cell = f"cell ({task.reply_type}, {task.category_type}, {task.variant})"
-    warnings = [
-        f"{cell} {est.estimator.value}: {est.bootstrap_skipped} bootstrap replicates skipped"
-        for est in estimates
-        if est.bootstrap_skipped
-    ]
+    # every estimator of a cell is scored from one bootstrap pass, so
+    # they all skip the same replicates
+    skipped = max((est.bootstrap_skipped for est in estimates), default=0)
+    warnings = []
+    if skipped:
+        warnings.append(
+            f"cell ({task.reply_type}, {task.category_type}, {task.variant}): "
+            f"{skipped} of {task.bootstrap_replicates} bootstrap replicates skipped"
+        )
     return estimates, warnings
 
 
@@ -238,6 +279,8 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     warnings += [f"posts: {e}" for e in posts.record_errors]
     warnings += [f"posts: {w}" for w in posts.warnings]
     warnings += [f"annotations: {e}" for e in annotations.record_errors]
+    post_tokens = token_table(posts)
+    category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
     done("load")
 
     # triples
@@ -258,31 +301,27 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     # topics
     stage("topics")
     try:
-        models = fit_topic_models(config, posts, warnings)
+        models = fit_topic_models(config, posts, post_tokens, warnings)
     except TopicModelError as exc:
         raise PipelineError("topics", str(exc)) from exc
     done("topics")
 
     # outcomes
     stage("outcomes")
-    tokenizer = surface_tokenizer()
     outcomes: dict[tuple[str, str], np.ndarray] = {}
     # the crossval stage scores its configured category even when the
     # estimate grid does not include it
     category_types = list(config.category_types)
     if config.cv_category_type not in category_types:
         category_types.append(config.cv_category_type)
-    try:
-        for reply_value, triples in triples_by_reply.items():
-            for category_type in category_types:
-                values = []
-                for triple in triples:
-                    v1 = vectorize_post(lexicon, grouping, category_type, triple.p1, tokenizer)
-                    v3 = vectorize_post(lexicon, grouping, category_type, triple.p3, tokenizer)
-                    values.append(compute_outcome(v1, v3))
-                outcomes[(reply_value, category_type.value)] = np.array(values)
-    except LexiconError as exc:
-        raise PipelineError("outcomes", str(exc)) from exc
+    for reply_value, triples in triples_by_reply.items():
+        p1_rows = np.array([category_rows[triple.p1.id] for triple in triples])
+        p3_rows = np.array([category_rows[triple.p3.id] for triple in triples])
+        for category_type in category_types:
+            columns = grouping.columns(category_type)
+            outcomes[(reply_value, category_type.value)] = compute_outcome(
+                p1_rows[:, columns], p3_rows[:, columns]
+            )
     done("outcomes")
 
     # confounders
@@ -293,7 +332,8 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         for reply_value, triples in triples_by_reply.items():
             for variant in config.confounder_variants:
                 matrix, _ = build_confounder_matrix(
-                    triples, variant, models, lexicon, grouping, debate_topics=debate_topics
+                    triples, variant, models, grouping, post_tokens, category_rows,
+                    debate_topics=debate_topics,
                 )
                 confounders[(reply_value, variant.value)] = matrix
     except InferenceError as exc:

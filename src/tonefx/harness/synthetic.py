@@ -283,10 +283,9 @@ def generate_corpus(
     stance_direction = np.linspace(-1.0, 1.0, world.n_topics)
     posts: list[Post] = []
     annotations: list[QuoteResponseAnnotation] = []
-    effects = {ctype: [] for ctype in CategoryType}
-    potentials: dict[CategoryType, list[tuple[float, float]]] = {
-        ctype: [] for ctype in CategoryType
-    }
+    # category rows of each text1 and of both potential text3 arms
+    rows1: list[np.ndarray] = []
+    rows3: dict[int, list[np.ndarray]] = {0: [], 1: []}
     stances: list[float] = []
     treatments: list[int] = []
     n_treated = 0
@@ -333,30 +332,32 @@ def generate_corpus(
                 mean_score=3.0 if treated else -3.0,
             )
         )
-        for ctype in CategoryType:
-            v1 = vectorize_post(lexicon, grouping, ctype, text1)
-            per_arm = {
-                t: compute_outcome(
-                    v1, vectorize_post(lexicon, grouping, ctype, text3[t])
-                )
-                for t in (0, 1)
-            }
-            effects[ctype].append(per_arm[1] - per_arm[0])
-            potentials[ctype].append((per_arm[0], per_arm[1]))
+        rows1.append(vectorize_post(lexicon, grouping, text1))
+        for t in (0, 1):
+            rows3[t].append(vectorize_post(lexicon, grouping, text3[t]))
+
+    p1_rows = np.array(rows1)
+    true_ate: dict[str, float] = {}
+    potentials: dict[str, tuple[tuple[float, float], ...]] = {}
+    for ctype in CategoryType:
+        columns = grouping.columns(ctype)
+        y0, y1 = (
+            compute_outcome(p1_rows[:, columns], np.array(rows3[t])[:, columns]) for t in (0, 1)
+        )
+        true_ate[ctype.value] = float(np.mean(y1 - y0))
+        potentials[ctype.value] = tuple(zip(y0.tolist(), y1.tolist()))
 
     write_posts(posts, out_dir / "posts.jsonl")
     write_annotations(annotations, out_dir / "annotations.jsonl")
     truth = CorpusTruth(
-        true_ate={ctype.value: float(np.mean(effects[ctype])) for ctype in CategoryType},
+        true_ate=true_ate,
         n_triples=n_triples,
         n_treated=n_treated,
         reply_type=world.reply_type.value,
         seed=seed,
         stances=tuple(stances),
         treatments=tuple(treatments),
-        potential_outcomes={
-            ctype.value: tuple(potentials[ctype]) for ctype in CategoryType
-        },
+        potential_outcomes=potentials,
     )
     (out_dir / "truth.json").write_text(
         json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -2,8 +2,11 @@
 
 Two confounder variants are supported per triple.  The full variant
 concatenates the topic-model embeddings of p1 and p2 under their debate
-topic's model with p1's category vectors for all three category types,
-so its length is 2k plus the total category count.  The topics-only
+topic's model with p1's category row (all three category types), so its
+length is 2k plus the total category count.  The caller featurizes the
+text: it passes each post's default-tokenizer tokens and p1's category
+row, both keyed by post id, so one run tokenizes and categorizes each
+post once however many confounder matrices it builds.  The topics-only
 variant is a one-hot encoding of the debate topic and serves as the weak
 baseline adjustment set.
 
@@ -28,8 +31,8 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Triple
-from .lexicon import CategoryLexicon, CategoryType, CategoryTypeGrouping, vectorize_post
-from .topics import LdaModel, Tokenizer, default_tokenizer, infer_theta_batch
+from .lexicon import CategoryType, CategoryTypeGrouping
+from .topics import LdaModel, build_dtm, infer_theta_batch
 
 logger = logging.getLogger(__name__)
 
@@ -46,15 +49,6 @@ class ConfounderVariant(str, Enum):
     DEBATE_TOPICS_ONLY = "debate_topics_only"
 
 
-def _count_row(tokens: Sequence[str], index: Mapping[str, int], n_terms: int) -> np.ndarray:
-    row = np.zeros(n_terms, dtype=float)
-    for token in tokens:
-        col = index.get(token)
-        if col is not None:
-            row[col] += 1.0
-    return row
-
-
 def _full_feature_names(k: int, grouping: CategoryTypeGrouping) -> tuple[str, ...]:
     names = [f"p1_theta_{i}" for i in range(k)]
     names += [f"p2_theta_{i}" for i in range(k)]
@@ -67,16 +61,19 @@ def build_confounder_matrix(
     triples: Sequence[Triple],
     variant: ConfounderVariant,
     lda_models: Mapping[str, LdaModel],
-    lexicon: CategoryLexicon,
     grouping: CategoryTypeGrouping,
+    post_tokens: Mapping[str, Sequence[str]],
+    category_rows: Mapping[str, np.ndarray],
     debate_topics: Sequence[str] | None = None,
-    tokenizer: Tokenizer | None = None,
 ) -> tuple[np.ndarray, tuple[str, ...]]:
     """Confounder rows for the triples, batching topic inference per debate topic.
 
-    Row order follows the input triples.  ``debate_topics`` fixes the
-    one-hot component order for the topics-only variant and defaults to
-    the sorted model keys.
+    ``post_tokens`` maps the id of every p1 and p2 to its default-tokenizer
+    tokens and ``category_rows`` maps the id of every p1 to its
+    ``vectorize_post`` row; the topics-only variant reads neither.  Row
+    order follows the input triples.  ``debate_topics`` fixes the one-hot
+    component order for the topics-only variant and defaults to the
+    sorted model keys.
     """
     variant = ConfounderVariant(variant)
     if not triples:
@@ -96,7 +93,6 @@ def build_confounder_matrix(
             features[i, pos] = 1.0
         return features, names
 
-    tok = tokenizer or default_tokenizer()
     ks = {model.k for model in lda_models.values()}
     if len(ks) > 1:
         raise InferenceError(f"topic models disagree on k: {sorted(ks)}")
@@ -107,20 +103,16 @@ def build_confounder_matrix(
         model = lda_models.get(topic)
         if model is None:
             raise InferenceError(f"no topic model for debate topic {topic!r}")
-        post_ids: list[str] = []
-        rows: list[np.ndarray] = []
-        seen: set[str] = set()
-        for triple in triples:
-            if triple.debate_topic != topic:
-                continue
-            for post in (triple.p1, triple.p2):
-                if post.id not in seen:
-                    seen.add(post.id)
-                    post_ids.append(post.id)
-                    rows.append(
-                        _count_row(tok(post.text), model.vocabulary.index, len(model.vocabulary))
-                    )
-        thetas = infer_theta_batch(model, np.vstack(rows))
+        post_ids = list(
+            dict.fromkeys(
+                post.id
+                for triple in triples
+                if triple.debate_topic == topic
+                for post in (triple.p1, triple.p2)
+            )
+        )
+        dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
+        thetas = infer_theta_batch(model, dtm.counts)
         for post_id, theta in zip(post_ids, thetas):
             theta_by_post[(topic, post_id)] = theta
 
@@ -128,13 +120,13 @@ def build_confounder_matrix(
     names = _full_feature_names(k, grouping)
     matrix = np.empty((len(triples), len(names)))
     for i, triple in enumerate(triples):
-        parts = [
-            theta_by_post[(triple.debate_topic, triple.p1.id)],
-            theta_by_post[(triple.debate_topic, triple.p2.id)],
-        ]
-        for ctype in CategoryType:
-            parts.append(vectorize_post(lexicon, grouping, ctype, triple.p1).values)
-        matrix[i] = np.concatenate(parts)
+        matrix[i] = np.concatenate(
+            [
+                theta_by_post[(triple.debate_topic, triple.p1.id)],
+                theta_by_post[(triple.debate_topic, triple.p2.id)],
+                category_rows[triple.p1.id],
+            ]
+        )
     return matrix, names
 
 

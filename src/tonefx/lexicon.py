@@ -14,28 +14,30 @@ used for outcomes.  It has one section per category type::
     joy
 
 Section order inside the file is free, but the category order inside a
-section fixes the component order of that type's vectors.
+section fixes the column order of that type's block.
 
-A post's vector for a category type holds, per category, the fraction of
-the post's tokens matching that category (count over total token count).
-The outcome for a triple is the Euclidean distance between the p1 and p3
-vectors of one category type.  A small open demonstration lexicon and
-grouping ship with the package; any file in the same format can be
-substituted.
+A post's category row holds, per category, the fraction of the post's
+surface tokens matching that category (count over total token count).
+The row has one block per category type, in ``CategoryType`` order, and
+each block lists its grouping section's categories in file order;
+``CategoryTypeGrouping.columns`` gives each block's slice.  A category
+listed in two sections is counted in both blocks.  The outcome for a
+triple is the Euclidean distance between the p1 and p3 blocks of one
+category type.  A small open demonstration lexicon and grouping ship
+with the package; any file in the same format can be substituted.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .corpus import Post
+from .topics import surface_tokenizer
 
 logger = logging.getLogger(__name__)
 
@@ -71,34 +73,17 @@ class CategoryTypeGrouping:
         except KeyError:
             raise LexiconError(f"grouping has no section for {category_type!r}") from None
 
+    def columns(self, category_type: CategoryType) -> slice:
+        """The columns of one category type's block in a category row."""
+        types = list(CategoryType)
+        before = types[: types.index(CategoryType(category_type))]
+        start = sum(len(self.categories(ctype)) for ctype in before)
+        return slice(start, start + len(self.categories(category_type)))
 
-@dataclass(eq=False)
-class CategoryVector:
-    """Relative-frequency vector of one post for one category type."""
-
-    category_type: CategoryType
-    categories: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.categories),):
-            raise LexiconError(
-                f"vector has {self.values.shape} values for {len(self.categories)} categories"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise LexiconError("vector components must be finite")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise LexiconError("vector components must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class Outcome:
-    """Distance between p1 and p3 vectors for one triple and category type."""
-
-    value: float
-    category_type: CategoryType
-    triple_id: str = ""
+    @property
+    def width(self) -> int:
+        """Length of a category row: the summed size of all blocks."""
+        return sum(len(self.categories(ctype)) for ctype in CategoryType)
 
 
 def load_lexicon(
@@ -228,44 +213,33 @@ def categorize_token(lexicon: CategoryLexicon, token: str) -> frozenset[str]:
 
 
 def vectorize_post(
-    lexicon: CategoryLexicon,
-    grouping: CategoryTypeGrouping,
-    category_type: CategoryType,
-    post: Post | str,
-    tokenizer: Callable[[str], Sequence[str]] | None = None,
-) -> CategoryVector:
-    """Relative-frequency vector of one post for one category type.
+    lexicon: CategoryLexicon, grouping: CategoryTypeGrouping, text: str
+) -> np.ndarray:
+    """Category row of one text: relative frequencies for all three types.
 
-    Tokens come from the shared tokenizer machinery; the default keeps
-    stop words and surface forms because style categories live in exactly
-    those words.  A post with zero tokens yields the zero vector.
+    Tokens come from the surface tokenizer, which keeps stop words and
+    surface forms because style categories live in exactly those words.
+    Each token is categorized once and counted in every column of its
+    categories.  A text with zero tokens yields the zero row.
     """
-    category_type = CategoryType(category_type)
-    cats = grouping.categories(category_type)
-    if tokenizer is None:
-        from .topics import surface_tokenizer
-
-        tokenizer = surface_tokenizer()
-    text = post.text if isinstance(post, Post) else post
-    tokens = tokenizer(text)
-    values = np.zeros(len(cats), dtype=float)
+    columns: dict[str, list[int]] = {}
+    for ctype in CategoryType:
+        start = grouping.columns(ctype).start
+        for offset, cat in enumerate(grouping.categories(ctype)):
+            columns.setdefault(cat, []).append(start + offset)
+    tokens = surface_tokenizer()(text)
+    row = np.zeros(grouping.width, dtype=float)
     if tokens:
-        index = {cat: i for i, cat in enumerate(cats)}
         for token in tokens:
             for cat in categorize_token(lexicon, token):
-                pos = index.get(cat)
-                if pos is not None:
-                    values[pos] += 1.0
-        values /= len(tokens)
-    return CategoryVector(category_type=category_type, categories=cats, values=values)
+                for col in columns.get(cat, ()):
+                    row[col] += 1.0
+        row /= len(tokens)
+    return row
 
 
-def compute_outcome(v1: CategoryVector, v3: CategoryVector) -> float:
-    """Euclidean distance between two vectors of the same category type."""
-    if v1.category_type is not v3.category_type:
-        raise LexiconError(
-            f"cannot compare {v1.category_type.value} with {v3.category_type.value}"
-        )
-    if v1.categories != v3.categories:
-        raise LexiconError("vectors use different category lists")
-    return float(math.sqrt(float(np.sum((v1.values - v3.values) ** 2))))
+def compute_outcome(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance between matching rows of two blocks of one category type."""
+    if a.shape != b.shape:
+        raise LexiconError(f"cannot compare blocks of shape {a.shape} and {b.shape}")
+    return np.sqrt(np.sum((a - b) ** 2, axis=1))

@@ -33,8 +33,6 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import gammaln, psi
 
-from .corpus import Post
-
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "tonefx-lda"
@@ -178,11 +176,6 @@ def surface_tokenizer() -> Tokenizer:
     return Tokenizer(stopwords=frozenset(), lemmatize=False)
 
 
-def tokenize(text: str, tokenizer: Tokenizer | None = None) -> list[str]:
-    """Tokenize one text with the given (default: shipped) tokenizer."""
-    return (tokenizer or default_tokenizer())(text)
-
-
 @dataclass(eq=False)
 class Vocabulary:
     """Retained terms in sorted order with their document frequencies."""
@@ -206,45 +199,29 @@ class Vocabulary:
         return self._index
 
 
-def _texts_to_tokens(
-    posts: Sequence[Post] | Sequence[str],
-    tokenizer: Tokenizer | None,
-    token_lists: Sequence[Sequence[str]] | None,
-) -> list[Sequence[str]]:
-    if token_lists is not None:
-        if len(token_lists) != len(posts):
-            raise TopicModelError("token_lists must align with posts")
-        return list(token_lists)
-    tok = tokenizer or default_tokenizer()
-    return [tok(post.text if isinstance(post, Post) else post) for post in posts]
-
-
 def build_vocabulary(
-    posts: Sequence[Post] | Sequence[str],
+    token_lists: Sequence[Sequence[str]],
     min_df: float = DEFAULT_MIN_DF,
     max_df: float = DEFAULT_MAX_DF,
-    tokenizer: Tokenizer | None = None,
-    token_lists: Sequence[Sequence[str]] | None = None,
 ) -> Vocabulary:
     """Collect terms whose document frequency lies strictly inside (min_df, max_df).
 
-    Document frequency is the fraction of posts containing the term at
-    least once.  Both bounds are exclusive, so terms at exactly min_df or
-    max_df are dropped.  Terms are sorted, which fixes column order
-    everywhere downstream.
+    Each token list is one post.  Document frequency is the fraction of
+    posts containing the term at least once.  Both bounds are exclusive,
+    so terms at exactly min_df or max_df are dropped.  Terms are sorted,
+    which fixes column order everywhere downstream.
     """
     if not 0.0 <= min_df < max_df <= 1.0:
         raise TopicModelError(
             f"need 0 <= min_df < max_df <= 1, got min_df={min_df!r} max_df={max_df!r}"
         )
-    if len(posts) == 0:
+    if len(token_lists) == 0:
         raise TopicModelError("cannot build a vocabulary from zero posts")
-    tokens = _texts_to_tokens(posts, tokenizer, token_lists)
     doc_counts: dict[str, int] = {}
-    for toks in tokens:
+    for toks in token_lists:
         for term in set(toks):
             doc_counts[term] = doc_counts.get(term, 0) + 1
-    n_docs = len(posts)
+    n_docs = len(token_lists)
     kept = sorted(
         term for term, count in doc_counts.items() if min_df < count / n_docs < max_df
     )
@@ -285,23 +262,19 @@ class DocumentTermMatrix:
 
 
 def build_dtm(
-    posts: Sequence[Post] | Sequence[str],
-    vocabulary: Vocabulary,
-    tokenizer: Tokenizer | None = None,
-    token_lists: Sequence[Sequence[str]] | None = None,
+    token_lists: Sequence[Sequence[str]], vocabulary: Vocabulary
 ) -> DocumentTermMatrix:
-    """Count vocabulary terms per post; out-of-vocabulary tokens are ignored.
+    """Count vocabulary terms per token list; out-of-vocabulary tokens are ignored.
 
-    Posts with no in-vocabulary tokens stay as zero rows and are flagged
-    in ``zero_rows`` (and logged) rather than dropped, so row order keeps
-    matching the input.
+    Rows follow the input order and are named ``doc0``, ``doc1``, ...
+    Lists with no in-vocabulary tokens stay as zero rows and are flagged
+    in ``zero_rows`` rather than dropped.
     """
-    tokens = _texts_to_tokens(posts, tokenizer, token_lists)
     index = vocabulary.index
     data: list[int] = []
     indices: list[int] = []
     indptr = [0]
-    for toks in tokens:
+    for toks in token_lists:
         row_counts: dict[int, int] = {}
         for token in toks:
             col = index.get(token)
@@ -313,15 +286,11 @@ def build_dtm(
         indptr.append(len(indices))
     counts = sparse.csr_matrix(
         (np.asarray(data, dtype=np.int64), np.asarray(indices, dtype=np.int32), indptr),
-        shape=(len(posts), len(vocabulary)),
+        shape=(len(token_lists), len(vocabulary)),
     )
-    doc_ids = tuple(
-        post.id if isinstance(post, Post) else f"doc{i}" for i, post in enumerate(posts)
-    )
+    doc_ids = tuple(f"doc{i}" for i in range(len(token_lists)))
     row_sums = np.asarray(counts.sum(axis=1)).ravel()
     zero_rows = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
-    if zero_rows:
-        logger.warning("%d of %d posts have no in-vocabulary tokens", len(zero_rows), len(posts))
     return DocumentTermMatrix(
         counts=counts, doc_ids=doc_ids, zero_rows=zero_rows, vocabulary=vocabulary
     )

@@ -22,9 +22,11 @@ from tonefx.inference import (
     predict_outcome,
     predict_propensity,
 )
+from tonefx.lexicon import vectorize_post
 from tonefx.topics import (
     DocumentTermMatrix,
     Vocabulary,
+    default_tokenizer,
     fit_lda,
     surface_tokenizer,
 )
@@ -61,16 +63,26 @@ def _triple(i=0, topic="gun control", text1="w00 w01 w02", text2="w03 w04"):
     )
 
 
+def _text_features(triples, lexicon_grouping, tokenizer=None):
+    """Per-post tokens and category rows, keyed by post id, for the triples."""
+    lexicon, grouping = lexicon_grouping
+    tokenizer = tokenizer or default_tokenizer()
+    posts = [post for triple in triples for post in (triple.p1, triple.p2)]
+    tokens = {post.id: tokenizer(post.text) for post in posts}
+    rows = {post.id: vectorize_post(lexicon, grouping, post.text) for post in posts}
+    return grouping, tokens, rows
+
+
 @pytest.fixture(scope="module")
 def models():
     return {"gun control": _tiny_model(0), "evolution": _tiny_model(1)}
 
 
 def test_full_confounder_layout(models, lexicon_grouping):
-    lexicon, grouping = lexicon_grouping
+    triples = [_triple()]
     matrix, names = build_confounder_matrix(
-        [_triple()], ConfounderVariant.FULL, models, lexicon, grouping,
-        tokenizer=surface_tokenizer(),
+        triples, ConfounderVariant.FULL, models,
+        *_text_features(triples, lexicon_grouping, surface_tokenizer()),
     )
     features = matrix[0]
     assert matrix.shape == (1, 2 * 2 + 16)
@@ -84,10 +96,10 @@ def test_full_confounder_layout(models, lexicon_grouping):
 
 
 def test_topics_only_confounder_is_one_hot(models, lexicon_grouping):
-    lexicon, grouping = lexicon_grouping
+    triples = [_triple(topic="evolution")]
     matrix, names = build_confounder_matrix(
-        [_triple(topic="evolution")], ConfounderVariant.DEBATE_TOPICS_ONLY,
-        models, lexicon, grouping,
+        triples, ConfounderVariant.DEBATE_TOPICS_ONLY,
+        models, *_text_features(triples, lexicon_grouping),
     )
     assert names == ("debate_topic=evolution", "debate_topic=gun control")
     np.testing.assert_array_equal(matrix, [[1.0, 0.0]])
@@ -95,42 +107,39 @@ def test_topics_only_confounder_is_one_hot(models, lexicon_grouping):
 
 def test_confounder_matrix_matches_single_path(models, lexicon_grouping):
     # a row of a many-triple matrix equals the one-triple matrix of that triple
-    lexicon, grouping = lexicon_grouping
     triples = [
         _triple(0, "gun control"),
         _triple(1, "evolution", text1="w06 w07", text2="w08"),
         _triple(2, "gun control", text1="w00 w09", text2="w10 w11 w00"),
     ]
+    features = _text_features(triples, lexicon_grouping, surface_tokenizer())
     for variant in ConfounderVariant:
-        matrix, names = build_confounder_matrix(
-            triples, variant, models, lexicon, grouping, tokenizer=surface_tokenizer()
-        )
+        matrix, names = build_confounder_matrix(triples, variant, models, *features)
         assert matrix.shape == (3, len(names))
         for row, triple in zip(matrix, triples):
             single, single_names = build_confounder_matrix(
-                [triple], variant, models, lexicon, grouping,
-                tokenizer=surface_tokenizer(),
+                [triple], variant, models, *features
             )
             np.testing.assert_array_equal(row, single[0])
             assert single_names == names
 
 
 def test_confounder_unknown_topic_raises(models, lexicon_grouping):
-    lexicon, grouping = lexicon_grouping
-    stranger = _triple(topic="astrology")
+    stranger = [_triple(topic="astrology")]
     for variant in ConfounderVariant:
         with pytest.raises(InferenceError, match="astrology"):
-            build_confounder_matrix([stranger], variant, models, lexicon, grouping)
+            build_confounder_matrix(
+                stranger, variant, models, *_text_features(stranger, lexicon_grouping)
+            )
 
 
 def test_confounder_matrix_rejects_mismatched_k(models, lexicon_grouping):
-    lexicon, grouping = lexicon_grouping
     mixed = dict(models)
     mixed["evolution"] = _tiny_model(1, k=3)
+    triples = [_triple(0), _triple(1, "evolution")]
     with pytest.raises(InferenceError, match="disagree on k"):
         build_confounder_matrix(
-            [_triple(0), _triple(1, "evolution")],
-            ConfounderVariant.FULL, mixed, lexicon, grouping,
+            triples, ConfounderVariant.FULL, mixed, *_text_features(triples, lexicon_grouping)
         )
 
 

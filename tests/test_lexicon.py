@@ -1,4 +1,4 @@
-"""Category lexicon parsing, post vectorization, and the distance outcome."""
+"""Category lexicon parsing, post category rows, and the distance outcome."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from tonefx.lexicon import (
     CategoryType,
-    CategoryVector,
     LexiconError,
     categorize_token,
     compute_outcome,
@@ -79,85 +78,83 @@ def test_categorize_exact_and_prefix(lexicon_grouping):
 # ------------------------------------------------------------- vectorize
 
 
+def test_row_layout_follows_category_type_order(lexicon_grouping):
+    _, grouping = lexicon_grouping
+    assert grouping.width == len(POSITIVE) + len(NEGATIVE) + len(STYLE)
+    assert grouping.columns(CategoryType.POSITIVE_SENTIMENT) == slice(0, 4)
+    assert grouping.columns(CategoryType.NEGATIVE_SENTIMENT) == slice(4, 8)
+    assert grouping.columns(CategoryType.LINGUISTIC_STYLE) == slice(8, 16)
+
+
 def test_vectorize_relative_frequencies(lexicon_grouping):
     lexicon, grouping = lexicon_grouping
     # 7 surface tokens: i, am, happy, so, happy, and, kind
-    vector = vectorize_post(
-        lexicon, grouping, CategoryType.POSITIVE_SENTIMENT, "I am happy, so happy and kind."
-    )
-    assert vector.categories == POSITIVE
-    np.testing.assert_allclose(vector.values, np.array([3, 2, 1, 0]) / 7.0)
+    row = vectorize_post(lexicon, grouping, "I am happy, so happy and kind.")
+    assert row.shape == (grouping.width,)
+    positive = row[grouping.columns(CategoryType.POSITIVE_SENTIMENT)]
+    np.testing.assert_allclose(positive, np.array([3, 2, 1, 0]) / 7.0)
 
 
 def test_vectorize_zero_tokens_gives_zero_vector(lexicon_grouping):
     lexicon, grouping = lexicon_grouping
-    vector = vectorize_post(lexicon, grouping, CategoryType.NEGATIVE_SENTIMENT, "123 !!!")
-    assert np.all(vector.values == 0.0)
+    row = vectorize_post(lexicon, grouping, "123 !!!")
+    assert row.shape == (grouping.width,)
+    assert np.all(row == 0.0)
 
 
 @given(st.text(max_size=200))
 def test_vectorize_any_text_stays_in_bounds(lexicon_grouping, text):
     lexicon, grouping = lexicon_grouping
-    vector = vectorize_post(lexicon, grouping, CategoryType.LINGUISTIC_STYLE, text)
-    assert np.all(vector.values >= 0.0) and np.all(vector.values <= 1.0)
+    row = vectorize_post(lexicon, grouping, text)
+    assert np.all(row >= 0.0) and np.all(row <= 1.0)
 
 
-def test_vector_validation():
-    with pytest.raises(LexiconError, match="finite"):
-        CategoryVector(CategoryType.POSITIVE_SENTIMENT, POSITIVE, [0.1, np.nan, 0, 0])
-    with pytest.raises(LexiconError, match=r"\[0, 1\]"):
-        CategoryVector(CategoryType.POSITIVE_SENTIMENT, POSITIVE, [0.1, 1.5, 0, 0])
-    with pytest.raises(LexiconError, match="4 categories"):
-        CategoryVector(CategoryType.POSITIVE_SENTIMENT, POSITIVE, [0.1, 0.2])
+def test_category_in_two_sections_counts_in_both_blocks(tmp_path):
+    lex = tmp_path / "lex.txt"
+    lex.write_text("good\tposemo\nsure\tcertainty\nnot\tnegate\n")
+    grp = tmp_path / "grp.txt"
+    grp.write_text(
+        "[positive_sentiment]\nposemo\ncertainty\n"
+        "[negative_sentiment]\nnegate\n"
+        "[linguistic_style]\nnegate\ncertainty\n"
+    )
+    lexicon, grouping = load_lexicon(lex, grp)
+    # 4 surface tokens: good, sure, not, sure
+    row = vectorize_post(lexicon, grouping, "good sure, not sure")
+    np.testing.assert_allclose(row, np.array([1, 2, 1, 1, 2]) / 4.0)
 
 
 # --------------------------------------------------------------- outcome
 
 
-def _pos(values) -> CategoryVector:
-    return CategoryVector(CategoryType.POSITIVE_SENTIMENT, POSITIVE, values)
-
-
 def test_outcome_is_euclidean_distance():
-    v1 = _pos([0.0, 0.0, 0.0, 0.0])
-    v3 = _pos([0.3, 0.4, 0.0, 0.0])
-    assert compute_outcome(v1, v3) == pytest.approx(0.5, abs=1e-12)
-    assert compute_outcome(v1, v1) == 0.0
+    a = np.array([[0.0, 0.0, 0.0, 0.0], [0.3, 0.4, 0.0, 0.0]])
+    b = np.array([[0.3, 0.4, 0.0, 0.0], [0.3, 0.4, 0.0, 0.0]])
+    np.testing.assert_allclose(compute_outcome(a, b), [0.5, 0.0], atol=1e-12)
+    assert compute_outcome(a, b)[1] == 0.0
 
 
-def test_outcome_rejects_mismatched_types():
-    v1 = _pos([0.0, 0.0, 0.0, 0.0])
-    v3 = CategoryVector(
-        CategoryType.NEGATIVE_SENTIMENT, NEGATIVE, [0.0, 0.0, 0.0, 0.0]
-    )
+def test_outcome_rejects_mismatched_blocks():
     with pytest.raises(LexiconError, match="cannot compare"):
-        compute_outcome(v1, v3)
+        compute_outcome(np.zeros((2, 4)), np.zeros((2, 8)))
 
 
-def test_outcome_rejects_mismatched_category_lists():
-    v1 = _pos([0.0, 0.0, 0.0, 0.0])
-    v3 = CategoryVector(
-        CategoryType.POSITIVE_SENTIMENT, tuple(reversed(POSITIVE)), [0.0, 0.0, 0.0, 0.0]
-    )
-    with pytest.raises(LexiconError, match="different category lists"):
-        compute_outcome(v1, v3)
-
-
-unit_vectors = arrays(
-    float, 4, elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+unit_blocks = arrays(
+    float, (3, 4), elements=st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 )
 
 
-@given(unit_vectors, unit_vectors)
+@given(unit_blocks, unit_blocks)
 def test_outcome_symmetry_and_bounds(a, b):
-    d = compute_outcome(_pos(a), _pos(b))
-    assert d == compute_outcome(_pos(b), _pos(a))
-    assert 0.0 <= d <= 2.0 + 1e-12  # sqrt(4) for 4 components in [0, 1]
+    d = compute_outcome(a, b)
+    assert d.shape == (3,)
+    np.testing.assert_array_equal(d, compute_outcome(b, a))
+    assert np.all(d >= 0.0) and np.all(d <= 2.0 + 1e-12)  # sqrt(4) for 4 components in [0, 1]
 
 
-@given(unit_vectors, unit_vectors, unit_vectors)
+@given(unit_blocks, unit_blocks, unit_blocks)
 def test_outcome_triangle_inequality(a, b, c):
-    ab = compute_outcome(_pos(a), _pos(b))
-    bc = compute_outcome(_pos(b), _pos(c))
-    ac = compute_outcome(_pos(a), _pos(c))
-    assert ac <= ab + bc + 1e-9
+    ab = compute_outcome(a, b)
+    bc = compute_outcome(b, c)
+    ac = compute_outcome(a, c)
+    assert np.all(ac <= ab + bc + 1e-9)

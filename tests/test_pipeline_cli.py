@@ -4,16 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tonefx.corpus import load_annotations, load_posts
+from tonefx import lexicon
+from tonefx.corpus import extract_triples, load_annotations, load_posts
+from tonefx.harness import pipeline
 from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tonefx.harness.config import PipelineConfig
 from tonefx.harness.pipeline import PipelineError, run_pipeline
 from tonefx.harness.report import parse_report, render_report
+from tonefx.topics import Tokenizer, default_tokenizer
 
 from conftest import MINICORPUS
 
@@ -134,6 +138,52 @@ def test_pipeline_cache_disabled(tmp_path):
     run_pipeline(_config(tmp_path, use_cache=False, reply_types=("nasty_nice",),
                          category_types=("linguistic_style",)))
     assert not (tmp_path / "cache").exists()
+
+
+def _count_featurization(monkeypatch) -> tuple[Counter, Counter]:
+    """Count tokenizer calls per (tokenizer, text) and vectorize_post calls per text."""
+    tokenized: Counter = Counter()
+    vectorized: Counter = Counter()
+    tokenize, vectorize = Tokenizer.__call__, lexicon.vectorize_post
+
+    def counting_tokenize(self, text):
+        tokenized[(self, text)] += 1
+        return tokenize(self, text)
+
+    def counting_vectorize(*args):
+        vectorized[args[2]] += 1  # (lexicon, grouping, text)
+        return vectorize(*args)
+
+    monkeypatch.setattr(Tokenizer, "__call__", counting_tokenize)
+    for module in (lexicon, pipeline):
+        monkeypatch.setattr(module, "vectorize_post", counting_vectorize)
+    return tokenized, vectorized
+
+
+def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
+    config = _config(tmp_path)
+    posts, annotations = load_posts(POSTS), load_annotations(ANNOTATIONS)
+    assert len({post.text for post in posts}) == len(posts)
+    triples = [
+        triple
+        for reply_type in config.reply_types
+        for triple in extract_triples(posts, annotations, reply_type)
+    ]
+    tokenized, vectorized = _count_featurization(monkeypatch)
+    for cache in ("miss", "hit"):
+        tokenized.clear()
+        vectorized.clear()
+        run_pipeline(config)
+        assert max(tokenized.values()) == 1, cache
+        assert max(vectorized.values()) == 1, cache
+        assert set(vectorized) == {t.p1.text for t in triples} | {t.p3.text for t in triples}
+        default_texts = {text for tok, text in tokenized if tok == default_tokenizer()}
+        if cache == "miss":
+            assert default_texts == {post.text for post in posts}
+        else:
+            # the cached models need no tokens; the confounders read p1 and p2
+            assert default_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
+            assert len(default_texts) < len(posts)
 
 
 def test_pipeline_parallel_matches_serial(tmp_path):

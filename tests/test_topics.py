@@ -20,7 +20,6 @@ from tonefx.topics import (
     load_model,
     save_model,
     surface_tokenizer,
-    tokenize,
     top_words,
 )
 
@@ -29,7 +28,7 @@ from tonefx.topics import (
 
 
 def test_default_tokenizer_frozen_example():
-    assert tokenize("The guns were firing.") == ["gun", "fire"]
+    assert default_tokenizer()("The guns were firing.") == ["gun", "fire"]
 
 
 def test_surface_tokenizer_keeps_everything():
@@ -77,7 +76,7 @@ def test_tokenizer_fingerprint_tracks_config():
 
 @given(st.text(max_size=300))
 def test_tokenizer_output_is_lowercase_alpha(text):
-    for token in tokenize(text):
+    for token in default_tokenizer()(text):
         assert token == token.lower()
         assert all(c.isalpha() or c == "'" for c in token)
 
@@ -85,19 +84,22 @@ def test_tokenizer_output_is_lowercase_alpha(text):
 # ------------------------------------------------------------ vocabulary
 
 DOCS = [
-    "gun gun crime",
-    "gun crime law",
-    "law law courts",
-    "courts gun law",
-    "crime courts law",
+    text.split()
+    for text in (
+        "gun gun crime",
+        "gun crime law",
+        "law law courts",
+        "courts gun law",
+        "crime courts law",
+    )
 ]
 
 
 def test_build_vocabulary_exclusive_bounds():
     # df: gun 3/5, crime 3/5, law 4/5, courts 3/5
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=0.8, tokenizer=surface_tokenizer())
+    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=0.8)
     assert vocab.terms == ("courts", "crime", "gun")  # law at exactly 0.8 dropped
-    vocab = build_vocabulary(DOCS, min_df=0.6, max_df=0.9, tokenizer=surface_tokenizer())
+    vocab = build_vocabulary(DOCS, min_df=0.6, max_df=0.9)
     assert vocab.terms == ("law",)  # the 0.6 terms sit exactly on the bound
 
 
@@ -107,11 +109,11 @@ def test_build_vocabulary_rejects_bad_inputs():
     with pytest.raises(TopicModelError, match="zero posts"):
         build_vocabulary([])
     with pytest.raises(TopicModelError, match="no terms"):
-        build_vocabulary(DOCS, min_df=0.99, max_df=1.0, tokenizer=surface_tokenizer())
+        build_vocabulary(DOCS, min_df=0.99, max_df=1.0)
 
 
 def test_vocabulary_terms_sorted_and_unique():
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0, tokenizer=surface_tokenizer())
+    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0)
     assert list(vocab.terms) == sorted(set(vocab.terms))
     assert vocab.index["courts"] == 0
     with pytest.raises(TopicModelError, match="unique"):
@@ -119,8 +121,8 @@ def test_vocabulary_terms_sorted_and_unique():
 
 
 def test_build_dtm_counts_and_zero_rows():
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0, tokenizer=surface_tokenizer())
-    dtm = build_dtm(DOCS + ["nothing known here"], vocab, tokenizer=surface_tokenizer())
+    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0)
+    dtm = build_dtm(DOCS + [["nothing", "known", "here"]], vocab)
     assert dtm.n_docs == 6 and dtm.n_terms == 4
     dense = dtm.counts.toarray()
     assert dense[0, vocab.index["gun"]] == 2
