@@ -59,12 +59,16 @@ from .inference import (
     CvReport,
     InferenceError,
     OutcomeModel,
+    OutcomeStack,
     PropensityModel,
+    PropensityStack,
     build_confounder_matrix,
     cross_validate,
     f1_score,
     fit_outcome_models,
+    fit_outcome_stack,
     fit_propensity,
+    fit_propensity_stack,
     logistic_loss_and_grad,
     predict_outcome,
     predict_propensity,

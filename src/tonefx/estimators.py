@@ -13,17 +13,26 @@ predictions) for one analysis cell.  Four estimators are provided:
   makes the estimate invariant to shifting all outcomes by a constant
   when the outcome model is held fixed, which the plain form is not.
 
+Every estimator also scores a stack of replicates at once: an
+EstimationInput whose arrays have shape (R, n) gives one estimate per
+row.
+
 Standard errors come from a nonparametric bootstrap over units, one
 pass per analysis cell.  Each replicate draws its own generator from
 (seed, replicate index), so any replicate can be reproduced in isolation
-and results do not depend on evaluation order.  With refit enabled the
-nuisance models are refit once on every resample, propagating their
-variability into the interval, and every requested estimator is scored
-from that one fit.
+and results do not depend on evaluation order or on the replicate
+count.  With refit enabled the nuisance models are refit on every
+resample, propagating their variability into the interval, and every
+requested estimator is scored from that one fit.  The usable resamples
+are refit in chunks, as stacked solves over all resamples of a chunk;
+a chunk holds as many resamples as fit ``CHUNK_BYTES`` for one
+n x (d + 1) float stack, which bounds the memory of a pass whatever the
+replicate count.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -35,7 +44,9 @@ from .inference import (
     DEFAULT_CLIP_EPSILON,
     DEFAULT_REGULARIZATION,
     fit_outcome_models,
+    fit_outcome_stack,
     fit_propensity,
+    fit_propensity_stack,
     predict_outcome,
     predict_propensity,
 )
@@ -44,6 +55,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 Z_CRITICAL_95 = 1.96
+# bytes of the (R, n, d + 1) float stack that one chunk of bootstrap
+# resamples is refit on
+CHUNK_BYTES = 256 * 1024
 
 
 class EstimationError(ValueError):
@@ -67,7 +81,9 @@ class EstimationInput:
     """One analysis cell: data plus fitted nuisance values per unit.
 
     ``features`` may be omitted when only precomputed nuisances are
-    needed; bootstrap refitting requires it.
+    needed; bootstrap refitting requires it.  A stack of R samples of
+    one cell, every array of shape (R, n) and no features, is checked
+    the same way row by row.
     """
 
     treatments: np.ndarray
@@ -79,16 +95,17 @@ class EstimationInput:
 
     def __post_init__(self) -> None:
         self.treatments = np.asarray(self.treatments)
-        if self.treatments.ndim != 1 or not np.all(np.isin(self.treatments, (0, 1))):
-            raise EstimationError("treatments must be a flat 0/1 vector")
-        n = self.treatments.shape[0]
-        if self.treatments.min() == self.treatments.max():
+        if self.treatments.ndim not in (1, 2) or not np.all(np.isin(self.treatments, (0, 1))):
+            raise EstimationError("treatments must be a flat 0/1 vector or a stack of them")
+        n = self.n
+        if np.any(self.treatments.min(axis=-1) == self.treatments.max(axis=-1)):
             raise EstimationError("both treatment arms must be present")
         self.treatments = self.treatments.astype(float)
+        shape = self.treatments.shape
         for name in ("outcomes", "propensity", "q0", "q1"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (n,):
-                raise EstimationError(f"{name} must have shape ({n},), got {value.shape}")
+            if value.shape != shape:
+                raise EstimationError(f"{name} must have shape {shape}, got {value.shape}")
             if not np.all(np.isfinite(value)):
                 raise EstimationError(f"{name} contains non-finite values")
             setattr(self, name, value)
@@ -96,7 +113,7 @@ class EstimationInput:
             raise EstimationError("propensity values must lie strictly inside (0, 1)")
         if self.features is not None:
             self.features = np.asarray(self.features, dtype=float)
-            if self.features.ndim != 2 or self.features.shape[0] != n:
+            if self.treatments.ndim != 1 or self.features.ndim != 2 or self.features.shape[0] != n:
                 raise EstimationError(
                     f"features must have {n} rows, got shape {self.features.shape}"
                 )
@@ -105,7 +122,7 @@ class EstimationInput:
 
     @property
     def n(self) -> int:
-        return self.treatments.shape[0]
+        return self.treatments.shape[-1]
 
 
 def build_estimation_input(
@@ -134,24 +151,33 @@ def build_estimation_input(
     )
 
 
-def ate_unadjusted(data: EstimationInput) -> float:
+def _value(estimate: np.ndarray) -> float | np.ndarray:
+    """A float for one sample, one value per row for a stack."""
+    return float(estimate) if np.ndim(estimate) == 0 else estimate
+
+
+def ate_unadjusted(data: EstimationInput) -> float | np.ndarray:
     """Difference of observed arm means."""
-    treated = data.treatments == 1
-    return float(data.outcomes[treated].mean() - data.outcomes[~treated].mean())
+    t, y = data.treatments, data.outcomes
+    treated = np.sum(t * y, axis=-1) / np.sum(t, axis=-1)
+    control = np.sum((1.0 - t) * y, axis=-1) / np.sum(1.0 - t, axis=-1)
+    return _value(treated - control)
 
 
-def ate_q(data: EstimationInput) -> float:
+def ate_q(data: EstimationInput) -> float | np.ndarray:
     """Mean difference of the outcome model's two potential predictions."""
-    return float(np.mean(data.q1 - data.q0))
+    return _value(np.mean(data.q1 - data.q0, axis=-1))
 
 
-def ate_ipw(data: EstimationInput) -> float:
+def ate_ipw(data: EstimationInput) -> float | np.ndarray:
     """Inverse-propensity weighted difference of observed outcomes."""
     t, y, p = data.treatments, data.outcomes, data.propensity
-    return float(np.mean(t * y / p - (1.0 - t) * y / (1.0 - p)))
+    return _value(np.mean(t * y / p - (1.0 - t) * y / (1.0 - p), axis=-1))
 
 
-def ate_aipw(data: EstimationInput, variant: AipwVariant = AipwVariant.STABILIZED) -> float:
+def ate_aipw(
+    data: EstimationInput, variant: AipwVariant = AipwVariant.STABILIZED
+) -> float | np.ndarray:
     """Doubly robust estimate combining both nuisances.
 
     The plain form averages the weighted residual corrections directly.
@@ -165,18 +191,18 @@ def ate_aipw(data: EstimationInput, variant: AipwVariant = AipwVariant.STABILIZE
     residual1 = t * (y - q1) / p
     residual0 = (1.0 - t) * (y - q0) / (1.0 - p)
     if variant is AipwVariant.PLAIN:
-        return float(np.mean(residual1 - residual0 + q1 - q0))
-    weight1 = float(np.sum(t / p))
-    weight0 = float(np.sum((1.0 - t) / (1.0 - p)))
-    correction = float(np.sum(residual1)) / weight1 - float(np.sum(residual0)) / weight0
-    return float(np.mean(q1 - q0)) + correction
+        return _value(np.mean(residual1 - residual0 + q1 - q0, axis=-1))
+    weight1 = np.sum(t / p, axis=-1)
+    weight0 = np.sum((1.0 - t) / (1.0 - p), axis=-1)
+    correction = np.sum(residual1, axis=-1) / weight1 - np.sum(residual0, axis=-1) / weight0
+    return _value(np.mean(q1 - q0, axis=-1) + correction)
 
 
 def point_estimate(
     data: EstimationInput,
     estimator: Estimator,
     aipw_variant: AipwVariant = AipwVariant.STABILIZED,
-) -> float:
+) -> float | np.ndarray:
     estimator = Estimator(estimator)
     if estimator is Estimator.UNADJUSTED:
         return ate_unadjusted(data)
@@ -253,11 +279,15 @@ def bootstrap_se(
     that lands entirely in one arm is redrawn up to ``max_redraws`` times
     and then skipped (skips are counted and logged once per call).  With
     ``refit``, and when any requested estimator uses the nuisances, the
-    propensity and outcome models are refit once per resample and every
-    requested estimator is scored from that one fit; otherwise the stored
-    per-unit nuisance values are reused, which is cheaper but ignores
-    nuisance variability.  Each estimator's replicate values equal those
-    of a call that requests it alone.
+    propensity and outcome models are refit on every usable resample and
+    every requested estimator is scored from that one fit; otherwise the
+    stored per-unit nuisance values are reused, which is cheaper but
+    ignores nuisance variability.  Resamples are fit and scored in
+    chunks of ``CHUNK_BYTES``, each chunk as one stack; a replicate's
+    value depends neither on the chunk it lands in nor on
+    ``replicates``, and each estimator's values equal those of a call
+    that requests it alone.  Propensity refits that end unconverged are
+    counted and logged once per call.
     """
     if isinstance(estimator, str):
         estimator = [estimator]
@@ -274,40 +304,47 @@ def bootstrap_se(
             "provide features or pass refit=False"
         )
 
-    estimates: dict[Estimator, list[float]] = {e: [] for e in requested}
-    skipped = 0
-    for i in range(replicates):
-        rng = np.random.default_rng([seed, i])
-        idx = _resample_indices(rng, data.treatments, max_redraws)
-        if idx is None:
-            skipped += 1
-            continue
+    width = data.features.shape[1] + 1 if do_refit else 1
+    chunk = max(1, CHUNK_BYTES // (8 * data.n * width))
+    draws = (
+        _resample_indices(np.random.default_rng([seed, i]), data.treatments, max_redraws)
+        for i in range(replicates)
+    )
+    usable = (idx for idx in draws if idx is not None)
+    estimates: dict[Estimator, list[np.ndarray]] = {e: [] for e in requested}
+    used = unconverged = 0
+    while drawn := list(itertools.islice(usable, chunk)):
+        idx = np.stack(drawn)
+        used += len(drawn)
         t, y = data.treatments[idx], data.outcomes[idx]
         if do_refit:
             z = data.features[idx]
-            propensity_model = fit_propensity(
-                z, t.astype(int), regularization=regularization, seed=seed
-            )
-            p = predict_propensity(propensity_model, z, clip_epsilon=clip_epsilon)
-            model0, model1 = fit_outcome_models(z, t.astype(int), y, ridge=ridge)
-            q0, q1 = predict_outcome(model0, z), predict_outcome(model1, z)
+            propensity_models = fit_propensity_stack(z, t, regularization=regularization)
+            unconverged += int(np.count_nonzero(~propensity_models.converged))
+            p = predict_propensity(propensity_models, z, clip_epsilon=clip_epsilon)
+            q0, q1 = predict_outcome(fit_outcome_stack(z, t, y, ridge=ridge), z)
         else:
             p, q0, q1 = data.propensity[idx], data.q0[idx], data.q1[idx]
-        replicate = EstimationInput(
-            treatments=t.astype(int), outcomes=y, propensity=p, q0=q0, q1=q1
-        )
+        replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
         for e, values in estimates.items():
             values.append(point_estimate(replicate, e, aipw_variant=aipw_variant))
+    names = ", ".join(e.value for e in requested)
+    skipped = replicates - used
     if skipped:
         logger.warning(
             "bootstrap for %s skipped %d of %d replicates (single-arm resamples)",
-            ", ".join(e.value for e in requested), skipped, replicates,
+            names, skipped, replicates,
         )
-    used = replicates - skipped
+    if unconverged:
+        logger.warning(
+            "bootstrap for %s: %d of %d propensity refits ended unconverged "
+            "(failed line search or iteration cap)",
+            names, unconverged, used,
+        )
     if used < 2:
         raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
     return BootstrapResult(
-        estimates={e: np.array(values) for e, values in estimates.items()},
+        estimates={e: np.concatenate(values) for e, values in estimates.items()},
         replicates_requested=replicates,
         skipped=skipped,
     )

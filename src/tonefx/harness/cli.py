@@ -187,9 +187,36 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _HeldRecords(logging.Handler):
+    """Keeps the warnings of the logger it is attached to instead of printing them."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    report = run_pipeline(config)
+    # the report's warnings block lists every warning the corpus loaders
+    # log, so without --verbose they are printed there only; a run that
+    # fails prints no report, and then they go to stderr after all
+    corpus_logger = logging.getLogger("tonefx.corpus")
+    held = _HeldRecords()
+    if not args.verbose:
+        corpus_logger.addHandler(held)
+        corpus_logger.propagate = False
+    try:
+        report = run_pipeline(config)
+    except BaseException:
+        for record in held.records:
+            print(record.getMessage(), file=sys.stderr)
+        raise
+    finally:
+        corpus_logger.removeHandler(held)
+        corpus_logger.propagate = True
     print(render_report(report, "table"), end="")
     print(f"\nreport files written under {config.out_dir}")
     if report.failed_cells:

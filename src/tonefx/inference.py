@@ -18,6 +18,15 @@ design is small or collinear).  Features are standardized with training
 statistics stored on the model, which keeps prediction consistent and
 the optimization well conditioned.  Cross-validation reports fold-wise
 held-out RMSE per arm and propensity F1 with seeded fold assignment.
+
+Both nuisance fits work on a stack of samples at once, shape
+(samples, n, d): ``fit_propensity_stack`` and ``fit_outcome_stack`` run
+one Newton iteration and one least-squares solve for every sample of
+the stack, with stacked matrix products and solves, and each sample's
+fit is the one it would get alone.  ``fit_propensity`` and
+``fit_outcome_models`` are the one-sample case, used for full-sample
+fits and cross-validation folds; the bootstrap refits whole stacks of
+resamples.
 """
 
 from __future__ import annotations
@@ -141,20 +150,82 @@ def as_feature_matrix(features: np.ndarray | Sequence[Sequence[float]]) -> np.nd
     return matrix
 
 
-def _standardizer(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    means = matrix.mean(axis=0)
-    scales = matrix.std(axis=0)
+def _standardize(
+    matrix: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize every sample of a (..., n, d) stack over its marked rows.
+
+    ``rows`` (..., n) holds 1.0 for the rows that count and 0.0 for the
+    rest, which come out as zero rows.  Constant columns get scale 1.
+    Returns the standardized stack with the means and scales it used.
+    """
+    weight = rows[..., np.newaxis]
+    count = rows.sum(axis=-1)[..., np.newaxis]
+    means = (matrix * weight).sum(axis=-2) / count
+    deviations = (matrix - means[..., np.newaxis, :]) * weight
+    scales = np.sqrt((deviations * deviations).sum(axis=-2) / count)
     scales = np.where(scales < 1e-12, 1.0, scales)
-    return means, scales
+    return deviations / scales[..., np.newaxis, :], means, scales
 
 
-def _check_treatments(treatments: np.ndarray) -> np.ndarray:
+def _check_treatments(treatments: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """A (samples, n) stack of 0/1 treatments with both arms in every sample."""
     t = np.asarray(treatments)
-    if t.ndim != 1 or not np.all(np.isin(t, (0, 1))):
-        raise InferenceError("treatments must be a flat 0/1 vector")
-    if t.min() == t.max():
+    if t.ndim != 2 or not np.all(np.isin(t, (0, 1))):
+        raise InferenceError("treatments must be a flat 0/1 vector per sample")
+    if np.any(t.min(axis=-1) == t.max(axis=-1)):
         raise InferenceError("all units share one treatment arm; need both arms to fit")
     return t.astype(float)
+
+
+def _rows(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given samples of a stack, without a copy when that is all of them."""
+    return stack if rows.size == stack.shape[0] else stack[rows]
+
+
+def _lstsq(
+    design: np.ndarray, targets: np.ndarray, rows: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm least-squares solutions of a stack of systems, and their ranks.
+
+    Singular values at or below ``eps * max(rows, p)`` times the largest
+    count as zero, which is the cutoff of ``np.linalg.lstsq``; ``rows``
+    counts the real rows of each system, not zero rows that mask others.
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(rows, design.shape[-1]) * s[..., 0]
+    keep = s > cutoff[..., np.newaxis]
+    inverse = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    coordinates = inverse * (np.swapaxes(u, -1, -2) @ targets[..., np.newaxis])[..., 0]
+    solution = (np.swapaxes(vt, -1, -2) @ coordinates[..., np.newaxis])[..., 0]
+    return solution, keep.sum(axis=-1)
+
+
+def _solve(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Solve a stack of square systems, by least squares if one is singular."""
+    try:
+        return np.linalg.solve(matrices, vectors[..., np.newaxis])[..., 0]
+    except np.linalg.LinAlgError:
+        return _lstsq(matrices, vectors, matrices.shape[-1])[0]
+
+
+def _linear_predictor(model, features: np.ndarray) -> np.ndarray:
+    """Intercept plus standardized features times weights.
+
+    A stacked model, with leading axes on every field, scores a checked
+    (samples, n, d) feature stack, each sample under its own model.
+    """
+    if np.ndim(features) == 3:
+        matrix = np.asarray(features, dtype=float)
+    else:
+        matrix = as_feature_matrix(features)
+    design = (matrix - model.feature_means[..., np.newaxis, :]) / model.feature_scales[
+        ..., np.newaxis, :
+    ]
+    return (
+        np.asarray(model.intercept)[..., np.newaxis]
+        + (design @ model.weights[..., np.newaxis])[..., 0]
+    )
 
 
 def logistic_loss_and_grad(
@@ -162,23 +233,25 @@ def logistic_loss_and_grad(
     features: np.ndarray,
     treatments: np.ndarray,
     regularization: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean logistic log-loss with an L2 penalty on the non-intercept weights.
 
     ``params`` packs the intercept first.  Returns (loss, gradient), the
     pair Newton iterates on and the pair finite-difference checks probe.
+    A stack of samples (params (R, d + 1), features (R, n, d), treatments
+    (R, n)) gives one loss and one gradient per sample.
     """
-    intercept, weights = params[0], params[1:]
-    scores = intercept + features @ weights
+    intercept, weights = params[..., :1], params[..., 1:]
+    scores = intercept + (features @ weights[..., np.newaxis])[..., 0]
     # log(1 + exp(-s)) for y=1 and log(1 + exp(s)) for y=0, stably
-    loss = float(np.mean(np.logaddexp(0.0, scores) - treatments * scores))
-    loss += 0.5 * regularization * float(weights @ weights)
-    mu = expit(scores)
-    diff = mu - treatments
+    loss = np.mean(np.logaddexp(0.0, scores) - treatments * scores, axis=-1)
+    loss = loss + 0.5 * regularization * np.sum(weights * weights, axis=-1)
+    diff = expit(scores) - treatments
+    slopes = (diff[..., np.newaxis, :] @ features)[..., 0, :] / np.shape(treatments)[-1]
     grad = np.concatenate(
-        ([diff.mean()], features.T @ diff / len(treatments) + regularization * weights)
+        (diff.mean(axis=-1, keepdims=True), slopes + regularization * weights), axis=-1
     )
-    return loss, grad
+    return (float(loss) if np.ndim(loss) == 0 else loss), grad
 
 
 @dataclass(eq=False)
@@ -205,6 +278,105 @@ class PropensityModel:
         return float(self.intercept - np.sum(self.weights * self.feature_means / self.feature_scales))
 
 
+@dataclass(eq=False)
+class PropensityStack:
+    """Logistic treatment models of a stack of samples, one row per sample.
+
+    Each sample has its own standardization.  ``stalled`` marks the fits
+    whose line search failed; ``converged`` those whose gradient norm
+    fell below the tolerance.
+    """
+
+    weights: np.ndarray
+    intercept: np.ndarray
+    feature_means: np.ndarray
+    feature_scales: np.ndarray
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+    loss: np.ndarray
+    stalled: np.ndarray
+    converged: np.ndarray
+
+
+def fit_propensity_stack(
+    features: np.ndarray,
+    treatments: np.ndarray,
+    regularization: float = DEFAULT_REGULARIZATION,
+    max_iters: int = 100,
+    tol: float = 1e-8,
+) -> PropensityStack:
+    """Fit one treatment model per sample of a (samples, n, d) stack.
+
+    Every sample runs its own damped Newton iteration and stops when its
+    gradient norm drops below ``tol``.  The Hessians, gradients and steps
+    of all samples still iterating are computed together, as stacked
+    products and one stacked solve.  Each sample halves its own step
+    until the Armijo condition holds; a sample whose line search finds no
+    such step freezes at its last accepted parameters and is marked
+    stalled.  A sample's fit does not depend on the other samples of its
+    stack.
+    """
+    t = _check_treatments(treatments)
+    matrix = np.asarray(features, dtype=float)
+    if matrix.ndim != 3 or matrix.shape[:2] != t.shape:
+        raise InferenceError(f"{matrix.shape[-2]} feature rows but {t.shape[-1]} treatments")
+    if regularization < 0:
+        raise InferenceError("regularization must be nonnegative")
+
+    samples, n, d = matrix.shape
+    design, means, scales = _standardize(matrix, np.ones((samples, n)))
+    augmented = np.concatenate((np.ones((samples, n, 1)), design), axis=-1)
+    penalty = np.diag(np.concatenate(([0.0], np.full(d, regularization))))
+    params = np.zeros((samples, d + 1))
+    loss, grad = logistic_loss_and_grad(params, design, t, regularization)
+    grad_norm = np.linalg.norm(grad, axis=-1)
+    iterations = np.zeros(samples, dtype=int)
+    stalled = np.zeros(samples, dtype=bool)
+    for _ in range(max_iters):
+        active = np.flatnonzero(~stalled & (grad_norm >= tol))
+        if not active.size:
+            break
+        x, g = _rows(augmented, active), grad[active]
+        mu = expit((x @ params[active, :, np.newaxis])[..., 0])
+        s = mu * (1.0 - mu)
+        hessian = np.swapaxes(x * s[..., np.newaxis], -1, -2) @ x / n + penalty
+        step = _solve(hessian, g)
+        slope = np.sum(g * step, axis=-1)
+        # halve each sample's step until its Armijo condition holds;
+        # protects near-separable fits
+        scale = np.ones(active.size)
+        pending = np.arange(active.size)
+        for _ in range(60):
+            rows = active[pending]
+            candidate = params[rows] - scale[pending, np.newaxis] * step[pending]
+            new_loss, new_grad = logistic_loss_and_grad(
+                candidate, _rows(design, rows), _rows(t, rows), regularization
+            )
+            ok = new_loss <= loss[rows] - 1e-4 * scale[pending] * slope[pending]
+            accepted = rows[ok]
+            params[accepted] = candidate[ok]
+            loss[accepted] = new_loss[ok]
+            grad[accepted] = new_grad[ok]
+            iterations[accepted] += 1
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            scale[pending] *= 0.5
+        stalled[active[pending]] = True
+        grad_norm[active] = np.linalg.norm(grad[active], axis=-1)
+    return PropensityStack(
+        weights=params[:, 1:],
+        intercept=params[:, 0],
+        feature_means=means,
+        feature_scales=scales,
+        iterations=iterations,
+        gradient_norm=grad_norm,
+        loss=loss,
+        stalled=stalled,
+        converged=grad_norm < tol,
+    )
+
+
 def fit_propensity(
     features: np.ndarray,
     treatments: np.ndarray | Sequence[int],
@@ -215,7 +387,8 @@ def fit_propensity(
 ) -> PropensityModel:
     """Fit the treatment model by damped Newton iteration.
 
-    Converges when the gradient norm drops below ``tol``.  The penalty
+    This is ``fit_propensity_stack`` on a stack of one sample.  It
+    converges when the gradient norm drops below ``tol``.  The penalty
     keeps the Hessian positive definite, and a halving line search guards
     the occasional overshoot, so the fit is deterministic and never
     requires randomness (``seed`` is recorded for provenance only).  If
@@ -224,85 +397,51 @@ def fit_propensity(
     (``gradient_norm >= tol``).
     """
     matrix = as_feature_matrix(features)
-    t = _check_treatments(np.asarray(treatments))
-    if matrix.shape[0] != t.shape[0]:
-        raise InferenceError(
-            f"{matrix.shape[0]} feature rows but {t.shape[0]} treatments"
-        )
-    if regularization < 0:
-        raise InferenceError("regularization must be nonnegative")
-
-    means, scales = _standardizer(matrix)
-    design = (matrix - means) / scales
-
-    n, d = design.shape
-    params = np.zeros(d + 1)
-    loss, grad = logistic_loss_and_grad(params, design, t, regularization)
-    grad_norm = float(np.linalg.norm(grad))
-    iterations = 0
-    stalled = False
-    penalty_diag = np.concatenate(([0.0], np.full(d, regularization)))
-    for iterations in range(1, max_iters + 1):
-        if grad_norm < tol:
-            iterations -= 1
-            break
-        mu = expit(params[0] + design @ params[1:])
-        s = mu * (1.0 - mu)
-        augmented = np.hstack([np.ones((n, 1)), design])
-        hessian = (augmented * s[:, np.newaxis]).T @ augmented / n + np.diag(penalty_diag)
-        try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
-        # halve until the Armijo condition holds; protects near-separable fits
-        scale = 1.0
-        for _ in range(60):
-            candidate = params - scale * step
-            new_loss, new_grad = logistic_loss_and_grad(candidate, design, t, regularization)
-            if new_loss <= loss - 1e-4 * scale * float(grad @ step):
-                break
-            scale *= 0.5
-        else:
-            stalled = True
-            iterations -= 1
-            break
-        params = candidate
-        loss, grad = new_loss, new_grad
-        grad_norm = float(np.linalg.norm(grad))
-    if stalled:
+    stack = fit_propensity_stack(
+        matrix[np.newaxis],
+        np.asarray(treatments)[np.newaxis],
+        regularization=regularization,
+        max_iters=max_iters,
+        tol=tol,
+    )
+    iterations, grad_norm = int(stack.iterations[0]), float(stack.gradient_norm[0])
+    if stack.stalled[0]:
         logger.warning(
             "propensity fit stopped after %d iterations: line search failed "
             "with gradient norm %.2e",
             iterations, grad_norm,
         )
-    elif grad_norm >= tol:
+    elif not stack.converged[0]:
         logger.warning(
             "propensity fit stopped at iteration cap %d with gradient norm %.2e",
             max_iters, grad_norm,
         )
     return PropensityModel(
-        weights=params[1:],
-        intercept=float(params[0]),
+        weights=stack.weights[0],
+        intercept=float(stack.intercept[0]),
         regularization=regularization,
-        feature_means=means,
-        feature_scales=scales,
+        feature_means=stack.feature_means[0],
+        feature_scales=stack.feature_scales[0],
         iterations=iterations,
         gradient_norm=grad_norm,
-        loss=loss,
+        loss=float(stack.loss[0]),
         seed=seed,
     )
 
 
 def predict_propensity(
-    model: PropensityModel,
+    model: PropensityModel | PropensityStack,
     features: np.ndarray,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
 ) -> np.ndarray:
-    """Treated probability per row, clipped into [clip_epsilon, 1 - clip_epsilon]."""
+    """Treated probability per row, clipped into [clip_epsilon, 1 - clip_epsilon].
+
+    A ``PropensityStack`` scores a (samples, n, d) feature stack and
+    returns (samples, n) probabilities.
+    """
     if not 0.0 <= clip_epsilon < 0.5:
         raise InferenceError(f"clip_epsilon must lie in [0, 0.5), got {clip_epsilon!r}")
-    design = (as_feature_matrix(features) - model.feature_means) / model.feature_scales
-    raw = expit(model.intercept + design @ model.weights)
+    raw = expit(_linear_predictor(model, features))
     return np.clip(raw, clip_epsilon, 1.0 - clip_epsilon)
 
 
@@ -328,33 +467,80 @@ class OutcomeModel:
         return float(self.intercept - np.sum(self.weights * self.feature_means / self.feature_scales))
 
 
-def predict_outcome(model: OutcomeModel, features: np.ndarray) -> np.ndarray:
-    design = (as_feature_matrix(features) - model.feature_means) / model.feature_scales
-    return model.intercept + design @ model.weights
+@dataclass(eq=False)
+class OutcomeStack:
+    """Both arms' linear outcome models of a stack of samples.
+
+    Every array field is indexed by arm, then by sample, so predictions
+    on a (samples, n, d) feature stack have shape (2, samples, n) and
+    unpack into q0 and q1.
+    """
+
+    weights: np.ndarray
+    intercept: np.ndarray
+    feature_means: np.ndarray
+    feature_scales: np.ndarray
+    n_train: np.ndarray
 
 
-def _fit_arm(matrix: np.ndarray, outcomes: np.ndarray, arm: int, ridge: float) -> OutcomeModel:
-    means, scales = _standardizer(matrix)
-    design = np.hstack([np.ones((matrix.shape[0], 1)), (matrix - means) / scales])
-    n, p = design.shape
+def predict_outcome(model: OutcomeModel | OutcomeStack, features: np.ndarray) -> np.ndarray:
+    """Predicted outcome per row; an ``OutcomeStack`` scores a feature stack for both arms."""
+    return _linear_predictor(model, features)
+
+
+def fit_outcome_stack(
+    features: np.ndarray,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    ridge: float = 0.0,
+) -> OutcomeStack:
+    """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares on every sample of a stack.
+
+    Each arm of each sample is standardized over its own rows; the rows
+    of the other arm become zero rows of its design, so all samples and
+    both arms solve as one stack.  With ridge > 0 the normal equations
+    are solved directly.  With ridge == 0 a stacked SVD gives the
+    least-squares solution with the rank cutoff of ``np.linalg.lstsq``,
+    which leaves residuals orthogonal to the design; a rank-deficient arm
+    raises with a suggestion to pass ridge > 0 instead of silently
+    picking one of many solutions.
+    """
+    t = _check_treatments(treatments)
+    y = np.asarray(outcomes, dtype=float)
+    matrix = np.asarray(features, dtype=float)
+    if y.shape != t.shape or matrix.ndim != 3 or matrix.shape[:2] != t.shape:
+        raise InferenceError("features, treatments and outcomes must align")
+    if not np.all(np.isfinite(y)):
+        raise InferenceError("outcomes must be finite")
+    if ridge < 0:
+        raise InferenceError("ridge must be nonnegative")
+    arms = np.stack((1.0 - t, t))
+    design, means, scales = _standardize(matrix, arms)
+    design = np.concatenate((arms[..., np.newaxis], design), axis=-1)
+    p = design.shape[-1]
+    targets = arms * y
+    counts = arms.sum(axis=-1).astype(int)
     if ridge > 0:
-        gram = design.T @ design + ridge * np.diag(np.concatenate(([0.0], np.ones(p - 1))))
-        solution = np.linalg.solve(gram, design.T @ outcomes)
+        transposed = np.swapaxes(design, -1, -2)
+        gram = transposed @ design + ridge * np.diag(np.concatenate(([0.0], np.ones(p - 1))))
+        solution = np.linalg.solve(gram, transposed @ targets[..., np.newaxis])[..., 0]
     else:
-        solution, _, rank, _ = np.linalg.lstsq(design, outcomes, rcond=None)
-        if rank < p:
+        solution, rank = _lstsq(design, targets, counts)
+        # report the first deficient arm in (sample, arm) order
+        deficient = np.argwhere((rank < p).T)
+        if deficient.size:
+            sample, arm = deficient[0]
             raise InferenceError(
                 f"outcome design for arm {arm} is rank deficient "
-                f"({n} units, rank {rank} of {p}); pass ridge > 0 to regularize"
+                f"({counts[arm, sample]} units, rank {rank[arm, sample]} of {p}); "
+                "pass ridge > 0 to regularize"
             )
-    return OutcomeModel(
-        arm=arm,
-        weights=solution[1:],
-        intercept=float(solution[0]),
+    return OutcomeStack(
+        weights=solution[..., 1:],
+        intercept=solution[..., 0],
         feature_means=means,
         feature_scales=scales,
-        ridge=ridge,
-        n_train=n,
+        n_train=counts,
     )
 
 
@@ -366,25 +552,29 @@ def fit_outcome_models(
 ) -> tuple[OutcomeModel, OutcomeModel]:
     """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares.
 
-    With ridge == 0 the solution comes from the normal equations via
-    lstsq and leaves residuals orthogonal to the design; a rank-deficient
-    arm raises with a suggestion to pass ridge > 0 instead of silently
-    picking one of many solutions.  Returns (arm 0 model, arm 1 model).
+    This is ``fit_outcome_stack`` on a stack of one sample.  Returns
+    (arm 0 model, arm 1 model).
     """
     matrix = as_feature_matrix(features)
-    t = _check_treatments(np.asarray(treatments))
-    y = np.asarray(outcomes, dtype=float)
-    if y.shape != t.shape or matrix.shape[0] != t.shape[0]:
-        raise InferenceError("features, treatments and outcomes must align")
-    if not np.all(np.isfinite(y)):
-        raise InferenceError("outcomes must be finite")
-    if ridge < 0:
-        raise InferenceError("ridge must be nonnegative")
-    models = []
-    for arm in (0, 1):
-        mask = t == arm
-        models.append(_fit_arm(matrix[mask], y[mask], arm, ridge))
-    return models[0], models[1]
+    stack = fit_outcome_stack(
+        matrix[np.newaxis],
+        np.asarray(treatments)[np.newaxis],
+        np.asarray(outcomes, dtype=float)[np.newaxis],
+        ridge=ridge,
+    )
+    model0, model1 = (
+        OutcomeModel(
+            arm=arm,
+            weights=stack.weights[arm, 0],
+            intercept=float(stack.intercept[arm, 0]),
+            feature_means=stack.feature_means[arm, 0],
+            feature_scales=stack.feature_scales[arm, 0],
+            ridge=ridge,
+            n_train=int(stack.n_train[arm, 0]),
+        )
+        for arm in (0, 1)
+    )
+    return model0, model1
 
 
 def f1_score(

@@ -2,8 +2,10 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tonefx import inference
 from tonefx.corpus import Post, load_annotations, load_posts
 from tonefx.lexicon import default_grouping_path, default_lexicon_path, load_lexicon
 
@@ -50,3 +52,21 @@ def make_post(
         parent_id=parent_id,
         text=text,
     )
+
+
+def stall_line_search(monkeypatch, treatments) -> None:
+    """Fail every propensity line search of the samples with these treatments.
+
+    Starting points (all-zero parameters) are scored truly and every
+    candidate step of a matching sample loses, so its fit stops at zero
+    parameters; samples with other treatments are fit as usual.
+    """
+    real = inference.logistic_loss_and_grad
+    target = np.asarray(treatments, dtype=float)
+
+    def stalling(params, features, t, regularization):
+        loss, grad = real(params, features, t, regularization)
+        hit = np.all(t == target, axis=-1) & np.any(params != 0, axis=-1)
+        return loss + hit, grad
+
+    monkeypatch.setattr(inference, "logistic_loss_and_grad", stalling)

@@ -1,6 +1,7 @@
 """Point estimators, their algebraic identities, and the bootstrap."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,14 @@ from tonefx.estimators import (
     estimate_all,
     point_estimate,
 )
+from tonefx.inference import (
+    fit_outcome_models,
+    fit_propensity,
+    predict_outcome,
+    predict_propensity,
+)
+
+from conftest import stall_line_search
 
 
 def _saturated() -> EstimationInput:
@@ -286,18 +295,18 @@ def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
 
 def test_estimate_all_refits_once_per_usable_resample(monkeypatch):
     _odd_first_unit_skipped(monkeypatch)
-    calls = {"fit_propensity": 0, "fit_outcome_models": 0}
+    rows = {"fit_propensity_stack": 0, "fit_outcome_stack": 0}
 
     def counted(name):
         fit = getattr(estimators, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fit(*args, **kwargs)
+        def wrapper(features, *args, **kwargs):
+            rows[name] += features.shape[0]
+            return fit(features, *args, **kwargs)
 
         return wrapper
 
-    for name in calls:
+    for name in rows:
         monkeypatch.setattr(estimators, name, counted(name))
     data = _random_input(4, n=80)
     replicates = 15
@@ -306,7 +315,85 @@ def test_estimate_all_refits_once_per_usable_resample(monkeypatch):
     skipped = results[0].bootstrap_skipped
     assert 0 < skipped < replicates
     used = replicates - skipped
-    assert calls == {"fit_propensity": used, "fit_outcome_models": used}
+    assert rows == {"fit_propensity_stack": used, "fit_outcome_stack": used}
+
+
+def _one_resample_replicates(data, replicates, seed, refit, variant, ridge):
+    """The bootstrap as a loop of one-resample fits and scores."""
+    values = {e: [] for e in Estimator}
+    for i in range(replicates):
+        idx = estimators._resample_indices(np.random.default_rng([seed, i]), data.treatments, 10)
+        if idx is None:
+            continue
+        t, y = data.treatments[idx], data.outcomes[idx]
+        if refit:
+            z = data.features[idx]
+            p = predict_propensity(fit_propensity(z, t), z)
+            model0, model1 = fit_outcome_models(z, t, y, ridge=ridge)
+            q0, q1 = predict_outcome(model0, z), predict_outcome(model1, z)
+        else:
+            p, q0, q1 = data.propensity[idx], data.q0[idx], data.q1[idx]
+        one = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
+        for e, sink in values.items():
+            sink.append(point_estimate(one, e, aipw_variant=variant))
+    return {e: np.array(sink) for e, sink in values.items()}
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(30, 90),
+    st.sampled_from([0.0, 1e-6, 0.3]),
+    st.booleans(),
+    st.sampled_from(list(AipwVariant)),
+    st.booleans(),
+)
+def test_stacked_bootstrap_matches_one_resample_fits(seed, n, ridge, refit, variant, skips):
+    data = _random_input(seed, n=n)
+    draw = estimators._resample_indices
+
+    def odd_first_unit_skipped(rng, treatments, max_redraws):
+        idx = draw(rng, treatments, max_redraws)
+        return None if idx[0] % 2 else idx
+
+    with mock.patch.object(
+        estimators, "_resample_indices", odd_first_unit_skipped if skips else draw
+    ):
+        expected = _one_resample_replicates(data, 16, seed, refit, variant, ridge)
+        if min(len(v) for v in expected.values()) < 2:
+            return
+        result = bootstrap_se(
+            data, list(Estimator), replicates=16, seed=seed, refit=refit,
+            aipw_variant=variant, ridge=ridge,
+        )
+    assert result.replicates_used == len(expected[Estimator.Q])
+    for e in Estimator:
+        np.testing.assert_allclose(result.estimates[e], expected[e], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("refit", [True, False])
+def test_replicate_values_do_not_depend_on_replicate_count(monkeypatch, refit):
+    data = _random_input(12, n=50)
+    # chunks of 7 refit resamples, so 40 replicates span six chunks
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 7 * 8 * data.n * 3)
+    full = bootstrap_se(data, list(Estimator), replicates=40, seed=6, refit=refit)
+    for m in (2, 7, 11, 23):
+        head = bootstrap_se(data, list(Estimator), replicates=m, seed=6, refit=refit)
+        for e in Estimator:
+            np.testing.assert_array_equal(head.estimates[e], full.estimates[e][:m])
+
+
+def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):
+    data = _random_input(11, n=60)
+    idx = estimators._resample_indices(np.random.default_rng([4, 3]), data.treatments, 10)
+    stall_line_search(monkeypatch, data.treatments[idx])
+    with caplog.at_level("WARNING"):
+        result = bootstrap_se(data, list(Estimator), replicates=10, seed=4)
+    assert result.replicates_used == 10
+    assert [r.getMessage() for r in caplog.records] == [
+        "bootstrap for unadjusted, q, ipw, aipw: 1 of 10 propensity refits ended "
+        "unconverged (failed line search or iteration cap)"
+    ]
 
 
 def test_bootstrap_rejects_unusable_setups():

@@ -17,7 +17,9 @@ from tonefx.inference import (
     cross_validate,
     f1_score,
     fit_outcome_models,
+    fit_outcome_stack,
     fit_propensity,
+    fit_propensity_stack,
     logistic_loss_and_grad,
     predict_outcome,
     predict_propensity,
@@ -31,7 +33,7 @@ from tonefx.topics import (
     surface_tokenizer,
 )
 
-from conftest import make_post
+from conftest import make_post, stall_line_search
 
 
 # ----------------------------------------------------------- confounders
@@ -241,6 +243,105 @@ def test_fit_propensity_stops_when_line_search_fails(monkeypatch, caplog):
     assert model.intercept == 0.0
     assert model.loss == pytest.approx(np.log(2.0))
     assert "line search failed" in caplog.text
+
+
+def _resample_stack(features, treatments, outcomes, samples, seed):
+    """Seeded with-replacement resamples with both arms, stacked on a leading axis."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < samples:
+        idx = rng.integers(0, len(treatments), size=len(treatments))
+        if treatments[idx].min() != treatments[idx].max():
+            rows.append(idx)
+    idx = np.stack(rows)
+    return features[idx], treatments[idx], outcomes[idx]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 9),
+    st.integers(12, 90),
+    st.sampled_from([0.0, 1e-4, 0.1]),
+)
+def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularization):
+    features, treatments = _logistic_data(n=n, seed=seed)
+    z, t, _ = _resample_stack(features, treatments, np.zeros(n), samples, seed)
+    stack = fit_propensity_stack(z, t, regularization=regularization)
+    scores = predict_propensity(stack, z)
+    for r in range(samples):
+        alone = fit_propensity(z[r], t[r], regularization=regularization)
+        assert stack.iterations[r] == alone.iterations
+        assert stack.converged[r] == (alone.gradient_norm < 1e-8)
+        np.testing.assert_allclose(stack.weights[r], alone.weights, rtol=1e-10, atol=1e-10)
+        assert stack.intercept[r] == pytest.approx(alone.intercept, rel=1e-10, abs=1e-10)
+        assert stack.loss[r] == pytest.approx(alone.loss, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(
+            scores[r], predict_propensity(alone, z[r]), rtol=1e-10, atol=1e-10
+        )
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 9),
+    st.integers(24, 90),
+    st.sampled_from([0.0, 1e-6, 0.5]),
+)
+def test_outcome_stack_matches_one_sample_fits(seed, samples, n, ridge):
+    features, treatments = _logistic_data(n=n, seed=seed)
+    outcomes = treatments + features @ np.array([1.0, -2.0, 0.5])
+    outcomes += np.random.default_rng(seed).normal(size=n)
+    z, t, y = _resample_stack(features, treatments, outcomes, samples, seed)
+    try:
+        stack = fit_outcome_stack(z, t, y, ridge=ridge)
+    except InferenceError as exc:
+        # some resample has an arm with too few distinct units; the first
+        # such sample in fit order raises the same error alone
+        for r in range(samples):
+            try:
+                fit_outcome_models(z[r], t[r], y[r], ridge=ridge)
+            except InferenceError as alone:
+                assert str(alone) == str(exc)
+                return
+        raise
+    q0, q1 = predict_outcome(stack, z)
+    for r in range(samples):
+        for arm, model, q in zip((0, 1), fit_outcome_models(z[r], t[r], y[r], ridge=ridge), (q0, q1)):
+            assert stack.n_train[arm, r] == model.n_train
+            np.testing.assert_allclose(stack.weights[arm, r], model.weights, rtol=1e-10, atol=1e-10)
+            np.testing.assert_allclose(q[r], predict_outcome(model, z[r]), rtol=1e-10, atol=1e-10)
+
+
+def test_propensity_stack_freezes_only_the_stalled_sample(monkeypatch):
+    features, treatments = _logistic_data(n=120, seed=6)
+    z, t, _ = _resample_stack(features, treatments, np.zeros(120), 5, 6)
+    expected = [fit_propensity(z[r], t[r]) for r in range(5)]
+    stall_line_search(monkeypatch, t[2])
+    stack = fit_propensity_stack(z, t)
+    assert stack.stalled.tolist() == [False, False, True, False, False]
+    assert stack.converged.tolist() == [True, True, False, True, True]
+    assert stack.iterations[2] == 0
+    np.testing.assert_array_equal(stack.weights[2], np.zeros(3))
+    assert stack.intercept[2] == 0.0
+    assert stack.loss[2] == pytest.approx(np.log(2.0))
+    for r in (0, 1, 3, 4):
+        assert stack.iterations[r] == expected[r].iterations > 0
+        np.testing.assert_allclose(stack.weights[r], expected[r].weights, rtol=1e-10, atol=1e-10)
+        assert stack.intercept[r] == pytest.approx(expected[r].intercept, rel=1e-10, abs=1e-10)
+
+
+def test_stack_fits_check_their_inputs():
+    features, treatments = _logistic_data(n=40, seed=7)
+    z, t, y = features[np.newaxis], treatments[np.newaxis], np.zeros((1, 40))
+    with pytest.raises(InferenceError, match="arm"):
+        fit_propensity_stack(np.concatenate([z, z]), np.stack([treatments, np.ones(40)]))
+    with pytest.raises(InferenceError, match="feature rows"):
+        fit_propensity_stack(z[:, :30], t)
+    with pytest.raises(InferenceError, match="0/1"):
+        fit_outcome_stack(z, treatments, y[0])
+    with pytest.raises(InferenceError, match="align"):
+        fit_outcome_stack(z, t, y[:, :30])
 
 
 def test_predict_propensity_clips_and_keeps_row_shape():

@@ -305,6 +305,47 @@ def test_cli_ingest_prints_each_load_warning_once(tmp_path, verbose):
         assert done.stderr.count(message) == 1, done.stderr
 
 
+@pytest.mark.parametrize("verbose", [False, True])
+def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
+    # as for ingest, logging's last-resort handler only shows in a child process
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(Path(POSTS).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(
+        Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
+        encoding="utf-8",
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    out_dir = tmp_path / "run"
+    command = [sys.executable, "-m", "tonefx.harness.cli"]
+    command += ["--verbose"] * verbose + [
+        "estimate", "--posts", str(posts), "--annotations", str(annotations),
+        "--out-dir", str(out_dir), "--seed", "3", "--k", "4", "--folds", "8",
+        "--bootstrap-replicates", "0", "--reply-types", "nasty_nice",
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
+    messages = [
+        *loaded_posts.record_errors, *loaded_posts.warnings, *loaded_annotations.record_errors
+    ]
+    assert len(messages) == 3
+    for message in messages:
+        assert sum(message in warning for warning in report["warnings"]) == 1
+        assert done.stdout.count(message) == 1, done.stdout
+        # --verbose logs every step to stderr, load warnings included
+        assert done.stderr.count(message) == verbose, done.stderr
+    # the report does not record skipped cross-validation folds as
+    # warnings, so they stay on stderr, once per confounder variant
+    skipped_fold = "fold 4: test split lacks a treatment arm"
+    assert not any(skipped_fold in warning for warning in report["warnings"])
+    assert done.stderr.count(skipped_fold) == 2, done.stderr
+
+
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):
     code = main(_estimate_args(tmp_path, "--posts", str(tmp_path / "nope.jsonl")))
     assert code == EXIT_USAGE
