@@ -167,16 +167,42 @@ def _check_str(record: dict, key: str) -> str:
     return value
 
 
+def _jsonl_records(path: Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
+    """Each JSON object of a line-delimited file, with its line number.
+
+    Lines are decoded one at a time, so a line that is not valid UTF-8,
+    not JSON or not an object is skipped and named in ``errors`` like
+    any other bad record.  Blank lines are ignored.
+    """
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            errors.append(f"line {lineno}: not valid UTF-8")
+            continue
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            continue
+        if not isinstance(record, dict):
+            errors.append(f"line {lineno}: record is not an object")
+            continue
+        yield lineno, record
+
+
 def load_posts(path: str | Path) -> PostCollection:
     """Load a line-delimited posts file.
 
-    Malformed records (bad JSON, missing or mistyped fields, position
-    collisions) are skipped and reported in ``record_errors`` with their
-    line number.  A duplicate post id is fatal because identity is
-    load-bearing downstream.  A parent_id that does not resolve to an
-    earlier post in the same discussion yields a warning and the parent is
-    treated as absent.  Record errors and warnings are also logged, once
-    each, at WARNING level.
+    Malformed records (lines that are not valid UTF-8, bad JSON, missing
+    or mistyped fields, position collisions) are skipped and reported in
+    ``record_errors`` with their line number.  A duplicate post id is
+    fatal because identity is load-bearing downstream.  A parent_id that
+    does not resolve to an earlier post in the same discussion yields a
+    warning and the parent is treated as absent.  Record errors and
+    warnings are also logged, once each, at WARNING level.
     """
     path = Path(path)
     if not path.exists():
@@ -187,64 +213,52 @@ def load_posts(path: str | Path) -> PostCollection:
     seen_ids: dict[str, int] = {}
     seen_positions: set[tuple[str, int]] = set()
 
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(record, dict):
-                errors.append(f"line {lineno}: record is not an object")
-                continue
-            missing = [key for key in _POST_FIELDS if key not in record]
-            if missing:
-                errors.append(f"line {lineno}: missing required field {missing[0]!r}")
-                continue
-            try:
-                post_id = _check_str(record, "id")
-                discussion_id = _check_str(record, "discussion_id")
-                debate_topic = _check_str(record, "debate_topic")
-                author = _check_str(record, "author")
-                position = record["position"]
-                if isinstance(position, bool) or not isinstance(position, int) or position < 0:
-                    raise ValueError("field 'position' must be a nonnegative integer")
-                text = record["text"]
-                if not isinstance(text, str):
-                    raise ValueError("field 'text' must be a string")
-                parent_id = record.get("parent_id")
-                if parent_id is not None and not isinstance(parent_id, str):
-                    raise ValueError("field 'parent_id' must be a string or null")
-            except ValueError as exc:
-                errors.append(f"line {lineno}: {exc}")
-                continue
-            if post_id in seen_ids:
-                raise CorpusError(
-                    f"duplicate post id {post_id!r} at line {lineno} "
-                    f"(first seen at line {seen_ids[post_id]})"
-                )
-            seen_ids[post_id] = lineno
-            if (discussion_id, position) in seen_positions:
-                errors.append(
-                    f"line {lineno}: position {position} already used in "
-                    f"discussion {discussion_id!r}"
-                )
-                continue
-            seen_positions.add((discussion_id, position))
-            posts.append(
-                Post(
-                    id=post_id,
-                    discussion_id=discussion_id,
-                    debate_topic=debate_topic,
-                    author=author,
-                    position=position,
-                    parent_id=parent_id,
-                    text=text,
-                )
+    for lineno, record in _jsonl_records(path, errors):
+        missing = [key for key in _POST_FIELDS if key not in record]
+        if missing:
+            errors.append(f"line {lineno}: missing required field {missing[0]!r}")
+            continue
+        try:
+            post_id = _check_str(record, "id")
+            discussion_id = _check_str(record, "discussion_id")
+            debate_topic = _check_str(record, "debate_topic")
+            author = _check_str(record, "author")
+            position = record["position"]
+            if isinstance(position, bool) or not isinstance(position, int) or position < 0:
+                raise ValueError("field 'position' must be a nonnegative integer")
+            text = record["text"]
+            if not isinstance(text, str):
+                raise ValueError("field 'text' must be a string")
+            parent_id = record.get("parent_id")
+            if parent_id is not None and not isinstance(parent_id, str):
+                raise ValueError("field 'parent_id' must be a string or null")
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
+            continue
+        if post_id in seen_ids:
+            raise CorpusError(
+                f"duplicate post id {post_id!r} at line {lineno} "
+                f"(first seen at line {seen_ids[post_id]})"
             )
+        seen_ids[post_id] = lineno
+        if (discussion_id, position) in seen_positions:
+            errors.append(
+                f"line {lineno}: position {position} already used in "
+                f"discussion {discussion_id!r}"
+            )
+            continue
+        seen_positions.add((discussion_id, position))
+        posts.append(
+            Post(
+                id=post_id,
+                discussion_id=discussion_id,
+                debate_topic=debate_topic,
+                author=author,
+                position=position,
+                parent_id=parent_id,
+                text=text,
+            )
+        )
 
     warnings: list[str] = []
     by_id = {post.id: post for post in posts}
@@ -283,8 +297,10 @@ def _resolved_parent(post: Post, posts: PostCollection) -> Post | None:
 def load_annotations(path: str | Path) -> AnnotationCollection:
     """Load a line-delimited annotations file, skipping malformed records.
 
-    Each skipped record is reported in ``record_errors`` and logged once
-    at WARNING level.
+    Malformed records (lines that are not valid UTF-8, bad JSON, missing
+    or invalid fields) are skipped.  Each is reported in
+    ``record_errors`` with its line number and logged once at WARNING
+    level.
     """
     path = Path(path)
     if not path.exists():
@@ -294,52 +310,40 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
     errors: list[str] = []
     valid_types = {member.value for member in ReplyType}
 
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-                continue
-            if not isinstance(record, dict):
-                errors.append(f"line {lineno}: record is not an object")
-                continue
-            missing = [key for key in _ANNOTATION_FIELDS if key not in record]
-            if missing:
-                errors.append(f"line {lineno}: missing required field {missing[0]!r}")
-                continue
-            try:
-                quote_post_id = _check_str(record, "quote_post_id")
-                response_post_id = _check_str(record, "response_post_id")
-                reply_type = record["reply_type"]
-                if reply_type not in valid_types:
-                    raise ValueError(
-                        f"field 'reply_type' must be one of {sorted(valid_types)}, "
-                        f"got {reply_type!r}"
-                    )
-                mean_score = record["mean_score"]
-                if isinstance(mean_score, bool) or not isinstance(mean_score, (int, float)):
-                    raise ValueError("field 'mean_score' must be a number")
-                mean_score = float(mean_score)
-                if not SCORE_MIN <= mean_score <= SCORE_MAX:
-                    raise ValueError(
-                        f"field 'mean_score' must lie in [{SCORE_MIN:g}, {SCORE_MAX:g}], "
-                        f"got {mean_score!r}"
-                    )
-            except ValueError as exc:
-                errors.append(f"line {lineno}: {exc}")
-                continue
-            annotations.append(
-                QuoteResponseAnnotation(
-                    quote_post_id=quote_post_id,
-                    response_post_id=response_post_id,
-                    reply_type=ReplyType(reply_type),
-                    mean_score=mean_score,
+    for lineno, record in _jsonl_records(path, errors):
+        missing = [key for key in _ANNOTATION_FIELDS if key not in record]
+        if missing:
+            errors.append(f"line {lineno}: missing required field {missing[0]!r}")
+            continue
+        try:
+            quote_post_id = _check_str(record, "quote_post_id")
+            response_post_id = _check_str(record, "response_post_id")
+            reply_type = record["reply_type"]
+            if reply_type not in valid_types:
+                raise ValueError(
+                    f"field 'reply_type' must be one of {sorted(valid_types)}, "
+                    f"got {reply_type!r}"
                 )
+            mean_score = record["mean_score"]
+            if isinstance(mean_score, bool) or not isinstance(mean_score, (int, float)):
+                raise ValueError("field 'mean_score' must be a number")
+            mean_score = float(mean_score)
+            if not SCORE_MIN <= mean_score <= SCORE_MAX:
+                raise ValueError(
+                    f"field 'mean_score' must lie in [{SCORE_MIN:g}, {SCORE_MAX:g}], "
+                    f"got {mean_score!r}"
+                )
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
+            continue
+        annotations.append(
+            QuoteResponseAnnotation(
+                quote_post_id=quote_post_id,
+                response_post_id=response_post_id,
+                reply_type=ReplyType(reply_type),
+                mean_score=mean_score,
             )
+        )
 
     for message in errors:
         logger.warning("skipped annotation record: %s", message)

@@ -11,12 +11,16 @@ Topic models are cached under out_dir/cache keyed by a digest of the
 per-topic corpus content, the tokenizer fingerprint and every fitting
 parameter, so reruns over unchanged inputs skip straight to inference.
 The fitted models are also published under out_dir/models for
-inspection regardless of cache hits.
+inspection regardless of cache hits: each is serialized once, into the
+cache, and its bytes are copied to out_dir/models (with the cache off,
+it is serialized into out_dir/models directly).
 
 Each post's default-tokenizer tokens and its category row are computed
 at most once per run, on first use, and shared by the topics, outcomes
 and confounders stages; with cached topic models, posts outside the
-triples are never tokenized.
+triples are never tokenized.  The tokenizer and the run's lexicon also
+memoize each distinct token form, so a form is lemmatized once per
+tokenizer and categorized once per run.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import hashlib
 import json
 import logging
 import re
+import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -124,12 +129,10 @@ class PostFeatures(dict):
 def token_table(posts: PostCollection) -> PostFeatures:
     """Default-tokenizer tokens of each post, tokenized on first lookup.
 
-    A run holds the tokens of many posts at once, and a corpus repeats
-    few token forms, so all lists share one string per form.
+    The tokenizer memoizes each raw form, so all lists share one string
+    per raw form.
     """
-    tokenizer = default_tokenizer()
-    forms: dict[str, str] = {}
-    return PostFeatures(posts, lambda text: [forms.setdefault(t, t) for t in tokenizer(text)])
+    return PostFeatures(posts, default_tokenizer())
 
 
 def fit_topic_models(
@@ -142,8 +145,9 @@ def fit_topic_models(
 
     ``post_tokens`` holds each post's default-tokenizer tokens; only a
     cache miss reads it.  Every model is also published under
-    out_dir/models; problems that do not stop the run (an unreadable
-    cache entry) go to ``warnings``.
+    out_dir/models, as a copy of its cache entry when the cache is on;
+    problems that do not stop the run (an unreadable cache entry) go to
+    ``warnings``.
     """
     tokenizer = default_tokenizer()
     cache_dir = Path(config.out_dir) / "cache"
@@ -154,6 +158,7 @@ def fit_topic_models(
         subset = [p for p in posts if p.debate_topic == debate_topic]
         key = _topic_cache_key(config, subset, tokenizer.fingerprint())
         cache_path = cache_dir / f"lda-{_slug(debate_topic)}-{key[:16]}.json"
+        model_path = models_dir / f"{_slug(debate_topic)}.json"
         model: LdaModel | None = None
         if config.use_cache and cache_path.exists():
             try:
@@ -181,10 +186,9 @@ def fit_topic_models(
                 max_iters=config.lda_max_iters,
                 tol=config.lda_tol,
             )
-            if config.use_cache:
-                cache_dir.mkdir(parents=True, exist_ok=True)
-                save_model(model, cache_path)
-        save_model(model, models_dir / f"{_slug(debate_topic)}.json")
+            save_model(model, cache_path if config.use_cache else model_path)
+        if config.use_cache:
+            shutil.copyfile(cache_path, model_path)
         models[debate_topic] = model
     return models
 
@@ -462,6 +466,4 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     )
     done("report")
     report.timings = timings
-    if failed_cells:
-        logger.warning("%d estimate cells failed: %s", len(failed_cells), failed_cells)
     return report

@@ -25,12 +25,18 @@ listed in two sections is counted in both blocks.  The outcome for a
 triple is the Euclidean distance between the p1 and p3 blocks of one
 category type.  A small open demonstration lexicon and grouping ship
 with the package; any file in the same format can be substituted.
+
+Each lexicon object memoizes the categories of every token form it has
+met, so a run, which loads its own lexicon, categorizes each distinct
+form once however many posts repeat it.  The grouping maps each
+category to its row columns once, when it is built.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping
@@ -59,6 +65,10 @@ class CategoryLexicon:
     categories: frozenset[str]
     exact: Mapping[str, frozenset[str]]
     prefixes: Mapping[str, frozenset[str]]
+    # token form -> its categories, filled by vectorize_post
+    _forms: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
 
 @dataclass(frozen=True)
@@ -66,6 +76,17 @@ class CategoryTypeGrouping:
     """Ordered category lists per category type."""
 
     lists: Mapping[CategoryType, tuple[str, ...]]
+    # category -> its columns in a category row, one per section listing it
+    _columns: dict[str, tuple[int, ...]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        column = 0
+        for ctype in CategoryType:
+            for cat in self.lists.get(ctype, ()):
+                self._columns[cat] = self._columns.get(cat, ()) + (column,)
+                column += 1
 
     def categories(self, category_type: CategoryType) -> tuple[str, ...]:
         try:
@@ -197,6 +218,11 @@ def default_grouping_path() -> Path:
     return Path(__file__).parent / "data" / "grouping.txt"
 
 
+# the result for a token no pattern matches: most forms match none, and
+# the lexicon memo keeps every result, so they share one set
+_NO_CATEGORIES: frozenset[str] = frozenset()
+
+
 def categorize_token(lexicon: CategoryLexicon, token: str) -> frozenset[str]:
     """All categories whose patterns match the token (union over matches)."""
     cats: set[str] = set()
@@ -209,7 +235,7 @@ def categorize_token(lexicon: CategoryLexicon, token: str) -> frozenset[str]:
             hit = prefixes.get(token[:end])
             if hit:
                 cats.update(hit)
-    return frozenset(cats)
+    return frozenset(cats) if cats else _NO_CATEGORIES
 
 
 def vectorize_post(
@@ -219,21 +245,23 @@ def vectorize_post(
 
     Tokens come from the surface tokenizer, which keeps stop words and
     surface forms because style categories live in exactly those words.
-    Each token is categorized once and counted in every column of its
-    categories.  A text with zero tokens yields the zero row.
+    Each distinct form is counted once and added to every column of its
+    categories; a form is categorized only the first time ``lexicon``
+    meets it.  A text with zero tokens yields the zero row.
     """
-    columns: dict[str, list[int]] = {}
-    for ctype in CategoryType:
-        start = grouping.columns(ctype).start
-        for offset, cat in enumerate(grouping.categories(ctype)):
-            columns.setdefault(cat, []).append(start + offset)
+    forms = lexicon._forms
+    columns = grouping._columns
     tokens = surface_tokenizer()(text)
-    row = np.zeros(grouping.width, dtype=float)
+    counts = [0] * grouping.width
+    for form, count in Counter(tokens).items():
+        cats = forms.get(form)
+        if cats is None:
+            cats = forms[form] = categorize_token(lexicon, form)
+        for cat in cats:
+            for col in columns.get(cat, ()):
+                counts[col] += count
+    row = np.array(counts, dtype=float)
     if tokens:
-        for token in tokens:
-            for cat in categorize_token(lexicon, token):
-                for col in columns.get(cat, ()):
-                    row[col] += 1.0
         row /= len(tokens)
     return row
 

@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -125,26 +126,33 @@ class Tokenizer:
 
     Lowercases, keeps alphabetic unigrams (internal apostrophes allowed),
     drops stop words from the configured list, and optionally lemmatizes.
+    Each raw form is normalized once per tokenizer object and memoized,
+    so every occurrence of a form yields the same string object.
     """
 
     stopwords: frozenset[str] = frozenset()
     lemmatize: bool = True
     exceptions: tuple[tuple[str, str], ...] = ()
     _table: dict[str, str] = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
+    # raw form -> its token, or "" for a dropped form (stop word, empty lemma)
+    _forms: dict[str, str] = field(
+        init=False, repr=False, compare=False, hash=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_table", dict(self.exceptions))
 
     def __call__(self, text: str) -> list[str]:
-        tokens = []
-        for token in _TOKEN_RE.findall(text.lower()):
-            if token in self.stopwords:
-                continue
-            if self.lemmatize:
-                token = lemmatize_token(token, self._table)
-            if token:
-                tokens.append(token)
-        return tokens
+        forms = self._forms
+        raws = _TOKEN_RE.findall(text.lower())
+        for raw in set(raws).difference(forms):
+            forms[raw] = self._normalize(raw)
+        return list(filter(None, map(forms.__getitem__, raws)))
+
+    def _normalize(self, raw: str) -> str:
+        if raw in self.stopwords:
+            return ""
+        return lemmatize_token(raw, self._table) if self.lemmatize else raw
 
     def fingerprint(self) -> str:
         """Stable digest of the configuration, used in cache keys."""
@@ -276,10 +284,10 @@ def build_dtm(
     indptr = [0]
     for toks in token_lists:
         row_counts: dict[int, int] = {}
-        for token in toks:
+        for token, count in Counter(toks).items():
             col = index.get(token)
             if col is not None:
-                row_counts[col] = row_counts.get(col, 0) + 1
+                row_counts[col] = count
         for col in sorted(row_counts):
             indices.append(col)
             data.append(row_counts[col])
@@ -473,7 +481,9 @@ def infer_theta_batch(
     """Posterior mean topic proportions for each count row, topics held fixed.
 
     Uses the fitted beta as the term distributions.  Rows with zero count
-    keep the symmetric prior and come out exactly uniform.
+    keep the symmetric prior and come out exactly uniform.  Rows still
+    moving by ``tol`` or more after ``max_iters`` sweeps keep their last
+    values, and one warning per call counts them.
     """
     counts = sparse.csr_matrix(counts).astype(float)
     if counts.shape[1] != model.beta.shape[1]:
@@ -495,6 +505,12 @@ def infer_theta_batch(
         change = np.abs(gamma_new - gamma).mean(axis=1)
         gamma[active] = gamma_new[active]
         active &= change >= tol
+    unconverged = int(active.sum())
+    if unconverged:
+        logger.warning(
+            "%d of %d rows did not converge within max_iters=%d",
+            unconverged, counts.shape[0], max_iters,
+        )
     return gamma / gamma.sum(axis=1, keepdims=True)
 
 

@@ -114,6 +114,32 @@ def test_malformed_annotation_records_skipped(tmp_path):
     assert any("[-5, 5]" in e for e in loaded.record_errors)
 
 
+@pytest.mark.parametrize("loader", ["posts", "annotations"])
+def test_non_utf8_line_skipped_by_line_number(tmp_path, loader):
+    post = {
+        "id": "p1", "discussion_id": "d", "debate_topic": "t",
+        "author": "a", "position": 0, "parent_id": None, "text": "café",
+    }
+    annotation = {
+        "quote_post_id": "p1", "response_post_id": "p2",
+        "reply_type": "nasty_nice", "mean_score": 2.0,
+    }
+    good = post if loader == "posts" else annotation
+    later = {**good, "id": "p2", "position": 1} if loader == "posts" else good
+    path = tmp_path / f"{loader}.jsonl"
+    path.write_bytes(
+        json.dumps(good, ensure_ascii=False).encode("utf-8") + b"\n"
+        + b'{"text": "caf\xe9"}\r\n'  # Latin-1, not UTF-8
+        + b"\xff\xfe\n"
+        + json.dumps(later, ensure_ascii=False).encode("utf-8") + b"\n"
+    )
+    loaded = (load_posts if loader == "posts" else load_annotations)(path)
+    assert len(loaded) == 2
+    assert loaded.record_errors == ("line 2: not valid UTF-8", "line 3: not valid UTF-8")
+    if loader == "posts":
+        assert [p.text for p in loaded] == ["café", "café"]
+
+
 def test_missing_files_raise(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_posts(tmp_path / "absent.jsonl")

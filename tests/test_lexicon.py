@@ -1,11 +1,15 @@
 """Category lexicon parsing, post category rows, and the distance outcome."""
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tonefx import lexicon as lexicon_module
 from tonefx.lexicon import (
     CategoryType,
     LexiconError,
@@ -14,6 +18,7 @@ from tonefx.lexicon import (
     load_lexicon,
     vectorize_post,
 )
+from tonefx.topics import _TOKEN_RE
 
 POSITIVE = (("posemo", "joy", "praise", "hope"))
 NEGATIVE = (("negemo", "anger", "sadness", "fear"))
@@ -122,6 +127,74 @@ def test_category_in_two_sections_counts_in_both_blocks(tmp_path):
     # 4 surface tokens: good, sure, not, sure
     row = vectorize_post(lexicon, grouping, "good sure, not sure")
     np.testing.assert_allclose(row, np.array([1, 2, 1, 1, 2]) / 4.0)
+
+
+@pytest.fixture(scope="module")
+def memo_lexicon_paths(tmp_path_factory):
+    """Exact and prefix patterns, overlapping ones, and ``negate`` in two sections."""
+    directory = tmp_path_factory.mktemp("memo-lexicon")
+    lex = directory / "lex.txt"
+    lex.write_text(
+        "good\tposemo\nsure\tcertainty\nnot\tnegate\nthe\tarticle\n"
+        "hap*\tposemo,joy\nhappy\tjoy\nun*\tnegate\ndon't\tnegate,article\n"
+    )
+    grp = directory / "grp.txt"
+    grp.write_text(
+        "[positive_sentiment]\nposemo\njoy\n"
+        "[negative_sentiment]\nnegate\n"
+        "[linguistic_style]\narticle\nnegate\ncertainty\n"
+    )
+    return lex, grp
+
+
+def _reference_row(lexicon, grouping, text: str) -> np.ndarray:
+    """The category row rebuilt one token occurrence at a time, with no memo."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    row = np.zeros(grouping.width)
+    for token in tokens:
+        for cat in categorize_token(lexicon, token):
+            for ctype in CategoryType:
+                block = grouping.categories(ctype)
+                if cat in block:
+                    row[grouping.columns(ctype).start + block.index(cat)] += 1.0
+    if tokens:
+        row /= len(tokens)
+    return row
+
+
+_WORDS = st.sampled_from(
+    ["good", "sure", "not", "the", "The", "happy", "happiness", "hap", "unsure", "un",
+     "don't", "zebra", "goodness", "a"]
+) | st.text(alphabet="adeghnopstuy'", max_size=7)
+_TEXTS = st.lists(
+    st.lists(_WORDS, max_size=15).map(lambda words: ", ".join(words)),
+    min_size=1, max_size=5,
+)
+
+
+@pytest.fixture(scope="module")
+def warm_lexicon(memo_lexicon_paths):
+    """One lexicon object whose memo carries over from example to example."""
+    return load_lexicon(*memo_lexicon_paths)
+
+
+@given(_TEXTS)
+def test_memoized_rows_match_per_token_reference(memo_lexicon_paths, warm_lexicon, texts):
+    texts = texts + texts[::-1]
+    forms = {form for text in texts for form in _TOKEN_RE.findall(text.lower())}
+    for lexicon, grouping in (load_lexicon(*memo_lexicon_paths), warm_lexicon):
+        expected = [_reference_row(lexicon, grouping, text) for text in texts]
+        with mock.patch.object(
+            lexicon_module, "categorize_token", wraps=categorize_token
+        ) as counted:
+            rows = [vectorize_post(lexicon, grouping, text) for text in texts]
+        # bit for bit: whole-number counts sum exactly in any order
+        assert [row.tobytes() for row in rows] == [row.tobytes() for row in expected]
+        # one lexicon object categorizes each form once, however often it recurs
+        calls = Counter(call.args[1] for call in counted.call_args_list)
+        assert all(n == 1 for n in calls.values())
+        if lexicon is not warm_lexicon[0]:
+            assert set(calls) == forms
 
 
 # --------------------------------------------------------------- outcome

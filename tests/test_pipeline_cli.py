@@ -17,7 +17,7 @@ from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAG
 from tonefx.harness.config import PipelineConfig
 from tonefx.harness.pipeline import PipelineError, run_pipeline
 from tonefx.harness.report import parse_report, render_report
-from tonefx.topics import Tokenizer, default_tokenizer
+from tonefx.topics import Tokenizer, default_tokenizer, load_model, save_model, surface_tokenizer
 
 from conftest import MINICORPUS
 
@@ -138,13 +138,19 @@ def test_pipeline_cache_disabled(tmp_path):
     run_pipeline(_config(tmp_path, use_cache=False, reply_types=("nasty_nice",),
                          category_types=("linguistic_style",)))
     assert not (tmp_path / "cache").exists()
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
+        "evolution.json", "gun-control.json",
+    ]
 
 
-def _count_featurization(monkeypatch) -> tuple[Counter, Counter]:
-    """Count tokenizer calls per (tokenizer, text) and vectorize_post calls per text."""
+def _count_featurization(monkeypatch) -> tuple[Counter, Counter, Counter]:
+    """Count tokenizer calls per (tokenizer, text), vectorize_post calls per
+    text and categorize_token calls per token form."""
     tokenized: Counter = Counter()
     vectorized: Counter = Counter()
+    categorized: Counter = Counter()
     tokenize, vectorize = Tokenizer.__call__, lexicon.vectorize_post
+    categorize = lexicon.categorize_token
 
     def counting_tokenize(self, text):
         tokenized[(self, text)] += 1
@@ -154,10 +160,15 @@ def _count_featurization(monkeypatch) -> tuple[Counter, Counter]:
         vectorized[args[2]] += 1  # (lexicon, grouping, text)
         return vectorize(*args)
 
+    def counting_categorize(lexicon_, token):
+        categorized[token] += 1
+        return categorize(lexicon_, token)
+
     monkeypatch.setattr(Tokenizer, "__call__", counting_tokenize)
     for module in (lexicon, pipeline):
         monkeypatch.setattr(module, "vectorize_post", counting_vectorize)
-    return tokenized, vectorized
+    monkeypatch.setattr(lexicon, "categorize_token", counting_categorize)
+    return tokenized, vectorized, categorized
 
 
 def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
@@ -169,14 +180,20 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         for reply_type in config.reply_types
         for triple in extract_triples(posts, annotations, reply_type)
     ]
-    tokenized, vectorized = _count_featurization(monkeypatch)
+    tokenized, vectorized, categorized = _count_featurization(monkeypatch)
     for cache in ("miss", "hit"):
         tokenized.clear()
         vectorized.clear()
+        categorized.clear()
         run_pipeline(config)
         assert max(tokenized.values()) == 1, cache
         assert max(vectorized.values()) == 1, cache
         assert set(vectorized) == {t.p1.text for t in triples} | {t.p3.text for t in triples}
+        # each run loads its own lexicon, which categorizes each surface form once
+        assert max(categorized.values()) == 1, cache
+        assert set(categorized) == {
+            form for text in vectorized for form in surface_tokenizer()(text)
+        }
         default_texts = {text for tok, text in tokenized if tok == default_tokenizer()}
         if cache == "miss":
             assert default_texts == {post.text for post in posts}
@@ -184,6 +201,36 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
             # the cached models need no tokens; the confounders read p1 and p2
             assert default_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
             assert len(default_texts) < len(posts)
+
+
+def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
+    config = _config(tmp_path, reply_types=("nasty_nice",),
+                     category_types=("linguistic_style",))
+    saved: list[Path] = []
+    save = pipeline.save_model
+
+    def counting_save(model, path):
+        saved.append(Path(path))
+        save(model, path)
+
+    monkeypatch.setattr(pipeline, "save_model", counting_save)
+    for cache in ("miss", "hit"):
+        saved.clear()
+        if cache == "hit":
+            for published in (tmp_path / "models").iterdir():
+                published.unlink()
+        run_pipeline(config)
+        # a miss serializes each model once, into the cache; a hit not at all
+        assert [path.parent.name for path in saved] == (
+            ["cache", "cache"] if cache == "miss" else []
+        )
+        entries = sorted((tmp_path / "cache").iterdir())
+        assert [entry.name.split("-")[1] for entry in entries] == ["evolution", "gun"]
+        for slug, entry in zip(("evolution", "gun-control"), entries):
+            published = (tmp_path / "models" / f"{slug}.json").read_bytes()
+            assert published == entry.read_bytes(), cache
+            save(load_model(entry), tmp_path / "resaved.json")
+            assert published == (tmp_path / "resaved.json").read_bytes(), cache
 
 
 def test_pipeline_parallel_matches_serial(tmp_path):
@@ -241,7 +288,7 @@ def test_cli_estimate_runs_clean(tmp_path, capsys):
     assert "nasty_nice" in stdout
 
 
-def test_cli_estimate_reports_failed_cells(tmp_path, capsys):
+def test_cli_estimate_reports_failed_cells(tmp_path):
     # one-arm annotations: every estimate cell fails but the run completes
     kept = [
         line for line in Path(ANNOTATIONS).read_text().splitlines()
@@ -250,7 +297,7 @@ def test_cli_estimate_reports_failed_cells(tmp_path, capsys):
     ]
     annotations = tmp_path / "annotations.jsonl"
     annotations.write_text("\n".join(kept) + "\n")
-    code = main([
+    done = _run_cli(
         "estimate",
         "--posts", POSTS,
         "--annotations", str(annotations),
@@ -259,11 +306,16 @@ def test_cli_estimate_reports_failed_cells(tmp_path, capsys):
         "--bootstrap-replicates", "0",
         "--reply-types", "nasty_nice",
         "--category-types", "linguistic_style",
-    ])
-    assert code == EXIT_INCOMPLETE
+    )
+    assert done.returncode == EXIT_INCOMPLETE, done.stderr
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert len(report["failed_cells"]) == 2
     assert any("share one treatment arm" in w for w in report["warnings"])
+    # the report's warnings block (on stdout) names each cell; stderr
+    # carries only the CLI's one summary line
+    assert done.stdout.count("share one treatment arm") == 2, done.stdout
+    assert "estimate cells failed" not in done.stderr
+    assert done.stderr.count("requested cells failed") == 1, done.stderr
 
 
 def test_cli_ingest_prints_counts(capsys):
@@ -272,6 +324,16 @@ def test_cli_ingest_prints_counts(capsys):
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "nasty_nice" in stdout and "48" in stdout
+
+
+def _run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, where logging's last-resort handler shows."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    command = [sys.executable, "-m", "tonefx.harness.cli", *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("verbose", [False, True])
@@ -285,16 +347,11 @@ def test_cli_ingest_prints_each_load_warning_once(tmp_path, verbose):
         Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
         encoding="utf-8",
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
-    )
-    command = [sys.executable, "-m", "tonefx.harness.cli"]
-    command += ["--verbose"] * verbose + [
+    done = _run_cli(
+        *["--verbose"] * verbose,
         "ingest", "--posts", str(posts), "--annotations", str(annotations),
         "--out-dir", str(tmp_path / "unused"), "--seed", "1",
-    ]
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    )
     assert done.returncode == EXIT_OK, done.stderr
     loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
     messages = [
@@ -315,18 +372,13 @@ def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
         Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
         encoding="utf-8",
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
-    )
     out_dir = tmp_path / "run"
-    command = [sys.executable, "-m", "tonefx.harness.cli"]
-    command += ["--verbose"] * verbose + [
+    done = _run_cli(
+        *["--verbose"] * verbose,
         "estimate", "--posts", str(posts), "--annotations", str(annotations),
         "--out-dir", str(out_dir), "--seed", "3", "--k", "4", "--folds", "8",
         "--bootstrap-replicates", "0", "--reply-types", "nasty_nice",
-    ]
-    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    )
     assert done.returncode == EXIT_OK, done.stderr
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
@@ -344,6 +396,27 @@ def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
     skipped_fold = "fold 4: test split lacks a treatment arm"
     assert not any(skipped_fold in warning for warning in report["warnings"])
     assert done.stderr.count(skipped_fold) == 2, done.stderr
+
+
+def test_cli_estimate_skips_non_utf8_lines(tmp_path):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_bytes(Path(POSTS).read_bytes() + b'{"id": "caf\xe9"}\n')
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_bytes(b"\xff\n" + Path(ANNOTATIONS).read_bytes())
+    out_dir = tmp_path / "run"
+    done = _run_cli(
+        "estimate", "--posts", str(posts), "--annotations", str(annotations),
+        "--out-dir", str(out_dir), "--seed", "3", "--k", "4", "--folds", "3",
+        "--bootstrap-replicates", "0", "--reply-types", "nasty_nice",
+        "--category-types", "linguistic_style",
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "Traceback" not in done.stderr
+    bad_post_line = len(Path(POSTS).read_bytes().splitlines()) + 1
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert f"posts: line {bad_post_line}: not valid UTF-8" in report["warnings"]
+    assert "annotations: line 1: not valid UTF-8" in report["warnings"]
+    assert report["triple_counts"]["nasty_nice"]["total"] == 48
 
 
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):

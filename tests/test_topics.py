@@ -1,5 +1,7 @@
 """Tokenization, vocabulary, and the variational topic model."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from tonefx.topics import (
+    _TOKEN_RE,
     LdaModel,
     TopicModelError,
     Tokenizer,
@@ -55,6 +58,45 @@ def test_surface_tokenizer_keeps_everything():
 )
 def test_lemmatizer_suffix_rules(token, base):
     assert lemmatize_token(token) == base
+
+
+def _reference_tokens(tokenizer: Tokenizer, text: str) -> list[str]:
+    """The tokenizer's output rebuilt one occurrence at a time, with no memo."""
+    table = dict(tokenizer.exceptions)
+    tokens = []
+    for raw in _TOKEN_RE.findall(text.lower()):
+        if raw in tokenizer.stopwords:
+            continue
+        token = lemmatize_token(raw, table) if tokenizer.lemmatize else raw
+        if token:
+            tokens.append(token)
+    return tokens
+
+
+_DEFAULT = default_tokenizer()
+_WORDS = st.sampled_from(
+    sorted(_DEFAULT.stopwords)[:15]
+    + sorted(dict(_DEFAULT.exceptions))[:15]
+    + ["running", "parties", "boxes", "classes", "hoped", "falling", "fired", "bus",
+       "is", "don't", "it's", "gone", "went", "the", "GUNS"]
+) | st.text(alphabet="abeginorst'", max_size=8)
+_TEXTS = st.lists(
+    st.lists(_WORDS, max_size=12).map(lambda words: " ".join(words) + "."),
+    min_size=1, max_size=5,
+)
+
+
+@given(_TEXTS)
+def test_memoized_tokenizer_matches_per_token_reference(texts):
+    # a fresh tokenizer starts with an empty memo; the shared ones carry
+    # theirs across examples; "gone" maps to an empty lemma and is dropped
+    fresh = Tokenizer(stopwords=frozenset({"the", "is"}), exceptions=(("gone", ""), ("went", "go")))
+    for tokenizer in (fresh, _DEFAULT, surface_tokenizer()):
+        outputs = [tokenizer(text) for text in texts + texts[::-1]]
+        assert outputs == [_reference_tokens(tokenizer, text) for text in texts + texts[::-1]]
+        # all occurrences of one raw form share one string object
+        raws = {raw for text in texts for raw in _TOKEN_RE.findall(text.lower())}
+        assert len({id(t) for tokens in outputs for t in tokens}) <= len(raws)
 
 
 def test_lemmatizer_exception_table_wins():
@@ -129,6 +171,18 @@ def test_build_dtm_counts_and_zero_rows():
     assert dense[0, vocab.index["courts"]] == 0
     assert dtm.zero_rows == (5,)
     assert dense[5].sum() == 0
+
+
+@given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=15), min_size=1, max_size=6))
+def test_build_dtm_matches_per_occurrence_count(docs):
+    vocab = Vocabulary(terms=("a", "c", "e"), document_frequency=np.full(3, 0.5))
+    dense = build_dtm(docs, vocab).counts.toarray()
+    expected = np.zeros((len(docs), 3), dtype=np.int64)
+    for i, doc in enumerate(docs):
+        for token in doc:
+            if token in vocab.index:
+                expected[i, vocab.index[token]] += 1
+    np.testing.assert_array_equal(dense, expected)
 
 
 # ------------------------------------------------------------ lda fitting
@@ -226,6 +280,25 @@ def test_infer_theta_zero_count_doc_is_uniform():
     model = fit_lda(dtm, k=4, seed=0, max_iters=20)
     theta = infer_theta_batch(model, np.zeros((1, 25)))
     np.testing.assert_array_equal(theta, np.full((1, 4), 0.25))
+
+
+def test_infer_theta_warns_once_on_unconverged_rows(caplog):
+    dtm = _random_dtm(seed=3)
+    model = fit_lda(dtm, k=3, seed=0, max_iters=20)
+    rows = dtm.counts.toarray()
+    with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
+        theta = infer_theta_batch(model, rows, max_iters=2)
+    assert type(theta) is np.ndarray and theta.shape == (40, 3)
+    messages = [r.getMessage() for r in caplog.records if r.name == "tonefx.topics"]
+    assert len(messages) == 1
+    unconverged = int(messages[0].split(" of ")[0])
+    assert 0 < unconverged <= 40
+    assert messages[0] == f"{unconverged} of 40 rows did not converge within max_iters=2"
+    caplog.clear()
+    # zero-count rows converge on the first sweep
+    with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
+        infer_theta_batch(model, np.zeros((2, 25)), max_iters=2)
+    assert not caplog.records
 
 
 def test_infer_theta_rejects_wrong_width():
