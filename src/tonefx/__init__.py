@@ -59,9 +59,7 @@ from .inference import (
     CvReport,
     InferenceError,
     OutcomeModel,
-    OutcomeStack,
     PropensityModel,
-    PropensityStack,
     build_confounder_matrix,
     cross_validate,
     f1_score,

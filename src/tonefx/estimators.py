@@ -132,13 +132,10 @@ def build_estimation_input(
     regularization: float = DEFAULT_REGULARIZATION,
     ridge: float = 0.0,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
-    seed: int = 0,
 ) -> EstimationInput:
     """Fit both nuisance models on the full sample and bundle their values."""
     features = np.asarray(features, dtype=float)
-    propensity_model = fit_propensity(
-        features, treatments, regularization=regularization, seed=seed
-    )
+    propensity_model = fit_propensity(features, treatments, regularization=regularization)
     scores = predict_propensity(propensity_model, features, clip_epsilon=clip_epsilon)
     model0, model1 = fit_outcome_models(features, treatments, outcomes, ridge=ridge)
     return EstimationInput(

@@ -176,14 +176,13 @@ def _cmd_inspect_topics(args: argparse.Namespace) -> int:
 def _cmd_crossval(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = run_pipeline(config, run_estimates=False)
+    # cross_validate logs each skipped fold, so stdout carries the scores only
     for cv in report.cv_reports:
         print(
             f"({cv.reply_type}, {cv.variant}) folds={cv.fold_count} "
             f"f1={cv.mean_f1:.3f} rmse_q0={cv.mean_rmse_q0:.4f} "
             f"rmse_q1={cv.mean_rmse_q1:.4f}"
         )
-        for skipped in cv.skipped_folds:
-            print(f"  {skipped}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -226,7 +226,6 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
         regularization=task.regularization,
         ridge=task.ridge,
         clip_epsilon=task.clip_epsilon,
-        seed=task.seed,
     )
     estimates = estimate_all(
         data,

@@ -153,21 +153,13 @@ class CorpusWorld:
 
 @dataclass(eq=False)
 class CorpusTruth:
-    """Ground truth shipped alongside a generated corpus.
-
-    ``stances``, ``treatments`` and ``potential_outcomes`` hold the
-    per-triple latent state, aligned with triple generation order, for
-    diagnosing estimator behavior against the truth.
-    """
+    """Ground truth shipped alongside a generated corpus."""
 
     true_ate: dict[str, float]
     n_triples: int
     n_treated: int
     reply_type: str
     seed: int
-    stances: tuple[float, ...] = ()
-    treatments: tuple[int, ...] = ()
-    potential_outcomes: dict[str, tuple[tuple[float, float], ...]] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -286,8 +278,6 @@ def generate_corpus(
     # category rows of each text1 and of both potential text3 arms
     rows1: list[np.ndarray] = []
     rows3: dict[int, list[np.ndarray]] = {0: [], 1: []}
-    stances: list[float] = []
-    treatments: list[int] = []
     n_treated = 0
     for i in range(n_triples):
         debate_topic = world.debate_topics[i % len(world.debate_topics)]
@@ -298,8 +288,6 @@ def generate_corpus(
         lean = (stance + 1.0) / 2.0
         treated = int(rng.random() < expit(world.stance_to_treatment * stance))
         n_treated += treated
-        stances.append(stance)
-        treatments.append(treated)
 
         rate1 = world.base_rate + world.rate_slope * lean
         gap = {
@@ -338,14 +326,12 @@ def generate_corpus(
 
     p1_rows = np.array(rows1)
     true_ate: dict[str, float] = {}
-    potentials: dict[str, tuple[tuple[float, float], ...]] = {}
     for ctype in CategoryType:
         columns = grouping.columns(ctype)
         y0, y1 = (
             compute_outcome(p1_rows[:, columns], np.array(rows3[t])[:, columns]) for t in (0, 1)
         )
         true_ate[ctype.value] = float(np.mean(y1 - y0))
-        potentials[ctype.value] = tuple(zip(y0.tolist(), y1.tolist()))
 
     write_posts(posts, out_dir / "posts.jsonl")
     write_annotations(annotations, out_dir / "annotations.jsonl")
@@ -355,9 +341,6 @@ def generate_corpus(
         n_treated=n_treated,
         reply_type=world.reply_type.value,
         seed=seed,
-        stances=tuple(stances),
-        treatments=tuple(treatments),
-        potential_outcomes=potentials,
     )
     (out_dir / "truth.json").write_text(
         json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -23,14 +23,17 @@ Both nuisance fits work on a stack of samples at once, shape
 (samples, n, d): ``fit_propensity_stack`` and ``fit_outcome_stack`` run
 one Newton iteration and one least-squares solve for every sample of
 the stack, with stacked matrix products and solves, and each sample's
-fit is the one it would get alone.  ``fit_propensity`` and
-``fit_outcome_models`` are the one-sample case, used for full-sample
-fits and cross-validation folds; the bootstrap refits whole stacks of
-resamples.
+fit is the one it would get alone.  They return the same model types as
+the one-sample fits, with a leading sample axis on every field (arm,
+then sample, for outcomes).  ``fit_propensity`` and
+``fit_outcome_models`` return sample 0 of a stack of one, used for
+full-sample fits and cross-validation folds; the bootstrap refits whole
+stacks of resamples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -209,7 +212,7 @@ def _solve(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return _lstsq(matrices, vectors, matrices.shape[-1])[0]
 
 
-def _linear_predictor(model, features: np.ndarray) -> np.ndarray:
+def _linear_predictor(model: _LinearModel, features: np.ndarray) -> np.ndarray:
     """Intercept plus standardized features times weights.
 
     A stacked model, with leading axes on every field, scores a checked
@@ -255,18 +258,17 @@ def logistic_loss_and_grad(
 
 
 @dataclass(eq=False)
-class PropensityModel:
-    """Logistic treatment model in standardized feature space."""
+class _LinearModel:
+    """Weights and intercept in a feature space standardized by the stored statistics.
+
+    A stacked fit has leading axes on every field, and the properties
+    keep them.
+    """
 
     weights: np.ndarray
-    intercept: float
-    regularization: float
+    intercept: float | np.ndarray
     feature_means: np.ndarray
     feature_scales: np.ndarray
-    iterations: int
-    gradient_norm: float
-    loss: float
-    seed: int = 0
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -274,28 +276,45 @@ class PropensityModel:
         return self.weights / self.feature_scales
 
     @property
-    def intercept_raw(self) -> float:
-        return float(self.intercept - np.sum(self.weights * self.feature_means / self.feature_scales))
+    def intercept_raw(self) -> float | np.ndarray:
+        shift = np.sum(self.weights * self.feature_means / self.feature_scales, axis=-1)
+        return self.intercept - shift
 
 
 @dataclass(eq=False)
-class PropensityStack:
-    """Logistic treatment models of a stack of samples, one row per sample.
+class PropensityModel(_LinearModel):
+    """Logistic treatment model, one per sample of a stacked fit.
 
-    Each sample has its own standardization.  ``stalled`` marks the fits
-    whose line search failed; ``converged`` those whose gradient norm
-    fell below the tolerance.
+    Each sample has its own standardization.  ``stalled`` marks a fit
+    whose line search failed; ``converged`` one whose gradient norm fell
+    below the tolerance.
     """
 
-    weights: np.ndarray
-    intercept: np.ndarray
-    feature_means: np.ndarray
-    feature_scales: np.ndarray
-    iterations: np.ndarray
-    gradient_norm: np.ndarray
-    loss: np.ndarray
-    stalled: np.ndarray
-    converged: np.ndarray
+    iterations: int | np.ndarray
+    gradient_norm: float | np.ndarray
+    loss: float | np.ndarray
+    stalled: bool | np.ndarray
+    converged: bool | np.ndarray
+
+
+@dataclass(eq=False)
+class OutcomeModel(_LinearModel):
+    """Linear outcome model of one arm; a stacked fit is indexed by arm, then sample.
+
+    Predictions of a stacked fit on a (samples, n, d) feature stack have
+    shape (2, samples, n) and unpack into q0 and q1.
+    """
+
+    n_train: int | np.ndarray
+
+
+def _sample(model: _LinearModel, index: int | tuple[int, ...]) -> _LinearModel:
+    """One fit of a stacked model, its scalar fields as Python scalars."""
+    fields = {}
+    for field in dataclasses.fields(model):
+        value = getattr(model, field.name)[index]
+        fields[field.name] = value.item() if np.ndim(value) == 0 else value
+    return type(model)(**fields)
 
 
 def fit_propensity_stack(
@@ -304,7 +323,7 @@ def fit_propensity_stack(
     regularization: float = DEFAULT_REGULARIZATION,
     max_iters: int = 100,
     tol: float = 1e-8,
-) -> PropensityStack:
+) -> PropensityModel:
     """Fit one treatment model per sample of a (samples, n, d) stack.
 
     Every sample runs its own damped Newton iteration and stops when its
@@ -364,7 +383,7 @@ def fit_propensity_stack(
             scale[pending] *= 0.5
         stalled[active[pending]] = True
         grad_norm[active] = np.linalg.norm(grad[active], axis=-1)
-    return PropensityStack(
+    return PropensityModel(
         weights=params[:, 1:],
         intercept=params[:, 0],
         feature_means=means,
@@ -383,18 +402,16 @@ def fit_propensity(
     regularization: float = DEFAULT_REGULARIZATION,
     max_iters: int = 100,
     tol: float = 1e-8,
-    seed: int = 0,
 ) -> PropensityModel:
     """Fit the treatment model by damped Newton iteration.
 
-    This is ``fit_propensity_stack`` on a stack of one sample.  It
-    converges when the gradient norm drops below ``tol``.  The penalty
-    keeps the Hessian positive definite, and a halving line search guards
-    the occasional overshoot, so the fit is deterministic and never
-    requires randomness (``seed`` is recorded for provenance only).  If
-    the line search finds no step that lowers the loss enough, the fit
-    stops at the last accepted parameters and reports itself unconverged
-    (``gradient_norm >= tol``).
+    Returns sample 0 of ``fit_propensity_stack`` on a stack of one
+    sample.  It converges when the gradient norm drops below ``tol``.
+    The penalty keeps the Hessian positive definite, and a halving line
+    search guards the occasional overshoot, so the fit is deterministic
+    and never requires randomness.  If the line search finds no step that
+    lowers the loss enough, the fit stops at the last accepted parameters
+    and reports itself unconverged (``gradient_norm >= tol``).
     """
     matrix = as_feature_matrix(features)
     stack = fit_propensity_stack(
@@ -404,40 +421,30 @@ def fit_propensity(
         max_iters=max_iters,
         tol=tol,
     )
-    iterations, grad_norm = int(stack.iterations[0]), float(stack.gradient_norm[0])
-    if stack.stalled[0]:
+    model = _sample(stack, 0)
+    if model.stalled:
         logger.warning(
             "propensity fit stopped after %d iterations: line search failed "
             "with gradient norm %.2e",
-            iterations, grad_norm,
+            model.iterations, model.gradient_norm,
         )
-    elif not stack.converged[0]:
+    elif not model.converged:
         logger.warning(
             "propensity fit stopped at iteration cap %d with gradient norm %.2e",
-            max_iters, grad_norm,
+            max_iters, model.gradient_norm,
         )
-    return PropensityModel(
-        weights=stack.weights[0],
-        intercept=float(stack.intercept[0]),
-        regularization=regularization,
-        feature_means=stack.feature_means[0],
-        feature_scales=stack.feature_scales[0],
-        iterations=iterations,
-        gradient_norm=grad_norm,
-        loss=float(stack.loss[0]),
-        seed=seed,
-    )
+    return model
 
 
 def predict_propensity(
-    model: PropensityModel | PropensityStack,
+    model: PropensityModel,
     features: np.ndarray,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
 ) -> np.ndarray:
     """Treated probability per row, clipped into [clip_epsilon, 1 - clip_epsilon].
 
-    A ``PropensityStack`` scores a (samples, n, d) feature stack and
-    returns (samples, n) probabilities.
+    A stacked model scores a (samples, n, d) feature stack and returns
+    (samples, n) probabilities.
     """
     if not 0.0 <= clip_epsilon < 0.5:
         raise InferenceError(f"clip_epsilon must lie in [0, 0.5), got {clip_epsilon!r}")
@@ -445,46 +452,8 @@ def predict_propensity(
     return np.clip(raw, clip_epsilon, 1.0 - clip_epsilon)
 
 
-@dataclass(eq=False)
-class OutcomeModel:
-    """Per-arm linear outcome model in standardized feature space."""
-
-    arm: int
-    weights: np.ndarray
-    intercept: float
-    feature_means: np.ndarray
-    feature_scales: np.ndarray
-    ridge: float
-    n_train: int
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Weights in the original (unstandardized) feature space."""
-        return self.weights / self.feature_scales
-
-    @property
-    def intercept_raw(self) -> float:
-        return float(self.intercept - np.sum(self.weights * self.feature_means / self.feature_scales))
-
-
-@dataclass(eq=False)
-class OutcomeStack:
-    """Both arms' linear outcome models of a stack of samples.
-
-    Every array field is indexed by arm, then by sample, so predictions
-    on a (samples, n, d) feature stack have shape (2, samples, n) and
-    unpack into q0 and q1.
-    """
-
-    weights: np.ndarray
-    intercept: np.ndarray
-    feature_means: np.ndarray
-    feature_scales: np.ndarray
-    n_train: np.ndarray
-
-
-def predict_outcome(model: OutcomeModel | OutcomeStack, features: np.ndarray) -> np.ndarray:
-    """Predicted outcome per row; an ``OutcomeStack`` scores a feature stack for both arms."""
+def predict_outcome(model: OutcomeModel, features: np.ndarray) -> np.ndarray:
+    """Predicted outcome per row; a stacked model scores a feature stack for both arms."""
     return _linear_predictor(model, features)
 
 
@@ -493,7 +462,7 @@ def fit_outcome_stack(
     treatments: np.ndarray,
     outcomes: np.ndarray,
     ridge: float = 0.0,
-) -> OutcomeStack:
+) -> OutcomeModel:
     """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares on every sample of a stack.
 
     Each arm of each sample is standardized over its own rows; the rows
@@ -535,7 +504,7 @@ def fit_outcome_stack(
                 f"({counts[arm, sample]} units, rank {rank[arm, sample]} of {p}); "
                 "pass ridge > 0 to regularize"
             )
-    return OutcomeStack(
+    return OutcomeModel(
         weights=solution[..., 1:],
         intercept=solution[..., 0],
         feature_means=means,
@@ -552,8 +521,8 @@ def fit_outcome_models(
 ) -> tuple[OutcomeModel, OutcomeModel]:
     """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares.
 
-    This is ``fit_outcome_stack`` on a stack of one sample.  Returns
-    (arm 0 model, arm 1 model).
+    Returns arm 0 and arm 1 of sample 0 of ``fit_outcome_stack`` on a
+    stack of one sample.
     """
     matrix = as_feature_matrix(features)
     stack = fit_outcome_stack(
@@ -562,40 +531,18 @@ def fit_outcome_models(
         np.asarray(outcomes, dtype=float)[np.newaxis],
         ridge=ridge,
     )
-    model0, model1 = (
-        OutcomeModel(
-            arm=arm,
-            weights=stack.weights[arm, 0],
-            intercept=float(stack.intercept[arm, 0]),
-            feature_means=stack.feature_means[arm, 0],
-            feature_scales=stack.feature_scales[arm, 0],
-            ridge=ridge,
-            n_train=int(stack.n_train[arm, 0]),
-        )
-        for arm in (0, 1)
-    )
-    return model0, model1
+    return _sample(stack, (0, 0)), _sample(stack, (1, 0))
 
 
-def f1_score(
-    truth: np.ndarray, predictions: np.ndarray, average: str = "binary"
-) -> float:
-    """F1 of the positive class, or the unweighted two-class mean ("macro")."""
-
-    def binary(t: np.ndarray, p: np.ndarray) -> float:
-        tp = float(np.sum((t == 1) & (p == 1)))
-        fp = float(np.sum((t == 0) & (p == 1)))
-        fn = float(np.sum((t == 1) & (p == 0)))
-        denominator = 2 * tp + fp + fn
-        return 2 * tp / denominator if denominator > 0 else 0.0
-
+def f1_score(truth: np.ndarray, predictions: np.ndarray) -> float:
+    """F1 of the positive class; 0.0 when there is no positive truth or prediction."""
     truth = np.asarray(truth)
     predictions = np.asarray(predictions)
-    if average == "binary":
-        return binary(truth, predictions)
-    if average == "macro":
-        return 0.5 * (binary(truth, predictions) + binary(1 - truth, 1 - predictions))
-    raise InferenceError(f"unknown F1 average {average!r}")
+    tp = float(np.sum((truth == 1) & (predictions == 1)))
+    fp = float(np.sum((truth == 0) & (predictions == 1)))
+    fn = float(np.sum((truth == 1) & (predictions == 0)))
+    denominator = 2 * tp + fp + fn
+    return 2 * tp / denominator if denominator > 0 else 0.0
 
 
 @dataclass(eq=False)
@@ -633,7 +580,6 @@ def cross_validate(
     regularization: float = DEFAULT_REGULARIZATION,
     ridge: float = 0.0,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
-    f1_average: str = "binary",
     reply_type: str | None = None,
     variant: str | None = None,
     category_type: str | None = None,
@@ -671,11 +617,9 @@ def cross_validate(
         if len(np.unique(t_test)) < 2:
             skipped.append(f"fold {fold_index}: test split lacks a treatment arm")
             continue
-        propensity = fit_propensity(
-            matrix[train_idx], t_train, regularization=regularization, seed=seed
-        )
+        propensity = fit_propensity(matrix[train_idx], t_train, regularization=regularization)
         scores = predict_propensity(propensity, matrix[test_idx], clip_epsilon=clip_epsilon)
-        f1s.append(f1_score(t_test, (scores >= 0.5).astype(int), average=f1_average))
+        f1s.append(f1_score(t_test, (scores >= 0.5).astype(int)))
         model0, model1 = fit_outcome_models(
             matrix[train_idx], t_train, y[train_idx], ridge=ridge
         )

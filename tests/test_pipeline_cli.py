@@ -398,6 +398,18 @@ def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
     assert done.stderr.count(skipped_fold) == 2, done.stderr
 
 
+def test_cli_crossval_prints_each_skipped_fold_once(tmp_path):
+    # logging's last-resort handler only shows in a child process
+    done = _run_cli(
+        "crossval", "--posts", POSTS, "--annotations", ANNOTATIONS,
+        "--out-dir", str(tmp_path), "--seed", "3", "--k", "4", "--folds", "8",
+        "--reply-types", "nasty_nice",
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    # one log line per confounder variant
+    assert done.stderr.count("fold 4: test split lacks a treatment arm") == 2, done.stderr
+
+
 def test_cli_estimate_skips_non_utf8_lines(tmp_path):
     posts = tmp_path / "posts.jsonl"
     posts.write_bytes(Path(POSTS).read_bytes() + b'{"id": "caf\xe9"}\n')
@@ -510,3 +522,19 @@ def test_cli_unknown_flag_exits_two():
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_USAGE, EXIT_RUNTIME, EXIT_INCOMPLETE}) == 4
+
+
+def test_readme_library_snippet_runs(tmp_path, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    for old, new in (
+        ('"corpus/posts.jsonl"', repr(POSTS)),
+        ('"corpus/annotations.jsonl"', repr(ANNOTATIONS)),
+        ('"run"', repr(str(tmp_path))),
+        ("k=6,", "k=6, bootstrap_replicates=20,"),
+    ):
+        assert snippet.count(old) == 1, old
+        snippet = snippet.replace(old, new)
+    exec(compile(snippet, "README.md", "exec"), {})
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert capsys.readouterr().out.count("\n") == len(report["estimates"]) > 0
