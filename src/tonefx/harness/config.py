@@ -7,14 +7,19 @@ must produce identical reports, so anything that can change a number
 lives here, including the seed, which is mandatory.
 
 Configs load from JSON files; command line flags override file values
-field by field.
+field by field.  Every field is checked against its annotation in one
+place: a bool is not a number, a string is not a list, and an enum field
+takes only one of its values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import typing
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -66,29 +71,18 @@ class PipelineConfig:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = _typed(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
+            object.__setattr__(self, f.name, value)
         object.__setattr__(
             self, "lexicon_path", self.lexicon_path or str(default_lexicon_path())
         )
         object.__setattr__(
             self, "grouping_path", self.grouping_path or str(default_grouping_path())
         )
-        object.__setattr__(self, "reply_types", tuple(ReplyType(r) for r in self.reply_types))
-        object.__setattr__(
-            self, "category_types", tuple(CategoryType(c) for c in self.category_types)
-        )
-        object.__setattr__(
-            self,
-            "confounder_variants",
-            tuple(ConfounderVariant(v) for v in self.confounder_variants),
-        )
-        object.__setattr__(self, "estimators", tuple(Estimator(e) for e in self.estimators))
-        object.__setattr__(self, "aipw_variant", AipwVariant(self.aipw_variant))
-        object.__setattr__(self, "cv_category_type", CategoryType(self.cv_category_type))
         self.validate()
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if not 0.0 <= self.min_df < self.max_df <= 1.0:
@@ -121,8 +115,38 @@ class PipelineConfig:
         return out
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
+_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
+_FIELD_NAMES = set(_FIELD_TYPES)
 _REQUIRED = ("posts_path", "annotations_path", "out_dir", "seed")
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def _typed(name: str, value: Any, annotation: Any) -> Any:
+    """``value`` checked against a field annotation, enum values converted to members.
+
+    A tuple field takes a list or tuple; a float field takes an int as
+    well, but no field that wants a number takes a bool.
+    """
+    if typing.get_origin(annotation) is tuple:
+        member = typing.get_args(annotation)[0]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(
+                f"{name} must be a list of {member.__name__} values, got {value!r}"
+            )
+        return tuple(_typed(name, item, member) for item in value)
+    if issubclass(annotation, Enum):
+        try:
+            return annotation(value)
+        except (ValueError, TypeError):
+            choices = ", ".join(repr(m.value) for m in annotation)
+            raise ConfigError(f"{name}: {value!r} is not one of {choices}") from None
+    if annotation is float:
+        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    else:
+        ok = isinstance(value, annotation)
+    if not ok or (isinstance(value, bool) and annotation is not bool):
+        raise ConfigError(f"{name} must be {_KINDS[annotation]}, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = None) -> PipelineConfig:

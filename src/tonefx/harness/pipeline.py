@@ -18,9 +18,10 @@ it is serialized into out_dir/models directly).
 Each post's default-tokenizer tokens and its category row are computed
 at most once per run, on first use, and shared by the topics, outcomes
 and confounders stages; with cached topic models, posts outside the
-triples are never tokenized.  The tokenizer and the run's lexicon also
-memoize each distinct token form, so a form is lemmatized once per
-tokenizer and categorized once per run.
+triples are never tokenized.  Each run creates its own default
+tokenizer and loads its own lexicon, which holds its own surface
+tokenizer; they memoize each distinct token form, so a form is
+lemmatized and categorized once per run, and no memo outlives its run.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from ..lexicon import (
 )
 from ..topics import (
     LdaModel,
+    Tokenizer,
     TopicModelError,
     build_dtm,
     build_vocabulary,
@@ -126,30 +128,21 @@ class PostFeatures(dict):
         return value
 
 
-def token_table(posts: PostCollection) -> PostFeatures:
-    """Default-tokenizer tokens of each post, tokenized on first lookup.
-
-    The tokenizer memoizes each raw form, so all lists share one string
-    per raw form.
-    """
-    return PostFeatures(posts, default_tokenizer())
-
-
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
+    tokenizer: Tokenizer,
     post_tokens: Mapping[str, Sequence[str]],
     warnings: list[str],
 ) -> dict[str, LdaModel]:
     """Fit or load from cache one topic model per debate topic.
 
-    ``post_tokens`` holds each post's default-tokenizer tokens; only a
-    cache miss reads it.  Every model is also published under
-    out_dir/models, as a copy of its cache entry when the cache is on;
-    problems that do not stop the run (an unreadable cache entry) go to
-    ``warnings``.
+    ``post_tokens`` holds each post's ``tokenizer`` tokens; only a cache
+    miss reads it, and the tokenizer's fingerprint keys the cache.  Every
+    model is also published under out_dir/models, as a copy of its cache
+    entry when the cache is on; problems that do not stop the run (an
+    unreadable cache entry) go to ``warnings``.
     """
-    tokenizer = default_tokenizer()
     cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
@@ -282,7 +275,9 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     warnings += [f"posts: {e}" for e in posts.record_errors]
     warnings += [f"posts: {w}" for w in posts.warnings]
     warnings += [f"annotations: {e}" for e in annotations.record_errors]
-    post_tokens = token_table(posts)
+    # one tokenizer per run bounds its memo to this run's forms
+    tokenizer = default_tokenizer()
+    post_tokens = PostFeatures(posts, tokenizer)
     category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
     done("load")
 
@@ -304,7 +299,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     # topics
     stage("topics")
     try:
-        models = fit_topic_models(config, posts, post_tokens, warnings)
+        models = fit_topic_models(config, posts, tokenizer, post_tokens, warnings)
     except TopicModelError as exc:
         raise PipelineError("topics", str(exc)) from exc
     done("topics")

@@ -26,10 +26,11 @@ triple is the Euclidean distance between the p1 and p3 blocks of one
 category type.  A small open demonstration lexicon and grouping ship
 with the package; any file in the same format can be substituted.
 
-Each lexicon object memoizes the categories of every token form it has
-met, so a run, which loads its own lexicon, categorizes each distinct
-form once however many posts repeat it.  The grouping maps each
-category to its row columns once, when it is built.
+Each lexicon object holds its own surface tokenizer and memoizes the
+categories of every token form it has met, so a run, which loads its own
+lexicon, tokenizes each raw form and categorizes each distinct form once
+however many posts repeat it, and neither memo outlives the run.  The
+grouping maps each category to its row columns once, when it is built.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .topics import surface_tokenizer
+from .topics import Tokenizer, surface_tokenizer
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +69,10 @@ class CategoryLexicon:
     # token form -> its categories, filled by vectorize_post
     _forms: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
+    )
+    # the tokenizer of vectorize_post, whose raw-form memo lives as long as the lexicon
+    _tokenizer: Tokenizer = field(
+        init=False, repr=False, compare=False, default_factory=surface_tokenizer
     )
 
 
@@ -243,15 +248,16 @@ def vectorize_post(
 ) -> np.ndarray:
     """Category row of one text: relative frequencies for all three types.
 
-    Tokens come from the surface tokenizer, which keeps stop words and
-    surface forms because style categories live in exactly those words.
+    Tokens come from the lexicon's surface tokenizer, which keeps stop
+    words and surface forms because style categories live in exactly
+    those words.
     Each distinct form is counted once and added to every column of its
     categories; a form is categorized only the first time ``lexicon``
     meets it.  A text with zero tokens yields the zero row.
     """
     forms = lexicon._forms
     columns = grouping._columns
-    tokens = surface_tokenizer()(text)
+    tokens = lexicon._tokenizer(text)
     counts = [0] * grouping.width
     for form, count in Counter(tokens).items():
         cats = forms.get(form)

@@ -26,7 +26,6 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -167,9 +166,12 @@ class Tokenizer:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@lru_cache(maxsize=1)
 def default_tokenizer() -> Tokenizer:
-    """Tokenizer with the shipped stop-word list and exception table."""
+    """A new tokenizer with the shipped stop-word list and exception table.
+
+    Each call returns a tokenizer with an empty memo, so a caller that
+    creates one per run keeps the memo to that run's forms.
+    """
     data_dir = Path(__file__).parent / "data"
     return Tokenizer(
         stopwords=load_wordlist(data_dir / "stopwords.txt"),
@@ -178,9 +180,12 @@ def default_tokenizer() -> Tokenizer:
     )
 
 
-@lru_cache(maxsize=1)
 def surface_tokenizer() -> Tokenizer:
-    """Tokenizer that keeps stop words and surface forms (lexicon counting)."""
+    """A new tokenizer that keeps stop words and surface forms (lexicon counting).
+
+    Each call returns a tokenizer with an empty memo; every
+    ``CategoryLexicon`` holds its own.
+    """
     return Tokenizer(stopwords=frozenset(), lemmatize=False)
 
 
@@ -341,30 +346,69 @@ def _dirichlet_expectation(x: np.ndarray) -> np.ndarray:
     return psi(x) - psi(x.sum(axis=1))[:, np.newaxis]
 
 
-def _nonzeros(counts: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
-    return rows, counts.indices, counts.data.astype(float)
+@dataclass(eq=False)
+class _Nonzeros:
+    """The nonzero entries of one count matrix, indexed once per fit or inference call.
+
+    ``vals`` holds the counts as floats in CSR order.  ``product`` is the
+    row-major (n_docs, n_terms) buffer that every sweep writes its dense
+    normalizer product into, and ``flat`` holds each entry's position in
+    it, so the responsibility normalizers are gathered with one ``take``.
+    ``ratio`` shares the count matrix's ``indices`` and ``indptr``; every
+    ``_gamma_sweep`` overwrites its data with count / normalizer, so it
+    holds the ratios of the latest sweep.
+    """
+
+    vals: np.ndarray
+    flat: np.ndarray
+    product: np.ndarray
+    ratio: sparse.csr_matrix
+
+
+def _nonzeros(counts: sparse.csr_matrix) -> _Nonzeros:
+    n_docs, n_terms = counts.shape
+    rows = np.repeat(np.arange(n_docs), np.diff(counts.indptr))
+    vals = counts.data.astype(float)
+    ratio = sparse.csr_matrix(
+        (np.empty_like(vals), counts.indices, counts.indptr), shape=counts.shape
+    )
+    return _Nonzeros(
+        vals=vals,
+        flat=rows * n_terms + counts.indices,
+        product=np.empty(counts.shape),
+        ratio=ratio,
+    )
 
 
 def _gamma_sweep(
     gamma: np.ndarray,
-    counts: sparse.csr_matrix,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
+    nonzeros: _Nonzeros,
     exp_elog_beta: np.ndarray,
+    exp_elog_beta_t: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One exact update of responsibilities and per-post Dirichlet parameters.
 
-    Returns the new gamma, the exp E[log theta] it was computed from, and
-    the per-entry responsibility normalizers.
+    ``exp_elog_beta_t`` is ``exp_elog_beta.T`` made C-contiguous by the
+    caller, once for all sweeps that share it.  Returns the new gamma,
+    the exp E[log theta] it was computed from, and the per-entry
+    responsibility normalizers; the ratios count / normalizer are left in
+    ``nonzeros.ratio``.  The arithmetic and its order are fixed, so a
+    sweep gives the same bits for the same inputs at a fixed BLAS thread
+    count; a different thread count may move the dense product in its
+    last bits.
     """
-    exp_elog_theta = np.exp(_dirichlet_expectation(gamma))
+    exp_elog_theta = _dirichlet_expectation(gamma)
+    np.exp(exp_elog_theta, out=exp_elog_theta)
     # normalizer of the token responsibilities at every nonzero (post, term)
-    pnorm = (exp_elog_theta @ exp_elog_beta)[rows, cols] + 1e-100
-    ratio = sparse.csr_matrix((vals / pnorm, cols, counts.indptr), shape=counts.shape)
-    gamma_new = alpha + exp_elog_theta * (ratio @ exp_elog_beta.T)
+    product = np.matmul(exp_elog_theta, exp_elog_beta, out=nonzeros.product)
+    pnorm = product.take(nonzeros.flat)
+    pnorm += 1e-100
+    ratio = nonzeros.ratio
+    np.divide(nonzeros.vals, pnorm, out=ratio.data)
+    gamma_new = ratio @ exp_elog_beta_t
+    gamma_new *= exp_elog_theta
+    gamma_new += alpha
     return gamma_new, exp_elog_theta, pnorm
 
 
@@ -404,7 +448,7 @@ def fit_lda(
 
     alpha = float(alpha_prior)
     eta = float(gamma_prior)
-    rows, cols, vals = _nonzeros(counts)
+    nonzeros = _nonzeros(counts)
     doc_totals = np.asarray(counts.sum(axis=1)).ravel()
 
     rng = np.random.default_rng(seed)
@@ -415,10 +459,11 @@ def fit_lda(
     for sweep in range(max_iters):
         elog_beta = _dirichlet_expectation(lam)
         exp_elog_beta = np.exp(elog_beta)
+        exp_elog_beta_t = np.ascontiguousarray(exp_elog_beta.T)
 
         for _ in range(e_step_max_iters):
             gamma_new, _, _ = _gamma_sweep(
-                gamma, counts, rows, cols, vals, exp_elog_beta, alpha
+                gamma, nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
             )
             change = float(np.abs(gamma_new - gamma).mean())
             gamma = gamma_new
@@ -428,13 +473,12 @@ def fit_lda(
         # final responsibilities consistent with the converged gamma; they
         # feed both the topic statistics and the bound
         _, exp_elog_theta, pnorm = _gamma_sweep(
-            gamma, counts, rows, cols, vals, exp_elog_beta, alpha
+            gamma, nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
         )
-        ratio = sparse.csr_matrix((vals / pnorm, cols, counts.indptr), shape=counts.shape)
-        sstats = exp_elog_beta * (ratio.T @ exp_elog_theta).T
+        sstats = exp_elog_beta * (nonzeros.ratio.T @ exp_elog_theta).T
 
         elog_theta = _dirichlet_expectation(gamma)
-        bound = float(np.sum(vals * np.log(pnorm)))
+        bound = float(np.sum(nonzeros.vals * np.log(pnorm)))
         bound += float(np.sum((alpha - gamma) * elog_theta))
         bound += float(np.sum(gammaln(gamma)) - np.sum(gammaln(gamma.sum(axis=1))))
         bound += n_docs * float(gammaln(k * alpha) - k * gammaln(alpha))
@@ -483,17 +527,22 @@ def infer_theta_batch(
     Uses the fitted beta as the term distributions.  Rows with zero count
     keep the symmetric prior and come out exactly uniform.  Rows still
     moving by ``tol`` or more after ``max_iters`` sweeps keep their last
-    values, and one warning per call counts them.
+    values, and one warning per call counts them.  The nonzero index and
+    the transposed beta are built once per call and shared by its sweeps.
+    Results are bit-for-bit reproducible at a fixed BLAS thread count; a
+    different count may move them in their last bits, because the dense
+    sweep product is then split differently.
     """
     counts = sparse.csr_matrix(counts).astype(float)
     if counts.shape[1] != model.beta.shape[1]:
         raise TopicModelError(
             f"count row has {counts.shape[1]} terms, model expects {model.beta.shape[1]}"
         )
-    rows, cols, vals = _nonzeros(counts)
+    nonzeros = _nonzeros(counts)
     doc_totals = np.asarray(counts.sum(axis=1)).ravel()
     alpha = model.alpha_prior
     beta = np.maximum(model.beta, 1e-300)
+    beta_t = np.ascontiguousarray(beta.T)
     gamma = np.full((counts.shape[0], model.k), alpha) + doc_totals[:, np.newaxis] / model.k
     # freeze each row at its own convergence so results do not depend on
     # which other documents share the batch
@@ -501,7 +550,7 @@ def infer_theta_batch(
     for _ in range(max_iters):
         if not active.any():
             break
-        gamma_new, _, _ = _gamma_sweep(gamma, counts, rows, cols, vals, beta, alpha)
+        gamma_new, _, _ = _gamma_sweep(gamma, nonzeros, beta, beta_t, alpha)
         change = np.abs(gamma_new - gamma).mean(axis=1)
         gamma[active] = gamma_new[active]
         active &= change >= tol

@@ -69,6 +69,12 @@ def test_config_defaults_frozen():
         ({"jobs": 0}, "jobs"),
         ({"reply_types": ()}, "reply_types"),
         ({"seed": "seven"}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"k": 4.0}, "k"),
+        ({"min_df": float("nan")}, "min_df"),
+        ({"bootstrap_refit": 0}, "bootstrap_refit"),
+        ({"estimators": "q"}, "estimators"),
+        ({"aipw_variant": "robust"}, "aipw_variant"),
     ],
 )
 def test_config_validation_rejects(overrides, message):

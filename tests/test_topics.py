@@ -4,16 +4,20 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from scipy.special import gammaln
 
 from tonefx.topics import (
     _TOKEN_RE,
+    DEFAULT_GAMMA_PRIOR,
     LdaModel,
     TopicModelError,
     Tokenizer,
     Vocabulary,
+    _dirichlet_expectation,
     build_dtm,
     build_vocabulary,
     default_tokenizer,
@@ -74,6 +78,7 @@ def _reference_tokens(tokenizer: Tokenizer, text: str) -> list[str]:
 
 
 _DEFAULT = default_tokenizer()
+_SURFACE = surface_tokenizer()
 _WORDS = st.sampled_from(
     sorted(_DEFAULT.stopwords)[:15]
     + sorted(dict(_DEFAULT.exceptions))[:15]
@@ -88,15 +93,25 @@ _TEXTS = st.lists(
 
 @given(_TEXTS)
 def test_memoized_tokenizer_matches_per_token_reference(texts):
-    # a fresh tokenizer starts with an empty memo; the shared ones carry
-    # theirs across examples; "gone" maps to an empty lemma and is dropped
+    # a fresh tokenizer starts with an empty memo; the module-level ones
+    # carry theirs across examples; "gone" maps to an empty lemma and is dropped
     fresh = Tokenizer(stopwords=frozenset({"the", "is"}), exceptions=(("gone", ""), ("went", "go")))
-    for tokenizer in (fresh, _DEFAULT, surface_tokenizer()):
+    for tokenizer in (fresh, _DEFAULT, _SURFACE):
         outputs = [tokenizer(text) for text in texts + texts[::-1]]
         assert outputs == [_reference_tokens(tokenizer, text) for text in texts + texts[::-1]]
         # all occurrences of one raw form share one string object
         raws = {raw for text in texts for raw in _TOKEN_RE.findall(text.lower())}
         assert len({id(t) for tokens in outputs for t in tokens}) <= len(raws)
+
+
+@pytest.mark.parametrize("make", [default_tokenizer, surface_tokenizer])
+def test_tokenizer_factories_return_fresh_memos(make):
+    # a run creates its own, so no memo outlives the run that filled it
+    first = make()
+    assert first("Guns and more guns") and first._forms
+    second = make()
+    assert second == first and second is not first
+    assert second._forms == {}
 
 
 def test_lemmatizer_exception_table_wins():
@@ -325,6 +340,99 @@ _PROPERTY_MODEL = fit_lda(_dtm_from_counts(
         document_frequency=np.full(25, 0.5),
     ),
 ), k=3, seed=0, max_iters=20)
+
+
+# ----------------------------------------------- reference sweep, bit for bit
+
+
+def _reference_sweep(gamma, counts, exp_elog_beta, alpha):
+    """One sweep written out directly: the dense normalizer product, a
+    [rows, cols] gather and a fresh CSR ratio matrix on every call."""
+    rows = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    exp_elog_theta = np.exp(_dirichlet_expectation(gamma))
+    pnorm = (exp_elog_theta @ exp_elog_beta)[rows, counts.indices] + 1e-100
+    ratio = sparse.csr_matrix((counts.data / pnorm, counts.indices, counts.indptr), shape=counts.shape)
+    return alpha + exp_elog_theta * (ratio @ exp_elog_beta.T), exp_elog_theta, pnorm, ratio
+
+
+def _reference_fit(counts, k, seed, max_iters, tol=1e-4, e_step_max_iters=100, e_step_tol=1e-3):
+    """fit_lda's beta and ELBO trace, from _reference_sweep."""
+    counts = sparse.csr_matrix(counts, dtype=float)
+    n_docs, n_terms = counts.shape
+    alpha, eta = 1.0 / k, DEFAULT_GAMMA_PRIOR
+    lam = np.random.default_rng(seed).gamma(100.0, 0.01, (k, n_terms))
+    gamma = np.full((n_docs, k), alpha) + np.asarray(counts.sum(axis=1)) / k
+    trace = []
+    for _ in range(max_iters):
+        elog_beta = _dirichlet_expectation(lam)
+        exp_elog_beta = np.exp(elog_beta)
+        for _ in range(e_step_max_iters):
+            gamma_new = _reference_sweep(gamma, counts, exp_elog_beta, alpha)[0]
+            change = float(np.abs(gamma_new - gamma).mean())
+            gamma = gamma_new
+            if change < e_step_tol:
+                break
+        _, exp_elog_theta, pnorm, ratio = _reference_sweep(gamma, counts, exp_elog_beta, alpha)
+        sstats = exp_elog_beta * (ratio.T @ exp_elog_theta).T
+        elog_theta = _dirichlet_expectation(gamma)
+        bound = float(np.sum(counts.data * np.log(pnorm)))
+        bound += float(np.sum((alpha - gamma) * elog_theta))
+        bound += float(np.sum(gammaln(gamma)) - np.sum(gammaln(gamma.sum(axis=1))))
+        bound += n_docs * float(gammaln(k * alpha) - k * gammaln(alpha))
+        bound += float(np.sum((eta - lam) * elog_beta))
+        bound += float(np.sum(gammaln(lam)) - np.sum(gammaln(lam.sum(axis=1))))
+        bound += k * float(gammaln(n_terms * eta) - n_terms * gammaln(eta))
+        converged = bool(trace) and abs(bound - trace[-1]) < tol * abs(trace[-1])
+        trace.append(bound)
+        lam = eta + sstats
+        if converged:
+            break
+    return lam / lam.sum(axis=1, keepdims=True), tuple(trace)
+
+
+def _reference_theta(model, counts, max_iters=200, tol=1e-6):
+    """infer_theta_batch's output, from _reference_sweep."""
+    counts = sparse.csr_matrix(counts, dtype=float)
+    alpha = model.alpha_prior
+    beta = np.maximum(model.beta, 1e-300)
+    gamma = np.full((counts.shape[0], model.k), alpha) + np.asarray(counts.sum(axis=1)) / model.k
+    active = np.ones(counts.shape[0], dtype=bool)
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        gamma_new = _reference_sweep(gamma, counts, beta, alpha)[0]
+        change = np.abs(gamma_new - gamma).mean(axis=1)
+        gamma[active] = gamma_new[active]
+        active &= change >= tol
+    return gamma / gamma.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def _sparse_counts(draw):
+    """A count matrix with at least one zero row, one unused column and one token."""
+    shape = (draw(st.integers(2, 12)), draw(st.integers(3, 16)))
+    counts = draw(arrays(np.int64, shape, elements=st.sampled_from([0, 0, 0, 1, 2, 7])))
+    counts[draw(st.integers(0, shape[0] - 1))] = 0
+    counts[:, draw(st.integers(0, shape[1] - 1))] = 0
+    assume(counts.sum() > 0)
+    return counts
+
+
+@settings(deadline=None, max_examples=30)
+@given(_sparse_counts(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+def test_sweeps_match_reference_bit_for_bit(counts, k, seed):
+    vocab = Vocabulary(
+        terms=tuple(f"w{i:02d}" for i in range(counts.shape[1])),
+        document_frequency=np.full(counts.shape[1], 0.5),
+    )
+    model = fit_lda(_dtm_from_counts(counts, vocab), k=k, seed=seed, max_iters=8)
+    beta, trace = _reference_fit(counts, k, seed, max_iters=8)
+    assert np.array_equal(model.beta, beta)
+    assert model.elbo_trace == trace
+    # back to back: inference right after the fit on the same counts, then
+    # a second inference with the same model, each against a fresh call
+    for rows in (counts, counts[::-1, :]):
+        assert np.array_equal(infer_theta_batch(model, rows), _reference_theta(model, rows))
 
 
 # ------------------------------------------------------------ persistence
