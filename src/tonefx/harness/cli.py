@@ -32,9 +32,9 @@ from ..corpus import (
 from ..estimators import EstimationError
 from ..inference import InferenceError
 from ..lexicon import LexiconError
-from ..topics import TopicModelError, default_tokenizer, load_model, top_words
+from ..topics import TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
-from .pipeline import PipelineError, PostFeatures, fit_topic_models, run_pipeline
+from .pipeline import PipelineError, fit_topic_models, run_pipeline, token_table
 from .report import ReportError, parse_report, render_report, triple_summary
 from .synthetic import CorpusWorld, SyntheticError, generate_corpus
 
@@ -153,8 +153,7 @@ def _cmd_fit_topics(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     warnings: list[str] = []
-    tokenizer = default_tokenizer()
-    models = fit_topic_models(config, posts, tokenizer, PostFeatures(posts, tokenizer), warnings)
+    models = fit_topic_models(config, posts, token_table(posts), warnings)
     for warning in warnings:
         print(warning, file=sys.stderr)
     for debate_topic, model in sorted(models.items()):

@@ -71,15 +71,16 @@ class PipelineConfig:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = _typed(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
-            object.__setattr__(self, f.name, value)
+        # an empty or null path means the shipped file
         object.__setattr__(
             self, "lexicon_path", self.lexicon_path or str(default_lexicon_path())
         )
         object.__setattr__(
             self, "grouping_path", self.grouping_path or str(default_grouping_path())
         )
+        for f in dataclasses.fields(self):
+            value = _typed(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
+            object.__setattr__(self, f.name, value)
         self.validate()
 
     def validate(self) -> None:

@@ -66,7 +66,6 @@ from ..lexicon import (
 )
 from ..topics import (
     LdaModel,
-    Tokenizer,
     TopicModelError,
     build_dtm,
     build_vocabulary,
@@ -128,28 +127,37 @@ class PostFeatures(dict):
         return value
 
 
+def token_table(posts: PostCollection) -> PostFeatures:
+    """Default-tokenizer tokens of each post, tokenized on first lookup.
+
+    Each table has its own tokenizer, whose raw-form memo lives as long
+    as the table, so all lists share one string per raw form.
+    """
+    return PostFeatures(posts, default_tokenizer())
+
+
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
-    tokenizer: Tokenizer,
     post_tokens: Mapping[str, Sequence[str]],
     warnings: list[str],
 ) -> dict[str, LdaModel]:
     """Fit or load from cache one topic model per debate topic.
 
-    ``post_tokens`` holds each post's ``tokenizer`` tokens; only a cache
-    miss reads it, and the tokenizer's fingerprint keys the cache.  Every
-    model is also published under out_dir/models, as a copy of its cache
-    entry when the cache is on; problems that do not stop the run (an
-    unreadable cache entry) go to ``warnings``.
+    ``post_tokens`` holds each post's default-tokenizer tokens; only a
+    cache miss reads it.  Every model is also published under
+    out_dir/models, as a copy of its cache entry when the cache is on;
+    problems that do not stop the run (an unreadable cache entry) go to
+    ``warnings``.
     """
+    fingerprint = default_tokenizer().fingerprint()
     cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     models: dict[str, LdaModel] = {}
     for debate_topic in posts.debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
-        key = _topic_cache_key(config, subset, tokenizer.fingerprint())
+        key = _topic_cache_key(config, subset, fingerprint)
         cache_path = cache_dir / f"lda-{_slug(debate_topic)}-{key[:16]}.json"
         model_path = models_dir / f"{_slug(debate_topic)}.json"
         model: LdaModel | None = None
@@ -275,9 +283,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     warnings += [f"posts: {e}" for e in posts.record_errors]
     warnings += [f"posts: {w}" for w in posts.warnings]
     warnings += [f"annotations: {e}" for e in annotations.record_errors]
-    # one tokenizer per run bounds its memo to this run's forms
-    tokenizer = default_tokenizer()
-    post_tokens = PostFeatures(posts, tokenizer)
+    post_tokens = token_table(posts)
     category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
     done("load")
 
@@ -299,7 +305,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     # topics
     stage("topics")
     try:
-        models = fit_topic_models(config, posts, tokenizer, post_tokens, warnings)
+        models = fit_topic_models(config, posts, post_tokens, warnings)
     except TopicModelError as exc:
         raise PipelineError("topics", str(exc)) from exc
     done("topics")

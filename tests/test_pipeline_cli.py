@@ -447,29 +447,18 @@ def test_cli_bad_config_file(tmp_path, capsys):
     assert main(["estimate", "--config", str(config)]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("bootstrap_replicates", 2.5),
-        ("seed", True),
-        ("folds", "5"),
-        ("clip_epsilon", "a"),
-        ("reply_types", "nasty_nice"),
-        ("reply_types", ["nasty"]),
-        ("use_cache", 1),
-    ],
-)
-def test_cli_rejects_mistyped_config_field(tmp_path, field, value):
-    # a child process shows what a user sees: the exit code and stderr
+def test_cli_rejects_mistyped_config_field(tmp_path):
+    # a child process shows what a user sees: the exit code and stderr;
+    # test_report.py checks each field's message in-process
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "posts_path": POSTS, "annotations_path": ANNOTATIONS,
-        "out_dir": str(tmp_path / "run"), "seed": 1, field: value,
+        "out_dir": str(tmp_path / "run"), "seed": 1, "bootstrap_replicates": 2.5,
     }))
     done = _run_cli("estimate", "--config", str(config))
     assert done.returncode == EXIT_USAGE, done.stderr
     assert "Traceback" not in done.stderr
-    assert done.stderr.startswith(f"error: {field}"), done.stderr
+    assert done.stderr.startswith("error: bootstrap_replicates"), done.stderr
     assert not (tmp_path / "run").exists()
 
 

@@ -58,6 +58,13 @@ def test_config_defaults_frozen():
     assert Path(config.lexicon_path).name == "lexicon.txt"
 
 
+def test_config_null_paths_take_shipped_files():
+    # a config file's "lexicon_path": null means the shipped lexicon, as "" does
+    config = _minimal(lexicon_path=None, grouping_path=None)
+    assert config == _minimal()
+    assert Path(config.grouping_path).name == "grouping.txt"
+
+
 @pytest.mark.parametrize(
     "overrides,message",
     [
@@ -75,6 +82,12 @@ def test_config_defaults_frozen():
         ({"bootstrap_refit": 0}, "bootstrap_refit"),
         ({"estimators": "q"}, "estimators"),
         ({"aipw_variant": "robust"}, "aipw_variant"),
+        ({"bootstrap_replicates": 2.5}, "bootstrap_replicates"),
+        ({"folds": "5"}, "folds"),
+        ({"clip_epsilon": "a"}, "clip_epsilon"),
+        ({"reply_types": "nasty_nice"}, "reply_types"),
+        ({"reply_types": ["nasty"]}, "reply_types"),
+        ({"use_cache": 1}, "use_cache"),
     ],
 )
 def test_config_validation_rejects(overrides, message):
