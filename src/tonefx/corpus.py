@@ -201,8 +201,8 @@ def load_posts(path: str | Path) -> PostCollection:
     ``record_errors`` with their line number.  A duplicate post id is
     fatal because identity is load-bearing downstream.  A parent_id that
     does not resolve to an earlier post in the same discussion yields a
-    warning and the parent is treated as absent.  Record errors and
-    warnings are also logged, once each, at WARNING level.
+    message in ``warnings`` and the parent is treated as absent.  Nothing
+    is logged: the collection is the only record of these events.
     """
     path = Path(path)
     if not path.exists():
@@ -275,10 +275,6 @@ def load_posts(path: str | Path) -> PostCollection:
                 f"post {post.id!r}: parent {post.parent_id!r} is not an earlier post "
                 "in the same discussion, treated as absent"
             )
-    for message in errors:
-        logger.warning("skipped post record: %s", message)
-    for message in warnings:
-        logger.warning("%s", message)
     return PostCollection(posts=tuple(posts), record_errors=tuple(errors), warnings=tuple(warnings))
 
 
@@ -299,8 +295,7 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
 
     Malformed records (lines that are not valid UTF-8, bad JSON, missing
     or invalid fields) are skipped.  Each is reported in
-    ``record_errors`` with its line number and logged once at WARNING
-    level.
+    ``record_errors`` with its line number, and not logged.
     """
     path = Path(path)
     if not path.exists():
@@ -345,8 +340,6 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
             )
         )
 
-    for message in errors:
-        logger.warning("skipped annotation record: %s", message)
     return AnnotationCollection(annotations=tuple(annotations), record_errors=tuple(errors))
 
 

@@ -274,12 +274,12 @@ def bootstrap_se(
     ``estimator`` is one ``Estimator`` or a sequence of them.  Replicate
     ``i`` draws its resample from ``default_rng([seed, i])``.  A resample
     that lands entirely in one arm is redrawn up to ``max_redraws`` times
-    and then skipped (skips are counted and logged once per call).  With
-    ``refit``, and when any requested estimator uses the nuisances, the
-    propensity and outcome models are refit on every usable resample and
-    every requested estimator is scored from that one fit; otherwise the
-    stored per-unit nuisance values are reused, which is cheaper but
-    ignores nuisance variability.  Resamples are fit and scored in
+    and then skipped; the result's ``skipped`` counts the skips, which
+    are not logged.  With ``refit``, and when any requested estimator
+    uses the nuisances, the propensity and outcome models are refit on
+    every usable resample and every requested estimator is scored from
+    that one fit; otherwise the stored per-unit nuisance values are
+    reused, which is cheaper but ignores nuisance variability.  Resamples are fit and scored in
     chunks of ``CHUNK_BYTES``, each chunk as one stack; a replicate's
     value depends neither on the chunk it lands in nor on
     ``replicates``, and each estimator's values equal those of a call
@@ -325,25 +325,18 @@ def bootstrap_se(
         replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
         for e, values in estimates.items():
             values.append(point_estimate(replicate, e, aipw_variant=aipw_variant))
-    names = ", ".join(e.value for e in requested)
-    skipped = replicates - used
-    if skipped:
-        logger.warning(
-            "bootstrap for %s skipped %d of %d replicates (single-arm resamples)",
-            names, skipped, replicates,
-        )
     if unconverged:
         logger.warning(
             "bootstrap for %s: %d of %d propensity refits ended unconverged "
             "(failed line search or iteration cap)",
-            names, unconverged, used,
+            ", ".join(e.value for e in requested), unconverged, used,
         )
     if used < 2:
         raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
     return BootstrapResult(
         estimates={e: np.concatenate(values) for e, values in estimates.items()},
         replicates_requested=replicates,
-        skipped=skipped,
+        skipped=replicates - used,
     )
 
 

@@ -22,6 +22,7 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from ..corpus import (
     CorpusError,
@@ -34,8 +35,8 @@ from ..inference import InferenceError
 from ..lexicon import LexiconError
 from ..topics import TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
-from .pipeline import PipelineError, fit_topic_models, run_pipeline, token_table
-from .report import ReportError, parse_report, render_report, triple_summary
+from .pipeline import PipelineError, fit_topic_models, load_warnings, run_pipeline, token_table
+from .report import ReportError, RunReport, parse_report, render_report, triple_summary
 from .synthetic import CorpusWorld, SyntheticError, generate_corpus
 
 EXIT_OK = 0
@@ -132,14 +133,27 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return config_from_dict(overrides)
 
 
+def _print_stderr(lines: Iterable[str]) -> None:
+    for line in lines:
+        print(line, file=sys.stderr)
+
+
+def _print_skipped_folds(report: RunReport) -> None:
+    _print_stderr(
+        f"cross-validation ({cv.reply_type}, {cv.variant}): {message}"
+        for cv in report.cv_reports
+        for message in cv.skipped_folds
+    )
+
+
 def _cmd_ingest(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     annotations = load_annotations(config.annotations_path)
+    _print_stderr(load_warnings(posts, annotations))
     print(f"posts: {len(posts)} across {len(posts.discussion_ids)} discussions")
     print(f"debate topics: {', '.join(posts.debate_topics)}")
     print(f"annotations: {len(annotations)}")
-    # the loaders log every skipped record and parent-link warning
     for reply_type in config.reply_types:
         counts = triple_summary(extract_triples(posts, annotations, reply_type))
         print(
@@ -152,10 +166,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 def _cmd_fit_topics(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
+    _print_stderr(load_warnings(posts, None))
     warnings: list[str] = []
     models = fit_topic_models(config, posts, token_table(posts), warnings)
-    for warning in warnings:
-        print(warning, file=sys.stderr)
+    _print_stderr(warnings)
     for debate_topic, model in sorted(models.items()):
         print(
             f"{debate_topic}: k={model.k}, vocabulary={len(model.vocabulary)}, "
@@ -176,7 +190,8 @@ def _cmd_inspect_topics(args: argparse.Namespace) -> int:
 def _cmd_crossval(args: argparse.Namespace) -> int:
     config = _build_config(args)
     report = run_pipeline(config, run_estimates=False)
-    # cross_validate logs each skipped fold, so stdout carries the scores only
+    _print_stderr(report.warnings)
+    _print_skipped_folds(report)
     for cv in report.cv_reports:
         print(
             f"({cv.reply_type}, {cv.variant}) folds={cv.fold_count} "
@@ -186,36 +201,11 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _HeldRecords(logging.Handler):
-    """Keeps the warnings of the logger it is attached to instead of printing them."""
-
-    def __init__(self) -> None:
-        super().__init__(logging.WARNING)
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        self.records.append(record)
-
-
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    # the report's warnings block lists every warning the corpus loaders
-    # log, so without --verbose they are printed there only; a run that
-    # fails prints no report, and then they go to stderr after all
-    corpus_logger = logging.getLogger("tonefx.corpus")
-    held = _HeldRecords()
-    if not args.verbose:
-        corpus_logger.addHandler(held)
-        corpus_logger.propagate = False
-    try:
-        report = run_pipeline(config)
-    except BaseException:
-        for record in held.records:
-            print(record.getMessage(), file=sys.stderr)
-        raise
-    finally:
-        corpus_logger.removeHandler(held)
-        corpus_logger.propagate = True
+    report = run_pipeline(config)
+    # the table's warnings block shows the report's warnings
+    _print_skipped_folds(report)
     print(render_report(report, "table"), end="")
     print(f"\nreport files written under {config.out_dir}")
     if report.failed_cells:
@@ -309,6 +299,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PipelineError, TopicModelError, InferenceError, EstimationError) as exc:
+        # a failed run writes no report, so its warnings go to stderr
+        if isinstance(exc, PipelineError):
+            _print_stderr(exc.warnings)
         print(f"error: {exc}", file=sys.stderr)
         # a missing input file is the caller's mistake, not a runtime failure
         if isinstance(exc.__cause__, FileNotFoundError):

@@ -40,6 +40,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..corpus import (
+    AnnotationCollection,
     CorpusError,
     PostCollection,
     Triple,
@@ -84,11 +85,28 @@ MODEL_CACHE_VERSION = "1"
 
 
 class PipelineError(RuntimeError):
-    """A pipeline stage failed; the message names the stage."""
+    """A pipeline stage failed; the message names the stage.
 
-    def __init__(self, stage: str, message: str):
+    ``warnings`` holds the run's warnings up to the failure, since no
+    report carries them.
+    """
+
+    def __init__(self, stage: str, message: str, warnings: Sequence[str] = ()):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
+        self.warnings = tuple(warnings)
+
+
+def load_warnings(
+    posts: PostCollection | None, annotations: AnnotationCollection | None
+) -> list[str]:
+    """One line per skipped record and unresolved parent, named by its file."""
+    lines: list[str] = []
+    if posts is not None:
+        lines += [f"posts: {message}" for message in (*posts.record_errors, *posts.warnings)]
+    if annotations is not None:
+        lines += [f"annotations: {message}" for message in annotations.record_errors]
+    return lines
 
 
 def _slug(text: str) -> str:
@@ -203,41 +221,36 @@ def _cell_seed(seed: int, reply_type: str, category_type: str, variant: str) -> 
 class _CellTask:
     """Everything one estimate cell needs, picklable for worker processes."""
 
+    config: PipelineConfig
     reply_type: str
     category_type: str
     variant: str
     features: np.ndarray
     treatments: np.ndarray
     outcomes: np.ndarray
-    estimators: tuple[str, ...]
-    aipw_variant: str
-    regularization: float
-    ridge: float
-    clip_epsilon: float
-    bootstrap_replicates: int
-    bootstrap_refit: bool
     seed: int
 
 
 def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
+    config = task.config
     data = build_estimation_input(
         task.features,
         task.treatments,
         task.outcomes,
-        regularization=task.regularization,
-        ridge=task.ridge,
-        clip_epsilon=task.clip_epsilon,
+        regularization=config.regularization,
+        ridge=config.outcome_ridge,
+        clip_epsilon=config.clip_epsilon,
     )
     estimates = estimate_all(
         data,
-        task.estimators,
-        aipw_variant=task.aipw_variant,
-        bootstrap_replicates=task.bootstrap_replicates,
+        config.estimators,
+        aipw_variant=config.aipw_variant,
+        bootstrap_replicates=config.bootstrap_replicates,
         seed=task.seed,
-        refit=task.bootstrap_refit,
-        regularization=task.regularization,
-        ridge=task.ridge,
-        clip_epsilon=task.clip_epsilon,
+        refit=config.bootstrap_refit,
+        regularization=config.regularization,
+        ridge=config.outcome_ridge,
+        clip_epsilon=config.clip_epsilon,
         reply_type=task.reply_type,
         category_type=task.category_type,
         confounder_variant=task.variant,
@@ -249,7 +262,7 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
     if skipped:
         warnings.append(
             f"cell ({task.reply_type}, {task.category_type}, {task.variant}): "
-            f"{skipped} of {task.bootstrap_replicates} bootstrap replicates skipped"
+            f"{skipped} of {config.bootstrap_replicates} bootstrap replicates skipped"
         )
     return estimates, warnings
 
@@ -274,15 +287,14 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
 
     # load
     stage("load")
+    posts = annotations = None
     try:
         posts = load_posts(config.posts_path)
         annotations = load_annotations(config.annotations_path)
         lexicon, grouping = load_lexicon(config.lexicon_path, config.grouping_path)
     except (CorpusError, LexiconError, OSError) as exc:
-        raise PipelineError("load", str(exc)) from exc
-    warnings += [f"posts: {e}" for e in posts.record_errors]
-    warnings += [f"posts: {w}" for w in posts.warnings]
-    warnings += [f"annotations: {e}" for e in annotations.record_errors]
+        raise PipelineError("load", str(exc), load_warnings(posts, annotations)) from exc
+    warnings += load_warnings(posts, annotations)
     post_tokens = token_table(posts)
     category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
     done("load")
@@ -299,7 +311,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                 f"no triples for reply type {reply_type.value!r}; its cells are skipped"
             )
     if not triples_by_reply:
-        raise PipelineError("triples", "no reply type yielded any triples")
+        raise PipelineError("triples", "no reply type yielded any triples", warnings)
     done("triples")
 
     # topics
@@ -307,7 +319,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     try:
         models = fit_topic_models(config, posts, post_tokens, warnings)
     except TopicModelError as exc:
-        raise PipelineError("topics", str(exc)) from exc
+        raise PipelineError("topics", str(exc), warnings) from exc
     done("topics")
 
     # outcomes
@@ -341,7 +353,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                 )
                 confounders[(reply_value, variant.value)] = matrix
     except InferenceError as exc:
-        raise PipelineError("confounders", str(exc)) from exc
+        raise PipelineError("confounders", str(exc), warnings) from exc
     done("confounders")
 
     # crossval
@@ -387,19 +399,13 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             for variant in config.confounder_variants:
                 tasks.append(
                     _CellTask(
+                        config=config,
                         reply_type=reply_value,
                         category_type=category_type.value,
                         variant=variant.value,
                         features=confounders[(reply_value, variant.value)],
                         treatments=treatments,
                         outcomes=outcomes[(reply_value, category_type.value)],
-                        estimators=tuple(e.value for e in config.estimators),
-                        aipw_variant=config.aipw_variant.value,
-                        regularization=config.regularization,
-                        ridge=config.outcome_ridge,
-                        clip_epsilon=config.clip_epsilon,
-                        bootstrap_replicates=config.bootstrap_replicates,
-                        bootstrap_refit=config.bootstrap_refit,
                         seed=_cell_seed(
                             config.seed, reply_value, category_type.value, variant.value
                         ),
@@ -455,6 +461,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         topic_top_words=topic_top_words,
         warnings=warnings,
         failed_cells=failed_cells,
+        # the same dict, so the report stage's own time lands here too
         timings=timings,
     )
     (out_dir / "report.json").write_text(
@@ -465,5 +472,4 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         render_report(report, "delimited"), encoding="utf-8"
     )
     done("report")
-    report.timings = timings
     return report

@@ -588,9 +588,9 @@ def cross_validate(
 
     Folds are a random partition from the seed.  Per fold, the propensity
     model's F1 (threshold 0.5) and each arm's held-out RMSE are recorded.
-    A fold whose training or test split lacks an arm is skipped with a
-    reason; if every fold is skipped, the split is unusable and that is
-    an error.
+    A fold whose training or test split lacks an arm is skipped, and its
+    reason goes to ``skipped_folds`` (it is not logged); if every fold is
+    skipped, the split is unusable and that is an error.
     """
     matrix = as_feature_matrix(features)
     t = np.asarray(treatments)
@@ -631,8 +631,6 @@ def cross_validate(
         raise InferenceError(
             "every fold was skipped: " + "; ".join(skipped) if skipped else "no folds ran"
         )
-    for message in skipped:
-        logger.warning("%s", message)
     return CvReport(
         fold_count=len(f1s),
         rmse_q1=tuple(rmse_q1),

@@ -283,7 +283,8 @@ def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
     data = _random_input(3, n=60)
     with caplog.at_level("WARNING", logger=estimators.logger.name):
         together = bootstrap_se(data, list(Estimator), replicates=20, seed=5)
-    assert len(caplog.records) == 1
+    # the result is the one channel for skips
+    assert not caplog.records
     assert together.skipped > 0
     with pytest.raises(EstimationError, match="one estimator"):
         together.standard_error

@@ -2,13 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonefx import lexicon
 from tonefx.corpus import extract_triples, load_annotations, load_posts
@@ -257,8 +261,22 @@ def test_pipeline_no_triples_at_all_is_fatal(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     config = _config(tmp_path, annotations_path=str(empty))
-    with pytest.raises(PipelineError, match="stage 'triples'"):
+    with pytest.raises(PipelineError, match="stage 'triples'") as excinfo:
         run_pipeline(config)
+    # no report is written, so the error carries the run's warnings
+    assert excinfo.value.warnings[0] == (
+        "posts: post 'post0201': parent 'no-such-post' not found, treated as absent"
+    )
+    assert len(excinfo.value.warnings) == 1 + len(config.reply_types)
+
+
+def test_pipeline_load_failure_carries_the_posts_warnings(tmp_path):
+    config = _config(tmp_path, annotations_path=str(tmp_path / "absent.jsonl"))
+    with pytest.raises(PipelineError, match="stage 'load'") as excinfo:
+        run_pipeline(config)
+    assert excinfo.value.warnings == (
+        "posts: post 'post0201': parent 'no-such-post' not found, treated as absent",
+    )
 
 
 # ---------------------------------------------------------------------- cli
@@ -326,52 +344,77 @@ def test_cli_ingest_prints_counts(capsys):
     assert "nasty_nice" in stdout and "48" in stdout
 
 
-def _run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a child process, where logging's last-resort handler shows."""
+def _run_cli(*args: str, patch: str | None = None) -> subprocess.CompletedProcess:
+    """Run the CLI in a child process, where logging's last-resort handler shows.
+
+    ``patch`` is Python source that the child runs before the CLI.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
     )
-    command = [sys.executable, "-m", "tonefx.harness.cli", *args]
+    if patch is None:
+        command = [sys.executable, "-m", "tonefx.harness.cli", *args]
+    else:
+        run_main = "import sys\nfrom tonefx.harness.cli import main\nsys.exit(main())\n"
+        command = [sys.executable, "-c", patch + "\n" + run_main, *args]
     return subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+
+
+def _corpus_with_bad_records(tmp_path) -> tuple[Path, Path, list[str]]:
+    """Minicorpus copies with one bad record each, and the messages of every
+    skipped record and unresolved parent."""
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(Path(POSTS).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text(
+        Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
+        encoding="utf-8",
+    )
+    loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
+    messages = [
+        *loaded_posts.record_errors, *loaded_posts.warnings, *loaded_annotations.record_errors
+    ]
+    assert len(messages) == 3
+    return posts, annotations, messages
 
 
 @pytest.mark.parametrize("verbose", [False, True])
 def test_cli_ingest_prints_each_load_warning_once(tmp_path, verbose):
     # in-process runs would hide logging's last-resort handler behind
     # pytest's own log handlers, so run the command in a child process
-    posts = tmp_path / "posts.jsonl"
-    posts.write_text(Path(POSTS).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
-    annotations = tmp_path / "annotations.jsonl"
-    annotations.write_text(
-        Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
-        encoding="utf-8",
-    )
+    posts, annotations, messages = _corpus_with_bad_records(tmp_path)
     done = _run_cli(
         *["--verbose"] * verbose,
         "ingest", "--posts", str(posts), "--annotations", str(annotations),
         "--out-dir", str(tmp_path / "unused"), "--seed", "1",
     )
     assert done.returncode == EXIT_OK, done.stderr
-    loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
-    messages = [
-        *loaded_posts.record_errors, *loaded_posts.warnings, *loaded_annotations.record_errors
-    ]
-    assert len(messages) == 3
     for message in messages:
         assert done.stderr.count(message) == 1, done.stderr
 
 
 @pytest.mark.parametrize("verbose", [False, True])
+def test_cli_fit_topics_prints_each_load_warning_once(tmp_path, verbose):
+    # fit-topics reads no annotations, so only the posts file's lines show
+    posts, annotations, messages = _corpus_with_bad_records(tmp_path)
+    done = _run_cli(
+        *["--verbose"] * verbose,
+        "fit-topics", "--posts", str(posts), "--annotations", str(annotations),
+        "--out-dir", str(tmp_path / "run"), "--seed", "3", "--k", "4",
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    post_messages, annotation_message = messages[:2], messages[2]
+    for message in post_messages:
+        assert done.stderr.count(message) == 1, done.stderr
+        assert f"posts: {message}" in done.stderr
+    assert annotation_message not in done.stderr
+
+
+@pytest.mark.parametrize("verbose", [False, True])
 def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
     # as for ingest, logging's last-resort handler only shows in a child process
-    posts = tmp_path / "posts.jsonl"
-    posts.write_text(Path(POSTS).read_text(encoding="utf-8") + "not json\n", encoding="utf-8")
-    annotations = tmp_path / "annotations.jsonl"
-    annotations.write_text(
-        Path(ANNOTATIONS).read_text(encoding="utf-8") + '{"quote_post_id": "post0001"}\n',
-        encoding="utf-8",
-    )
+    posts, annotations, messages = _corpus_with_bad_records(tmp_path)
     out_dir = tmp_path / "run"
     done = _run_cli(
         *["--verbose"] * verbose,
@@ -381,21 +424,20 @@ def test_cli_estimate_prints_each_load_warning_once(tmp_path, verbose):
     )
     assert done.returncode == EXIT_OK, done.stderr
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    loaded_posts, loaded_annotations = load_posts(posts), load_annotations(annotations)
-    messages = [
-        *loaded_posts.record_errors, *loaded_posts.warnings, *loaded_annotations.record_errors
-    ]
-    assert len(messages) == 3
     for message in messages:
         assert sum(message in warning for warning in report["warnings"]) == 1
+        # the table's warnings block on stdout is the one channel, with
+        # or without --verbose
         assert done.stdout.count(message) == 1, done.stdout
-        # --verbose logs every step to stderr, load warnings included
-        assert done.stderr.count(message) == verbose, done.stderr
+        assert message not in done.stderr, done.stderr
     # the report does not record skipped cross-validation folds as
-    # warnings, so they stay on stderr, once per confounder variant
+    # warnings, so the CLI prints them on stderr, once per confounder variant
     skipped_fold = "fold 4: test split lacks a treatment arm"
     assert not any(skipped_fold in warning for warning in report["warnings"])
     assert done.stderr.count(skipped_fold) == 2, done.stderr
+    for variant in ("full", "debate_topics_only"):
+        line = f"cross-validation (nasty_nice, {variant}): {skipped_fold}"
+        assert done.stderr.count(line) == 1, done.stderr
 
 
 def test_cli_crossval_prints_each_skipped_fold_once(tmp_path):
@@ -406,8 +448,118 @@ def test_cli_crossval_prints_each_skipped_fold_once(tmp_path):
         "--reply-types", "nasty_nice",
     )
     assert done.returncode == EXIT_OK, done.stderr
-    # one log line per confounder variant
+    # one line per confounder variant, naming its cell
     assert done.stderr.count("fold 4: test split lacks a treatment arm") == 2, done.stderr
+    assert "cross-validation (nasty_nice, full): fold 4: " in done.stderr
+
+
+def test_cli_crossval_prints_the_report_warnings(tmp_path):
+    done = _run_cli(
+        "crossval", "--posts", POSTS, "--annotations", ANNOTATIONS,
+        "--out-dir", str(tmp_path), "--seed", "3", "--k", "4", "--folds", "8",
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    # both attacking_reasonable variants fail cross-validation and two
+    # reply types have no triples; report.json and stderr say so, once each
+    warnings = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["warnings"]
+    assert sum("cross-validation failed for (attacking_reasonable" in w for w in warnings) == 2
+    assert sum(w.startswith("no triples for reply type") for w in warnings) == 2
+    for warning in warnings:
+        assert done.stderr.count(warning) == 1, done.stderr
+
+
+def test_cli_failed_run_prints_its_warnings_then_the_error(tmp_path):
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("not json\n", encoding="utf-8")
+    done = _run_cli(
+        "estimate", "--posts", POSTS, "--annotations", str(annotations),
+        "--out-dir", str(tmp_path / "run"), "--seed", "3", "--k", "4",
+    )
+    assert done.returncode == EXIT_RUNTIME, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert sum(line.startswith("annotations: line 1: invalid JSON") for line in lines) == 1
+    assert lines[-1].startswith("error: stage 'triples'"), done.stderr
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+_HALF_THE_RESAMPLES_SINGLE_ARM = """
+import itertools
+from tonefx import estimators
+calls, draw = itertools.count(), estimators._resample_indices
+estimators._resample_indices = lambda *args: None if next(calls) % 2 else draw(*args)
+"""
+
+
+@pytest.mark.parametrize("verbose", [False, True])
+def test_cli_bootstrap_skips_reach_the_report_only(tmp_path, verbose):
+    out_dir = tmp_path / "run"
+    done = _run_cli(
+        *["--verbose"] * verbose,
+        "estimate", "--posts", POSTS, "--annotations", ANNOTATIONS,
+        "--out-dir", str(out_dir), "--seed", "3", "--k", "4", "--folds", "3",
+        "--bootstrap-replicates", "6", "--reply-types", "nasty_nice",
+        "--category-types", "positive_sentiment", "--variants", "full",
+        patch=_HALF_THE_RESAMPLES_SINGLE_ARM,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    line = "cell (nasty_nice, positive_sentiment, full): 3 of 6 bootstrap replicates skipped"
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["warnings"].count(line) == 1
+    assert done.stdout.count(line) == 1, done.stdout
+    assert "skipped" not in done.stderr, done.stderr
+
+
+# each turns one record into a bad one, whatever the record
+_BREAK_RECORD = {
+    "garbage": lambda raw: b"not json",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "not utf-8": lambda raw: b"\xff" + raw,
+    "array": lambda raw: b"[" + raw + b"]",
+    "missing field": lambda raw: json.dumps(
+        {k: v for k, v in json.loads(raw).items() if k not in ("id", "quote_post_id")}
+    ).encode(),
+    "mistyped field": lambda raw: json.dumps(
+        {**json.loads(raw), "position": "1", "mean_score": "1"}
+    ).encode(),
+}
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    st.dictionaries(
+        st.tuples(st.just("posts"), st.integers(1, 202))
+        | st.tuples(st.just("annotations"), st.integers(1, 59)),
+        st.sampled_from(sorted(_BREAK_RECORD)),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_cli_ingest_names_each_bad_line_once(breaks):
+    # each case starts an interpreter, so the case count stays small;
+    # a bad line is named once, and no other line is named
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, source in (("posts", POSTS), ("annotations", ANNOTATIONS)):
+            lines = Path(source).read_bytes().splitlines()
+            for (file, lineno), mutation in breaks.items():
+                if file == name:
+                    lines[lineno - 1] = _BREAK_RECORD[mutation](lines[lineno - 1])
+            paths[name] = Path(tmp) / f"{name}.jsonl"
+            paths[name].write_bytes(b"\n".join(lines) + b"\n")
+        done = _run_cli(
+            "ingest", "--posts", str(paths["posts"]),
+            "--annotations", str(paths["annotations"]), "--out-dir", tmp, "--seed", "1",
+        )
+    assert "Traceback" not in done.stderr
+    # every mutation leaves a record that is skipped, so ingest completes
+    assert done.returncode == EXIT_OK, done.stderr
+    lines = done.stderr.splitlines()
+    assert max(Counter(lines).values()) == 1, done.stderr
+    named = [re.search(r"\bline (\d+): ", line) for line in lines]
+    assert sorted(int(m[1]) for m in named if m) == sorted(n for _, n in breaks), done.stderr
+    for file, lineno in breaks:
+        assert sum(line.startswith(f"{file}: line {lineno}: ") for line in lines) == 1
 
 
 def test_cli_estimate_skips_non_utf8_lines(tmp_path):
