@@ -8,7 +8,7 @@ Posts file, one record per post::
     {"id": "p12", "discussion_id": "d3", "debate_topic": "gun_control",
      "author": "alice", "position": 4, "parent_id": "p09", "text": "..."}
 
-``parent_id`` is null for discussion roots.  ``position`` is the ordinal
+``parent_id`` is null or absent for discussion roots.  ``position`` is the ordinal
 of the post within its discussion and must be unique there; a parent must
 be an earlier post in the same discussion.
 

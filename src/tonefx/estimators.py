@@ -223,10 +223,6 @@ class BootstrapResult:
     skipped: int
 
     @property
-    def replicates_used(self) -> int:
-        return self.replicates_requested - self.skipped
-
-    @property
     def standard_errors(self) -> dict[Estimator, float]:
         return {
             estimator: float(values.std(ddof=1))
@@ -352,8 +348,6 @@ class AteEstimate:
     category_type: str | None = None
     aipw_variant: AipwVariant | None = None
     confounder_variant: str | None = None
-    # run metadata for warnings; reports do not record it
-    bootstrap_skipped: int = 0
 
     @property
     def significant(self) -> bool | None:
@@ -361,56 +355,3 @@ class AteEstimate:
         if self.standard_error is None:
             return None
         return bool(abs(self.psi) > Z_CRITICAL_95 * self.standard_error)
-
-
-def estimate_all(
-    data: EstimationInput,
-    estimators: Sequence[Estimator] = tuple(Estimator),
-    aipw_variant: AipwVariant = AipwVariant.STABILIZED,
-    bootstrap_replicates: int = DEFAULT_BOOTSTRAP_REPLICATES,
-    seed: int = 0,
-    refit: bool = True,
-    regularization: float = DEFAULT_REGULARIZATION,
-    ridge: float = 0.0,
-    clip_epsilon: float = DEFAULT_CLIP_EPSILON,
-    reply_type: str | None = None,
-    category_type: str | None = None,
-    confounder_variant: str | None = None,
-) -> list[AteEstimate]:
-    """Point estimates with bootstrap standard errors for the requested estimators.
-
-    All standard errors come from one ``bootstrap_se`` pass over the cell.
-    Pass ``bootstrap_replicates=0`` to skip standard errors entirely.
-    """
-    aipw_variant = AipwVariant(aipw_variant)
-    estimators = [Estimator(e) for e in estimators]
-    bootstrap: BootstrapResult | None = None
-    if bootstrap_replicates and estimators:
-        bootstrap = bootstrap_se(
-            data,
-            estimators,
-            replicates=bootstrap_replicates,
-            seed=seed,
-            refit=refit,
-            aipw_variant=aipw_variant,
-            regularization=regularization,
-            ridge=ridge,
-            clip_epsilon=clip_epsilon,
-        )
-    standard_errors = bootstrap.standard_errors if bootstrap else {}
-    results = []
-    for estimator in estimators:
-        results.append(
-            AteEstimate(
-                estimator=estimator,
-                psi=point_estimate(data, estimator, aipw_variant=aipw_variant),
-                standard_error=standard_errors.get(estimator),
-                n=data.n,
-                reply_type=reply_type,
-                category_type=category_type,
-                aipw_variant=aipw_variant if estimator is Estimator.AIPW else None,
-                confounder_variant=confounder_variant,
-                bootstrap_skipped=bootstrap.skipped if bootstrap else 0,
-            )
-        )
-    return results

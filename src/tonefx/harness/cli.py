@@ -53,7 +53,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.add_argument(
-        "--seed", type=int, help="run seed (required here or in the config file)"
+        "--seed",
+        type=int,
+        help="run seed (except for ingest, required here or in the config file)",
     )
     parser.add_argument("--lexicon", dest="lexicon_path", help="lexicon file")
     parser.add_argument("--grouping", dest="grouping_path", help="category grouping file")
@@ -116,12 +118,18 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 _LIST_FIELDS = ("reply_types", "category_types", "confounder_variants", "estimators")
+# stand-ins for the required config fields a command never reads: leaving
+# them out is no error, and a config file's value for them goes unused anyway
+_UNREAD_FIELDS = {
+    "ingest": {"out_dir": "", "seed": 0},
+    "fit-topics": {"annotations_path": ""},
+}
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {}
+    overrides = dict(_UNREAD_FIELDS.get(args.command, {}))
     for key, value in vars(args).items():
-        if key in ("command", "config", "func", "format", "model", "topic", "verbose"):
+        if key in ("command", "config", "func", "verbose"):
             continue
         if value is None:
             continue

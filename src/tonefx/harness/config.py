@@ -183,8 +183,3 @@ def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) ->
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(raw, overrides)
 
-
-def save_config(config: PipelineConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -33,6 +33,7 @@ import re
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -51,8 +52,10 @@ from ..corpus import (
 from ..estimators import (
     AteEstimate,
     EstimationError,
+    Estimator,
+    bootstrap_se,
     build_estimation_input,
-    estimate_all,
+    point_estimate,
 )
 from ..inference import (
     InferenceError,
@@ -230,41 +233,65 @@ class _CellTask:
     outcomes: np.ndarray
     seed: int
 
+    @property
+    def cell(self) -> str:
+        return f"({self.reply_type}, {self.category_type}, {self.variant})"
 
-def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str]]:
+
+def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool]:
+    """One cell's estimates, its warning lines, and whether it failed.
+
+    Every requested estimator is scored from one nuisance fit, and its
+    standard error comes from one ``bootstrap_se`` pass over the cell
+    (none when ``bootstrap_replicates`` is 0).  A cell that cannot be
+    estimated gives no estimates and one warning line, so the run goes on.
+    """
     config = task.config
-    data = build_estimation_input(
-        task.features,
-        task.treatments,
-        task.outcomes,
-        regularization=config.regularization,
-        ridge=config.outcome_ridge,
-        clip_epsilon=config.clip_epsilon,
-    )
-    estimates = estimate_all(
-        data,
-        config.estimators,
-        aipw_variant=config.aipw_variant,
-        bootstrap_replicates=config.bootstrap_replicates,
-        seed=task.seed,
-        refit=config.bootstrap_refit,
-        regularization=config.regularization,
-        ridge=config.outcome_ridge,
-        clip_epsilon=config.clip_epsilon,
-        reply_type=task.reply_type,
-        category_type=task.category_type,
-        confounder_variant=task.variant,
-    )
-    # every estimator of a cell is scored from one bootstrap pass, so
-    # they all skip the same replicates
-    skipped = max((est.bootstrap_skipped for est in estimates), default=0)
-    warnings = []
-    if skipped:
-        warnings.append(
-            f"cell ({task.reply_type}, {task.category_type}, {task.variant}): "
-            f"{skipped} of {config.bootstrap_replicates} bootstrap replicates skipped"
+    try:
+        data = build_estimation_input(
+            task.features,
+            task.treatments,
+            task.outcomes,
+            regularization=config.regularization,
+            ridge=config.outcome_ridge,
+            clip_epsilon=config.clip_epsilon,
         )
-    return estimates, warnings
+        bootstrap = None
+        if config.bootstrap_replicates:
+            bootstrap = bootstrap_se(
+                data,
+                config.estimators,
+                replicates=config.bootstrap_replicates,
+                seed=task.seed,
+                refit=config.bootstrap_refit,
+                aipw_variant=config.aipw_variant,
+                regularization=config.regularization,
+                ridge=config.outcome_ridge,
+                clip_epsilon=config.clip_epsilon,
+            )
+        standard_errors = bootstrap.standard_errors if bootstrap else {}
+        estimates = [
+            AteEstimate(
+                estimator=estimator,
+                psi=point_estimate(data, estimator, aipw_variant=config.aipw_variant),
+                standard_error=standard_errors.get(estimator),
+                n=data.n,
+                reply_type=task.reply_type,
+                category_type=task.category_type,
+                aipw_variant=config.aipw_variant if estimator is Estimator.AIPW else None,
+                confounder_variant=task.variant,
+            )
+            for estimator in config.estimators
+        ]
+    except (EstimationError, InferenceError) as exc:
+        return [], [f"estimate cell {task.cell} failed: {exc}"], True
+    warnings = []
+    if bootstrap and bootstrap.skipped:
+        warnings.append(
+            f"cell {task.cell}: {bootstrap.skipped} of {config.bootstrap_replicates} "
+            "bootstrap replicates skipped"
+        )
+    return estimates, warnings, False
 
 
 def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunReport:
@@ -413,35 +440,15 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                 )
     estimates: list[AteEstimate] = []
     failed_cells: list[str] = []
-
-    def handle(task: _CellTask, outcome) -> None:
-        if isinstance(outcome, Exception):
-            failed_cells.append(
-                f"({task.reply_type}, {task.category_type}, {task.variant})"
-            )
-            warnings.append(
-                f"estimate cell ({task.reply_type}, {task.category_type}, "
-                f"{task.variant}) failed: {outcome}"
-            )
-        else:
-            cell_estimates, cell_warnings = outcome
+    parallel = config.jobs > 1 and len(tasks) > 1
+    # both maps yield the cells in task order
+    with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
+        results = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
+        for task, (cell_estimates, cell_warnings, failed) in zip(tasks, results):
             estimates.extend(cell_estimates)
             warnings.extend(cell_warnings)
-
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_run_cell, task) for task in tasks]
-            for task, future in zip(tasks, futures):
-                try:
-                    handle(task, future.result())
-                except (EstimationError, InferenceError) as exc:
-                    handle(task, exc)
-    else:
-        for task in tasks:
-            try:
-                handle(task, _run_cell(task))
-            except (EstimationError, InferenceError) as exc:
-                handle(task, exc)
+            if failed:
+                failed_cells.append(task.cell)
     done("estimates")
 
     # report

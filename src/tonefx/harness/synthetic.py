@@ -88,13 +88,10 @@ class TabularSample:
     features: np.ndarray
     treatments: np.ndarray
     outcomes: np.ndarray
-    outcomes_control: np.ndarray
-    outcomes_treated: np.ndarray
-    world: TabularWorld
 
 
 def generate_tabular(world: TabularWorld, n: int, seed: int) -> TabularSample:
-    """Draw one sample, keeping both potential outcomes."""
+    """Draw one sample with the factual outcome of each unit."""
     if n < 2:
         raise SyntheticError(f"need at least 2 units, got {n}")
     rng = np.random.default_rng(seed)
@@ -105,14 +102,7 @@ def generate_tabular(world: TabularWorld, n: int, seed: int) -> TabularSample:
     y0 = world.control_intercept + z @ np.asarray(world.control_slopes) + noise
     y1 = world.treated_intercept + z @ np.asarray(world.treated_slopes) + noise
     y = np.where(t == 1, y1, y0)
-    return TabularSample(
-        features=z,
-        treatments=t,
-        outcomes=y,
-        outcomes_control=y0,
-        outcomes_treated=y1,
-        world=world,
-    )
+    return TabularSample(features=z, treatments=t, outcomes=y)
 
 
 @dataclass(frozen=True)

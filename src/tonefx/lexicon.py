@@ -35,7 +35,6 @@ grouping maps each category to its row columns once, when it is built.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,8 +44,6 @@ from typing import Mapping
 import numpy as np
 
 from .topics import Tokenizer, surface_tokenizer
-
-logger = logging.getLogger(__name__)
 
 
 class LexiconError(ValueError):

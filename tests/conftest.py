@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tonefx import inference
+from tonefx import estimators, inference
 from tonefx.corpus import Post, load_annotations, load_posts
 from tonefx.lexicon import default_grouping_path, default_lexicon_path, load_lexicon
 
@@ -70,3 +70,14 @@ def stall_line_search(monkeypatch, treatments) -> None:
         return loss + hit, grad
 
     monkeypatch.setattr(inference, "logistic_loss_and_grad", stalling)
+
+
+def skip_odd_first_unit(monkeypatch) -> None:
+    """Skip every bootstrap resample whose first drawn unit is odd (stateless per replicate)."""
+    draw = estimators._resample_indices
+
+    def skip(rng, treatments, max_redraws):
+        idx = draw(rng, treatments, max_redraws)
+        return None if idx[0] % 2 else idx
+
+    monkeypatch.setattr(estimators, "_resample_indices", skip)

@@ -1,6 +1,7 @@
 """Corpus loading, score binarization, and triple extraction."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -169,6 +170,23 @@ def test_fixture_validates_against_schemas(minicorpus_dir):
         with (minicorpus_dir / name).open() as fh:
             for line in fh:
                 validator.validate(json.loads(line))
+
+
+def test_root_without_parent_id_validates_and_loads(tmp_path):
+    jsonschema = pytest.importorskip("jsonschema")
+    import tonefx
+
+    record = {
+        "id": "p1", "discussion_id": "d", "debate_topic": "t",
+        "author": "a", "position": 0, "text": "x",
+    }
+    schema_path = Path(tonefx.__file__).parent / "schemas" / "posts.schema.json"
+    jsonschema.Draft202012Validator(json.loads(schema_path.read_text())).validate(record)
+    path = tmp_path / "posts.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    loaded = load_posts(path)
+    assert loaded.record_errors == ()
+    assert loaded.get("p1").parent_id is None
 
 
 # ---------------------------------------------------------------- binarize

@@ -22,7 +22,6 @@ from tonefx.estimators import (
     ate_unadjusted,
     bootstrap_se,
     build_estimation_input,
-    estimate_all,
     point_estimate,
 )
 from tonefx.inference import (
@@ -33,7 +32,7 @@ from tonefx.inference import (
     predict_propensity,
 )
 
-from conftest import stall_line_search
+from conftest import skip_odd_first_unit, stall_line_search
 
 
 def _saturated() -> EstimationInput:
@@ -220,7 +219,7 @@ def test_bootstrap_refit_requires_features():
     with pytest.raises(EstimationError, match="refit=False"):
         bootstrap_se(stripped, Estimator.AIPW, replicates=10, seed=0, refit=True)
     result = bootstrap_se(stripped, Estimator.AIPW, replicates=10, seed=0, refit=False)
-    assert result.replicates_used == 10
+    assert result.skipped == 0 and len(result.estimates[Estimator.AIPW]) == 10
     # one estimator that needs the nuisances makes the whole pass refit
     with pytest.raises(EstimationError, match="refit=False"):
         bootstrap_se(
@@ -247,19 +246,7 @@ def test_bootstrap_skips_single_arm_resamples():
         data, Estimator.UNADJUSTED, replicates=200, seed=0, max_redraws=1
     )
     assert result.skipped > 0
-    assert result.replicates_used == len(result.estimates[Estimator.UNADJUSTED])
-    assert result.replicates_used + result.skipped == 200
-
-
-def _odd_first_unit_skipped(monkeypatch):
-    """Skip every resample whose first drawn unit is odd (stateless per replicate)."""
-    draw = estimators._resample_indices
-
-    def skip(rng, treatments, max_redraws):
-        idx = draw(rng, treatments, max_redraws)
-        return None if idx[0] % 2 else idx
-
-    monkeypatch.setattr(estimators, "_resample_indices", skip)
+    assert len(result.estimates[Estimator.UNADJUSTED]) + result.skipped == 200
 
 
 @pytest.mark.parametrize("variant", list(AipwVariant))
@@ -279,7 +266,7 @@ def test_one_pass_matches_one_estimator_calls(seed, n, refit, variant):
 
 
 def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
-    _odd_first_unit_skipped(monkeypatch)
+    skip_odd_first_unit(monkeypatch)
     data = _random_input(3, n=60)
     with caplog.at_level("WARNING", logger=estimators.logger.name):
         together = bootstrap_se(data, list(Estimator), replicates=20, seed=5)
@@ -295,8 +282,8 @@ def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
         assert together.standard_errors[estimator] == alone.standard_error
 
 
-def test_estimate_all_refits_once_per_usable_resample(monkeypatch):
-    _odd_first_unit_skipped(monkeypatch)
+def test_bootstrap_refits_once_per_usable_resample(monkeypatch):
+    skip_odd_first_unit(monkeypatch)
     rows = {"fit_propensity_stack": 0, "fit_outcome_stack": 0}
 
     def counted(name):
@@ -312,11 +299,10 @@ def test_estimate_all_refits_once_per_usable_resample(monkeypatch):
         monkeypatch.setattr(estimators, name, counted(name))
     data = _random_input(4, n=80)
     replicates = 15
-    results = estimate_all(data, bootstrap_replicates=replicates, seed=2, refit=True)
-    assert [e.estimator for e in results] == list(Estimator)
-    skipped = results[0].bootstrap_skipped
-    assert 0 < skipped < replicates
-    used = replicates - skipped
+    result = bootstrap_se(data, list(Estimator), replicates=replicates, seed=2, refit=True)
+    assert list(result.estimates) == list(Estimator)
+    assert 0 < result.skipped < replicates
+    used = replicates - result.skipped
     assert rows == {"fit_propensity_stack": used, "fit_outcome_stack": used}
 
 
@@ -378,7 +364,7 @@ def test_stacked_bootstrap_matches_one_resample_fits(seed, n, ridge, refit, vari
             data, list(Estimator), replicates=16, seed=seed, refit=refit,
             aipw_variant=variant, ridge=ridge,
         )
-    assert result.replicates_used == len(expected[Estimator.Q])
+    assert result.replicates_requested - result.skipped == len(expected[Estimator.Q])
     for e in Estimator:
         np.testing.assert_allclose(result.estimates[e], expected[e], rtol=1e-10, atol=1e-10)
 
@@ -401,7 +387,7 @@ def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):
     stall_line_search(monkeypatch, data.treatments[idx])
     with caplog.at_level("WARNING"):
         result = bootstrap_se(data, list(Estimator), replicates=10, seed=4)
-    assert result.replicates_used == 10
+    assert result.skipped == 0
     assert [r.getMessage() for r in caplog.records] == [
         "bootstrap for unadjusted, q, ipw, aipw: 1 of 10 propensity refits ended "
         "unconverged (failed line search or iteration cap)"
@@ -429,48 +415,6 @@ def test_bootstrap_se_close_to_analytic_two_sample_form():
     y1, y0 = outcomes[treatments == 1], outcomes[treatments == 0]
     analytic = np.sqrt(y1.var(ddof=1) / y1.size + y0.var(ddof=1) / y0.size)
     assert result.standard_error == pytest.approx(analytic, rel=0.2)
-
-
-# ------------------------------------------------------------ estimate_all
-
-
-def test_estimate_all_labels_and_order():
-    data = _random_input(9)
-    estimates = estimate_all(
-        data,
-        bootstrap_replicates=0,
-        reply_type="nasty_nice",
-        category_type="positive_sentiment",
-        confounder_variant="full",
-    )
-    assert [e.estimator for e in estimates] == list(Estimator)
-    for estimate in estimates:
-        assert estimate.standard_error is None
-        assert estimate.significant is None
-        assert estimate.n == data.n
-        assert estimate.reply_type == "nasty_nice"
-        expected = AipwVariant.STABILIZED if estimate.estimator is Estimator.AIPW else None
-        assert estimate.aipw_variant == expected
-
-
-def test_estimate_all_with_bootstrap():
-    data = _random_input(10, n=120)
-    estimates = estimate_all(
-        data, estimators=(Estimator.UNADJUSTED, Estimator.Q),
-        bootstrap_replicates=30, seed=1, refit=False,
-    )
-    assert all(e.standard_error is not None and e.standard_error > 0 for e in estimates)
-    assert all(isinstance(e.significant, bool) for e in estimates)
-
-
-def test_estimate_all_passes_bootstrap_skips(monkeypatch):
-    _odd_first_unit_skipped(monkeypatch)
-    data = _random_input(10, n=120)
-    estimates = estimate_all(data, bootstrap_replicates=20, seed=1, refit=False)
-    for estimate in estimates:
-        alone = bootstrap_se(data, estimate.estimator, replicates=20, seed=1, refit=False)
-        assert estimate.bootstrap_skipped == alone.skipped > 0
-        assert estimate.standard_error == alone.standard_error
 
 
 def test_significance_threshold():

@@ -16,14 +16,17 @@ from hypothesis import strategies as st
 
 from tonefx import lexicon
 from tonefx.corpus import extract_triples, load_annotations, load_posts
+from tonefx.estimators import AipwVariant, Estimator, bootstrap_se
 from tonefx.harness import pipeline
 from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tonefx.harness.config import PipelineConfig
 from tonefx.harness.pipeline import PipelineError, run_pipeline
 from tonefx.harness.report import parse_report, render_report
+from tonefx.inference import ConfounderVariant
+from tonefx.lexicon import CategoryType
 from tonefx.topics import Tokenizer, default_tokenizer, load_model, save_model, surface_tokenizer
 
-from conftest import MINICORPUS
+from conftest import MINICORPUS, skip_odd_first_unit
 
 POSTS = str(MINICORPUS / "posts.jsonl")
 ANNOTATIONS = str(MINICORPUS / "annotations.jsonl")
@@ -79,6 +82,42 @@ def test_pipeline_covers_the_whole_grid(full_run):
     assert len(seen) == 48
     ns = {e.reply_type: e.n for e in report.estimates}
     assert ns == {"nasty_nice": 48, "attacking_reasonable": 8}
+    # each cell lists the configured estimators in order, and with no
+    # bootstrap replicates none has a standard error
+    assert [e.estimator for e in report.estimates] == list(Estimator) * 12
+    for estimate in report.estimates:
+        assert estimate.standard_error is None and estimate.significant is None
+        expected = AipwVariant.STABILIZED if estimate.estimator is Estimator.AIPW else None
+        assert estimate.aipw_variant == expected
+
+
+def test_pipeline_scores_each_cell_from_one_bootstrap_pass(tmp_path, monkeypatch):
+    passes = []
+
+    def recorded(data, estimator, **kwargs):
+        passes.append((list(estimator), bootstrap_se(data, estimator, **kwargs)))
+        return passes[-1][1]
+
+    skip_odd_first_unit(monkeypatch)
+    monkeypatch.setattr(pipeline, "bootstrap_se", recorded)
+    report = run_pipeline(_config(
+        tmp_path, bootstrap_replicates=8, reply_types=("nasty_nice",),
+        category_types=("linguistic_style",), estimators=("q", "unadjusted"),
+    ))
+    assert len(passes) == 2 and len(report.estimates) == 4
+    skip_lines = []
+    for (requested, result), cell in zip(passes, (report.estimates[:2], report.estimates[2:])):
+        assert requested == [e.estimator for e in cell] == [Estimator.Q, Estimator.UNADJUSTED]
+        for estimate in cell:
+            assert estimate.standard_error == result.standard_errors[estimate.estimator] > 0
+            assert isinstance(estimate.significant, bool)
+        if result.skipped:
+            skip_lines.append(
+                f"cell (nasty_nice, linguistic_style, {cell[0].confounder_variant}): "
+                f"{result.skipped} of 8 bootstrap replicates skipped"
+            )
+    assert skip_lines
+    assert [w for w in report.warnings if w.startswith("cell (")] == skip_lines
 
 
 def test_pipeline_surfaces_load_warnings(full_run):
@@ -237,6 +276,25 @@ def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
             assert published == (tmp_path / "resaved.json").read_bytes(), cache
 
 
+def _one_arm_annotations(tmp_path) -> Path:
+    """Annotations whose nasty_nice triples are all treated, so every cell fails."""
+    kept = [
+        line for line in Path(ANNOTATIONS).read_text().splitlines()
+        if json.loads(line)["reply_type"] == "nasty_nice"
+        and json.loads(line)["mean_score"] >= 1.0
+    ]
+    annotations = tmp_path / "annotations.jsonl"
+    annotations.write_text("\n".join(kept) + "\n")
+    return annotations
+
+
+def _masked_report(out_dir: Path) -> str:
+    """report.json without the two config fields that differ between the runs compared."""
+    document = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    document["config"].update(out_dir=None, jobs=None)
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
 def test_pipeline_parallel_matches_serial(tmp_path):
     serial = run_pipeline(_config(tmp_path / "s", jobs=1, reply_types=("nasty_nice",)))
     parallel = run_pipeline(_config(tmp_path / "p", jobs=2, reply_types=("nasty_nice",)))
@@ -245,6 +303,23 @@ def test_pipeline_parallel_matches_serial(tmp_path):
     np.testing.assert_array_equal(
         [e.psi for e in serial.estimates], [e.psi for e in parallel.estimates]
     )
+    assert _masked_report(tmp_path / "s") == _masked_report(tmp_path / "p")
+
+
+def test_pipeline_parallel_matches_serial_with_failed_cells(tmp_path):
+    annotations = str(_one_arm_annotations(tmp_path))
+    for jobs in (1, 2):
+        report = run_pipeline(_config(
+            tmp_path / f"jobs{jobs}", jobs=jobs, annotations_path=annotations,
+            reply_types=("nasty_nice",),
+        ))
+        assert not report.estimates
+        assert report.failed_cells == [
+            f"(nasty_nice, {category.value}, {variant.value})"
+            for category in CategoryType
+            for variant in ConfounderVariant
+        ]
+    assert _masked_report(tmp_path / "jobs1") == _masked_report(tmp_path / "jobs2")
 
 
 def test_pipeline_cv_outcome_outside_estimate_grid(tmp_path):
@@ -308,13 +383,7 @@ def test_cli_estimate_runs_clean(tmp_path, capsys):
 
 def test_cli_estimate_reports_failed_cells(tmp_path):
     # one-arm annotations: every estimate cell fails but the run completes
-    kept = [
-        line for line in Path(ANNOTATIONS).read_text().splitlines()
-        if json.loads(line)["reply_type"] == "nasty_nice"
-        and json.loads(line)["mean_score"] >= 1.0
-    ]
-    annotations = tmp_path / "annotations.jsonl"
-    annotations.write_text("\n".join(kept) + "\n")
+    annotations = _one_arm_annotations(tmp_path)
     done = _run_cli(
         "estimate",
         "--posts", POSTS,
@@ -337,8 +406,8 @@ def test_cli_estimate_reports_failed_cells(tmp_path):
 
 
 def test_cli_ingest_prints_counts(capsys):
-    code = main(["ingest", "--posts", POSTS, "--annotations", ANNOTATIONS,
-                 "--out-dir", "unused", "--seed", "0"])
+    # ingest reads neither out_dir nor seed, so it asks for neither
+    code = main(["ingest", "--posts", POSTS, "--annotations", ANNOTATIONS])
     assert code == EXIT_OK
     stdout = capsys.readouterr().out
     assert "nasty_nice" in stdout and "48" in stdout
@@ -615,19 +684,30 @@ def test_cli_rejects_mistyped_config_field(tmp_path):
 
 
 def test_cli_fit_topics_and_inspect(tmp_path, capsys):
+    # fit-topics reads no annotations, so it asks for none
     code = main([
-        "fit-topics",
-        "--posts", POSTS, "--annotations", ANNOTATIONS,
-        "--out-dir", str(tmp_path), "--seed", "3", "--k", "4",
+        "fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3", "--k", "4",
     ])
     assert code == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
+        "evolution.json", "gun-control.json",
+    ]
     model_path = tmp_path / "models" / "evolution.json"
-    assert model_path.exists()
     capsys.readouterr()
     assert main(["inspect-topics", str(model_path), "--words", "5"]) == EXIT_OK
     stdout = capsys.readouterr().out
     assert "topic 0:" in stdout
     assert main(["inspect-topics", str(tmp_path / "missing.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["ingest", "estimate"])
+def test_cli_commands_that_read_annotations_require_them(tmp_path, capsys, command):
+    code = main([command, "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: missing required config fields: ['annotations_path']\n"
+    )
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_crossval(tmp_path, capsys):
