@@ -24,6 +24,8 @@ from tonefx.estimators import (
     build_estimation_input,
     point_estimate,
 )
+from tonefx.harness import pipeline
+from tonefx.harness.config import PipelineConfig
 from tonefx.inference import (
     InferenceError,
     fit_outcome_models,
@@ -415,6 +417,32 @@ def test_bootstrap_se_close_to_analytic_two_sample_form():
     y1, y0 = outcomes[treatments == 1], outcomes[treatments == 0]
     analytic = np.sqrt(y1.var(ddof=1) / y1.size + y0.var(ddof=1) / y0.size)
     assert result.standard_error == pytest.approx(analytic, rel=0.2)
+
+
+def test_estimate_all_labels_and_order():
+    # one estimate cell scores every configured estimator, in order, and
+    # labels each estimate with its cell
+    data = _random_input(9)
+    config = PipelineConfig(
+        posts_path="posts.jsonl", annotations_path="annotations.jsonl",
+        out_dir="out", seed=0, bootstrap_replicates=0,
+    )
+    estimates, warnings, failed = pipeline._run_cell(pipeline._CellTask(
+        config=config, reply_type="nasty_nice", category_type="positive_sentiment",
+        variant="full", features=data.features, treatments=data.treatments,
+        outcomes=data.outcomes, seed=0,
+    ))
+    assert (warnings, failed) == ([], False)
+    assert [e.estimator for e in estimates] == list(Estimator)
+    for estimate in estimates:
+        assert estimate.standard_error is None
+        assert estimate.significant is None
+        assert estimate.n == data.n
+        assert estimate.reply_type == "nasty_nice"
+        assert estimate.category_type == "positive_sentiment"
+        assert estimate.confounder_variant == "full"
+        expected = AipwVariant.STABILIZED if estimate.estimator is Estimator.AIPW else None
+        assert estimate.aipw_variant == expected
 
 
 def test_significance_threshold():
