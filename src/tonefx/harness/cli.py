@@ -12,7 +12,8 @@ inspected on its own:
 * report          re-render a structured report file
 
 Exit codes: 0 success, 1 invalid configuration or input, 2 runtime
-failure, 3 completed with requested estimate cells missing.
+failure (including output that cannot be written), 3 completed with
+requested estimate cells missing.
 """
 
 from __future__ import annotations
@@ -43,6 +44,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_INCOMPLETE = 3
+
+# bad configuration or input, the caller's to fix: exit 1, also when a
+# pipeline stage wraps one
+_INPUT_ERRORS = (
+    ConfigError, CorpusError, LexiconError, ReportError, SyntheticError,
+    FileNotFoundError, json.JSONDecodeError,
+)
+# everything else that can stop a run: exit 2
+_RUN_ERRORS = (PipelineError, TopicModelError, InferenceError, EstimationError, OSError)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -300,24 +310,14 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=logging.INFO, stream=sys.stderr)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, LexiconError, ReportError, SyntheticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PipelineError, TopicModelError, InferenceError, EstimationError) as exc:
+    except _INPUT_ERRORS + _RUN_ERRORS as exc:
         # a failed run writes no report, so its warnings go to stderr
         if isinstance(exc, PipelineError):
             _print_stderr(exc.warnings)
-        print(f"error: {exc}", file=sys.stderr)
-        # a missing input file is the caller's mistake, not a runtime failure
-        if isinstance(exc.__cause__, FileNotFoundError):
-            return EXIT_USAGE
-        return EXIT_RUNTIME
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message = f"invalid JSON input: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
+        return EXIT_USAGE if isinstance(cause, _INPUT_ERRORS) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

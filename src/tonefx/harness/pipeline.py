@@ -1,11 +1,13 @@
 """End-to-end pipeline: corpus files in, run report out.
 
 Stages run in a fixed order: load, triples, topics, outcomes,
-confounders, crossval, estimates, report.  Any failure is wrapped in a
-PipelineError naming the stage.  Failures local to one analysis cell
-(one reply type, category type and confounder variant) do not abort the
-run; the cell is dropped with a warning and the caller can detect the
-gap by comparing against the requested grid.
+confounders, crossval, estimates, report.  A CorpusError, LexiconError,
+TopicModelError, InferenceError or OSError in any stage is re-raised as
+a PipelineError that names the stage and carries the run's warnings so
+far, with the original error as its cause.  Failures local to one
+analysis cell (one reply type, category type and confounder variant) do
+not abort the run; the cell is dropped with a warning and the caller
+can detect the gap by comparing against the requested grid.
 
 Topic models are cached under out_dir/cache keyed by a digest of the
 per-topic corpus content, the tokenizer fingerprint and every fitting
@@ -33,10 +35,10 @@ import re
 import shutil
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -86,6 +88,10 @@ logger = logging.getLogger(__name__)
 
 MODEL_CACHE_VERSION = "1"
 
+# settings that change how a run goes but no number in its report, so
+# report.json leaves them out and reruns that differ only in them match
+_RUN_ONLY_FIELDS = ("jobs", "out_dir", "use_cache")
+
 
 class PipelineError(RuntimeError):
     """A pipeline stage failed; the message names the stage.
@@ -98,6 +104,21 @@ class PipelineError(RuntimeError):
         super().__init__(f"stage {stage!r}: {message}")
         self.stage = stage
         self.warnings = tuple(warnings)
+
+
+# the package's own errors, which a stage re-raises as a PipelineError
+_STAGE_ERRORS = (CorpusError, LexiconError, TopicModelError, InferenceError, OSError)
+
+
+@contextmanager
+def _stage(name: str, timings: dict[str, float], warnings: Sequence[str]) -> Iterator[None]:
+    """Time one stage into ``timings``; its package errors become a PipelineError."""
+    start = time.perf_counter()
+    try:
+        yield
+    except _STAGE_ERRORS as exc:
+        raise PipelineError(name, str(exc), warnings) from exc
+    timings[name] = time.perf_counter() - start
 
 
 def load_warnings(
@@ -303,75 +324,52 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     timings: dict[str, float] = {}
     warnings: list[str] = []
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    def stage(name: str):
-        timings[name] = time.perf_counter()
-        return name
-
-    def done(name: str) -> None:
-        timings[name] = time.perf_counter() - timings[name]
-
-    # load
-    stage("load")
-    posts = annotations = None
-    try:
+    with _stage("load", timings, warnings):
         posts = load_posts(config.posts_path)
+        warnings += load_warnings(posts, None)
         annotations = load_annotations(config.annotations_path)
+        warnings += load_warnings(None, annotations)
         lexicon, grouping = load_lexicon(config.lexicon_path, config.grouping_path)
-    except (CorpusError, LexiconError, OSError) as exc:
-        raise PipelineError("load", str(exc), load_warnings(posts, annotations)) from exc
-    warnings += load_warnings(posts, annotations)
-    post_tokens = token_table(posts)
-    category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
-    done("load")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        post_tokens = token_table(posts)
+        category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
 
-    # triples
-    stage("triples")
-    triples_by_reply: dict[str, list[Triple]] = {}
-    for reply_type in config.reply_types:
-        extracted = extract_triples(posts, annotations, reply_type)
-        if extracted:
-            triples_by_reply[reply_type.value] = list(extracted)
-        else:
-            warnings.append(
-                f"no triples for reply type {reply_type.value!r}; its cells are skipped"
-            )
-    if not triples_by_reply:
-        raise PipelineError("triples", "no reply type yielded any triples", warnings)
-    done("triples")
+    with _stage("triples", timings, warnings):
+        triples_by_reply: dict[str, list[Triple]] = {}
+        for reply_type in config.reply_types:
+            extracted = extract_triples(posts, annotations, reply_type)
+            if extracted:
+                triples_by_reply[reply_type.value] = list(extracted)
+            else:
+                warnings.append(
+                    f"no triples for reply type {reply_type.value!r}; its cells are skipped"
+                )
+        if not triples_by_reply:
+            raise PipelineError("triples", "no reply type yielded any triples", warnings)
 
-    # topics
-    stage("topics")
-    try:
+    with _stage("topics", timings, warnings):
         models = fit_topic_models(config, posts, post_tokens, warnings)
-    except TopicModelError as exc:
-        raise PipelineError("topics", str(exc), warnings) from exc
-    done("topics")
 
-    # outcomes
-    stage("outcomes")
-    outcomes: dict[tuple[str, str], np.ndarray] = {}
-    # the crossval stage scores its configured category even when the
-    # estimate grid does not include it
-    category_types = list(config.category_types)
-    if config.cv_category_type not in category_types:
-        category_types.append(config.cv_category_type)
-    for reply_value, triples in triples_by_reply.items():
-        p1_rows = np.array([category_rows[triple.p1.id] for triple in triples])
-        p3_rows = np.array([category_rows[triple.p3.id] for triple in triples])
-        for category_type in category_types:
-            columns = grouping.columns(category_type)
-            outcomes[(reply_value, category_type.value)] = compute_outcome(
-                p1_rows[:, columns], p3_rows[:, columns]
-            )
-    done("outcomes")
+    with _stage("outcomes", timings, warnings):
+        outcomes: dict[tuple[str, str], np.ndarray] = {}
+        # the crossval stage scores its configured category even when the
+        # estimate grid does not include it
+        category_types = list(config.category_types)
+        if config.cv_category_type not in category_types:
+            category_types.append(config.cv_category_type)
+        for reply_value, triples in triples_by_reply.items():
+            p1_rows = np.array([category_rows[triple.p1.id] for triple in triples])
+            p3_rows = np.array([category_rows[triple.p3.id] for triple in triples])
+            for category_type in category_types:
+                columns = grouping.columns(category_type)
+                outcomes[(reply_value, category_type.value)] = compute_outcome(
+                    p1_rows[:, columns], p3_rows[:, columns]
+                )
 
-    # confounders
-    stage("confounders")
-    confounders: dict[tuple[str, str], np.ndarray] = {}
-    debate_topics = posts.debate_topics
-    try:
+    with _stage("confounders", timings, warnings):
+        confounders: dict[tuple[str, str], np.ndarray] = {}
+        debate_topics = posts.debate_topics
         for reply_value, triples in triples_by_reply.items():
             for variant in config.confounder_variants:
                 matrix, _ = build_confounder_matrix(
@@ -379,104 +377,94 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                     debate_topics=debate_topics,
                 )
                 confounders[(reply_value, variant.value)] = matrix
-    except InferenceError as exc:
-        raise PipelineError("confounders", str(exc), warnings) from exc
-    done("confounders")
 
-    # crossval
-    stage("crossval")
-    cv_reports = []
-    for reply_value, triples in triples_by_reply.items():
-        treatments = np.array([t.treatment.value for t in triples])
-        y_cv = outcomes[(reply_value, config.cv_category_type.value)]
-        for variant in config.confounder_variants:
-            try:
-                cv_reports.append(
-                    cross_validate(
-                        confounders[(reply_value, variant.value)],
-                        treatments,
-                        y_cv,
-                        folds=config.folds,
-                        seed=config.seed,
-                        regularization=config.regularization,
-                        ridge=config.outcome_ridge,
-                        clip_epsilon=config.clip_epsilon,
-                        reply_type=reply_value,
-                        variant=variant.value,
-                        category_type=config.cv_category_type.value,
-                    )
-                )
-            except InferenceError as exc:
-                warnings.append(
-                    f"cross-validation failed for ({reply_value}, {variant.value}): {exc}"
-                )
-    done("crossval")
-
-    # estimates
-    stage("estimates")
-    tasks: list[_CellTask] = []
-    for reply_type in config.reply_types if run_estimates else ():
-        reply_value = reply_type.value
-        if reply_value not in triples_by_reply:
-            continue
-        treatments = np.array(
-            [t.treatment.value for t in triples_by_reply[reply_value]]
-        )
-        for category_type in config.category_types:
+    with _stage("crossval", timings, warnings):
+        cv_reports = []
+        for reply_value, triples in triples_by_reply.items():
+            treatments = np.array([t.treatment.value for t in triples])
+            y_cv = outcomes[(reply_value, config.cv_category_type.value)]
             for variant in config.confounder_variants:
-                tasks.append(
-                    _CellTask(
-                        config=config,
-                        reply_type=reply_value,
-                        category_type=category_type.value,
-                        variant=variant.value,
-                        features=confounders[(reply_value, variant.value)],
-                        treatments=treatments,
-                        outcomes=outcomes[(reply_value, category_type.value)],
-                        seed=_cell_seed(
-                            config.seed, reply_value, category_type.value, variant.value
-                        ),
+                try:
+                    cv_reports.append(
+                        cross_validate(
+                            confounders[(reply_value, variant.value)],
+                            treatments,
+                            y_cv,
+                            folds=config.folds,
+                            seed=config.seed,
+                            regularization=config.regularization,
+                            ridge=config.outcome_ridge,
+                            clip_epsilon=config.clip_epsilon,
+                            reply_type=reply_value,
+                            variant=variant.value,
+                            category_type=config.cv_category_type.value,
+                        )
                     )
-                )
-    estimates: list[AteEstimate] = []
-    failed_cells: list[str] = []
-    parallel = config.jobs > 1 and len(tasks) > 1
-    # both maps yield the cells in task order
-    with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
-        results = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
-        for task, (cell_estimates, cell_warnings, failed) in zip(tasks, results):
-            estimates.extend(cell_estimates)
-            warnings.extend(cell_warnings)
-            if failed:
-                failed_cells.append(task.cell)
-    done("estimates")
+                except InferenceError as exc:
+                    warnings.append(
+                        f"cross-validation failed for ({reply_value}, {variant.value}): {exc}"
+                    )
 
-    # report
-    stage("report")
-    topic_top_words = {
-        debate_topic: [top_words(model, i, 10) for i in range(model.k)]
-        for debate_topic, model in sorted(models.items())
-    }
-    report = RunReport(
-        config=config.to_dict(),
-        triple_counts={
-            reply_value: triple_summary(triples)
-            for reply_value, triples in sorted(triples_by_reply.items())
-        },
-        cv_reports=cv_reports,
-        estimates=estimates,
-        topic_top_words=topic_top_words,
-        warnings=warnings,
-        failed_cells=failed_cells,
-        # the same dict, so the report stage's own time lands here too
-        timings=timings,
-    )
-    (out_dir / "report.json").write_text(
-        render_report(report, "structured"), encoding="utf-8"
-    )
-    (out_dir / "report.txt").write_text(render_report(report, "table"), encoding="utf-8")
-    (out_dir / "report.csv").write_text(
-        render_report(report, "delimited"), encoding="utf-8"
-    )
-    done("report")
+    with _stage("estimates", timings, warnings):
+        tasks: list[_CellTask] = []
+        for reply_type in config.reply_types if run_estimates else ():
+            reply_value = reply_type.value
+            if reply_value not in triples_by_reply:
+                continue
+            treatments = np.array(
+                [t.treatment.value for t in triples_by_reply[reply_value]]
+            )
+            for category_type in config.category_types:
+                for variant in config.confounder_variants:
+                    tasks.append(
+                        _CellTask(
+                            config=config,
+                            reply_type=reply_value,
+                            category_type=category_type.value,
+                            variant=variant.value,
+                            features=confounders[(reply_value, variant.value)],
+                            treatments=treatments,
+                            outcomes=outcomes[(reply_value, category_type.value)],
+                            seed=_cell_seed(
+                                config.seed, reply_value, category_type.value, variant.value
+                            ),
+                        )
+                    )
+        estimates: list[AteEstimate] = []
+        failed_cells: list[str] = []
+        parallel = config.jobs > 1 and len(tasks) > 1
+        # both maps yield the cells in task order
+        with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
+            results = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
+            for task, (cell_estimates, cell_warnings, failed) in zip(tasks, results):
+                estimates.extend(cell_estimates)
+                warnings.extend(cell_warnings)
+                if failed:
+                    failed_cells.append(task.cell)
+
+    with _stage("report", timings, warnings):
+        report = RunReport(
+            config={
+                name: value
+                for name, value in config.to_dict().items()
+                if name not in _RUN_ONLY_FIELDS
+            },
+            triple_counts={
+                reply_value: triple_summary(triples)
+                for reply_value, triples in sorted(triples_by_reply.items())
+            },
+            cv_reports=cv_reports,
+            estimates=estimates,
+            topic_top_words={
+                debate_topic: [top_words(model, i, 10) for i in range(model.k)]
+                for debate_topic, model in sorted(models.items())
+            },
+            warnings=warnings,
+            failed_cells=failed_cells,
+            # the same dict, so the report stage's own time lands here too
+            timings=timings,
+        )
+        for suffix, style in (("json", "structured"), ("txt", "table"), ("csv", "delimited")):
+            text = render_report(report, style)
+            (out_dir / f"report.{suffix}").write_text(text, encoding="utf-8")
     return report

@@ -24,7 +24,14 @@ from tonefx.harness.pipeline import PipelineError, run_pipeline
 from tonefx.harness.report import parse_report, render_report
 from tonefx.inference import ConfounderVariant
 from tonefx.lexicon import CategoryType
-from tonefx.topics import Tokenizer, default_tokenizer, load_model, save_model, surface_tokenizer
+from tonefx.topics import (
+    Tokenizer,
+    TopicModelError,
+    default_tokenizer,
+    load_model,
+    save_model,
+    surface_tokenizer,
+)
 
 from conftest import MINICORPUS, skip_odd_first_unit
 
@@ -288,22 +295,22 @@ def _one_arm_annotations(tmp_path) -> Path:
     return annotations
 
 
-def _masked_report(out_dir: Path) -> str:
-    """report.json without the two config fields that differ between the runs compared."""
-    document = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
-    document["config"].update(out_dir=None, jobs=None)
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def test_pipeline_parallel_matches_serial(tmp_path):
-    serial = run_pipeline(_config(tmp_path / "s", jobs=1, reply_types=("nasty_nice",)))
-    parallel = run_pipeline(_config(tmp_path / "p", jobs=2, reply_types=("nasty_nice",)))
+    # neither the worker count, the output directory nor the cache moves a
+    # byte of report.json
+    runs = {"s": dict(jobs=1), "p": dict(jobs=2), "nocache": dict(use_cache=False)}
+    reports = {
+        name: run_pipeline(_config(tmp_path / name, reply_types=("nasty_nice",), **overrides))
+        for name, overrides in runs.items()
+    }
+    serial, parallel = reports["s"], reports["p"]
     key = lambda e: (e.reply_type, e.category_type, e.confounder_variant, e.estimator.value)
     assert [key(e) for e in serial.estimates] == [key(e) for e in parallel.estimates]
     np.testing.assert_array_equal(
         [e.psi for e in serial.estimates], [e.psi for e in parallel.estimates]
     )
-    assert _masked_report(tmp_path / "s") == _masked_report(tmp_path / "p")
+    written = {name: (tmp_path / name / "report.json").read_bytes() for name in runs}
+    assert written["s"] == written["p"] == written["nocache"]
 
 
 def test_pipeline_parallel_matches_serial_with_failed_cells(tmp_path):
@@ -319,7 +326,9 @@ def test_pipeline_parallel_matches_serial_with_failed_cells(tmp_path):
             for category in CategoryType
             for variant in ConfounderVariant
         ]
-    assert _masked_report(tmp_path / "jobs1") == _masked_report(tmp_path / "jobs2")
+    assert (tmp_path / "jobs1" / "report.json").read_bytes() == (
+        tmp_path / "jobs2" / "report.json"
+    ).read_bytes()
 
 
 def test_pipeline_cv_outcome_outside_estimate_grid(tmp_path):
@@ -352,6 +361,29 @@ def test_pipeline_load_failure_carries_the_posts_warnings(tmp_path):
     assert excinfo.value.warnings == (
         "posts: post 'post0201': parent 'no-such-post' not found, treated as absent",
     )
+
+
+def test_pipeline_times_every_stage_in_order(full_run):
+    report, _ = full_run
+    assert list(report.timings) == [
+        "load", "triples", "topics", "outcomes", "confounders", "crossval", "estimates",
+        "report",
+    ]
+    assert all(seconds >= 0 for seconds in report.timings.values())
+
+
+def test_pipeline_stage_error_names_the_stage_and_carries_the_warnings(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TopicModelError("theta went wrong")
+
+    monkeypatch.setattr(pipeline, "build_confounder_matrix", broken)
+    with pytest.raises(PipelineError, match="stage 'confounders': theta went wrong") as excinfo:
+        run_pipeline(_config(tmp_path))
+    assert isinstance(excinfo.value.__cause__, TopicModelError)
+    assert excinfo.value.warnings[0] == (
+        "posts: post 'post0201': parent 'no-such-post' not found, treated as absent"
+    )
+    assert not (tmp_path / "report.json").exists()
 
 
 # ---------------------------------------------------------------------- cli
@@ -655,6 +687,36 @@ def test_cli_estimate_skips_non_utf8_lines(tmp_path):
 def test_cli_missing_file_is_usage_error(tmp_path, capsys):
     code = main(_estimate_args(tmp_path, "--posts", str(tmp_path / "nope.jsonl")))
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["ingest", "fit-topics", "crossval", "estimate"])
+def test_cli_corpus_that_fails_to_load_is_usage_error(tmp_path, command):
+    # every command that reads the corpus rejects it the same way
+    posts = tmp_path / "posts.jsonl"
+    text = Path(POSTS).read_text(encoding="utf-8")
+    posts.write_text(text + text.splitlines()[0] + "\n", encoding="utf-8")
+    done = _run_cli(
+        command, "--posts", str(posts), "--annotations", ANNOTATIONS,
+        "--out-dir", str(tmp_path / "run"), "--seed", "3", "--k", "4", "--folds", "3",
+    )
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "Traceback" not in done.stderr
+    error = done.stderr.splitlines()[-1]
+    assert error.startswith("error: ") and "duplicate post id 'post0000' at line 203" in error
+
+
+@pytest.mark.parametrize("command", ["fit-topics", "estimate"])
+def test_cli_unwritable_out_dir_is_runtime_error(tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    done = _run_cli(
+        command, "--posts", POSTS, "--annotations", ANNOTATIONS,
+        "--out-dir", str(blocker / "sub"), "--seed", "3", "--k", "4", "--folds", "3",
+    )
+    assert done.returncode == EXIT_RUNTIME, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Not a directory" in errors[0], done.stderr
 
 
 def test_cli_bad_config_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from tonefx.harness.pipeline import run_pipeline
 from conftest import DATA_DIR, MINICORPUS
 
 SNAPSHOT = DATA_DIR / "minicorpus_report.json"
-PATH_FIELDS = ("posts_path", "annotations_path", "out_dir", "lexicon_path", "grouping_path")
+PATH_FIELDS = ("posts_path", "annotations_path", "lexicon_path", "grouping_path")
 _PATH_LINE = re.compile(
     r'^(\s*"(?:' + "|".join(PATH_FIELDS) + r')": )"(?:[^"\\]|\\.)*"(,?)$', re.MULTILINE
 )
