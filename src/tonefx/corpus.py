@@ -172,9 +172,16 @@ def _jsonl_records(path: Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
 
     Lines are decoded one at a time, so a line that is not valid UTF-8,
     not JSON or not an object is skipped and named in ``errors`` like
-    any other bad record.  Blank lines are ignored.
+    any other bad record.  Blank lines are ignored.  A missing file
+    raises FileNotFoundError, one that cannot be read a CorpusError.
     """
-    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc.strerror}") from exc
+    for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError:
@@ -205,8 +212,6 @@ def load_posts(path: str | Path) -> PostCollection:
     is logged: the collection is the only record of these events.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"posts file not found: {path}")
 
     posts: list[Post] = []
     errors: list[str] = []
@@ -298,8 +303,6 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
     ``record_errors`` with its line number, and not logged.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"annotations file not found: {path}")
 
     annotations: list[QuoteResponseAnnotation] = []
     errors: list[str] = []

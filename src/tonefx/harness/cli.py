@@ -19,7 +19,6 @@ requested estimate cells missing.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -34,7 +33,7 @@ from ..corpus import (
 from ..estimators import EstimationError
 from ..inference import InferenceError
 from ..lexicon import LexiconError
-from ..topics import TopicModelError, load_model, top_words
+from ..topics import ModelFileError, TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
 from .pipeline import PipelineError, fit_topic_models, load_warnings, run_pipeline, token_table
 from .report import ReportError, RunReport, parse_report, render_report, triple_summary
@@ -48,8 +47,8 @@ EXIT_INCOMPLETE = 3
 # bad configuration or input, the caller's to fix: exit 1, also when a
 # pipeline stage wraps one
 _INPUT_ERRORS = (
-    ConfigError, CorpusError, LexiconError, ReportError, SyntheticError,
-    FileNotFoundError, json.JSONDecodeError,
+    ConfigError, CorpusError, LexiconError, ModelFileError, ReportError, SyntheticError,
+    FileNotFoundError,
 )
 # everything else that can stop a run: exit 2
 _RUN_ERRORS = (PipelineError, TopicModelError, InferenceError, EstimationError, OSError)
@@ -251,7 +250,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    text = Path(args.report).read_text(encoding="utf-8")
+    path = Path(args.report)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ReportError(f"cannot read {path}: {exc.strerror}") from exc
     report = parse_report(text)
     print(render_report(report, args.format), end="")
     return EXIT_OK
@@ -314,8 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         # a failed run writes no report, so its warnings go to stderr
         if isinstance(exc, PipelineError):
             _print_stderr(exc.warnings)
-        message = f"invalid JSON input: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
-        print(f"error: {message}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__ if isinstance(exc, PipelineError) else exc
         return EXIT_USAGE if isinstance(cause, _INPUT_ERRORS) else EXIT_RUNTIME
 

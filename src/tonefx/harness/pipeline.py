@@ -21,9 +21,11 @@ Each post's default-tokenizer tokens and its category row are computed
 at most once per run, on first use, and shared by the topics, outcomes
 and confounders stages; with cached topic models, posts outside the
 triples are never tokenized.  Each run creates its own default
-tokenizer and loads its own lexicon, which holds its own surface
-tokenizer; they memoize each distinct token form, so a form is
-lemmatized and categorized once per run, and no memo outlives its run.
+tokenizer and loads its own lexicon; they memoize each distinct token
+form, so a form is lemmatized and categorized once per run, and no memo
+outlives its run.  Likewise each p1 and p2 post's topic proportions are
+inferred once per run, in one batch per debate topic across all reply
+types, and each confounder matrix is a lookup in these per-post tables.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from ..estimators import (
     point_estimate,
 )
 from ..inference import (
+    ConfounderVariant,
     InferenceError,
     build_confounder_matrix,
     cross_validate,
@@ -77,6 +80,7 @@ from ..topics import (
     build_vocabulary,
     default_tokenizer,
     fit_lda,
+    infer_theta_batch,
     load_model,
     save_model,
     top_words,
@@ -207,7 +211,7 @@ def fit_topic_models(
             try:
                 model = load_model(cache_path)
                 logger.info("topic model for %r loaded from cache", debate_topic)
-            except (TopicModelError, OSError, ValueError, KeyError, TypeError) as exc:
+            except TopicModelError as exc:
                 warnings.append(
                     f"cache entry for debate topic {debate_topic!r} unreadable "
                     f"({exc}); refitting"
@@ -368,15 +372,25 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                 )
 
     with _stage("confounders", timings, warnings):
-        confounders: dict[tuple[str, str], np.ndarray] = {}
-        debate_topics = posts.debate_topics
-        for reply_value, triples in triples_by_reply.items():
-            for variant in config.confounder_variants:
-                matrix, _ = build_confounder_matrix(
-                    triples, variant, models, grouping, post_tokens, category_rows,
-                    debate_topics=debate_topics,
-                )
-                confounders[(reply_value, variant.value)] = matrix
+        # each debate topic's p1 and p2 posts, first seen over the reply types
+        batches: dict[str, dict[str, None]] = {}
+        if ConfounderVariant.FULL in config.confounder_variants:
+            for triple in (t for triples in triples_by_reply.values() for t in triples):
+                batch = batches.setdefault(triple.debate_topic, {})
+                batch.update(dict.fromkeys((triple.p1.id, triple.p2.id)))
+        thetas: dict[str, np.ndarray] = {}
+        for debate_topic, post_ids in sorted(batches.items()):
+            model = models[debate_topic]
+            dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
+            label = f"debate topic {debate_topic!r}"
+            thetas.update(zip(post_ids, infer_theta_batch(model, dtm.counts, label=label)))
+        confounders = {
+            (reply_value, variant.value): build_confounder_matrix(
+                triples, variant, thetas, category_rows, posts.debate_topics
+            )
+            for reply_value, triples in triples_by_reply.items()
+            for variant in config.confounder_variants
+        }
 
     with _stage("crossval", timings, warnings):
         cv_reports = []

@@ -1,14 +1,14 @@
 """Confounder vectors and nuisance models for treatment and outcome.
 
 Two confounder variants are supported per triple.  The full variant
-concatenates the topic-model embeddings of p1 and p2 under their debate
+concatenates the topic proportions of p1 and p2 under their debate
 topic's model with p1's category row (all three category types), so its
 length is 2k plus the total category count.  The caller featurizes the
-text: it passes each post's default-tokenizer tokens and p1's category
-row, both keyed by post id, so one run tokenizes and categorizes each
-post once however many confounder matrices it builds.  The topics-only
-variant is a one-hot encoding of the debate topic and serves as the weak
-baseline adjustment set.
+text and infers the topic proportions: it passes both as tables keyed by
+post id, so one run tokenizes, categorizes and infers each post once
+however many confounder matrices it builds, and building a matrix is a
+lookup.  The topics-only variant is a one-hot encoding of the debate
+topic and serves as the weak baseline adjustment set.
 
 The propensity model is an L2-penalized logistic regression fit by
 damped Newton iteration on the mean log-loss; it stops when the gradient
@@ -43,8 +43,6 @@ import numpy as np
 from scipy.special import expit
 
 from .corpus import Triple
-from .lexicon import CategoryType, CategoryTypeGrouping
-from .topics import LdaModel, build_dtm, infer_theta_batch
 
 logger = logging.getLogger(__name__)
 
@@ -61,85 +59,44 @@ class ConfounderVariant(str, Enum):
     DEBATE_TOPICS_ONLY = "debate_topics_only"
 
 
-def _full_feature_names(k: int, grouping: CategoryTypeGrouping) -> tuple[str, ...]:
-    names = [f"p1_theta_{i}" for i in range(k)]
-    names += [f"p2_theta_{i}" for i in range(k)]
-    for ctype in CategoryType:
-        names += [f"p1_{ctype.value}:{cat}" for cat in grouping.categories(ctype)]
-    return tuple(names)
-
-
 def build_confounder_matrix(
     triples: Sequence[Triple],
     variant: ConfounderVariant,
-    lda_models: Mapping[str, LdaModel],
-    grouping: CategoryTypeGrouping,
-    post_tokens: Mapping[str, Sequence[str]],
+    thetas: Mapping[str, np.ndarray],
     category_rows: Mapping[str, np.ndarray],
-    debate_topics: Sequence[str] | None = None,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Confounder rows for the triples, batching topic inference per debate topic.
+    debate_topics: Sequence[str],
+) -> np.ndarray:
+    """Confounder rows for the triples, looked up from per-post tables.
 
-    ``post_tokens`` maps the id of every p1 and p2 to its default-tokenizer
-    tokens and ``category_rows`` maps the id of every p1 to its
-    ``vectorize_post`` row; the topics-only variant reads neither.  Row
-    order follows the input triples.  ``debate_topics`` fixes the one-hot
-    component order for the topics-only variant and defaults to the
-    sorted model keys.
+    ``thetas`` maps the id of every p1 and p2 to its topic proportions
+    and ``category_rows`` maps the id of every p1 to its
+    ``vectorize_post`` row; a full row is theta[p1], theta[p2] and
+    category_rows[p1], concatenated.  The topics-only variant reads
+    neither table and one-hot encodes the debate topic, with components
+    in ``debate_topics`` order.  Row order follows the input triples.
     """
     variant = ConfounderVariant(variant)
     if not triples:
         raise InferenceError("no triples to build confounders for")
-    if debate_topics is None:
-        debate_topics = sorted(lda_models)
-    if variant is ConfounderVariant.DEBATE_TOPICS_ONLY:
-        names = tuple(f"debate_topic={topic}" for topic in debate_topics)
-        topic_index = {topic: i for i, topic in enumerate(debate_topics)}
-        features = np.zeros((len(triples), len(debate_topics)))
-        for i, triple in enumerate(triples):
-            pos = topic_index.get(triple.debate_topic)
-            if pos is None:
-                raise InferenceError(
-                    f"triple {triple.id!r}: unknown debate topic {triple.debate_topic!r}"
-                )
-            features[i, pos] = 1.0
-        return features, names
-
-    ks = {model.k for model in lda_models.values()}
-    if len(ks) > 1:
-        raise InferenceError(f"topic models disagree on k: {sorted(ks)}")
-
-    # posts needing an embedding, grouped per debate topic for batched inference
-    theta_by_post: dict[tuple[str, str], np.ndarray] = {}
-    for topic in sorted({t.debate_topic for t in triples}):
-        model = lda_models.get(topic)
-        if model is None:
-            raise InferenceError(f"no topic model for debate topic {topic!r}")
-        post_ids = list(
-            dict.fromkeys(
-                post.id
-                for triple in triples
-                if triple.debate_topic == topic
-                for post in (triple.p1, triple.p2)
+    topic_index = {topic: i for i, topic in enumerate(debate_topics)}
+    for triple in triples:
+        if triple.debate_topic not in topic_index:
+            raise InferenceError(
+                f"triple {triple.id!r}: unknown debate topic {triple.debate_topic!r}"
             )
-        )
-        dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
-        thetas = infer_theta_batch(model, dtm.counts)
-        for post_id, theta in zip(post_ids, thetas):
-            theta_by_post[(topic, post_id)] = theta
+    if variant is ConfounderVariant.DEBATE_TOPICS_ONLY:
+        return np.eye(len(debate_topics))[[topic_index[t.debate_topic] for t in triples]]
 
-    k = next(iter(ks))
-    names = _full_feature_names(k, grouping)
-    matrix = np.empty((len(triples), len(names)))
-    for i, triple in enumerate(triples):
-        matrix[i] = np.concatenate(
-            [
-                theta_by_post[(triple.debate_topic, triple.p1.id)],
-                theta_by_post[(triple.debate_topic, triple.p2.id)],
-                category_rows[triple.p1.id],
-            ]
-        )
-    return matrix, names
+    try:
+        pairs = [(thetas[triple.p1.id], thetas[triple.p2.id]) for triple in triples]
+    except KeyError as exc:
+        raise InferenceError(f"no topic proportions for post {exc.args[0]!r}") from None
+    ks = {len(theta) for pair in pairs for theta in pair}
+    if len(ks) > 1:
+        raise InferenceError(f"topic proportions disagree on k: {sorted(ks)}")
+    return np.array(
+        [np.concatenate((*pair, category_rows[t.p1.id])) for pair, t in zip(pairs, triples)]
+    )
 
 
 def as_feature_matrix(features: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:

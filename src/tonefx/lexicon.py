@@ -26,11 +26,11 @@ triple is the Euclidean distance between the p1 and p3 blocks of one
 category type.  A small open demonstration lexicon and grouping ship
 with the package; any file in the same format can be substituted.
 
-Each lexicon object holds its own surface tokenizer and memoizes the
-categories of every token form it has met, so a run, which loads its own
-lexicon, tokenizes each raw form and categorizes each distinct form once
-however many posts repeat it, and neither memo outlives the run.  The
-grouping maps each category to its row columns once, when it is built.
+Each lexicon object memoizes the categories of every token form it has
+met, so a run, which loads its own lexicon, categorizes each distinct
+form once however many posts repeat it, and the memo does not outlive
+the run.  The grouping maps each category to its row columns once, when
+it is built.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TextIO
 
 import numpy as np
 
-from .topics import Tokenizer, surface_tokenizer
+from .topics import split_words
 
 
 class LexiconError(ValueError):
@@ -66,10 +66,6 @@ class CategoryLexicon:
     # token form -> its categories, filled by vectorize_post
     _forms: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
-    )
-    # the tokenizer of vectorize_post, whose raw-form memo lives as long as the lexicon
-    _tokenizer: Tokenizer = field(
-        init=False, repr=False, compare=False, default_factory=surface_tokenizer
     )
 
 
@@ -109,6 +105,16 @@ class CategoryTypeGrouping:
         return sum(len(self.categories(ctype)) for ctype in CategoryType)
 
 
+def _open(path: Path) -> TextIO:
+    """Open a lexicon or grouping file; one that exists but cannot be read is a LexiconError."""
+    try:
+        return path.open("r", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise LexiconError(f"cannot read {path}: {exc.strerror}") from exc
+
+
 def load_lexicon(
     lexicon_path: str | Path, grouping_path: str | Path
 ) -> tuple[CategoryLexicon, CategoryTypeGrouping]:
@@ -120,15 +126,11 @@ def load_lexicon(
     """
     lexicon_path = Path(lexicon_path)
     grouping_path = Path(grouping_path)
-    if not lexicon_path.exists():
-        raise FileNotFoundError(f"lexicon file not found: {lexicon_path}")
-    if not grouping_path.exists():
-        raise FileNotFoundError(f"grouping file not found: {grouping_path}")
 
     exact: dict[str, set[str]] = {}
     prefixes: dict[str, set[str]] = {}
     categories: set[str] = set()
-    with lexicon_path.open("r", encoding="utf-8") as handle:
+    with _open(lexicon_path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -164,7 +166,7 @@ def load_lexicon(
     grouping_lists: dict[CategoryType, tuple[str, ...]] = {}
     current: CategoryType | None = None
     collected: dict[CategoryType, list[str]] = {}
-    with grouping_path.open("r", encoding="utf-8") as handle:
+    with _open(grouping_path) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -245,16 +247,15 @@ def vectorize_post(
 ) -> np.ndarray:
     """Category row of one text: relative frequencies for all three types.
 
-    Tokens come from the lexicon's surface tokenizer, which keeps stop
-    words and surface forms because style categories live in exactly
-    those words.
+    Tokens are the text's ``split_words`` forms, stop words and surface
+    forms included, because style categories live in exactly those words.
     Each distinct form is counted once and added to every column of its
     categories; a form is categorized only the first time ``lexicon``
     meets it.  A text with zero tokens yields the zero row.
     """
     forms = lexicon._forms
     columns = grouping._columns
-    tokens = lexicon._tokenizer(text)
+    tokens = split_words(text)
     counts = [0] * grouping.width
     for form, count in Counter(tokens).items():
         cats = forms.get(form)

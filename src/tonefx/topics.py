@@ -49,6 +49,10 @@ class TopicModelError(ValueError):
     """Invalid input to vocabulary construction or topic model fitting."""
 
 
+class ModelFileError(TopicModelError):
+    """A saved topic model file that cannot be read or does not hold a model."""
+
+
 def load_wordlist(path: str | Path) -> frozenset[str]:
     """Read a plain-text word list, one entry per line, '#' for comments."""
     words = set()
@@ -119,18 +123,22 @@ def lemmatize_token(token: str, exceptions: Mapping[str, str] | None = None) -> 
     return token
 
 
+def split_words(text: str) -> list[str]:
+    """The lowercased alphabetic unigrams of a text, internal apostrophes allowed."""
+    return _TOKEN_RE.findall(text.lower())
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Configurable text-to-token mapping shared by all text consumers.
 
-    Lowercases, keeps alphabetic unigrams (internal apostrophes allowed),
-    drops stop words from the configured list, and optionally lemmatizes.
+    Splits the text with ``split_words``, drops stop words from the
+    configured list, and lemmatizes the rest.
     Each raw form is normalized once per tokenizer object and memoized,
     so every occurrence of a form yields the same string object.
     """
 
     stopwords: frozenset[str] = frozenset()
-    lemmatize: bool = True
     exceptions: tuple[tuple[str, str], ...] = ()
     _table: dict[str, str] = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
     # raw form -> its token, or "" for a dropped form (stop word, empty lemma)
@@ -143,7 +151,7 @@ class Tokenizer:
 
     def __call__(self, text: str) -> list[str]:
         forms = self._forms
-        raws = _TOKEN_RE.findall(text.lower())
+        raws = split_words(text)
         for raw in set(raws).difference(forms):
             forms[raw] = self._normalize(raw)
         return list(filter(None, map(forms.__getitem__, raws)))
@@ -151,14 +159,13 @@ class Tokenizer:
     def _normalize(self, raw: str) -> str:
         if raw in self.stopwords:
             return ""
-        return lemmatize_token(raw, self._table) if self.lemmatize else raw
+        return lemmatize_token(raw, self._table)
 
     def fingerprint(self) -> str:
         """Stable digest of the configuration, used in cache keys."""
         payload = json.dumps(
             {
                 "stopwords": sorted(self.stopwords),
-                "lemmatize": self.lemmatize,
                 "exceptions": sorted(self.exceptions),
             },
             sort_keys=True,
@@ -175,18 +182,8 @@ def default_tokenizer() -> Tokenizer:
     data_dir = Path(__file__).parent / "data"
     return Tokenizer(
         stopwords=load_wordlist(data_dir / "stopwords.txt"),
-        lemmatize=True,
         exceptions=tuple(sorted(load_lemma_exceptions(data_dir / "lemma_exceptions.txt").items())),
     )
-
-
-def surface_tokenizer() -> Tokenizer:
-    """A new tokenizer that keeps stop words and surface forms (lexicon counting).
-
-    Each call returns a tokenizer with an empty memo; every
-    ``CategoryLexicon`` holds its own.
-    """
-    return Tokenizer(stopwords=frozenset(), lemmatize=False)
 
 
 @dataclass(eq=False)
@@ -521,14 +518,18 @@ def infer_theta_batch(
     counts: sparse.spmatrix | np.ndarray,
     max_iters: int = 200,
     tol: float = 1e-6,
+    *,
+    label: str = "",
 ) -> np.ndarray:
     """Posterior mean topic proportions for each count row, topics held fixed.
 
     Uses the fitted beta as the term distributions.  Rows with zero count
     keep the symmetric prior and come out exactly uniform.  Rows still
     moving by ``tol`` or more after ``max_iters`` sweeps keep their last
-    values, and one warning per call counts them.  The nonzero index and
-    the transposed beta are built once per call and shared by its sweeps.
+    values, and one warning per call counts them; a nonempty ``label``,
+    such as the debate topic of the rows, starts that warning.  The
+    nonzero index and the transposed beta are built once per call and
+    shared by its sweeps.
     Results are bit-for-bit reproducible at a fixed BLAS thread count; a
     different count may move them in their last bits, because the dense
     sweep product is then split differently.
@@ -557,8 +558,8 @@ def infer_theta_batch(
     unconverged = int(active.sum())
     if unconverged:
         logger.warning(
-            "%d of %d rows did not converge within max_iters=%d",
-            unconverged, counts.shape[0], max_iters,
+            "%s%d of %d rows did not converge within max_iters=%d",
+            f"{label}: " if label else "", unconverged, counts.shape[0], max_iters,
         )
     return gamma / gamma.sum(axis=1, keepdims=True)
 
@@ -600,29 +601,49 @@ def save_model(model: LdaModel, path: str | Path) -> None:
         handle.write("\n")
 
 
+def _json_field(payload: dict, key: str, kinds: str, ndim: int = 0):
+    """payload[key] if it is a JSON scalar (ndim 0) or ndim-deep array of numpy dtype
+    kind in ``kinds``: i integers, f other numbers, U strings (not true, false, null)."""
+    value = np.array(payload[key])
+    if value.dtype.kind not in kinds or value.ndim != ndim:
+        raise TypeError(f"field {key!r} has the wrong JSON type")
+    return value.tolist()
+
+
 def load_model(path: str | Path) -> LdaModel:
-    """Load a serialized model; rejects unknown formats and major versions."""
+    """Load a serialized model; any fault of the file, from an unreadable path or an
+    unknown format or major version to a mistyped field, is a ModelFileError naming it."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != MODEL_FORMAT:
-        raise TopicModelError(f"{path.name}: not a {MODEL_FORMAT} artifact")
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ModelFileError(f"{path.name}: cannot be read ({exc.strerror})") from exc
+    except ValueError as exc:
+        raise ModelFileError(f"{path.name}: not UTF-8 JSON ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
+        raise ModelFileError(f"{path.name}: not a {MODEL_FORMAT} artifact")
     version = str(payload.get("format_version", ""))
     if version.split(".")[0] != MODEL_FORMAT_VERSION.split(".")[0]:
-        raise TopicModelError(
+        raise ModelFileError(
             f"{path.name}: unsupported format version {version!r} "
             f"(reader supports major version {MODEL_FORMAT_VERSION.split('.')[0]})"
         )
-    vocabulary = Vocabulary(
-        terms=tuple(payload["vocabulary"]["terms"]),
-        document_frequency=np.array(payload["vocabulary"]["document_frequency"], dtype=float),
-    )
-    return LdaModel(
-        k=int(payload["k"]),
-        beta=np.array(payload["beta"], dtype=float),
-        alpha_prior=float(payload["alpha_prior"]),
-        gamma_prior=float(payload["gamma_prior"]),
-        elbo_trace=tuple(float(x) for x in payload["elbo_trace"]),
-        seed=int(payload["seed"]),
-        vocabulary=vocabulary,
-    )
+    try:
+        vocabulary = payload["vocabulary"]
+        return LdaModel(
+            k=_json_field(payload, "k", "i"),
+            beta=_json_field(payload, "beta", "if", 2),
+            alpha_prior=float(_json_field(payload, "alpha_prior", "if")),
+            gamma_prior=float(_json_field(payload, "gamma_prior", "if")),
+            elbo_trace=tuple(map(float, _json_field(payload, "elbo_trace", "if", 1))),
+            seed=_json_field(payload, "seed", "i"),
+            vocabulary=Vocabulary(
+                terms=tuple(_json_field(vocabulary, "terms", "U", 1)),
+                document_frequency=_json_field(vocabulary, "document_frequency", "if", 1),
+            ),
+        )
+    except KeyError as exc:
+        raise ModelFileError(f"{path.name}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path.name}: {exc}") from exc

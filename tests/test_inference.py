@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.special import expit
 
 from tonefx.corpus import ReplyType, TreatmentAssignment, Triple
@@ -25,33 +24,16 @@ from tonefx.inference import (
     predict_propensity,
 )
 from tonefx.lexicon import vectorize_post
-from tonefx.topics import (
-    DocumentTermMatrix,
-    Vocabulary,
-    default_tokenizer,
-    fit_lda,
-    surface_tokenizer,
-)
 
 from conftest import make_post, stall_line_search
 
 
 # ----------------------------------------------------------- confounders
 
-
-def _tiny_model(seed=0, k=2):
-    terms = tuple(f"w{i:02d}" for i in range(12))
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(20, rng.dirichlet(np.ones(12)), size=30)
-    dtm = DocumentTermMatrix(
-        counts=sparse.csr_matrix(counts),
-        doc_ids=tuple(f"doc{i}" for i in range(30)),
-        vocabulary=Vocabulary(terms=terms, document_frequency=np.full(12, 0.5)),
-    )
-    return fit_lda(dtm, k=k, seed=seed, max_iters=20)
+DEBATE_TOPICS = ("evolution", "gun control")
 
 
-def _triple(i=0, topic="gun control", text1="w00 w01 w02", text2="w03 w04"):
+def _triple(i=0, topic="gun control", text1="the w00 w01 w02", text2="w03 w04"):
     p1 = make_post(f"p{i}a", 3 * i, author="a", debate_topic=topic, text=text1)
     p2 = make_post(f"p{i}b", 3 * i + 1, author="b", debate_topic=topic, text=text2)
     p3 = make_post(f"p{i}c", 3 * i + 2, author="a", debate_topic=topic, text="w05")
@@ -65,84 +47,83 @@ def _triple(i=0, topic="gun control", text1="w00 w01 w02", text2="w03 w04"):
     )
 
 
-def _text_features(triples, lexicon_grouping, tokenizer=None):
-    """Per-post tokens and category rows, keyed by post id, for the triples."""
+def _tables(triples, lexicon_grouping, k=None):
+    """Topic proportions of each p1 and p2 and category rows of each p1, keyed by post id.
+
+    ``k`` maps a debate topic to its number of topics, 2 by default.
+    """
     lexicon, grouping = lexicon_grouping
-    tokenizer = tokenizer or default_tokenizer()
-    posts = [post for triple in triples for post in (triple.p1, triple.p2)]
-    tokens = {post.id: tokenizer(post.text) for post in posts}
-    rows = {post.id: vectorize_post(lexicon, grouping, post.text) for post in posts}
-    return grouping, tokens, rows
+    rng = np.random.default_rng(0)
+    thetas = {
+        post.id: rng.dirichlet(np.ones((k or {}).get(triple.debate_topic, 2)))
+        for triple in triples
+        for post in (triple.p1, triple.p2)
+    }
+    rows = {t.p1.id: vectorize_post(lexicon, grouping, t.p1.text) for t in triples}
+    return thetas, rows
 
 
-@pytest.fixture(scope="module")
-def models():
-    return {"gun control": _tiny_model(0), "evolution": _tiny_model(1)}
-
-
-def test_full_confounder_layout(models, lexicon_grouping):
+def test_full_confounder_layout(lexicon_grouping):
     triples = [_triple()]
-    matrix, names = build_confounder_matrix(
-        triples, ConfounderVariant.FULL, models,
-        *_text_features(triples, lexicon_grouping, surface_tokenizer()),
+    thetas, rows = _tables(triples, lexicon_grouping)
+    matrix = build_confounder_matrix(
+        triples, ConfounderVariant.FULL, thetas, rows, DEBATE_TOPICS
     )
-    features = matrix[0]
     assert matrix.shape == (1, 2 * 2 + 16)
-    assert names[:2] == ("p1_theta_0", "p1_theta_1")
-    assert names[2:4] == ("p2_theta_0", "p2_theta_1")
-    assert names[4] == "p1_positive_sentiment:posemo"
-    assert names[-1] == "p1_linguistic_style:certainty"
-    # both theta blocks are probability vectors
-    assert features[:2].sum() == pytest.approx(1.0)
-    assert features[2:4].sum() == pytest.approx(1.0)
+    # theta of p1, theta of p2, then p1's category row, bit for bit
+    np.testing.assert_array_equal(matrix[0, :2], thetas["p0a"])
+    np.testing.assert_array_equal(matrix[0, 2:4], thetas["p0b"])
+    np.testing.assert_array_equal(matrix[0, 4:], rows["p0a"])
+    assert matrix[0, 4:].any()
 
 
-def test_topics_only_confounder_is_one_hot(models, lexicon_grouping):
-    triples = [_triple(topic="evolution")]
-    matrix, names = build_confounder_matrix(
-        triples, ConfounderVariant.DEBATE_TOPICS_ONLY,
-        models, *_text_features(triples, lexicon_grouping),
+def test_topics_only_confounder_is_one_hot(lexicon_grouping):
+    triples = [_triple(topic="evolution"), _triple(1, "gun control")]
+    # the topics-only variant reads neither table
+    matrix = build_confounder_matrix(
+        triples, ConfounderVariant.DEBATE_TOPICS_ONLY, {}, {}, DEBATE_TOPICS
     )
-    assert names == ("debate_topic=evolution", "debate_topic=gun control")
-    np.testing.assert_array_equal(matrix, [[1.0, 0.0]])
+    np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
-def test_confounder_matrix_matches_single_path(models, lexicon_grouping):
+def test_confounder_matrix_matches_single_path(lexicon_grouping):
     # a row of a many-triple matrix equals the one-triple matrix of that triple
     triples = [
         _triple(0, "gun control"),
         _triple(1, "evolution", text1="w06 w07", text2="w08"),
         _triple(2, "gun control", text1="w00 w09", text2="w10 w11 w00"),
     ]
-    features = _text_features(triples, lexicon_grouping, surface_tokenizer())
+    tables = _tables(triples, lexicon_grouping)
     for variant in ConfounderVariant:
-        matrix, names = build_confounder_matrix(triples, variant, models, *features)
-        assert matrix.shape == (3, len(names))
+        matrix = build_confounder_matrix(triples, variant, *tables, DEBATE_TOPICS)
+        assert matrix.shape[0] == 3
         for row, triple in zip(matrix, triples):
-            single, single_names = build_confounder_matrix(
-                [triple], variant, models, *features
-            )
+            single = build_confounder_matrix([triple], variant, *tables, DEBATE_TOPICS)
             np.testing.assert_array_equal(row, single[0])
-            assert single_names == names
 
 
-def test_confounder_unknown_topic_raises(models, lexicon_grouping):
+def test_confounder_unknown_topic_raises(lexicon_grouping):
     stranger = [_triple(topic="astrology")]
     for variant in ConfounderVariant:
         with pytest.raises(InferenceError, match="astrology"):
             build_confounder_matrix(
-                stranger, variant, models, *_text_features(stranger, lexicon_grouping)
+                stranger, variant, *_tables(stranger, lexicon_grouping), DEBATE_TOPICS
             )
 
 
-def test_confounder_matrix_rejects_mismatched_k(models, lexicon_grouping):
-    mixed = dict(models)
-    mixed["evolution"] = _tiny_model(1, k=3)
+def test_confounder_matrix_names_a_post_missing_from_the_table(lexicon_grouping):
     triples = [_triple(0), _triple(1, "evolution")]
+    thetas, rows = _tables(triples, lexicon_grouping)
+    del thetas["p1b"]
+    with pytest.raises(InferenceError, match="no topic proportions for post 'p1b'"):
+        build_confounder_matrix(triples, ConfounderVariant.FULL, thetas, rows, DEBATE_TOPICS)
+
+
+def test_confounder_matrix_rejects_mismatched_k(lexicon_grouping):
+    triples = [_triple(0), _triple(1, "evolution")]
+    tables = _tables(triples, lexicon_grouping, k={"evolution": 3})
     with pytest.raises(InferenceError, match="disagree on k"):
-        build_confounder_matrix(
-            triples, ConfounderVariant.FULL, mixed, *_text_features(triples, lexicon_grouping)
-        )
+        build_confounder_matrix(triples, ConfounderVariant.FULL, *tables, DEBATE_TOPICS)
 
 
 def test_as_feature_matrix_flags_non_finite():

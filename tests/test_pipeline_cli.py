@@ -1,6 +1,8 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
+import functools
 import json
+import logging
 import os
 import re
 import subprocess
@@ -27,10 +29,12 @@ from tonefx.lexicon import CategoryType
 from tonefx.topics import (
     Tokenizer,
     TopicModelError,
+    build_dtm,
     default_tokenizer,
+    infer_theta_batch,
     load_model,
     save_model,
-    surface_tokenizer,
+    split_words,
 )
 
 from conftest import MINICORPUS, skip_odd_first_unit
@@ -242,7 +246,7 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         # each run loads its own lexicon, which categorizes each surface form once
         assert max(categorized.values()) == 1, cache
         assert set(categorized) == {
-            form for text in vectorized for form in surface_tokenizer()(text)
+            form for text in vectorized for form in split_words(text)
         }
         default_texts = {text for tok, text in tokenized if tok == default_tokenizer()}
         if cache == "miss":
@@ -251,6 +255,81 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
             # the cached models need no tokens; the confounders read p1 and p2
             assert default_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
             assert len(default_texts) < len(posts)
+
+
+def _record_theta_batches(monkeypatch) -> list:
+    """Record each infer_theta_batch call of the pipeline as (model, counts, label)."""
+    calls = []
+
+    def recorded(model, counts, *args, **kwargs):
+        calls.append((model, counts.toarray(), kwargs.get("label")))
+        return infer_theta_batch(model, counts, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "infer_theta_batch", recorded)
+    return calls
+
+
+def test_pipeline_infers_each_post_once_per_run(tmp_path, monkeypatch):
+    config = _config(tmp_path)
+    posts, annotations = load_posts(POSTS), load_annotations(ANNOTATIONS)
+    # each debate topic's distinct p1 and p2, first-seen over the reply types
+    expected: dict[str, dict[str, None]] = {}
+    for reply_type in config.reply_types:
+        for triple in extract_triples(posts, annotations, reply_type):
+            expected.setdefault(triple.debate_topic, {}).update(
+                dict.fromkeys((triple.p1.id, triple.p2.id))
+            )
+    calls = _record_theta_batches(monkeypatch)
+    built = []
+    build = pipeline.build_confounder_matrix
+
+    def recorded_build(triples, variant, thetas, category_rows, debate_topics):
+        matrix = build(triples, variant, thetas, category_rows, debate_topics)
+        built.append((triples, variant, thetas, category_rows, matrix))
+        return matrix
+
+    monkeypatch.setattr(pipeline, "build_confounder_matrix", recorded_build)
+    report = run_pipeline(config)
+    assert len(report.triple_counts) == 2  # two reply types share the batches
+    assert [label for _, _, label in calls] == [
+        "debate topic 'evolution'", "debate topic 'gun control'",
+    ]
+    tokenize = default_tokenizer()
+    for (model, counts, _), (topic, post_ids) in zip(calls, sorted(expected.items())):
+        want = build_dtm([tokenize(posts.get(i).text) for i in post_ids], model.vocabulary)
+        np.testing.assert_array_equal(counts, want.counts.toarray())
+    # every full row is theta[p1], theta[p2] and the category row of p1
+    full = [b for b in built if b[1] is ConfounderVariant.FULL]
+    assert len(full) == 2 and len(built) == 4
+    for triples, _, thetas, category_rows, matrix in full:
+        assert set(thetas) == {i for ids in expected.values() for i in ids}
+        for row, t in zip(matrix, triples, strict=True):
+            pieces = (thetas[t.p1.id], thetas[t.p2.id], category_rows[t.p1.id])
+            np.testing.assert_array_equal(row, np.concatenate(pieces))
+
+
+def test_pipeline_skips_theta_without_the_full_variant(tmp_path, monkeypatch):
+    calls = _record_theta_batches(monkeypatch)
+    report = run_pipeline(_config(tmp_path, confounder_variants=("debate_topics_only",)))
+    assert not calls
+    assert report.estimates and not report.failed_cells
+
+
+def test_pipeline_warns_once_per_debate_topic_on_unconverged_theta(
+    tmp_path, monkeypatch, caplog
+):
+    # two sweeps leave rows of both topics unconverged, on any machine
+    monkeypatch.setattr(pipeline, "infer_theta_batch", functools.partial(
+        infer_theta_batch, max_iters=2,
+    ))
+    with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
+        run_pipeline(_config(tmp_path), run_estimates=False)
+    messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+    assert [m.split(":")[0] for m in messages] == [
+        "debate topic 'evolution'", "debate topic 'gun control'",
+    ]
+    assert all(re.search(r": \d+ of 56 rows did not converge within max_iters=2$", m)
+               for m in messages), messages
 
 
 def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
@@ -719,6 +798,23 @@ def test_cli_unwritable_out_dir_is_runtime_error(tmp_path, command):
     assert len(errors) == 1 and "Not a directory" in errors[0], done.stderr
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("ingest", "--posts"), ("estimate", "--posts"), ("estimate", "--lexicon"),
+    ("estimate", "--config"), ("inspect-topics", None), ("report", None),
+])
+def test_cli_input_path_that_cannot_be_read_is_usage_error(tmp_path, capsys, command, flag):
+    # a directory exists but cannot be read as a file, like a missing file
+    unreadable = str(MINICORPUS.parent)
+    args = [command, unreadable] if flag is None else [
+        command, "--posts", POSTS, "--annotations", ANNOTATIONS,
+        "--out-dir", str(tmp_path / "run"), "--seed", "3", flag, unreadable,
+    ]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    errors = [line for line in err if line.startswith("error: ")]
+    assert errors == err[-1:] and "Is a directory" in errors[0], err
+
+
 def test_cli_bad_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -760,6 +856,16 @@ def test_cli_fit_topics_and_inspect(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "topic 0:" in stdout
     assert main(["inspect-topics", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    # a malformed model file is bad input: one error line, no traceback
+    payload = json.loads(model_path.read_text(encoding="utf-8"))
+    bad = tmp_path / "bad.json"
+    for text in ("[1]", "{", json.dumps({**payload, "format_version": "2.0"}),
+                 json.dumps({**payload, "k": "4"})):
+        bad.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect-topics", str(bad)]) == EXIT_USAGE, text
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad.json: "), err
 
 
 @pytest.mark.parametrize("command", ["ingest", "estimate"])

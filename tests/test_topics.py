@@ -1,6 +1,7 @@
 """Tokenization, vocabulary, and the variational topic model."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tonefx.topics import (
     _TOKEN_RE,
     DEFAULT_GAMMA_PRIOR,
     LdaModel,
+    ModelFileError,
     TopicModelError,
     Tokenizer,
     Vocabulary,
@@ -26,7 +28,7 @@ from tonefx.topics import (
     lemmatize_token,
     load_model,
     save_model,
-    surface_tokenizer,
+    split_words,
     top_words,
 )
 
@@ -39,7 +41,8 @@ def test_default_tokenizer_frozen_example():
 
 
 def test_surface_tokenizer_keeps_everything():
-    assert surface_tokenizer()("The GUNS were firing.") == [
+    # the lexicon's surface tokens: no stop word dropped, nothing lemmatized
+    assert split_words("The GUNS were firing.") == [
         "the", "guns", "were", "firing",
     ]
 
@@ -71,14 +74,13 @@ def _reference_tokens(tokenizer: Tokenizer, text: str) -> list[str]:
     for raw in _TOKEN_RE.findall(text.lower()):
         if raw in tokenizer.stopwords:
             continue
-        token = lemmatize_token(raw, table) if tokenizer.lemmatize else raw
+        token = lemmatize_token(raw, table)
         if token:
             tokens.append(token)
     return tokens
 
 
 _DEFAULT = default_tokenizer()
-_SURFACE = surface_tokenizer()
 _WORDS = st.sampled_from(
     sorted(_DEFAULT.stopwords)[:15]
     + sorted(dict(_DEFAULT.exceptions))[:15]
@@ -93,10 +95,10 @@ _TEXTS = st.lists(
 
 @given(_TEXTS)
 def test_memoized_tokenizer_matches_per_token_reference(texts):
-    # a fresh tokenizer starts with an empty memo; the module-level ones
-    # carry theirs across examples; "gone" maps to an empty lemma and is dropped
+    # a fresh tokenizer starts with an empty memo; the module-level one
+    # carries its memo across examples; "gone" maps to an empty lemma and is dropped
     fresh = Tokenizer(stopwords=frozenset({"the", "is"}), exceptions=(("gone", ""), ("went", "go")))
-    for tokenizer in (fresh, _DEFAULT, _SURFACE):
+    for tokenizer in (fresh, _DEFAULT):
         outputs = [tokenizer(text) for text in texts + texts[::-1]]
         assert outputs == [_reference_tokens(tokenizer, text) for text in texts + texts[::-1]]
         # all occurrences of one raw form share one string object
@@ -104,7 +106,7 @@ def test_memoized_tokenizer_matches_per_token_reference(texts):
         assert len({id(t) for tokens in outputs for t in tokens}) <= len(raws)
 
 
-@pytest.mark.parametrize("make", [default_tokenizer, surface_tokenizer])
+@pytest.mark.parametrize("make", [default_tokenizer])
 def test_tokenizer_factories_return_fresh_memos(make):
     # a run creates its own, so no memo outlives the run that filled it
     first = make()
@@ -121,8 +123,8 @@ def test_lemmatizer_exception_table_wins():
 
 def test_tokenizer_drops_non_alphabetic():
     # digits and punctuation separate tokens rather than joining them
-    assert surface_tokenizer()("a1b 42 -- don't") == ["a", "b", "don't"]
-    assert surface_tokenizer()("42 --") == []
+    assert split_words("a1b 42 -- don't") == ["a", "b", "don't"]
+    assert split_words("42 --") == []
 
 
 def test_tokenizer_fingerprint_tracks_config():
@@ -490,6 +492,37 @@ def test_load_model_rejects_foreign_artifacts(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(TopicModelError, match="unsupported format version"):
         load_model(path)
+
+    # every malformed file raises a ModelFileError that names it
+    payload["format_version"] = "1.0"
+    wrong_type = "has the wrong JSON type"
+    broken = {
+        "[1]": "not a tonefx-lda artifact",
+        "{not json": "not UTF-8 JSON",
+        json.dumps({**payload, "k": None}): f"field 'k' {wrong_type}",
+        json.dumps({**payload, "k": "2"}): f"field 'k' {wrong_type}",
+        json.dumps({**payload, "k": 2.0}): f"field 'k' {wrong_type}",
+        json.dumps({**payload, "seed": True}): f"field 'seed' {wrong_type}",
+        json.dumps({**payload, "alpha_prior": "0.5"}): f"field 'alpha_prior' {wrong_type}",
+        json.dumps({**payload, "elbo_trace": 3}): f"field 'elbo_trace' {wrong_type}",
+        json.dumps({**payload, "beta": [[0.5, 0.5], [1.0]]}): "",  # ragged
+        json.dumps({**payload, "beta": [[0.5, None]] * 2}): f"field 'beta' {wrong_type}",
+        json.dumps({**payload, "beta": [["a"] * 25] * 2}): f"field 'beta' {wrong_type}",
+        json.dumps({**payload, "beta": [[0.5, 0.5]] * 2}): "beta shape",
+        json.dumps({**payload, "vocabulary": []}): "",
+        json.dumps({**payload, "vocabulary": {"terms": [1]}}): f"field 'terms' {wrong_type}",
+        json.dumps({**payload, "vocabulary": {"terms": ["a"]}}): "field 'document_frequency'",
+        json.dumps({k: v for k, v in payload.items() if k != "gamma_prior"}): "missing field",
+    }
+    for text, message in broken.items():
+        path.write_text(text)
+        with pytest.raises(ModelFileError, match=f"^model.json: .*{re.escape(message)}"):
+            load_model(path)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(ModelFileError, match="^model.json: not UTF-8 JSON"):
+        load_model(path)
+    with pytest.raises(ModelFileError, match=f"^{tmp_path.name}: cannot be read"):
+        load_model(tmp_path)
 
 
 def test_lda_model_validates_beta():
