@@ -197,6 +197,8 @@ def _cmd_fit_topics(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_topics(args: argparse.Namespace) -> int:
+    if args.words < 1:
+        raise ConfigError(f"--words must be positive, got {args.words}")
     model = load_model(args.model)
     for i in range(model.k):
         words = top_words(model, i, args.words)
@@ -255,6 +257,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ReportError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{path} is not UTF-8: {exc}") from exc
     report = parse_report(text)
     print(render_report(report, args.format), end="")
     return EXIT_OK

@@ -26,13 +26,25 @@ form, so a form is lemmatized and categorized once per run, and no memo
 outlives its run.  Likewise each p1 and p2 post's topic proportions are
 inferred once per run, in one batch per debate topic across all reply
 types, and each confounder matrix is a lookup in these per-post tables.
+
+``run_pipeline`` and ``fit_topic_models`` run numpy's bundled OpenBLAS
+on one thread, and so does each worker of the ``jobs`` pool.  The dense
+products of the topic fits and of theta inference then sum in one fixed
+order, so the topic models and report bytes do not depend on the core
+count or on ``OPENBLAS_NUM_THREADS``; on these corpus sizes a second
+thread only spins.  The caller's thread count is restored on return.
+With another BLAS, whose count cannot be set, the run logs one warning
+per process and goes on at that library's own count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import logging
+import multiprocessing
 import re
 import shutil
 import time
@@ -125,6 +137,80 @@ def _stage(name: str, timings: dict[str, float], warnings: Sequence[str]) -> Ite
     timings[name] = time.perf_counter() - start
 
 
+# (getter, setter) pairs of OpenBLAS's thread count, by build
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread-count getter and setter of the OpenBLAS that numpy bundles.
+
+    Looked up once per process; when there is none (another BLAS), one
+    warning says so and the result is None.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                return getter, setter
+    logger.warning(
+        "no OpenBLAS thread setter found next to numpy; BLAS runs at its own "
+        "thread count, so report bytes may depend on it"
+    )
+    return None
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body with BLAS on one thread, then restore the caller's count.
+
+    Nested use restores each level's count.  The count is per process,
+    so two threads of one process should not run pipelines at once.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    getter, setter = calls
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+def _pin_worker() -> None:
+    """Pool initializer: the worker's BLAS runs on one thread for its life."""
+    calls = _blas_thread_calls()
+    if calls is not None:
+        calls[1](1)
+
+
+def _cell_pool(jobs: int) -> ProcessPoolExecutor:
+    """A pool of ``jobs`` workers, each on one BLAS thread.
+
+    Workers come from a forkserver where the platform has one: forking a
+    process whose BLAS threads are live is unsafe, and a fresh worker
+    takes its thread count from the initializer rather than the parent.
+    """
+    method = "forkserver" if "forkserver" in multiprocessing.get_all_start_methods() else "spawn"
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_pin_worker,
+    )
+
+
 def load_warnings(
     posts: PostCollection | None, annotations: AnnotationCollection | None
 ) -> list[str]:
@@ -182,6 +268,7 @@ def token_table(posts: PostCollection) -> PostFeatures:
     return PostFeatures(posts, default_tokenizer())
 
 
+@_one_blas_thread()
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
@@ -319,6 +406,7 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool]:
     return estimates, warnings, False
 
 
+@_one_blas_thread()
 def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunReport:
     """Run every stage and write report files under config.out_dir.
 
@@ -448,7 +536,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         failed_cells: list[str] = []
         parallel = config.jobs > 1 and len(tasks) > 1
         # both maps yield the cells in task order
-        with ProcessPoolExecutor(max_workers=config.jobs) if parallel else nullcontext() as pool:
+        with _cell_pool(config.jobs) if parallel else nullcontext() as pool:
             results = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
             for task, (cell_estimates, cell_warnings, failed) in zip(tasks, results):
                 estimates.extend(cell_estimates)

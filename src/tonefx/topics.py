@@ -393,7 +393,8 @@ def _gamma_sweep(
     ``nonzeros.ratio``.  The arithmetic and its order are fixed, so a
     sweep gives the same bits for the same inputs at a fixed BLAS thread
     count; a different thread count may move the dense product in its
-    last bits.
+    last bits.  The pipeline runs every sweep on one BLAS thread, so its
+    topic models and reports do not depend on the machine's count.
     """
     exp_elog_theta = _dirichlet_expectation(gamma)
     np.exp(exp_elog_theta, out=exp_elog_theta)
@@ -532,7 +533,8 @@ def infer_theta_batch(
     shared by its sweeps.
     Results are bit-for-bit reproducible at a fixed BLAS thread count; a
     different count may move them in their last bits, because the dense
-    sweep product is then split differently.
+    sweep product is then split differently.  The pipeline calls this on
+    one BLAS thread, whatever the caller's count.
     """
     counts = sparse.csr_matrix(counts).astype(float)
     if counts.shape[1] != model.beta.shape[1]:

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -24,6 +25,7 @@ from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAG
 from tonefx.harness.config import PipelineConfig
 from tonefx.harness.pipeline import PipelineError, run_pipeline
 from tonefx.harness.report import parse_report, render_report
+from tonefx.harness.synthetic import CorpusWorld, generate_corpus
 from tonefx.inference import ConfounderVariant
 from tonefx.lexicon import CategoryType
 from tonefx.topics import (
@@ -465,6 +467,122 @@ def test_pipeline_stage_error_names_the_stage_and_carries_the_warnings(tmp_path,
     assert not (tmp_path / "report.json").exists()
 
 
+# -------------------------------------------------------------- BLAS threads
+
+BLAS_CALLS = pipeline._blas_thread_calls()
+needs_blas_setter = pytest.mark.skipif(
+    BLAS_CALLS is None, reason="numpy's BLAS has no OpenBLAS thread setter"
+)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The caller runs BLAS on two threads; its own count comes back afterwards."""
+    getter, setter = BLAS_CALLS
+    before = getter()
+    setter(2)
+    yield getter
+    setter(before)
+
+
+def _blas_threads_now() -> int:
+    return pipeline._blas_thread_calls()[0]()
+
+
+@needs_blas_setter
+def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
+    tmp_path, monkeypatch, two_blas_threads
+):
+    seen = []
+
+    def recorded(fit):
+        def call(*args, **kwargs):
+            seen.append((fit.__name__, two_blas_threads()))
+            return fit(*args, **kwargs)
+        return call
+
+    for name in ("fit_lda", "infer_theta_batch", "cross_validate"):
+        monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
+    run_pipeline(_config(tmp_path / "run", use_cache=False, reply_types=("nasty_nice",)))
+    # theta and crossval run after the nested fit_topic_models has restored
+    # the run's own count
+    assert {name for name, _ in seen} == {"fit_lda", "infer_theta_batch", "cross_validate"}
+    assert {threads for _, threads in seen} == {1}
+    assert two_blas_threads() == 2
+    # fit-topics calls the topic stage on its own
+    seen.clear()
+    pipeline.fit_topic_models(
+        _config(tmp_path / "topics", use_cache=False), load_posts(POSTS),
+        pipeline.token_table(load_posts(POSTS)), [],
+    )
+    assert seen and {threads for _, threads in seen} == {1}
+    assert two_blas_threads() == 2
+
+
+@needs_blas_setter
+def test_failed_run_restores_the_callers_blas_threads(tmp_path, monkeypatch, two_blas_threads):
+    def broken(*args, **kwargs):
+        raise TopicModelError("theta went wrong")
+
+    monkeypatch.setattr(pipeline, "build_confounder_matrix", broken)
+    with pytest.raises(PipelineError, match="stage 'confounders'"):
+        run_pipeline(_config(tmp_path))
+    assert two_blas_threads() == 2
+
+
+@needs_blas_setter
+def test_cell_pool_workers_run_on_one_blas_thread(two_blas_threads):
+    # a forkserver worker starts at the library's default count, not the
+    # caller's, so only the pool's initializer brings it to one
+    with pipeline._cell_pool(2) as pool:
+        futures = [pool.submit(_blas_threads_now) for _ in range(4)]
+        assert [future.result() for future in futures] == [1] * 4
+    assert two_blas_threads() == 2
+
+
+@pytest.fixture
+def no_blas_setter(monkeypatch):
+    """Every thread-count lookup of this test finds no setter, as with another BLAS."""
+    monkeypatch.setattr(pipeline, "_OPENBLAS_THREAD_CALLS", ())
+    pipeline._blas_thread_calls.cache_clear()
+    yield
+    pipeline._blas_thread_calls.cache_clear()
+
+
+def test_pipeline_without_a_blas_setter_runs_and_warns_once(tmp_path, caplog, no_blas_setter):
+    with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+        for name in ("a", "b"):
+            run_pipeline(_config(tmp_path / name, reply_types=("nasty_nice",)))
+    notes = [r.getMessage() for r in caplog.records if "thread setter" in r.getMessage()]
+    assert notes == [
+        "no OpenBLAS thread setter found next to numpy; BLAS runs at its own "
+        "thread count, so report bytes may depend on it"
+    ]
+    # the note is about the machine, so it stays out of the report
+    for name in ("a", "b"):
+        report = json.loads((tmp_path / name / "report.json").read_text(encoding="utf-8"))
+        assert report["estimates"] and not any("thread" in w for w in report["warnings"])
+
+
+@needs_blas_setter
+def test_report_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
+    # large enough for OpenBLAS to split the topic products by thread
+    corpus = tmp_path / "corpus"
+    generate_corpus(CorpusWorld(vocab_size=2000), 160, seed=100, out_dir=corpus)
+    digests = {}
+    for threads in (1, max(2, os.cpu_count() or 1)):
+        out_dir = tmp_path / f"threads{threads}"
+        done = _run_cli(
+            "estimate", "--posts", str(corpus / "posts.jsonl"),
+            "--annotations", str(corpus / "annotations.jsonl"), "--out-dir", str(out_dir),
+            "--seed", "100", "--k", "12", "--bootstrap-replicates", "0",
+            env={"OPENBLAS_NUM_THREADS": str(threads)},
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        digests[threads] = hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()
+    assert len(set(digests.values())) == 1, digests
+
+
 # ---------------------------------------------------------------------- cli
 
 
@@ -524,12 +642,15 @@ def test_cli_ingest_prints_counts(capsys):
     assert "nasty_nice" in stdout and "48" in stdout
 
 
-def _run_cli(*args: str, patch: str | None = None) -> subprocess.CompletedProcess:
+def _run_cli(
+    *args: str, patch: str | None = None, env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
     """Run the CLI in a child process, where logging's last-resort handler shows.
 
-    ``patch`` is Python source that the child runs before the CLI.
+    ``patch`` is Python source that the child runs before the CLI, and
+    ``env`` adds to the child's environment.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(__file__).parents[1] / "src"), env.get("PYTHONPATH")])
     )
@@ -815,6 +936,17 @@ def test_cli_input_path_that_cannot_be_read_is_usage_error(tmp_path, capsys, com
     assert errors == err[-1:] and "Is a directory" in errors[0], err
 
 
+@pytest.mark.parametrize("command", ["estimate --config", "report"])
+def test_cli_file_that_is_not_utf8_is_usage_error(tmp_path, command):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    done = _run_cli(*command.split(), str(path))
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert f"{path} is not UTF-8" in done.stderr
+
+
 def test_cli_bad_config_file(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -856,6 +988,10 @@ def test_cli_fit_topics_and_inspect(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "topic 0:" in stdout
     assert main(["inspect-topics", str(tmp_path / "missing.json")]) == EXIT_USAGE
+    # a flag value that argparse parses but the command rejects is a usage error
+    capsys.readouterr()
+    assert main(["inspect-topics", str(model_path), "--words", "0"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --words must be positive, got 0\n"
     # a malformed model file is bad input: one error line, no traceback
     payload = json.loads(model_path.read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"
