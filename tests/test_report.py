@@ -27,6 +27,7 @@ from tonefx.inference import ConfounderVariant, CvReport
 from tonefx.lexicon import CategoryType
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.txt"
+GOLDEN_CSV = Path(__file__).parent / "data" / "golden_report.csv"
 
 
 # ----------------------------------------------------------------- config
@@ -215,6 +216,12 @@ def test_delimited_rendering_parses_as_csv():
     assert ipw["standard_error"] == "" and ipw["significant"] == ""
     aipw = [r for r in rows if r["estimator"] == "aipw"][0]
     assert aipw["aipw_variant"] == "stabilized"
+
+
+def test_delimited_matches_golden():
+    # pins the column order and the cell spelling of report.csv
+    expected = GOLDEN_CSV.read_text(encoding="utf-8")
+    assert render_report(_sample_report(), fmt="delimited") == expected
 
 
 def test_render_report_rejects_unknown_format():
