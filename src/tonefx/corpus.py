@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -95,8 +95,9 @@ class Triple:
     treatment: TreatmentAssignment
 
 
-_POST_FIELDS = ("id", "discussion_id", "debate_topic", "author", "position", "text")
-_ANNOTATION_FIELDS = ("quote_post_id", "response_post_id", "reply_type", "mean_score")
+# the fields a record must carry; a root post may leave parent_id out
+_POST_FIELDS = tuple(f.name for f in fields(Post) if f.name != "parent_id")
+_ANNOTATION_FIELDS = tuple(f.name for f in fields(QuoteResponseAnnotation))
 
 
 @dataclass
@@ -229,6 +230,9 @@ def load_posts(path: str | Path) -> PostCollection:
             debate_topic = _check_str(record, "debate_topic")
             author = _check_str(record, "author")
             position = record["position"]
+            # JSON Schema's integer includes an integral float such as 1.0
+            if isinstance(position, float) and position.is_integer():
+                position = int(position)
             if isinstance(position, bool) or not isinstance(position, int) or position < 0:
                 raise ValueError("field 'position' must be a nonnegative integer")
             text = record["text"]
@@ -270,17 +274,21 @@ def load_posts(path: str | Path) -> PostCollection:
     for post in posts:
         if post.parent_id is None:
             continue
-        parent = by_id.get(post.parent_id)
-        if parent is None:
+        fault = _parent_fault(post, by_id.get(post.parent_id))
+        if fault:
             warnings.append(
-                f"post {post.id!r}: parent {post.parent_id!r} not found, treated as absent"
-            )
-        elif parent.discussion_id != post.discussion_id or parent.position >= post.position:
-            warnings.append(
-                f"post {post.id!r}: parent {post.parent_id!r} is not an earlier post "
-                "in the same discussion, treated as absent"
+                f"post {post.id!r}: parent {post.parent_id!r} {fault}, treated as absent"
             )
     return PostCollection(posts=tuple(posts), record_errors=tuple(errors), warnings=tuple(warnings))
+
+
+def _parent_fault(post: Post, parent: Post | None) -> str | None:
+    """Why ``parent`` is no earlier post in the discussion of ``post``, or None."""
+    if parent is None:
+        return "not found"
+    if parent.discussion_id != post.discussion_id or parent.position >= post.position:
+        return "is not an earlier post in the same discussion"
+    return None
 
 
 def _resolved_parent(post: Post, posts: PostCollection) -> Post | None:
@@ -288,11 +296,7 @@ def _resolved_parent(post: Post, posts: PostCollection) -> Post | None:
     if post.parent_id is None:
         return None
     parent = posts.get(post.parent_id)
-    if parent is None:
-        return None
-    if parent.discussion_id != post.discussion_id or parent.position >= post.position:
-        return None
-    return parent
+    return None if _parent_fault(post, parent) else parent
 
 
 def load_annotations(path: str | Path) -> AnnotationCollection:
@@ -346,37 +350,27 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
     return AnnotationCollection(annotations=tuple(annotations), record_errors=tuple(errors))
 
 
-def write_posts(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts as line-delimited records (inverse of load_posts)."""
+def _write_records(records: Iterable[object], path: str | Path) -> None:
+    """Write dataclass records as JSON lines, one object per record.
+
+    ``vars`` reads each record's fields shallowly, in declaration order;
+    ``dataclasses.asdict`` would deep-copy every value first.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as handle:
-        for post in posts:
-            record = {
-                "id": post.id,
-                "discussion_id": post.discussion_id,
-                "debate_topic": post.debate_topic,
-                "author": post.author,
-                "position": post.position,
-                "parent_id": post.parent_id,
-                "text": post.text,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for record in records:
+            handle.write(json.dumps(vars(record), ensure_ascii=False) + "\n")
+
+
+def write_posts(posts: Iterable[Post], path: str | Path) -> None:
+    """Write posts as line-delimited records (inverse of load_posts)."""
+    _write_records(posts, path)
 
 
 def write_annotations(annotations: Iterable[QuoteResponseAnnotation], path: str | Path) -> None:
     """Write annotations as line-delimited records (inverse of load_annotations)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as handle:
-        for ann in annotations:
-            record = {
-                "quote_post_id": ann.quote_post_id,
-                "response_post_id": ann.response_post_id,
-                "reply_type": ann.reply_type.value,
-                "mean_score": ann.mean_score,
-            }
-            handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+    _write_records(annotations, path)
 
 
 def binarize_score(mean_score: float) -> int | None:

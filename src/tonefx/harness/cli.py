@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import typing
 from pathlib import Path
 from typing import Iterable
 
@@ -126,7 +127,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-_LIST_FIELDS = ("reply_types", "category_types", "confounder_variants", "estimators")
+_LIST_FIELDS = tuple(
+    name for name, hint in typing.get_type_hints(PipelineConfig).items()
+    if typing.get_origin(hint) is tuple
+)
 # stand-ins for the required config fields a command never reads: leaving
 # them out is no error, and a config file's value for them goes unused anyway
 _UNREAD_FIELDS = {
@@ -260,7 +264,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise ReportError(f"{path} is not UTF-8: {exc}") from exc
     report = parse_report(text)
-    print(render_report(report, args.format), end="")
+    try:
+        rendered = render_report(report, args.format)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # parse_report checks the shapes it rebuilds, not every value inside
+        raise ReportError(f"malformed report entry: {exc}") from exc
+    print(rendered, end="")
     return EXIT_OK
 
 

@@ -118,7 +118,9 @@ class PipelineConfig:
 
 _FIELD_TYPES = typing.get_type_hints(PipelineConfig)
 _FIELD_NAMES = set(_FIELD_TYPES)
-_REQUIRED = ("posts_path", "annotations_path", "out_dir", "seed")
+_REQUIRED = tuple(
+    f.name for f in dataclasses.fields(PipelineConfig) if f.default is dataclasses.MISSING
+)
 _KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
 
 

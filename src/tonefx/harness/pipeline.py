@@ -411,7 +411,8 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     """Run every stage and write report files under config.out_dir.
 
     ``run_estimates=False`` stops after cross-validation, for callers
-    that only want nuisance diagnostics.
+    that only want nuisance diagnostics, and writes no report files, so
+    it leaves an earlier estimate run's report in place.
     """
     timings: dict[str, float] = {}
     warnings: list[str] = []
@@ -566,7 +567,8 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             # the same dict, so the report stage's own time lands here too
             timings=timings,
         )
-        for suffix, style in (("json", "structured"), ("txt", "table"), ("csv", "delimited")):
-            text = render_report(report, style)
-            (out_dir / f"report.{suffix}").write_text(text, encoding="utf-8")
+        if run_estimates:
+            for suffix, style in (("json", "structured"), ("txt", "table"), ("csv", "delimited")):
+                text = render_report(report, style)
+                (out_dir / f"report.{suffix}").write_text(text, encoding="utf-8")
     return report

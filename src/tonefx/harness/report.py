@@ -18,8 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from typing import Any, Callable, Sequence
 
 from ..corpus import Triple
 from ..estimators import AipwVariant, AteEstimate, Estimator
@@ -28,6 +29,12 @@ from ..lexicon import CategoryType
 
 REPORT_FORMAT = "tonefx-report"
 REPORT_FORMAT_VERSION = "1.0"
+
+# report.csv's columns in their published order, which is not AteEstimate's
+_CSV_COLUMNS = (
+    "estimator", "reply_type", "category_type", "confounder_variant", "aipw_variant",
+    "psi", "standard_error", "n", "significant",
+)
 
 CATEGORY_LABELS = {
     CategoryType.POSITIVE_SENTIMENT: "Pos. sentiment",
@@ -68,31 +75,37 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _cv_to_dict(cv: CvReport) -> dict[str, Any]:
-    return {
-        "reply_type": cv.reply_type,
-        "variant": cv.variant,
-        "category_type": cv.category_type,
-        "fold_count": cv.fold_count,
-        "rmse_q0": list(cv.rmse_q0),
-        "rmse_q1": list(cv.rmse_q1),
-        "f1": list(cv.f1),
-        "skipped_folds": list(cv.skipped_folds),
-    }
+def _record(obj: Any) -> dict[str, Any]:
+    """A dataclass record's fields as JSON values: enum members by value, tuples as lists."""
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[f.name] = value
+    return out
 
 
 def _estimate_to_dict(est: AteEstimate) -> dict[str, Any]:
-    return {
-        "estimator": est.estimator.value,
-        "reply_type": est.reply_type,
-        "category_type": est.category_type,
-        "confounder_variant": est.confounder_variant,
-        "aipw_variant": est.aipw_variant.value if est.aipw_variant else None,
-        "psi": est.psi,
-        "standard_error": est.standard_error,
-        "n": est.n,
-        "significant": est.significant,
-    }
+    return {**_record(est), "significant": est.significant}
+
+
+def _from_record(cls: type, entry: Any, **convert: Callable[[Any], Any]) -> Any:
+    """Inverse of ``_record``; ``convert`` maps a field to the type of its non-null values."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"{cls.__name__} entry must be a dict, not {type(entry).__name__}")
+    values = {}
+    for f in fields(cls):
+        if f.name in entry:
+            value = entry[f.name]
+            if value is not None and f.name in convert:
+                value = convert[f.name](value)
+            elif isinstance(value, list):
+                value = tuple(value)
+            values[f.name] = value
+    return cls(**values)
 
 
 def render_report(report: RunReport, fmt: str = "structured") -> str:
@@ -111,7 +124,7 @@ def _render_structured(report: RunReport) -> str:
         "version": REPORT_FORMAT_VERSION,
         "config": report.config,
         "triple_counts": report.triple_counts,
-        "cv": [_cv_to_dict(cv) for cv in report.cv_reports],
+        "cv": [_record(cv) for cv in report.cv_reports],
         "estimates": [_estimate_to_dict(est) for est in report.estimates],
         "topics": report.topic_top_words,
         "warnings": report.warnings,
@@ -134,32 +147,14 @@ def parse_report(text: str) -> RunReport:
             f"unsupported report version {version!r}; this build reads "
             f"{REPORT_FORMAT_VERSION.split('.')[0]}.x"
         )
-    cv_reports = [
-        CvReport(
-            fold_count=entry["fold_count"],
-            rmse_q1=tuple(entry["rmse_q1"]),
-            rmse_q0=tuple(entry["rmse_q0"]),
-            f1=tuple(entry["f1"]),
-            skipped_folds=tuple(entry.get("skipped_folds", ())),
-            reply_type=entry.get("reply_type"),
-            variant=entry.get("variant"),
-            category_type=entry.get("category_type"),
-        )
-        for entry in document.get("cv", [])
-    ]
-    estimates = [
-        AteEstimate(
-            estimator=Estimator(entry["estimator"]),
-            psi=entry["psi"],
-            standard_error=entry.get("standard_error"),
-            n=entry["n"],
-            reply_type=entry.get("reply_type"),
-            category_type=entry.get("category_type"),
-            aipw_variant=AipwVariant(entry["aipw_variant"]) if entry.get("aipw_variant") else None,
-            confounder_variant=entry.get("confounder_variant"),
-        )
-        for entry in document.get("estimates", [])
-    ]
+    try:
+        cv_reports = [_from_record(CvReport, entry) for entry in _entries(document, "cv")]
+        estimates = [
+            _from_record(AteEstimate, entry, estimator=Estimator, aipw_variant=AipwVariant)
+            for entry in _entries(document, "estimates")
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ReportError(f"malformed report entry: {exc}") from exc
     return RunReport(
         config=document.get("config", {}),
         triple_counts=document.get("triple_counts", {}),
@@ -169,6 +164,13 @@ def parse_report(text: str) -> RunReport:
         warnings=document.get("warnings", []),
         failed_cells=document.get("failed_cells", []),
     )
+
+
+def _entries(document: dict[str, Any], key: str) -> list[Any]:
+    entries = document.get(key, [])
+    if not isinstance(entries, list):
+        raise TypeError(f"{key!r} must be a list, not {type(entries).__name__}")
+    return entries
 
 
 def format_cell(psi: float, standard_error: float | None, significant: bool | None) -> str:
@@ -259,34 +261,18 @@ def _render_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(value: Any) -> Any:
+    """None as an empty cell and booleans as in JSON; csv writes floats by repr."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else value
+
+
 def _render_delimited(report: RunReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        [
-            "estimator",
-            "reply_type",
-            "category_type",
-            "confounder_variant",
-            "aipw_variant",
-            "psi",
-            "standard_error",
-            "n",
-            "significant",
-        ]
-    )
+    writer.writerow(_CSV_COLUMNS)
     for est in report.estimates:
-        writer.writerow(
-            [
-                est.estimator.value,
-                est.reply_type or "",
-                est.category_type or "",
-                est.confounder_variant or "",
-                est.aipw_variant.value if est.aipw_variant else "",
-                repr(est.psi),
-                "" if est.standard_error is None else repr(est.standard_error),
-                est.n,
-                "" if est.significant is None else str(est.significant).lower(),
-            ]
-        )
+        row = _estimate_to_dict(est)
+        writer.writerow([_csv_cell(row[column]) for column in _CSV_COLUMNS])
     return buffer.getvalue()

@@ -151,15 +151,6 @@ class CorpusTruth:
     reply_type: str
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "true_ate": self.true_ate,
-            "n_triples": self.n_triples,
-            "n_treated": self.n_treated,
-            "reply_type": self.reply_type,
-            "seed": self.seed,
-        }
-
 
 _SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
 
@@ -333,6 +324,6 @@ def generate_corpus(
         seed=seed,
     )
     (out_dir / "truth.json").write_text(
-        json.dumps(truth.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(vars(truth), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return truth

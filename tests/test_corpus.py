@@ -189,6 +189,47 @@ def test_root_without_parent_id_validates_and_loads(tmp_path):
     assert loaded.get("p1").parent_id is None
 
 
+_POST = {
+    "id": "p1", "discussion_id": "d", "debate_topic": "t",
+    "author": "a", "position": 0, "parent_id": None, "text": "x",
+}
+_ANNOTATION = {
+    "quote_post_id": "p1", "response_post_id": "p2",
+    "reply_type": "nasty_nice", "mean_score": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "kind,overrides",
+    [
+        ("posts", {}),
+        ("posts", {"likes": 3}),
+        ("posts", {"position": 1.0}),
+        ("posts", {"position": 1.5}),
+        ("posts", {"position": -1}),
+        ("posts", {"position": True}),
+        ("posts", {"id": ""}),
+        ("annotations", {}),
+        ("annotations", {"annotator_count": 5}),
+        ("annotations", {"mean_score": True}),
+        ("annotations", {"mean_score": 5.5}),
+        ("annotations", {"reply_type": "rude_polite"}),
+    ],
+    ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
+)
+def test_schema_and_loader_agree(tmp_path, kind, overrides):
+    jsonschema = pytest.importorskip("jsonschema")
+    import tonefx
+
+    record = {**(_POST if kind == "posts" else _ANNOTATION), **overrides}
+    schema_path = Path(tonefx.__file__).parent / "schemas" / f"{kind}.schema.json"
+    validator = jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+    path = tmp_path / f"{kind}.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    loaded = load_posts(path) if kind == "posts" else load_annotations(path)
+    assert validator.is_valid(record) == (len(loaded) == 1), loaded.record_errors
+
+
 # ---------------------------------------------------------------- binarize
 
 

@@ -179,6 +179,17 @@ def test_pipeline_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "report.json").read_text() == second
 
 
+def test_report_files_reparse_to_the_same_bytes(tmp_path):
+    # what `tonefx report --format ...` prints for each file estimate wrote
+    config = _config(tmp_path, reply_types=("nasty_nice",), bootstrap_replicates=20)
+    run_pipeline(config)
+    parsed = parse_report((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert all(e.standard_error is not None for e in parsed.estimates)
+    for suffix, fmt in (("json", "structured"), ("txt", "table"), ("csv", "delimited")):
+        written = (tmp_path / f"report.{suffix}").read_text(encoding="utf-8")
+        assert render_report(parsed, fmt) == written, suffix
+
+
 def test_pipeline_recovers_from_corrupt_cache(tmp_path):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))
@@ -760,9 +771,15 @@ def test_cli_crossval_prints_the_report_warnings(tmp_path):
         "--out-dir", str(tmp_path), "--seed", "3", "--k", "4", "--folds", "8",
     )
     assert done.returncode == EXIT_OK, done.stderr
+    # crossval writes no report files; its report's warnings go to stderr
+    assert not list(tmp_path.glob("report.*"))
+    config = PipelineConfig(
+        posts_path=POSTS, annotations_path=ANNOTATIONS, out_dir=str(tmp_path / "lib"),
+        seed=3, k=4, folds=8,
+    )
     # both attacking_reasonable variants fail cross-validation and two
-    # reply types have no triples; report.json and stderr say so, once each
-    warnings = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))["warnings"]
+    # reply types have no triples; the report and stderr say so, once each
+    warnings = run_pipeline(config, run_estimates=False).warnings
     assert sum("cross-validation failed for (attacking_reasonable" in w for w in warnings) == 2
     assert sum(w.startswith("no triples for reply type") for w in warnings) == 2
     for warning in warnings:
@@ -1026,6 +1043,18 @@ def test_cli_crossval(tmp_path, capsys):
     assert "rmse" in stdout and "f1" in stdout
 
 
+def test_cli_crossval_leaves_estimate_report_in_place(tmp_path, capsys):
+    flags = ["--reply-types", "nasty_nice"]
+    assert main(_estimate_args(tmp_path, *flags)) == EXIT_OK
+    names = ("report.json", "report.txt", "report.csv")
+    written = {name: (tmp_path / name).read_bytes() for name in names}
+    assert json.loads(written["report.json"])["estimates"]
+    crossval = ["crossval", *_estimate_args(tmp_path, *flags)[1:]]
+    assert main(crossval) == EXIT_OK
+    assert "folds=3" in capsys.readouterr().out
+    assert {name: (tmp_path / name).read_bytes() for name in names} == written
+
+
 def test_cli_simulate_then_estimate(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     code = main([
@@ -1063,6 +1092,36 @@ def test_cli_report_formats(tmp_path, capsys):
         assert main(["report", str(report_path), "--format", fmt]) == EXIT_OK
         assert needle in capsys.readouterr().out
     assert main(["report", str(tmp_path / "absent.json")]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("cv", [{}]),
+        ("estimator", "median"),
+        ("estimates", 5),
+        ("psi", "large"),
+    ],
+    ids=["empty-cv-entry", "unknown-estimator", "estimates-not-a-list", "psi-not-a-number"],
+)
+def test_cli_report_on_malformed_document_is_usage_error(tmp_path, field, value):
+    estimate = {
+        "estimator": "q", "psi": -0.3, "standard_error": 0.1, "n": 48,
+        "reply_type": "nasty_nice", "category_type": "linguistic_style",
+        "aipw_variant": None, "confounder_variant": "full",
+    }
+    document = {"format": "tonefx-report", "version": "1.0", "cv": [], "estimates": [estimate]}
+    if field in document:
+        document[field] = value
+    else:
+        estimate[field] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    done = _run_cli("report", str(path))
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: malformed report entry: "), done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_cli_unknown_flag_exits_two():
