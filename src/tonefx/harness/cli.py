@@ -267,7 +267,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         rendered = render_report(report, args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # parse_report checks the shapes it rebuilds, not every value inside
+        # parse_report checks every cv and estimates value; the blocks it
+        # passes through as they are, such as triple_counts, are checked here
         raise ReportError(f"malformed report entry: {exc}") from exc
     print(rendered, end="")
     return EXIT_OK

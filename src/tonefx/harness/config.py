@@ -28,6 +28,7 @@ from ..estimators import AipwVariant, Estimator
 from ..inference import ConfounderVariant
 from ..lexicon import CategoryType, default_grouping_path, default_lexicon_path
 from ..topics import DEFAULT_MAX_DF, DEFAULT_MIN_DF
+from .records import json_record
 
 
 class ConfigError(ValueError):
@@ -105,15 +106,7 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must not be empty")
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = [v.value if hasattr(v, "value") else v for v in value]
-            elif hasattr(value, "value"):
-                value = value.value
-            out[f.name] = value
-        return out
+        return json_record(self)
 
 
 _FIELD_TYPES = typing.get_type_hints(PipelineConfig)

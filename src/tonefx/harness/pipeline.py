@@ -44,6 +44,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import multiprocessing
 import re
 import shutil
@@ -91,6 +92,7 @@ from ..topics import (
     build_dtm,
     build_vocabulary,
     default_tokenizer,
+    elbo_converged,
     fit_lda,
     infer_theta_batch,
     load_model,
@@ -281,7 +283,9 @@ def fit_topic_models(
     cache miss reads it.  Every model is also published under
     out_dir/models, as a copy of its cache entry when the cache is on;
     problems that do not stop the run (an unreadable cache entry) go to
-    ``warnings``.
+    ``warnings``.  A model whose fit stopped at ``lda_max_iters`` before
+    meeting ``lda_tol``, fitted now or cached, gets one logged warning
+    with its final relative ELBO change; the report leaves it out.
     """
     fingerprint = default_tokenizer().fingerprint()
     cache_dir = Path(config.out_dir) / "cache"
@@ -323,6 +327,14 @@ def fit_topic_models(
             save_model(model, cache_path if config.use_cache else model_path)
         if config.use_cache:
             shutil.copyfile(cache_path, model_path)
+        trace = model.elbo_trace
+        if not elbo_converged(trace, config.lda_tol):
+            change = abs(trace[-1] - trace[-2]) / abs(trace[-2]) if len(trace) > 1 else math.nan
+            logger.warning(
+                "debate topic %r: topic model did not converge within lda_max_iters=%d "
+                "(final relative ELBO change %.3g, lda_tol %g)",
+                debate_topic, config.lda_max_iters, change, config.lda_tol,
+            )
         models[debate_topic] = model
     return models
 

@@ -19,13 +19,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, fields
-from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 from ..corpus import Triple
 from ..estimators import AipwVariant, AteEstimate, Estimator
 from ..inference import CvReport
 from ..lexicon import CategoryType
+from .records import json_record
 
 REPORT_FORMAT = "tonefx-report"
 REPORT_FORMAT_VERSION = "1.0"
@@ -75,27 +75,20 @@ class RunReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _record(obj: Any) -> dict[str, Any]:
-    """A dataclass record's fields as JSON values: enum members by value, tuples as lists."""
-    out = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
-
-
 def _estimate_to_dict(est: AteEstimate) -> dict[str, Any]:
-    return {**_record(est), "significant": est.significant}
+    return {**json_record(est), "significant": est.significant}
 
 
 def _from_record(cls: type, entry: Any, **convert: Callable[[Any], Any]) -> Any:
-    """Inverse of ``_record``; ``convert`` maps a field to the type of its non-null values."""
+    """Inverse of ``json_record``; ``convert`` maps a field to the type of its non-null values.
+
+    Every value must fit its field's annotation: a number field takes an
+    integer or a float but not a boolean, an integer field only an
+    integer, and a tuple field a list of such values.
+    """
     if not isinstance(entry, dict):
         raise TypeError(f"{cls.__name__} entry must be a dict, not {type(entry).__name__}")
+    hints = get_type_hints(cls)
     values = {}
     for f in fields(cls):
         if f.name in entry:
@@ -104,8 +97,23 @@ def _from_record(cls: type, entry: Any, **convert: Callable[[Any], Any]) -> Any:
                 value = convert[f.name](value)
             elif isinstance(value, list):
                 value = tuple(value)
+            if not _fits(value, hints[f.name]):
+                raise TypeError(f"{cls.__name__} field {f.name!r} cannot be {entry[f.name]!r}")
             values[f.name] = value
     return cls(**values)
+
+
+def _fits(value: Any, annotation: Any) -> bool:
+    if annotation is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if annotation is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        return isinstance(value, tuple) and all(_fits(item, args[0]) for item in value)
+    if args:  # a union such as str | None
+        return any(_fits(value, arg) for arg in args)
+    return isinstance(value, annotation)
 
 
 def render_report(report: RunReport, fmt: str = "structured") -> str:
@@ -124,7 +132,7 @@ def _render_structured(report: RunReport) -> str:
         "version": REPORT_FORMAT_VERSION,
         "config": report.config,
         "triple_counts": report.triple_counts,
-        "cv": [_record(cv) for cv in report.cv_reports],
+        "cv": [json_record(cv) for cv in report.cv_reports],
         "estimates": [_estimate_to_dict(est) for est in report.estimates],
         "topics": report.topic_top_words,
         "warnings": report.warnings,

@@ -343,19 +343,28 @@ def _dirichlet_expectation(x: np.ndarray) -> np.ndarray:
     return psi(x) - psi(x.sum(axis=1))[:, np.newaxis]
 
 
+def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
+    """exp E[log theta] per row of gamma; each row's bits depend on that row alone."""
+    out = _dirichlet_expectation(gamma)
+    return np.exp(out, out=out)
+
+
 @dataclass(eq=False)
 class _Nonzeros:
-    """The nonzero entries of one count matrix, indexed once per fit or inference call.
+    """The nonzero entries of some rows of one count matrix.
 
-    ``vals`` holds the counts as floats in CSR order.  ``product`` is the
-    row-major (n_docs, n_terms) buffer that every sweep writes its dense
-    normalizer product into, and ``flat`` holds each entry's position in
-    it, so the responsibility normalizers are gathered with one ``take``.
-    ``ratio`` shares the count matrix's ``indices`` and ``indptr``; every
-    ``_gamma_sweep`` overwrites its data with count / normalizer, so it
-    holds the ratios of the latest sweep.
+    ``rows`` picks the indexed rows of the batch: ``slice(None)`` for
+    all of them, or their positions in ascending order.  ``vals`` holds
+    their counts as floats in CSR order.  ``product`` is the row-major
+    (n_docs, n_terms) buffer, for the whole batch, that every sweep
+    writes its dense normalizer product into, and ``flat`` holds each
+    entry's position in it, so the responsibility normalizers are
+    gathered with one ``take``.  ``ratio`` is the CSR matrix of the
+    indexed rows; every ``_normalizers`` call overwrites its data with
+    count / normalizer, so it holds the ratios of the latest sweep.
     """
 
+    rows: slice | np.ndarray
     vals: np.ndarray
     flat: np.ndarray
     product: np.ndarray
@@ -370,6 +379,7 @@ def _nonzeros(counts: sparse.csr_matrix) -> _Nonzeros:
         (np.empty_like(vals), counts.indices, counts.indptr), shape=counts.shape
     )
     return _Nonzeros(
+        rows=slice(None),
         vals=vals,
         flat=rows * n_terms + counts.indices,
         product=np.empty(counts.shape),
@@ -377,37 +387,78 @@ def _nonzeros(counts: sparse.csr_matrix) -> _Nonzeros:
     )
 
 
+def _narrow(nonzeros: _Nonzeros, keep: np.ndarray) -> None:
+    """Keep only the indexed rows where ``keep`` is true, in place.
+
+    Each array is dropped as soon as its replacement exists, and the
+    ratios reuse the front of their old buffer, so narrowing needs no
+    more memory than a sweep.
+    """
+    ratio = nonzeros.ratio
+    per_row = np.diff(ratio.indptr)
+    entries = np.repeat(keep, per_row)
+    nonzeros.rows = np.arange(len(nonzeros.product))[nonzeros.rows][keep]
+    nonzeros.vals = nonzeros.vals[entries]
+    nonzeros.flat = nonzeros.flat[entries]
+    indptr = np.zeros(len(nonzeros.rows) + 1, dtype=ratio.indptr.dtype)
+    np.cumsum(per_row[keep], out=indptr[1:])
+    nonzeros.ratio = sparse.csr_matrix(
+        (ratio.data[: len(nonzeros.vals)], ratio.indices[entries], indptr),
+        shape=(len(nonzeros.rows), ratio.shape[1]),
+    )
+
+
+def _normalizers(
+    exp_elog_theta: np.ndarray, nonzeros: _Nonzeros, exp_elog_beta: np.ndarray
+) -> np.ndarray:
+    """The token responsibility normalizers at the indexed rows' nonzeros.
+
+    ``exp_elog_theta`` spans the whole batch, and so does the dense
+    product: a BLAS product of a row subset may differ in its last bits
+    from the same rows of the whole product, so the product alone keeps
+    the batch's shape, and the normalizers do not depend on which rows
+    are indexed.  The ratios count / normalizer are left in
+    ``nonzeros.ratio``.
+    """
+    product = np.matmul(exp_elog_theta, exp_elog_beta, out=nonzeros.product)
+    pnorm = product.take(nonzeros.flat)
+    pnorm += 1e-100
+    np.divide(nonzeros.vals, pnorm, out=nonzeros.ratio.data)
+    return pnorm
+
+
 def _gamma_sweep(
-    gamma: np.ndarray,
+    exp_elog_theta: np.ndarray,
     nonzeros: _Nonzeros,
     exp_elog_beta: np.ndarray,
     exp_elog_beta_t: np.ndarray,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One exact update of responsibilities and per-post Dirichlet parameters.
+) -> np.ndarray:
+    """One exact update of the indexed rows' Dirichlet parameters.
 
+    ``exp_elog_theta`` is exp E[log theta] of the whole batch, and
     ``exp_elog_beta_t`` is ``exp_elog_beta.T`` made C-contiguous by the
-    caller, once for all sweeps that share it.  Returns the new gamma,
-    the exp E[log theta] it was computed from, and the per-entry
-    responsibility normalizers; the ratios count / normalizer are left in
-    ``nonzeros.ratio``.  The arithmetic and its order are fixed, so a
-    sweep gives the same bits for the same inputs at a fixed BLAS thread
-    count; a different thread count may move the dense product in its
-    last bits.  The pipeline runs every sweep on one BLAS thread, so its
-    topic models and reports do not depend on the machine's count.
+    caller, once for all sweeps that share it.  Returns the new gamma of
+    the rows that ``nonzeros`` indexes; rows it leaves out are not swept.
+    Only the dense normalizer product spans the batch (see
+    ``_normalizers``); every other step is row-local, so a row's update
+    has the same bits whichever rows are indexed.  The arithmetic and its
+    order are fixed, so a sweep gives the same bits for the same inputs
+    at a fixed BLAS thread count; a different thread count may move the
+    dense product in its last bits.  The pipeline runs every sweep on one
+    BLAS thread, so its topic models and reports do not depend on the
+    machine's count.
     """
-    exp_elog_theta = _dirichlet_expectation(gamma)
-    np.exp(exp_elog_theta, out=exp_elog_theta)
-    # normalizer of the token responsibilities at every nonzero (post, term)
-    product = np.matmul(exp_elog_theta, exp_elog_beta, out=nonzeros.product)
-    pnorm = product.take(nonzeros.flat)
-    pnorm += 1e-100
-    ratio = nonzeros.ratio
-    np.divide(nonzeros.vals, pnorm, out=ratio.data)
-    gamma_new = ratio @ exp_elog_beta_t
-    gamma_new *= exp_elog_theta
+    _normalizers(exp_elog_theta, nonzeros, exp_elog_beta)
+    gamma_new = nonzeros.ratio @ exp_elog_beta_t
+    gamma_new *= exp_elog_theta[nonzeros.rows]
     gamma_new += alpha
-    return gamma_new, exp_elog_theta, pnorm
+    return gamma_new
+
+
+def elbo_converged(elbo_trace: Sequence[float], tol: float) -> bool:
+    """``fit_lda``'s stopping test: the last sweep moved the bound by less than ``tol``, relative."""
+    return len(elbo_trace) > 1 and abs(elbo_trace[-1] - elbo_trace[-2]) < tol * abs(elbo_trace[-2])
 
 
 def fit_lda(
@@ -426,8 +477,10 @@ def fit_lda(
     alpha_prior defaults to 1/k.  Each sweep runs the per-post updates to
     convergence (warm-started from the previous sweep), records the bound,
     then takes the exact topic update.  Stops when the relative bound
-    change drops below ``tol`` or after ``max_iters`` sweeps.  Two runs
-    with the same inputs and seed produce identical models.
+    change drops below ``tol`` or after ``max_iters`` sweeps; a model
+    that stopped at ``max_iters`` has ``elbo_converged(model.elbo_trace,
+    tol)`` false, and ``fit_topic_models`` logs a warning for it.  Two
+    runs with the same inputs and seed produce identical models.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise TopicModelError(f"k must be a positive integer, got {k!r}")
@@ -460,8 +513,8 @@ def fit_lda(
         exp_elog_beta_t = np.ascontiguousarray(exp_elog_beta.T)
 
         for _ in range(e_step_max_iters):
-            gamma_new, _, _ = _gamma_sweep(
-                gamma, nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
+            gamma_new = _gamma_sweep(
+                _exp_elog_theta(gamma), nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
             )
             change = float(np.abs(gamma_new - gamma).mean())
             gamma = gamma_new
@@ -470,12 +523,11 @@ def fit_lda(
 
         # final responsibilities consistent with the converged gamma; they
         # feed both the topic statistics and the bound
-        _, exp_elog_theta, pnorm = _gamma_sweep(
-            gamma, nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
-        )
+        elog_theta = _dirichlet_expectation(gamma)
+        exp_elog_theta = np.exp(elog_theta)
+        pnorm = _normalizers(exp_elog_theta, nonzeros, exp_elog_beta)
         sstats = exp_elog_beta * (nonzeros.ratio.T @ exp_elog_theta).T
 
-        elog_theta = _dirichlet_expectation(gamma)
         bound = float(np.sum(nonzeros.vals * np.log(pnorm)))
         bound += float(np.sum((alpha - gamma) * elog_theta))
         bound += float(np.sum(gammaln(gamma)) - np.sum(gammaln(gamma.sum(axis=1))))
@@ -489,11 +541,10 @@ def fit_lda(
             raise TopicModelError(
                 f"ELBO decreased at sweep {sweep}: {elbo_trace[-1]!r} -> {bound!r}"
             )
-        converged = bool(elbo_trace) and abs(bound - elbo_trace[-1]) < tol * abs(elbo_trace[-1])
         elbo_trace.append(bound)
 
         lam = eta + sstats
-        if converged:
+        if elbo_converged(elbo_trace, tol):
             break
 
     beta = lam / lam.sum(axis=1, keepdims=True)
@@ -531,12 +582,19 @@ def infer_theta_batch(
     such as the debate topic of the rows, starts that warning.  The
     nonzero index and the transposed beta are built once per call and
     shared by its sweeps.
+    A row that has converged is frozen and not swept again.  The sweeps
+    run over the whole batch until at most three quarters of the rows
+    still move; from then on they index only the moving rows, and index
+    anew each time that set shrinks to three quarters of the indexed
+    rows, so no sweep pays for many frozen rows or for indexing every
+    time.  Only the dense normalizer product spans the whole batch, so
+    a row's bits do not depend on which rows are still active.
     Results are bit-for-bit reproducible at a fixed BLAS thread count; a
     different count may move them in their last bits, because the dense
     sweep product is then split differently.  The pipeline calls this on
     one BLAS thread, whatever the caller's count.
     """
-    counts = sparse.csr_matrix(counts).astype(float)
+    counts = sparse.csr_matrix(counts)
     if counts.shape[1] != model.beta.shape[1]:
         raise TopicModelError(
             f"count row has {counts.shape[1]} terms, model expects {model.beta.shape[1]}"
@@ -547,16 +605,29 @@ def infer_theta_batch(
     beta = np.maximum(model.beta, 1e-300)
     beta_t = np.ascontiguousarray(beta.T)
     gamma = np.full((counts.shape[0], model.k), alpha) + doc_totals[:, np.newaxis] / model.k
+    exp_elog_theta = _exp_elog_theta(gamma)
     # freeze each row at its own convergence so results do not depend on
     # which other documents share the batch
     active = np.ones(counts.shape[0], dtype=bool)
+    indexed = counts.shape[0]
     for _ in range(max_iters):
-        if not active.any():
+        n_active = np.count_nonzero(active)
+        if not n_active:
             break
-        gamma_new, _, _ = _gamma_sweep(gamma, nonzeros, beta, beta_t, alpha)
-        change = np.abs(gamma_new - gamma).mean(axis=1)
-        gamma[active] = gamma_new[active]
-        active &= change >= tol
+        # sweep only the active rows once a quarter of the indexed ones froze
+        if 4 * n_active <= 3 * indexed:
+            _narrow(nonzeros, active[nonzeros.rows])
+            indexed = n_active
+        rows = nonzeros.rows
+        gamma_new = _gamma_sweep(exp_elog_theta, nonzeros, beta, beta_t, alpha)
+        gamma_old = gamma[rows]
+        change = np.abs(gamma_new - gamma_old).mean(axis=1)
+        moving = active[rows]
+        # indexed rows that froze since the index was built keep their gamma
+        np.copyto(gamma_new, gamma_old, where=~moving[:, np.newaxis])
+        gamma[rows] = gamma_new
+        exp_elog_theta[rows] = _exp_elog_theta(gamma_new)
+        active[rows] = moving & (change >= tol)
     unconverged = int(active.sum())
     if unconverged:
         logger.warning(
@@ -581,26 +652,36 @@ def top_words(model: LdaModel, topic_index: int, n: int = 10) -> list[str]:
 
 
 def save_model(model: LdaModel, path: str | Path) -> None:
-    """Serialize a model to the versioned JSON artifact format."""
+    """Serialize a model to the versioned JSON artifact format.
+
+    The bytes are those of ``json.dump`` on the whole payload, but each
+    ``beta`` row is encoded on its own by the C encoder, which is faster
+    than ``json.dump``'s pure-Python one and never holds the whole
+    document in memory.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": MODEL_FORMAT,
-        "format_version": MODEL_FORMAT_VERSION,
-        "k": model.k,
-        "alpha_prior": model.alpha_prior,
-        "gamma_prior": model.gamma_prior,
-        "seed": model.seed,
-        "elbo_trace": list(model.elbo_trace),
-        "vocabulary": {
-            "terms": list(model.vocabulary.terms),
-            "document_frequency": model.vocabulary.document_frequency.tolist(),
-        },
-        "beta": model.beta.tolist(),
-    }
+    head = json.dumps(
+        {
+            "format": MODEL_FORMAT,
+            "format_version": MODEL_FORMAT_VERSION,
+            "k": model.k,
+            "alpha_prior": model.alpha_prior,
+            "gamma_prior": model.gamma_prior,
+            "seed": model.seed,
+            "elbo_trace": list(model.elbo_trace),
+            "vocabulary": {
+                "terms": list(model.vocabulary.terms),
+                "document_frequency": model.vocabulary.document_frequency.tolist(),
+            },
+        }
+    )
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-        handle.write("\n")
+        # "beta" is the payload's last key
+        handle.write(head[:-1] + ', "beta": [')
+        for i, row in enumerate(model.beta):
+            handle.write((", " if i else "") + json.dumps(row.tolist()))
+        handle.write("]}\n")
 
 
 def _json_field(payload: dict, key: str, kinds: str, ndim: int = 0):

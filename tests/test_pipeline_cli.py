@@ -345,6 +345,30 @@ def test_pipeline_warns_once_per_debate_topic_on_unconverged_theta(
                for m in messages), messages
 
 
+def test_pipeline_warns_once_per_debate_topic_on_unconverged_topic_model(tmp_path, caplog):
+    config = _config(tmp_path, lda_max_iters=2, reply_types=("nasty_nice",),
+                     category_types=("linguistic_style",))
+    for cache in ("miss", "hit"):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+            report = run_pipeline(config)
+        messages = [r.getMessage() for r in caplog.records if "lda_max_iters" in r.getMessage()]
+        assert [m.split(":")[0] for m in messages] == [
+            "debate topic 'evolution'", "debate topic 'gun control'",
+        ], cache
+        for message, model in zip(messages, (load_model(tmp_path / "models" / f"{slug}.json")
+                                             for slug in ("evolution", "gun-control"))):
+            previous, last = model.elbo_trace
+            change = abs(last - previous) / abs(previous)
+            assert message.endswith(
+                ": topic model did not converge within lda_max_iters=2 "
+                f"(final relative ELBO change {change:.3g}, lda_tol 0.0001)"
+            ), message
+        # run output, not a number of the report
+        assert not any("lda_max_iters" in warning for warning in report.warnings)
+        assert "converge" not in (tmp_path / "report.json").read_text(encoding="utf-8")
+
+
 def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))

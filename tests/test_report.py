@@ -194,6 +194,40 @@ def test_parse_report_rejects_foreign_documents():
         parse_report(json.dumps(document))
 
 
+@pytest.mark.parametrize(
+    "block,field,value",
+    [
+        ("estimates", "psi", "large"),
+        ("estimates", "psi", None),
+        ("estimates", "psi", True),
+        ("estimates", "standard_error", "0.1"),
+        ("estimates", "n", 48.0),
+        ("estimates", "n", False),
+        ("estimates", "reply_type", 3),
+        ("cv", "rmse_q1", [0.1, "0.2"]),
+        ("cv", "f1", 0.6),
+        ("cv", "fold_count", "5"),
+        ("cv", "skipped_folds", [1]),
+    ],
+)
+def test_parse_report_rejects_mistyped_values(block, field, value):
+    # a library caller gets a ReportError from the parse, not a bare error
+    # from a later rendering
+    document = json.loads(render_report(_sample_report()))
+    document[block][0][field] = value
+    with pytest.raises(ReportError, match=f"malformed report entry: .*{field}"):
+        parse_report(json.dumps(document))
+
+
+def test_parse_report_takes_integers_and_nan_as_numbers():
+    document = json.loads(render_report(_sample_report()))
+    document["estimates"][0].update(psi=-1, standard_error=float("nan"))
+    document["cv"][0]["f1"] = [1, 0, 1, 1, 0]
+    report = parse_report(json.dumps(document))
+    assert report.estimates[0].psi == -1 and report.cv_reports[0].f1 == (1, 0, 1, 1, 0)
+    assert render_report(report, fmt="table")
+
+
 def test_format_cell_wording():
     assert format_cell(-0.3, 0.1, True) == "-0.3 (0.1)*"
     assert format_cell(-0.3, 0.1, False) == "-0.3 (0.1)"

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 from scipy.special import gammaln
 
+from tonefx import topics
 from tonefx.topics import (
     _TOKEN_RE,
     DEFAULT_GAMMA_PRIOR,
@@ -437,6 +438,111 @@ def test_sweeps_match_reference_bit_for_bit(counts, k, seed):
         assert np.array_equal(infer_theta_batch(model, rows), _reference_theta(model, rows))
 
 
+def _freeze_sweeps(model, counts, max_iters=200, tol=1e-6):
+    """The sweep at which each row of infer_theta_batch's loop freezes, from
+    _reference_sweep; max_iters for a row that never does."""
+    counts = sparse.csr_matrix(counts, dtype=float)
+    alpha = model.alpha_prior
+    beta = np.maximum(model.beta, 1e-300)
+    gamma = np.full((counts.shape[0], model.k), alpha) + np.asarray(counts.sum(axis=1)) / model.k
+    frozen_at = np.full(counts.shape[0], max_iters)
+    for sweep in range(max_iters):
+        active = frozen_at == max_iters
+        if not active.any():
+            break
+        gamma_new = _reference_sweep(gamma, counts, beta, alpha)[0]
+        change = np.abs(gamma_new - gamma).mean(axis=1)
+        gamma[active] = gamma_new[active]
+        frozen_at[active & (change < tol)] = sweep
+    return frozen_at
+
+
+def _staggered_batch(n_terms=25, k=4):
+    """A model and 61 rows of 2 to 199 tokens that freeze at different sweeps, one of them empty.
+
+    At 1,300 terms and k = 12, a dense product over a subset of the rows
+    would differ from the same rows of the whole product in its last bits.
+    """
+    rng = np.random.default_rng(7)
+    model = LdaModel(
+        k=k,
+        beta=rng.dirichlet(np.full(n_terms, 0.2), size=k),
+        alpha_prior=1.0 / k,
+        gamma_prior=DEFAULT_GAMMA_PRIOR,
+        elbo_trace=(),
+        seed=0,
+        vocabulary=Vocabulary(
+            terms=tuple(f"w{i:04d}" for i in range(n_terms)),
+            document_frequency=np.full(n_terms, 0.5),
+        ),
+    )
+    lengths = rng.integers(2, 200, size=60)
+    rows = np.array([
+        rng.multinomial(n, rng.dirichlet(np.full(k, 0.5)) @ model.beta) for n in lengths
+    ])
+    return model, np.vstack([rows[:30], np.zeros((1, n_terms), dtype=int), rows[30:]])
+
+
+def _sweep_spy(monkeypatch):
+    """Record the batch rows that each _gamma_sweep call updates."""
+    calls = []
+    sweep = topics._gamma_sweep
+
+    def spy(exp_elog_theta, nonzeros, *args):
+        calls.append(np.arange(len(exp_elog_theta))[nonzeros.rows])
+        return sweep(exp_elog_theta, nonzeros, *args)
+
+    monkeypatch.setattr(topics, "_gamma_sweep", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_terms,k", [(25, 4), (1300, 12)])
+def test_theta_with_repeated_reindexing_matches_reference(monkeypatch, n_terms, k):
+    model, counts = _staggered_batch(n_terms, k)
+    calls = _sweep_spy(monkeypatch)
+    theta = infer_theta_batch(model, counts)
+    assert np.array_equal(theta, _reference_theta(model, counts))
+    assert np.array_equal(theta[30], np.full(k, 1.0 / k))
+    # the full batch, then at least two narrower indexes
+    assert len({len(rows) for rows in calls}) >= 3
+    frozen_at = _freeze_sweeps(model, counts)
+    assert len(set(frozen_at.tolist())) >= 10
+    # the same batch in another order gives each row the same bits
+    order = np.random.default_rng(1).permutation(len(counts))
+    assert np.array_equal(infer_theta_batch(model, counts[order]), theta[order])
+
+
+def test_frozen_rows_are_not_swept_again(monkeypatch):
+    model, counts = _staggered_batch()
+    calls = _sweep_spy(monkeypatch)
+    infer_theta_batch(model, counts)
+    frozen_at = _freeze_sweeps(model, counts)
+    assert len(calls) == min(frozen_at.max() + 1, 200)
+    built = 0
+    for sweep, rows in enumerate(calls):
+        if sweep and len(rows) < len(calls[sweep - 1]):
+            # a new index holds exactly the rows still active, and only
+            # rows of the index before it
+            assert np.isin(rows, calls[sweep - 1]).all()
+            assert np.array_equal(rows, np.flatnonzero(frozen_at >= sweep))
+            built = sweep
+        else:
+            assert sweep == 0 or np.array_equal(rows, calls[sweep - 1])
+        # a row frozen before the index was built never reaches the sweep;
+        # rows frozen since then are at most a quarter of the index
+        assert (frozen_at[rows] >= built).all()
+        assert 4 * np.count_nonzero(frozen_at[rows] < sweep) <= len(rows)
+    assert sum(map(len, calls)) < len(counts) * len(calls)
+
+
+@pytest.mark.parametrize("row", [3, 30])
+def test_one_row_batch_matches_reference(row):
+    model, counts = _staggered_batch()
+    one = counts[row:row + 1]
+    theta = infer_theta_batch(model, one)
+    assert np.array_equal(theta, _reference_theta(model, one))
+
+
 # ------------------------------------------------------------ persistence
 
 
@@ -475,6 +581,64 @@ def test_model_roundtrip_is_exact(tmp_path):
     assert (loaded.alpha_prior, loaded.gamma_prior) == (
         model.alpha_prior, model.gamma_prior,
     )
+
+
+_TINY = st.sampled_from([0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1e-310, 1e-17])
+
+
+@st.composite
+def _models(draw):
+    """Models with k >= 1, subnormal and tiny beta entries and non-ASCII terms."""
+    k = draw(st.integers(1, 3))
+    terms = draw(st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6, unique=True))
+    rows = []
+    for _ in range(k):
+        rest = draw(st.lists(
+            _TINY | st.floats(0.0, 1.0 / len(terms)), min_size=len(terms) - 1,
+            max_size=len(terms) - 1,
+        ))
+        rows.append([1.0 - sum(rest)] + rest)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return LdaModel(
+        k=k,
+        beta=np.array(rows),
+        alpha_prior=draw(st.floats(1e-300, 10.0)),
+        gamma_prior=draw(_TINY | st.floats(1e-3, 1.0)),
+        elbo_trace=tuple(draw(st.lists(finite, max_size=4))),
+        seed=draw(st.integers(0, 2**63)),
+        vocabulary=Vocabulary(
+            terms=tuple(terms),
+            document_frequency=np.array(draw(st.lists(
+                _TINY | st.floats(0.0, 1.0), min_size=len(terms), max_size=len(terms),
+            ))),
+        ),
+    )
+
+
+@settings(deadline=None)
+@given(_models())
+def test_save_model_bytes_match_a_json_dump_of_the_payload(tmp_path_factory, model):
+    import io
+    import json
+
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    reference = io.StringIO()
+    json.dump({
+        "format": "tonefx-lda",
+        "format_version": "1.0",
+        "k": model.k,
+        "alpha_prior": model.alpha_prior,
+        "gamma_prior": model.gamma_prior,
+        "seed": model.seed,
+        "elbo_trace": list(model.elbo_trace),
+        "vocabulary": {
+            "terms": list(model.vocabulary.terms),
+            "document_frequency": model.vocabulary.document_frequency.tolist(),
+        },
+        "beta": model.beta.tolist(),
+    }, reference)
+    assert path.read_bytes() == (reference.getvalue() + "\n").encode("utf-8")
 
 
 def test_load_model_rejects_foreign_artifacts(tmp_path):
