@@ -31,7 +31,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+from .harness.records import record_values
 
 logger = logging.getLogger(__name__)
 
@@ -161,11 +163,10 @@ class AnnotationCollection:
         return iter(self.annotations)
 
 
-def _check_str(record: dict, key: str) -> str:
-    value = record[key]
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"field {key!r} must be a non-empty string")
-    return value
+def _check_nonempty(values: dict[str, Any], names: Sequence[str]) -> None:
+    for name in names:
+        if not values[name]:
+            raise ValueError(f"{name} must not be empty")
 
 
 def _jsonl_records(path: Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
@@ -224,50 +225,34 @@ def load_posts(path: str | Path) -> PostCollection:
         if missing:
             errors.append(f"line {lineno}: missing required field {missing[0]!r}")
             continue
+        # JSON Schema's integer includes an integral float such as 1.0
+        position = record["position"]
+        if isinstance(position, float) and position.is_integer():
+            record["position"] = int(position)
         try:
-            post_id = _check_str(record, "id")
-            discussion_id = _check_str(record, "discussion_id")
-            debate_topic = _check_str(record, "debate_topic")
-            author = _check_str(record, "author")
-            position = record["position"]
-            # JSON Schema's integer includes an integral float such as 1.0
-            if isinstance(position, float) and position.is_integer():
-                position = int(position)
-            if isinstance(position, bool) or not isinstance(position, int) or position < 0:
-                raise ValueError("field 'position' must be a nonnegative integer")
-            text = record["text"]
-            if not isinstance(text, str):
-                raise ValueError("field 'text' must be a string")
-            parent_id = record.get("parent_id")
-            if parent_id is not None and not isinstance(parent_id, str):
-                raise ValueError("field 'parent_id' must be a string or null")
+            values = record_values(Post, record)
+            _check_nonempty(values, ("id", "discussion_id", "debate_topic", "author"))
+            if values["position"] < 0:
+                raise ValueError(f"position must be nonnegative, got {values['position']}")
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
             continue
-        if post_id in seen_ids:
+        values.setdefault("parent_id", None)
+        post = Post(**values)
+        if post.id in seen_ids:
             raise CorpusError(
-                f"duplicate post id {post_id!r} at line {lineno} "
-                f"(first seen at line {seen_ids[post_id]})"
+                f"duplicate post id {post.id!r} at line {lineno} "
+                f"(first seen at line {seen_ids[post.id]})"
             )
-        seen_ids[post_id] = lineno
-        if (discussion_id, position) in seen_positions:
+        seen_ids[post.id] = lineno
+        if (post.discussion_id, post.position) in seen_positions:
             errors.append(
-                f"line {lineno}: position {position} already used in "
-                f"discussion {discussion_id!r}"
+                f"line {lineno}: position {post.position} already used in "
+                f"discussion {post.discussion_id!r}"
             )
             continue
-        seen_positions.add((discussion_id, position))
-        posts.append(
-            Post(
-                id=post_id,
-                discussion_id=discussion_id,
-                debate_topic=debate_topic,
-                author=author,
-                position=position,
-                parent_id=parent_id,
-                text=text,
-            )
-        )
+        seen_positions.add((post.discussion_id, post.position))
+        posts.append(post)
 
     warnings: list[str] = []
     by_id = {post.id: post for post in posts}
@@ -310,7 +295,6 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
 
     annotations: list[QuoteResponseAnnotation] = []
     errors: list[str] = []
-    valid_types = {member.value for member in ReplyType}
 
     for lineno, record in _jsonl_records(path, errors):
         missing = [key for key in _ANNOTATION_FIELDS if key not in record]
@@ -318,34 +302,19 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
             errors.append(f"line {lineno}: missing required field {missing[0]!r}")
             continue
         try:
-            quote_post_id = _check_str(record, "quote_post_id")
-            response_post_id = _check_str(record, "response_post_id")
-            reply_type = record["reply_type"]
-            if reply_type not in valid_types:
+            values = record_values(QuoteResponseAnnotation, record)
+            _check_nonempty(values, ("quote_post_id", "response_post_id"))
+            # compared before the float conversion, which a huge integer would overflow
+            if not SCORE_MIN <= values["mean_score"] <= SCORE_MAX:
                 raise ValueError(
-                    f"field 'reply_type' must be one of {sorted(valid_types)}, "
-                    f"got {reply_type!r}"
-                )
-            mean_score = record["mean_score"]
-            if isinstance(mean_score, bool) or not isinstance(mean_score, (int, float)):
-                raise ValueError("field 'mean_score' must be a number")
-            mean_score = float(mean_score)
-            if not SCORE_MIN <= mean_score <= SCORE_MAX:
-                raise ValueError(
-                    f"field 'mean_score' must lie in [{SCORE_MIN:g}, {SCORE_MAX:g}], "
-                    f"got {mean_score!r}"
+                    f"mean_score must lie in [{SCORE_MIN:g}, {SCORE_MAX:g}], "
+                    f"got {values['mean_score']!r}"
                 )
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
             continue
-        annotations.append(
-            QuoteResponseAnnotation(
-                quote_post_id=quote_post_id,
-                response_post_id=response_post_id,
-                reply_type=ReplyType(reply_type),
-                mean_score=mean_score,
-            )
-        )
+        values["mean_score"] = float(values["mean_score"])
+        annotations.append(QuoteResponseAnnotation(**values))
 
     return AnnotationCollection(annotations=tuple(annotations), record_errors=tuple(errors))
 

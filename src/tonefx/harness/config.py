@@ -7,9 +7,9 @@ must produce identical reports, so anything that can change a number
 lives here, including the seed, which is mandatory.
 
 Configs load from JSON files; command line flags override file values
-field by field.  Every field is checked against its annotation in one
-place: a bool is not a number, a string is not a list, and an enum field
-takes only one of its values.
+field by field.  Every field is checked against its annotation by
+``records.record_values``, the reader that report rows and corpus lines
+share; a config also wants every float finite.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import typing
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -28,7 +26,7 @@ from ..estimators import AipwVariant, Estimator
 from ..inference import ConfounderVariant
 from ..lexicon import CategoryType, default_grouping_path, default_lexicon_path
 from ..topics import DEFAULT_MAX_DF, DEFAULT_MIN_DF
-from .records import json_record
+from .records import json_record, record_values
 
 
 class ConfigError(ValueError):
@@ -79,12 +77,20 @@ class PipelineConfig:
         object.__setattr__(
             self, "grouping_path", self.grouping_path or str(default_grouping_path())
         )
-        for f in dataclasses.fields(self):
-            value = _typed(f.name, getattr(self, f.name), _FIELD_TYPES[f.name])
-            object.__setattr__(self, f.name, value)
+        try:
+            values = record_values(PipelineConfig, vars(self))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        for name, value in values.items():
+            # a report may hold NaN, a config may not
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, value)
         self.validate()
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must lie in [0, 2**63), got {self.seed}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
         if not 0.0 <= self.min_df < self.max_df <= 1.0:
@@ -109,40 +115,10 @@ class PipelineConfig:
         return json_record(self)
 
 
-_FIELD_TYPES = typing.get_type_hints(PipelineConfig)
-_FIELD_NAMES = set(_FIELD_TYPES)
+_FIELD_NAMES = {f.name for f in dataclasses.fields(PipelineConfig)}
 _REQUIRED = tuple(
     f.name for f in dataclasses.fields(PipelineConfig) if f.default is dataclasses.MISSING
 )
-_KINDS = {str: "a string", int: "an integer", float: "a finite number", bool: "true or false"}
-
-
-def _typed(name: str, value: Any, annotation: Any) -> Any:
-    """``value`` checked against a field annotation, enum values converted to members.
-
-    A tuple field takes a list or tuple; a float field takes an int as
-    well, but no field that wants a number takes a bool.
-    """
-    if typing.get_origin(annotation) is tuple:
-        member = typing.get_args(annotation)[0]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(
-                f"{name} must be a list of {member.__name__} values, got {value!r}"
-            )
-        return tuple(_typed(name, item, member) for item in value)
-    if issubclass(annotation, Enum):
-        try:
-            return annotation(value)
-        except (ValueError, TypeError):
-            choices = ", ".join(repr(m.value) for m in annotation)
-            raise ConfigError(f"{name}: {value!r} is not one of {choices}") from None
-    if annotation is float:
-        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    else:
-        ok = isinstance(value, annotation)
-    if not ok or (isinstance(value, bool) and annotation is not bool):
-        raise ConfigError(f"{name} must be {_KINDS[annotation]}, got {value!r}")
-    return value
 
 
 def config_from_dict(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None = None) -> PipelineConfig:

@@ -18,14 +18,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 from ..corpus import Triple
-from ..estimators import AipwVariant, AteEstimate, Estimator
+from ..estimators import AteEstimate, Estimator
 from ..inference import CvReport
 from ..lexicon import CategoryType
-from .records import json_record
+from .records import json_record, record_values
 
 REPORT_FORMAT = "tonefx-report"
 REPORT_FORMAT_VERSION = "1.0"
@@ -79,43 +79,6 @@ def _estimate_to_dict(est: AteEstimate) -> dict[str, Any]:
     return {**json_record(est), "significant": est.significant}
 
 
-def _from_record(cls: type, entry: Any, **convert: Callable[[Any], Any]) -> Any:
-    """Inverse of ``json_record``; ``convert`` maps a field to the type of its non-null values.
-
-    Every value must fit its field's annotation: a number field takes an
-    integer or a float but not a boolean, an integer field only an
-    integer, and a tuple field a list of such values.
-    """
-    if not isinstance(entry, dict):
-        raise TypeError(f"{cls.__name__} entry must be a dict, not {type(entry).__name__}")
-    hints = get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in entry:
-            value = entry[f.name]
-            if value is not None and f.name in convert:
-                value = convert[f.name](value)
-            elif isinstance(value, list):
-                value = tuple(value)
-            if not _fits(value, hints[f.name]):
-                raise TypeError(f"{cls.__name__} field {f.name!r} cannot be {entry[f.name]!r}")
-            values[f.name] = value
-    return cls(**values)
-
-
-def _fits(value: Any, annotation: Any) -> bool:
-    if annotation is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if annotation is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    args = get_args(annotation)
-    if get_origin(annotation) is tuple:
-        return isinstance(value, tuple) and all(_fits(item, args[0]) for item in value)
-    if args:  # a union such as str | None
-        return any(_fits(value, arg) for arg in args)
-    return isinstance(value, annotation)
-
-
 def render_report(report: RunReport, fmt: str = "structured") -> str:
     if fmt == "structured":
         return _render_structured(report)
@@ -156,12 +119,11 @@ def parse_report(text: str) -> RunReport:
             f"{REPORT_FORMAT_VERSION.split('.')[0]}.x"
         )
     try:
-        cv_reports = [_from_record(CvReport, entry) for entry in _entries(document, "cv")]
-        estimates = [
-            _from_record(AteEstimate, entry, estimator=Estimator, aipw_variant=AipwVariant)
-            for entry in _entries(document, "estimates")
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        cv_reports = [CvReport(**record_values(CvReport, entry))
+                      for entry in _entries(document, "cv")]
+        estimates = [AteEstimate(**record_values(AteEstimate, entry))
+                     for entry in _entries(document, "estimates")]
+    except (TypeError, ValueError) as exc:
         raise ReportError(f"malformed report entry: {exc}") from exc
     return RunReport(
         config=document.get("config", {}),
@@ -174,10 +136,13 @@ def parse_report(text: str) -> RunReport:
     )
 
 
-def _entries(document: dict[str, Any], key: str) -> list[Any]:
+def _entries(document: dict[str, Any], key: str) -> list[dict[str, Any]]:
     entries = document.get(key, [])
     if not isinstance(entries, list):
         raise TypeError(f"{key!r} must be a list, not {type(entries).__name__}")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise TypeError(f"{key!r} entry must be an object, not {type(entry).__name__}")
     return entries
 
 

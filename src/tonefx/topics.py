@@ -588,7 +588,10 @@ def infer_theta_batch(
     anew each time that set shrinks to three quarters of the indexed
     rows, so no sweep pays for many frozen rows or for indexing every
     time.  Only the dense normalizer product spans the whole batch, so
-    a row's bits do not depend on which rows are still active.
+    a row's bits do not depend on which rows are still active.  They can
+    depend on the batch's row count, though: the product's last bits
+    move with its shape even on one BLAS thread, so a row inferred alone
+    may differ in its last bits from the same row inferred in a batch.
     Results are bit-for-bit reproducible at a fixed BLAS thread count; a
     different count may move them in their last bits, because the dense
     sweep product is then split differently.  The pipeline calls this on
@@ -606,8 +609,8 @@ def infer_theta_batch(
     beta_t = np.ascontiguousarray(beta.T)
     gamma = np.full((counts.shape[0], model.k), alpha) + doc_totals[:, np.newaxis] / model.k
     exp_elog_theta = _exp_elog_theta(gamma)
-    # freeze each row at its own convergence so results do not depend on
-    # which other documents share the batch
+    # freeze each row at its own convergence, so a row's bits do not depend
+    # on which rows are still active (the batch's row count can move them)
     active = np.ones(counts.shape[0], dtype=bool)
     indexed = counts.shape[0]
     for _ in range(max_iters):

@@ -214,6 +214,8 @@ _ANNOTATION = {
         ("annotations", {"mean_score": True}),
         ("annotations", {"mean_score": 5.5}),
         ("annotations", {"reply_type": "rude_polite"}),
+        ("posts", {"author": 5}),
+        ("annotations", {"mean_score": "2"}),
     ],
     ids=lambda value: json.dumps(value) if isinstance(value, dict) else value,
 )

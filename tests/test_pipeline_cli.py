@@ -369,6 +369,20 @@ def test_pipeline_warns_once_per_debate_topic_on_unconverged_topic_model(tmp_pat
         assert "converge" not in (tmp_path / "report.json").read_text(encoding="utf-8")
 
 
+def test_largest_seed_is_written_and_read_back(tmp_path):
+    # seeds stop below 2**63, where a model file stops reading back as an
+    # integer; building the config validates it
+    config = _config(tmp_path, seed=2**63 - 1, lda_max_iters=5)
+    posts = load_posts(POSTS)
+    for cache in ("miss", "hit"):
+        warnings: list[str] = []
+        models = pipeline.fit_topic_models(config, posts, pipeline.token_table(posts), warnings)
+        assert warnings == [], cache
+        assert [model.seed for model in models.values()] == [2**63 - 1] * 2
+        for slug in ("evolution", "gun-control"):
+            assert load_model(tmp_path / "models" / f"{slug}.json").seed == 2**63 - 1
+
+
 def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))

@@ -1,8 +1,11 @@
 """Run configuration and the three report renderings."""
 
 import csv
+import dataclasses
 import io
 import json
+import typing
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,24 @@ def test_config_null_paths_take_shipped_files():
     assert Path(config.grouping_path).name == "grouping.txt"
 
 
+# a value of another JSON type than the field's: a bool is never a number
+_MISTYPED = {str: 5, int: "5", float: True, bool: 1}
+
+
+def _mistyped_field_cases():
+    """One wrong-JSON-type value per config field, so a field added later is checked too."""
+    hints = typing.get_type_hints(PipelineConfig)
+    for f in dataclasses.fields(PipelineConfig):
+        annotation = hints[f.name]
+        if typing.get_origin(annotation) is tuple:
+            value = "nasty_nice"  # a string where a list belongs
+        elif issubclass(annotation, Enum):
+            value = 1
+        else:
+            value = _MISTYPED[annotation]
+        yield pytest.param({f.name: value}, f"^{f.name} must be ", id=f"mistyped-{f.name}")
+
+
 @pytest.mark.parametrize(
     "overrides,message",
     [
@@ -87,6 +108,9 @@ def test_config_null_paths_take_shipped_files():
         ({"reply_types": "nasty_nice"}, "reply_types"),
         ({"reply_types": ["nasty"]}, "reply_types"),
         ({"use_cache": 1}, "use_cache"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**63}, "seed"),
+        *_mistyped_field_cases(),
     ],
 )
 def test_config_validation_rejects(overrides, message):
@@ -208,6 +232,7 @@ def test_parse_report_rejects_foreign_documents():
         ("cv", "f1", 0.6),
         ("cv", "fold_count", "5"),
         ("cv", "skipped_folds", [1]),
+        ("estimates", "aipw_variant", "robust"),
     ],
 )
 def test_parse_report_rejects_mistyped_values(block, field, value):
