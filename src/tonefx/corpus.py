@@ -33,7 +33,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
-from .harness.records import record_values
+from .harness.records import decode_json, decode_text, read_input, record_values
 
 logger = logging.getLogger(__name__)
 
@@ -169,7 +169,7 @@ def _check_nonempty(values: dict[str, Any], names: Sequence[str]) -> None:
             raise ValueError(f"{name} must not be empty")
 
 
-def _jsonl_records(path: Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
+def _jsonl_records(path: str | Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
     """Each JSON object of a line-delimited file, with its line number.
 
     Lines are decoded one at a time, so a line that is not valid UTF-8,
@@ -178,26 +178,20 @@ def _jsonl_records(path: Path, errors: list[str]) -> Iterator[tuple[int, dict]]:
     raises FileNotFoundError, one that cannot be read a CorpusError.
     """
     try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"file not found: {path}") from None
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc.strerror}") from exc
+        data = read_input(path)
+    except ValueError as exc:
+        raise CorpusError(str(exc)) from exc
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            errors.append(f"line {lineno}: not valid UTF-8")
-            continue
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            errors.append(f"line {lineno}: invalid JSON ({exc.msg})")
-            continue
-        if not isinstance(record, dict):
-            errors.append(f"line {lineno}: record is not an object")
+            # decoded before it is stripped, so a line of Unicode spaces is blank
+            line = decode_text(raw).strip()
+            if not line:
+                continue
+            record = decode_json(line)
+            if not isinstance(record, dict):
+                raise ValueError("record is not an object")
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
             continue
         yield lineno, record
 
@@ -213,8 +207,6 @@ def load_posts(path: str | Path) -> PostCollection:
     message in ``warnings`` and the parent is treated as absent.  Nothing
     is logged: the collection is the only record of these events.
     """
-    path = Path(path)
-
     posts: list[Post] = []
     errors: list[str] = []
     seen_ids: dict[str, int] = {}
@@ -291,8 +283,6 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
     or invalid fields) are skipped.  Each is reported in
     ``record_errors`` with its line number, and not logged.
     """
-    path = Path(path)
-
     annotations: list[QuoteResponseAnnotation] = []
     errors: list[str] = []
 

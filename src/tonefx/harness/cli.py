@@ -37,6 +37,7 @@ from ..lexicon import LexiconError
 from ..topics import ModelFileError, TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
 from .pipeline import PipelineError, fit_topic_models, load_warnings, run_pipeline, token_table
+from .records import read_input
 from .report import ReportError, RunReport, parse_report, render_report, triple_summary
 from .synthetic import CorpusWorld, SyntheticError, generate_corpus
 
@@ -256,14 +257,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = Path(args.report)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ReportError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"{path} is not UTF-8: {exc}") from exc
-    report = parse_report(text)
+        data = read_input(args.report)
+    except ValueError as exc:
+        raise ReportError(f"report: {exc}") from exc
+    report = parse_report(data)
     try:
         rendered = render_report(report, args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

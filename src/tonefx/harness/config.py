@@ -15,7 +15,6 @@ share; a config also wants every float finite.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,7 @@ from ..estimators import AipwVariant, Estimator
 from ..inference import ConfounderVariant
 from ..lexicon import CategoryType, default_grouping_path, default_lexicon_path
 from ..topics import DEFAULT_MAX_DF, DEFAULT_MIN_DF
-from .records import json_record, record_values
+from .records import decode_json, json_record, read_input, record_values
 
 
 class ConfigError(ValueError):
@@ -143,15 +142,10 @@ def config_from_dict(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
     """Load a JSON config file, applying overrides on top."""
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raw = decode_json(read_input(path))
+    except ValueError as exc:
+        raise ConfigError(f"config file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return config_from_dict(raw, overrides)

@@ -1,5 +1,8 @@
-"""Dataclass records as JSON values and back, for config files, report rows and corpus lines.
+"""Input files as values, and dataclass records as JSON values and back.
 
+``read_input``, ``decode_text``, ``decode_json`` and ``check_format``
+turn each fault of an input file into one ValueError; a caller adds only
+its error class and its lead-in, a line number or a file name.
 ``json_record`` writes a record's fields as JSON values, and
 ``record_values`` reads JSON values back into fields, each checked
 against its field's annotation.  Every reader of a record shares these
@@ -10,12 +13,58 @@ values, and only an ``X | None`` field takes null.
 
 from __future__ import annotations
 
+import json
+import sys
 import types
 import typing
 from dataclasses import fields
 from enum import Enum
 from functools import cache
+from pathlib import Path
 from typing import Any, Callable, Mapping
+
+
+def read_input(path: str | Path) -> bytes:
+    """A file's bytes: FileNotFoundError if it is missing, ValueError if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def decode_text(data: bytes) -> str:
+    """``data`` as UTF-8 text; bytes that are not UTF-8 raise ValueError."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError("not valid UTF-8") from None
+
+
+def decode_json(data: bytes | str) -> Any:
+    """The JSON value of UTF-8 bytes or of text.  Every fault is a ValueError, also an
+    integer longer than Python converts or nesting deeper than the decoder recurses;
+    the line and column of a syntax error are given in a text of more than one line."""
+    text = decode_text(data) if isinstance(data, bytes) else data
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = f"{exc.msg}: line {exc.lineno} column {exc.colno}" if "\n" in text else exc.msg
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError:  # an integer past sys.get_int_max_str_digits()
+        reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    raise ValueError(f"invalid JSON ({reason})")
+
+
+def check_format(document: Any, name: str, version_key: str, version: str) -> None:
+    """ValueError unless ``document`` is a ``name`` object of ``version``'s major version."""
+    if not isinstance(document, dict) or document.get("format") != name:
+        raise ValueError(f"not a {name} document")
+    found, major = str(document.get(version_key, "")), version.split(".")[0]
+    if found.split(".")[0] != major:
+        raise ValueError(f"unsupported {name} version {found!r}; this build reads {major}.x")
 
 
 def json_record(record: Any) -> dict[str, Any]:

@@ -25,7 +25,7 @@ from ..corpus import Triple
 from ..estimators import AteEstimate, Estimator
 from ..inference import CvReport
 from ..lexicon import CategoryType
-from .records import json_record, record_values
+from .records import check_format, decode_json, json_record, record_values
 
 REPORT_FORMAT = "tonefx-report"
 REPORT_FORMAT_VERSION = "1.0"
@@ -104,20 +104,13 @@ def _render_structured(report: RunReport) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def parse_report(text: str) -> RunReport:
-    """Rebuild a RunReport from its structured rendering."""
+def parse_report(text: bytes | str) -> RunReport:
+    """Rebuild a RunReport from its structured rendering, as UTF-8 bytes or text."""
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReportError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict) or document.get("format") != REPORT_FORMAT:
-        raise ReportError("not a structured run report")
-    version = str(document.get("version", ""))
-    if version.split(".")[0] != REPORT_FORMAT_VERSION.split(".")[0]:
-        raise ReportError(
-            f"unsupported report version {version!r}; this build reads "
-            f"{REPORT_FORMAT_VERSION.split('.')[0]}.x"
-        )
+        document = decode_json(text)
+        check_format(document, REPORT_FORMAT, "version", REPORT_FORMAT_VERSION)
+    except ValueError as exc:
+        raise ReportError(f"report: {exc}") from exc
     try:
         cv_reports = [CvReport(**record_values(CvReport, entry))
                       for entry in _entries(document, "cv")]

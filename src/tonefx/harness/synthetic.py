@@ -22,6 +22,7 @@ further simulation error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,6 +125,9 @@ class CorpusWorld:
     debate_topics: tuple[str, ...] = ("gun control", "climate change")
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SyntheticError(f"{name} must be finite, got {value}")
         if self.n_topics < 2 or self.vocab_size < self.n_topics:
             raise SyntheticError("need n_topics >= 2 and vocab_size >= n_topics")
         if self.baseline_drift + self.effect < 0:
@@ -139,6 +143,12 @@ class CorpusWorld:
         )
         if top >= 0.95:
             raise SyntheticError(f"peak injection rate {top:.2f} is too close to 1")
+        # a rate is linear in the lean, so it is lowest at a lean of 0 or 1
+        drift = self.baseline_drift + min(self.effect, 0.0)
+        rises = (0.0, self.rate_slope, drift, drift + self.rate_slope + self.confounded_drift)
+        bottom = self.base_rate + min(rises)
+        if bottom < 0:
+            raise SyntheticError(f"lowest injection rate {bottom:.2f} is below 0")
 
 
 @dataclass(eq=False)
@@ -237,6 +247,8 @@ def generate_corpus(
     """
     if n_triples < 10:
         raise SyntheticError(f"need at least 10 triples, got {n_triples}")
+    if not 0 <= seed < 2**63:
+        raise SyntheticError(f"seed must lie in [0, 2**63), got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lexicon, grouping = load_lexicon(

@@ -39,10 +39,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, TextIO
+from typing import Iterator, Mapping
 
 import numpy as np
 
+from .harness.records import decode_text, read_input
 from .topics import split_words
 
 
@@ -105,14 +106,20 @@ class CategoryTypeGrouping:
         return sum(len(self.categories(ctype)) for ctype in CategoryType)
 
 
-def _open(path: Path) -> TextIO:
-    """Open a lexicon or grouping file; one that exists but cannot be read is a LexiconError."""
+def _lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Each stripped line that is not blank or a comment, after its lead-in "<name> line <n>"."""
     try:
-        return path.open("r", encoding="utf-8")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"file not found: {path}") from None
-    except OSError as exc:
-        raise LexiconError(f"cannot read {path}: {exc.strerror}") from exc
+        data = read_input(path)
+    except ValueError as exc:
+        raise LexiconError(str(exc)) from exc
+    name = Path(path).name
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = decode_text(raw).strip()
+        except ValueError as exc:
+            raise LexiconError(f"{name} line {lineno}: {exc}") from None
+        if line and not line.startswith("#"):
+            yield f"{name} line {lineno}", line
 
 
 def load_lexicon(
@@ -124,94 +131,62 @@ def load_lexicon(
     lines, and naming the category for grouping entries that do not exist
     in the lexicon.
     """
-    lexicon_path = Path(lexicon_path)
-    grouping_path = Path(grouping_path)
-
     exact: dict[str, set[str]] = {}
     prefixes: dict[str, set[str]] = {}
     categories: set[str] = set()
-    with _open(lexicon_path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise LexiconError(
-                    f"{lexicon_path.name} line {lineno}: expected "
-                    f"'pattern<TAB>category[,category...]', got {line!r}"
-                )
-            pattern, category_field = parts[0].strip(), parts[1].strip()
-            cats = [c.strip() for c in category_field.split(",")]
-            if not pattern or any(not c for c in cats):
-                raise LexiconError(
-                    f"{lexicon_path.name} line {lineno}: empty pattern or category"
-                )
-            if "*" in pattern[:-1]:
-                raise LexiconError(
-                    f"{lexicon_path.name} line {lineno}: '*' is only allowed "
-                    f"at the end of a pattern, got {pattern!r}"
-                )
-            categories.update(cats)
-            if pattern.endswith("*"):
-                stem = pattern[:-1]
-                if not stem:
-                    raise LexiconError(
-                        f"{lexicon_path.name} line {lineno}: bare '*' pattern is not allowed"
-                    )
-                prefixes.setdefault(stem, set()).update(cats)
-            else:
-                exact.setdefault(pattern, set()).update(cats)
+    for where, line in _lines(lexicon_path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise LexiconError(
+                f"{where}: expected 'pattern<TAB>category[,category...]', got {line!r}"
+            )
+        pattern, cats = parts[0].strip(), [c.strip() for c in parts[1].split(",")]
+        if not pattern or any(not c for c in cats):
+            raise LexiconError(f"{where}: empty pattern or category")
+        if "*" in pattern[:-1]:
+            raise LexiconError(
+                f"{where}: '*' is only allowed at the end of a pattern, got {pattern!r}"
+            )
+        categories.update(cats)
+        if pattern.endswith("*"):
+            stem = pattern[:-1]
+            if not stem:
+                raise LexiconError(f"{where}: bare '*' pattern is not allowed")
+            prefixes.setdefault(stem, set()).update(cats)
+        else:
+            exact.setdefault(pattern, set()).update(cats)
 
-    grouping_lists: dict[CategoryType, tuple[str, ...]] = {}
     current: CategoryType | None = None
     collected: dict[CategoryType, list[str]] = {}
-    with _open(grouping_path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                name = line[1:-1].strip()
-                try:
-                    current = CategoryType(name)
-                except ValueError:
-                    raise LexiconError(
-                        f"{grouping_path.name} line {lineno}: unknown category type {name!r}"
-                    ) from None
-                if current in collected:
-                    raise LexiconError(
-                        f"{grouping_path.name} line {lineno}: duplicate section {name!r}"
-                    )
-                collected[current] = []
-                continue
-            if current is None:
-                raise LexiconError(
-                    f"{grouping_path.name} line {lineno}: category outside any section"
-                )
-            if line not in categories:
-                raise LexiconError(
-                    f"{grouping_path.name} line {lineno}: category {line!r} "
-                    "does not appear in the lexicon"
-                )
-            if line in collected[current]:
-                raise LexiconError(
-                    f"{grouping_path.name} line {lineno}: duplicate category {line!r}"
-                )
-            collected[current].append(line)
+    for where, line in _lines(grouping_path):
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip()
+            try:
+                current = CategoryType(name)
+            except ValueError:
+                raise LexiconError(f"{where}: unknown category type {name!r}") from None
+            if current in collected:
+                raise LexiconError(f"{where}: duplicate section {name!r}")
+            collected[current] = []
+            continue
+        if current is None:
+            raise LexiconError(f"{where}: category outside any section")
+        if line not in categories:
+            raise LexiconError(f"{where}: category {line!r} does not appear in the lexicon")
+        if line in collected[current]:
+            raise LexiconError(f"{where}: duplicate category {line!r}")
+        collected[current].append(line)
 
     for ctype in CategoryType:
-        entries = collected.get(ctype, [])
-        if not entries:
+        if not collected.get(ctype):
             raise LexiconError(f"grouping section {ctype.value!r} is missing or empty")
-        grouping_lists[ctype] = tuple(entries)
 
     lexicon = CategoryLexicon(
         categories=frozenset(categories),
         exact={token: frozenset(cats) for token, cats in exact.items()},
         prefixes={stem: frozenset(cats) for stem, cats in prefixes.items()},
     )
-    return lexicon, CategoryTypeGrouping(lists=grouping_lists)
+    return lexicon, CategoryTypeGrouping({ctype: tuple(collected[ctype]) for ctype in CategoryType})
 
 
 def default_lexicon_path() -> Path:

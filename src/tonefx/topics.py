@@ -33,6 +33,8 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import gammaln, psi
 
+from .harness.records import check_format, decode_json, read_input
+
 logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "tonefx-lda"
@@ -697,25 +699,12 @@ def _json_field(payload: dict, key: str, kinds: str, ndim: int = 0):
 
 
 def load_model(path: str | Path) -> LdaModel:
-    """Load a serialized model; any fault of the file, from an unreadable path or an
-    unknown format or major version to a mistyped field, is a ModelFileError naming it."""
+    """Load a serialized model.  A missing file raises FileNotFoundError, and any other
+    fault, from an unreadable path to a mistyped field, is a ModelFileError naming it."""
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ModelFileError(f"{path.name}: cannot be read ({exc.strerror})") from exc
-    except ValueError as exc:
-        raise ModelFileError(f"{path.name}: not UTF-8 JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ModelFileError(f"{path.name}: not a {MODEL_FORMAT} artifact")
-    version = str(payload.get("format_version", ""))
-    if version.split(".")[0] != MODEL_FORMAT_VERSION.split(".")[0]:
-        raise ModelFileError(
-            f"{path.name}: unsupported format version {version!r} "
-            f"(reader supports major version {MODEL_FORMAT_VERSION.split('.')[0]})"
-        )
-    try:
+        payload = decode_json(read_input(path))
+        check_format(payload, MODEL_FORMAT, "format_version", MODEL_FORMAT_VERSION)
         vocabulary = payload["vocabulary"]
         return LdaModel(
             k=_json_field(payload, "k", "i"),

@@ -1,6 +1,7 @@
 """Corpus loading, score binarization, and triple extraction."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,11 +133,20 @@ def test_non_utf8_line_skipped_by_line_number(tmp_path, loader):
         json.dumps(good, ensure_ascii=False).encode("utf-8") + b"\n"
         + b'{"text": "caf\xe9"}\r\n'  # Latin-1, not UTF-8
         + b"\xff\xfe\n"
+        # JSON that Python's decoder cannot hold is skipped like any other bad line
+        + b"[" * 100_000 + b"]" * 100_000 + b"\n"
+        + b'{"mean_score": ' + b"9" * 5_000 + b"}\n"
+        + "\u00a0\n".encode("utf-8")  # blank once decoded and stripped
         + json.dumps(later, ensure_ascii=False).encode("utf-8") + b"\n"
     )
     loaded = (load_posts if loader == "posts" else load_annotations)(path)
     assert len(loaded) == 2
-    assert loaded.record_errors == ("line 2: not valid UTF-8", "line 3: not valid UTF-8")
+    assert loaded.record_errors == (
+        "line 2: not valid UTF-8",
+        "line 3: not valid UTF-8",
+        "line 4: invalid JSON (nested too deeply)",
+        f"line 5: invalid JSON (an integer has more than {sys.get_int_max_str_digits()} digits)",
+    )
     if loader == "posts":
         assert [p.text for p in loaded] == ["café", "café"]
 

@@ -194,10 +194,13 @@ def test_pipeline_recovers_from_corrupt_cache(tmp_path):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))
     baseline = run_pipeline(config)
-    for entry in (tmp_path / "cache").iterdir():
-        entry.write_text("{broken")
+    broken, deep = sorted((tmp_path / "cache").iterdir())
+    broken.write_text("{broken")
+    deep.write_text("[" * 100_000 + "]" * 100_000)
     repaired = run_pipeline(config)
-    assert sum("cache entry" in w and "refitting" in w for w in repaired.warnings) == 2
+    assert sum("cache entry" in w and "unreadable" in w and "refitting" in w
+               for w in repaired.warnings) == 2
+    assert sum("nested too deeply" in w for w in repaired.warnings) == 1
     assert [e.psi for e in repaired.estimates] == [e.psi for e in baseline.estimates]
 
 
@@ -974,13 +977,29 @@ def test_cli_unwritable_out_dir_is_runtime_error(tmp_path, command):
     assert len(errors) == 1 and "Not a directory" in errors[0], done.stderr
 
 
-@pytest.mark.parametrize("command,flag", [
+_UNREADABLE_PATHS = [
     ("ingest", "--posts"), ("estimate", "--posts"), ("estimate", "--lexicon"),
-    ("estimate", "--config"), ("inspect-topics", None), ("report", None),
-])
-def test_cli_input_path_that_cannot_be_read_is_usage_error(tmp_path, capsys, command, flag):
+    ("estimate", "--grouping"), ("estimate", "--config"), ("inspect-topics", None),
+    ("report", None),
+]
+
+
+@pytest.mark.parametrize("command,flag,content,message", [
     # a directory exists but cannot be read as a file, like a missing file
+    *[pytest.param(command, flag, None, "Is a directory", id=f"{command}-{flag}")
+      for command, flag in _UNREADABLE_PATHS],
+    pytest.param("estimate", "--lexicon", b"# caf\xe9\n", "line 1: not valid UTF-8",
+                 id="estimate---lexicon-latin1"),
+    pytest.param("estimate", "--grouping", b"[positive_sentiment]\n# caf\xe9\n",
+                 "line 2: not valid UTF-8", id="estimate---grouping-latin1"),
+])
+def test_cli_input_path_that_cannot_be_read_is_usage_error(
+    tmp_path, capsys, command, flag, content, message
+):
     unreadable = str(MINICORPUS.parent)
+    if content is not None:
+        unreadable = str(tmp_path / "latin1.txt")
+        Path(unreadable).write_bytes(content)
     args = [command, unreadable] if flag is None else [
         command, "--posts", POSTS, "--annotations", ANNOTATIONS,
         "--out-dir", str(tmp_path / "run"), "--seed", "3", flag, unreadable,
@@ -988,18 +1007,32 @@ def test_cli_input_path_that_cannot_be_read_is_usage_error(tmp_path, capsys, com
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err.splitlines()
     errors = [line for line in err if line.startswith("error: ")]
-    assert errors == err[-1:] and "Is a directory" in errors[0], err
+    assert errors == err[-1:] and message in errors[0], err
 
 
-@pytest.mark.parametrize("command", ["estimate --config", "report"])
-def test_cli_file_that_is_not_utf8_is_usage_error(tmp_path, command):
-    path = tmp_path / "utf16.json"
-    path.write_bytes(b"\xff\xfe{\x00}\x00")
+_UTF16 = b"\xff\xfe{\x00}\x00"
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_LONG_INTEGER = b'{"seed": ' + b"9" * 5_000 + b"}"
+
+
+@pytest.mark.parametrize("command,content,message", [
+    pytest.param("estimate --config", _UTF16, "not valid UTF-8", id="estimate --config"),
+    pytest.param("report", _UTF16, "not valid UTF-8", id="report"),
+    *[pytest.param(command, _DEEP, "invalid JSON (nested too deeply)", id=f"{command}-deep")
+      for command in ("estimate --config", "report", "inspect-topics")],
+    *[pytest.param(command, _LONG_INTEGER, "invalid JSON (an integer has more than",
+                   id=f"{command}-long-integer")
+      for command in ("estimate --config", "report")],
+])
+def test_cli_file_that_is_not_utf8_is_usage_error(tmp_path, command, content, message):
+    # not UTF-8, or JSON that Python's decoder cannot hold, is not JSON
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
     done = _run_cli(*command.split(), str(path))
     assert done.returncode == EXIT_USAGE, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
-    assert f"{path} is not UTF-8" in done.stderr
+    assert message in done.stderr
 
 
 def test_cli_bad_config_file(tmp_path, capsys):
@@ -1115,6 +1148,22 @@ def test_cli_simulate_then_estimate(tmp_path, capsys):
         "--category-types", "positive_sentiment",
     ])
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed", "-1"], "seed must lie in [0, 2**63)"),
+    (["--effect", "nan"], "effect must be finite"),
+    (["--drift", "-5"], "lowest injection rate"),
+    (["--confounding", "nan"], "stance_to_treatment must be finite"),
+    (["--triples", "5"], "need at least 10 triples"),
+], ids=["negative-seed", "nan-effect", "negative-rate", "nan-confounding", "few-triples"])
+def test_cli_simulate_rejects_impossible_worlds(tmp_path, capsys, flags, message):
+    corpus = tmp_path / "corpus"
+    # argparse keeps the last --seed
+    assert main(["simulate", "--seed", "1", "--out-dir", str(corpus), *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not corpus.exists()
 
 
 def test_cli_report_formats(tmp_path, capsys):

@@ -206,7 +206,7 @@ def test_structured_document_keys_are_sorted():
 
 
 def test_parse_report_rejects_foreign_documents():
-    with pytest.raises(ReportError, match="not valid JSON"):
+    with pytest.raises(ReportError, match="invalid JSON"):
         parse_report("{nope")
     document = json.loads(render_report(_sample_report()))
     document["version"] = "2.0"
@@ -214,7 +214,7 @@ def test_parse_report_rejects_foreign_documents():
         parse_report(json.dumps(document))
     document["version"] = REPORT_FORMAT_VERSION
     document["format"] = "other"
-    with pytest.raises(ReportError, match="not a structured run report"):
+    with pytest.raises(ReportError, match="not a tonefx-report document"):
         parse_report(json.dumps(document))
 
 

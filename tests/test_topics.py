@@ -657,15 +657,16 @@ def test_load_model_rejects_foreign_artifacts(tmp_path):
     payload = json.loads(path.read_text())
     payload["format_version"] = "2.0"
     path.write_text(json.dumps(payload))
-    with pytest.raises(TopicModelError, match="unsupported format version"):
+    with pytest.raises(TopicModelError, match="unsupported tonefx-lda version '2.0'"):
         load_model(path)
 
     # every malformed file raises a ModelFileError that names it
     payload["format_version"] = "1.0"
     wrong_type = "has the wrong JSON type"
     broken = {
-        "[1]": "not a tonefx-lda artifact",
-        "{not json": "not UTF-8 JSON",
+        "[1]": "not a tonefx-lda document",
+        "{not json": "invalid JSON",
+        "[" * 100_000 + "]" * 100_000: "invalid JSON (nested too deeply)",
         json.dumps({**payload, "k": None}): f"field 'k' {wrong_type}",
         json.dumps({**payload, "k": "2"}): f"field 'k' {wrong_type}",
         json.dumps({**payload, "k": 2.0}): f"field 'k' {wrong_type}",
@@ -686,9 +687,9 @@ def test_load_model_rejects_foreign_artifacts(tmp_path):
         with pytest.raises(ModelFileError, match=f"^model.json: .*{re.escape(message)}"):
             load_model(path)
     path.write_bytes(b"\xff\xfe")
-    with pytest.raises(ModelFileError, match="^model.json: not UTF-8 JSON"):
+    with pytest.raises(ModelFileError, match="^model.json: not valid UTF-8"):
         load_model(path)
-    with pytest.raises(ModelFileError, match=f"^{tmp_path.name}: cannot be read"):
+    with pytest.raises(ModelFileError, match=f"^{tmp_path.name}: cannot read"):
         load_model(tmp_path)
 
 
