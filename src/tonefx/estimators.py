@@ -215,11 +215,10 @@ class BootstrapResult:
     """Replicate estimates of every requested estimator from one bootstrap pass.
 
     Every estimator is scored on the same usable resamples, so all share
-    ``replicates_requested`` and ``skipped``.
+    ``skipped``.
     """
 
     estimates: dict[Estimator, np.ndarray]
-    replicates_requested: int
     skipped: int
 
     @property
@@ -331,7 +330,6 @@ def bootstrap_se(
         raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
     return BootstrapResult(
         estimates={e: np.concatenate(values) for e, values in estimates.items()},
-        replicates_requested=replicates,
         skipped=replicates - used,
     )
 

@@ -96,19 +96,30 @@ class PipelineConfig:
             raise ConfigError(
                 f"need 0 <= min_df < max_df <= 1, got {self.min_df}, {self.max_df}"
             )
+        if self.lda_max_iters < 1:
+            raise ConfigError(f"lda_max_iters must be at least 1, got {self.lda_max_iters}")
+        if self.lda_tol <= 0:
+            raise ConfigError(f"lda_tol must be positive, got {self.lda_tol}")
         if self.folds < 2:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if not 0.0 <= self.clip_epsilon < 0.5:
             raise ConfigError(f"clip_epsilon must lie in [0, 0.5), got {self.clip_epsilon}")
         if self.regularization < 0 or self.outcome_ridge < 0:
             raise ConfigError("regularization and outcome_ridge must be nonnegative")
-        if self.bootstrap_replicates < 0:
-            raise ConfigError("bootstrap_replicates must be nonnegative")
+        if self.bootstrap_replicates < 0 or self.bootstrap_replicates == 1:
+            raise ConfigError(
+                f"bootstrap_replicates must be 0 or at least 2, got {self.bootstrap_replicates}"
+            )
         if self.jobs < 1:
             raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
         for name in ("reply_types", "category_types", "confounder_variants", "estimators"):
-            if not getattr(self, name):
+            entries = getattr(self, name)
+            if not entries:
                 raise ConfigError(f"{name} must not be empty")
+            if len(set(entries)) < len(entries):
+                raise ConfigError(
+                    f"{name} must not name an entry twice, got {[e.value for e in entries]}"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         return json_record(self)

@@ -10,22 +10,23 @@ not abort the run; the cell is dropped with a warning and the caller
 can detect the gap by comparing against the requested grid.
 
 Topic models are cached under out_dir/cache keyed by a digest of the
-per-topic corpus content, the tokenizer fingerprint and every fitting
-parameter, so reruns over unchanged inputs skip straight to inference.
-The fitted models are also published under out_dir/models for
-inspection regardless of cache hits: each is serialized once, into the
-cache, and its bytes are copied to out_dir/models (with the cache off,
-it is serialized into out_dir/models directly).
+per-topic corpus content, the digest of the tokenizer's word lists and
+every fitting parameter, so reruns over unchanged inputs skip straight
+to inference.  The fitted models are also published under
+out_dir/models for inspection regardless of cache hits: each is
+serialized once, into the cache, and its bytes are copied to
+out_dir/models (with the cache off, it is serialized into
+out_dir/models directly).
 
-Each post's default-tokenizer tokens and its category row are computed
-at most once per run, on first use, and shared by the topics, outcomes
-and confounders stages; with cached topic models, posts outside the
-triples are never tokenized.  Each run creates its own default
-tokenizer and loads its own lexicon; they memoize each distinct token
-form, so a form is lemmatized and categorized once per run, and no memo
-outlives its run.  Likewise each p1 and p2 post's topic proportions are
-inferred once per run, in one batch per debate topic across all reply
-types, and each confounder matrix is a lookup in these per-post tables.
+Each post's tokens and its category row are computed at most once per
+run, on first use, and shared by the topics, outcomes and confounders
+stages; with cached topic models, posts outside the triples are never
+tokenized.  Each run creates its own tokenizer and loads its own
+lexicon; they memoize each distinct token form, so a form is lemmatized
+and categorized once per run, and no memo outlives its run.  Likewise
+each p1 and p2 post's topic proportions are inferred once per run, in
+one batch per debate topic across all reply types, and each confounder
+matrix is a lookup in these per-post tables.
 
 ``run_pipeline`` and ``fit_topic_models`` run numpy's bundled OpenBLAS
 on one thread, and so does each worker of the ``jobs`` pool.  The dense
@@ -87,11 +88,12 @@ from ..lexicon import (
     vectorize_post,
 )
 from ..topics import (
+    TOKENIZER_DIGEST,
     LdaModel,
+    Tokenizer,
     TopicModelError,
     build_dtm,
     build_vocabulary,
-    default_tokenizer,
     elbo_converged,
     fit_lda,
     infer_theta_batch,
@@ -230,13 +232,11 @@ def _slug(text: str) -> str:
     return cleaned or "topic"
 
 
-def _topic_cache_key(
-    config: PipelineConfig, posts: Sequence, tokenizer_fingerprint: str
-) -> str:
+def _topic_cache_key(config: PipelineConfig, posts: Sequence) -> str:
     payload = {
         "cache_version": MODEL_CACHE_VERSION,
         "posts": [(p.id, p.text) for p in sorted(posts, key=lambda p: p.id)],
-        "tokenizer": tokenizer_fingerprint,
+        "tokenizer": TOKENIZER_DIGEST,
         "k": config.k,
         "min_df": config.min_df,
         "max_df": config.max_df,
@@ -262,12 +262,12 @@ class PostFeatures(dict):
 
 
 def token_table(posts: PostCollection) -> PostFeatures:
-    """Default-tokenizer tokens of each post, tokenized on first lookup.
+    """The tokens of each post, tokenized on first lookup.
 
     Each table has its own tokenizer, whose raw-form memo lives as long
     as the table, so all lists share one string per raw form.
     """
-    return PostFeatures(posts, default_tokenizer())
+    return PostFeatures(posts, Tokenizer())
 
 
 @_one_blas_thread()
@@ -279,22 +279,23 @@ def fit_topic_models(
 ) -> dict[str, LdaModel]:
     """Fit or load from cache one topic model per debate topic.
 
-    ``post_tokens`` holds each post's default-tokenizer tokens; only a
-    cache miss reads it.  Every model is also published under
-    out_dir/models, as a copy of its cache entry when the cache is on;
-    problems that do not stop the run (an unreadable cache entry) go to
-    ``warnings``.  A model whose fit stopped at ``lda_max_iters`` before
-    meeting ``lda_tol``, fitted now or cached, gets one logged warning
-    with its final relative ELBO change; the report leaves it out.
+    ``post_tokens`` holds each post's tokens; only a cache miss reads
+    it.  Every model is also published under out_dir/models, as a copy
+    of its cache entry when the cache is on; problems that do not stop
+    the run (an unreadable cache entry) go to ``warnings``.  A model
+    whose fit stopped at ``lda_max_iters`` before meeting ``lda_tol``,
+    fitted now or cached, gets one logged warning with its final
+    relative ELBO change; the report leaves it out.  So does a model
+    fitted now whose k exceeds its vocabulary, or whose posts include
+    some with no vocabulary term; every warning names its debate topic.
     """
-    fingerprint = default_tokenizer().fingerprint()
     cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     models: dict[str, LdaModel] = {}
     for debate_topic in posts.debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
-        key = _topic_cache_key(config, subset, fingerprint)
+        key = _topic_cache_key(config, subset)
         cache_path = cache_dir / f"lda-{_slug(debate_topic)}-{key[:16]}.json"
         model_path = models_dir / f"{_slug(debate_topic)}.json"
         model: LdaModel | None = None
@@ -315,7 +316,13 @@ def fit_topic_models(
             dtm = build_dtm(token_lists, vocabulary)
             if dtm.zero_rows:
                 logger.warning(
-                    "%d of %d posts have no in-vocabulary tokens", len(dtm.zero_rows), dtm.n_docs
+                    "debate topic %r: %d of %d posts have no in-vocabulary tokens",
+                    debate_topic, len(dtm.zero_rows), dtm.n_docs,
+                )
+            if config.k > len(vocabulary):
+                logger.warning(
+                    "debate topic %r: k=%d exceeds the %d-term vocabulary",
+                    debate_topic, config.k, len(vocabulary),
                 )
             model = fit_lda(
                 dtm,

@@ -13,7 +13,7 @@ drives both the tone treatment and the drift in the responder's later
 word choice, which confounds the naive contrast.  Stance varies within
 each debate topic, so the topics-only adjustment cannot remove this
 bias while the full adjustment can.  The injected signal words come
-from the positive sentiment categories of the active lexicon, and the
+from the positive sentiment categories of the shipped lexicon, and the
 reported per-category truths are sample averages of the two generated
 potential outcomes, so an estimate can be compared to truth without
 further simulation error.
@@ -47,7 +47,7 @@ from ..lexicon import (
     load_lexicon,
     vectorize_post,
 )
-from ..topics import default_tokenizer
+from ..topics import Tokenizer
 
 
 class SyntheticError(ValueError):
@@ -170,7 +170,7 @@ def _synthetic_vocabulary(
 ) -> list[str]:
     """Deterministic nonsense words that survive tokenization unchanged
     and match no lexicon category."""
-    tokenizer = default_tokenizer()
+    tokenizer = Tokenizer()
     words: list[str] = []
     seen: set[str] = set()
     attempts = 0
@@ -237,8 +237,6 @@ def generate_corpus(
     n_triples: int,
     seed: int,
     out_dir: str | Path,
-    lexicon_path: str | Path | None = None,
-    grouping_path: str | Path | None = None,
 ) -> CorpusTruth:
     """Write posts.jsonl, annotations.jsonl and truth.json under out_dir.
 
@@ -251,9 +249,7 @@ def generate_corpus(
         raise SyntheticError(f"seed must lie in [0, 2**63), got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lexicon, grouping = load_lexicon(
-        lexicon_path or default_lexicon_path(), grouping_path or default_grouping_path()
-    )
+    lexicon, grouping = load_lexicon(default_lexicon_path(), default_grouping_path())
     rng = np.random.default_rng(seed)
     injection = _injection_words(lexicon, grouping)
 

@@ -262,8 +262,6 @@ class OutcomeModel(_LinearModel):
     shape (2, samples, n) and unpack into q0 and q1.
     """
 
-    n_train: int | np.ndarray
-
 
 def _sample(model: _LinearModel, index: int | tuple[int, ...]) -> _LinearModel:
     """One fit of a stacked model, its scalar fields as Python scalars."""
@@ -466,7 +464,6 @@ def fit_outcome_stack(
         intercept=solution[..., 0],
         feature_means=means,
         feature_scales=scales,
-        n_train=counts,
     )
 
 

@@ -42,6 +42,10 @@ MODEL_FORMAT_VERSION = "1.0"
 DEFAULT_MIN_DF = 0.02
 DEFAULT_MAX_DF = 0.80
 DEFAULT_GAMMA_PRIOR = 0.01
+# fit_lda's per-post updates in each sweep: at most this many, stopping
+# once the mean change of the Dirichlet parameters drops below the tol
+_E_STEP_MAX_ITERS = 100
+_E_STEP_TOL = 1e-3
 
 _TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
 _VOWELS = "aeiou"
@@ -55,30 +59,24 @@ class ModelFileError(TopicModelError):
     """A saved topic model file that cannot be read or does not hold a model."""
 
 
-def load_wordlist(path: str | Path) -> frozenset[str]:
-    """Read a plain-text word list, one entry per line, '#' for comments."""
-    words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return frozenset(words)
+def _shipped_entries(name: str) -> list[str]:
+    """The lowercased entries of a shipped word list, one per line, '#' for comments."""
+    text = (Path(__file__).parent / "data" / name).read_text(encoding="utf-8")
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line.lower() for line in lines if line and not line.startswith("#")]
 
 
-def load_lemma_exceptions(path: str | Path) -> dict[str, str]:
-    """Read a lemmatizer exception table, one 'token<TAB>base' entry per line."""
-    table: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise TopicModelError(
-                f"{Path(path).name} line {lineno}: expected 'token base', got {line!r}"
-            )
-        table[parts[0].lower()] = parts[1].lower()
-    return table
+# the tokenizer's stop words and its lemma exception table ('token<TAB>base' lines)
+_STOPWORDS = frozenset(_shipped_entries("stopwords.txt"))
+_LEMMA_EXCEPTIONS = dict(line.split() for line in _shipped_entries("lemma_exceptions.txt"))
+# digest of both lists, part of every topic cache key; its payload is fixed,
+# so a cache entry stays valid until one of the lists changes
+TOKENIZER_DIGEST = hashlib.sha256(
+    json.dumps(
+        {"stopwords": sorted(_STOPWORDS), "exceptions": sorted(_LEMMA_EXCEPTIONS.items())},
+        sort_keys=True,
+    ).encode("utf-8")
+).hexdigest()
 
 
 def _restem(stem: str) -> str:
@@ -132,60 +130,27 @@ def split_words(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Tokenizer:
-    """Configurable text-to-token mapping shared by all text consumers.
+    """Text-to-token mapping of the topic models and confounders.
 
-    Splits the text with ``split_words``, drops stop words from the
-    configured list, and lemmatizes the rest.
+    Splits the text with ``split_words``, drops the shipped stop words
+    and lemmatizes the rest with the shipped exception table.
     Each raw form is normalized once per tokenizer object and memoized,
-    so every occurrence of a form yields the same string object.
+    so every occurrence of a form yields the same string object.  A new
+    tokenizer starts with an empty memo, so a caller that creates one per
+    run keeps the memo to that run's forms.
     """
 
-    stopwords: frozenset[str] = frozenset()
-    exceptions: tuple[tuple[str, str], ...] = ()
-    _table: dict[str, str] = field(init=False, repr=False, compare=False, hash=False, default=None)  # type: ignore[assignment]
-    # raw form -> its token, or "" for a dropped form (stop word, empty lemma)
+    # raw form -> its token, or "" for a dropped stop word
     _forms: dict[str, str] = field(
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_table", dict(self.exceptions))
 
     def __call__(self, text: str) -> list[str]:
         forms = self._forms
         raws = split_words(text)
         for raw in set(raws).difference(forms):
-            forms[raw] = self._normalize(raw)
+            forms[raw] = "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
         return list(filter(None, map(forms.__getitem__, raws)))
-
-    def _normalize(self, raw: str) -> str:
-        if raw in self.stopwords:
-            return ""
-        return lemmatize_token(raw, self._table)
-
-    def fingerprint(self) -> str:
-        """Stable digest of the configuration, used in cache keys."""
-        payload = json.dumps(
-            {
-                "stopwords": sorted(self.stopwords),
-                "exceptions": sorted(self.exceptions),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def default_tokenizer() -> Tokenizer:
-    """A new tokenizer with the shipped stop-word list and exception table.
-
-    Each call returns a tokenizer with an empty memo, so a caller that
-    creates one per run keeps the memo to that run's forms.
-    """
-    data_dir = Path(__file__).parent / "data"
-    return Tokenizer(
-        stopwords=load_wordlist(data_dir / "stopwords.txt"),
-        exceptions=tuple(sorted(load_lemma_exceptions(data_dir / "lemma_exceptions.txt").items())),
-    )
 
 
 @dataclass(eq=False)
@@ -252,8 +217,8 @@ class DocumentTermMatrix:
 
     counts: sparse.csr_matrix
     doc_ids: tuple[str, ...]
+    vocabulary: Vocabulary
     zero_rows: tuple[int, ...] = ()
-    vocabulary: Vocabulary | None = None
 
     def __post_init__(self) -> None:
         self.counts = sparse.csr_matrix(self.counts)
@@ -261,7 +226,7 @@ class DocumentTermMatrix:
             raise TopicModelError("doc_ids must align with count rows")
         if self.counts.nnz and self.counts.data.min() < 0:
             raise TopicModelError("counts must be nonnegative")
-        if self.vocabulary is not None and len(self.vocabulary) != self.counts.shape[1]:
+        if len(self.vocabulary) != self.counts.shape[1]:
             raise TopicModelError("vocabulary must align with count columns")
 
     @property
@@ -339,9 +304,7 @@ class LdaModel:
 
 
 def _dirichlet_expectation(x: np.ndarray) -> np.ndarray:
-    """E[log p] for p ~ Dirichlet(x), row-wise for 2-d input."""
-    if x.ndim == 1:
-        return psi(x) - psi(x.sum())
+    """E[log p] for p ~ Dirichlet(x), row by row."""
     return psi(x) - psi(x.sum(axis=1))[:, np.newaxis]
 
 
@@ -466,41 +429,32 @@ def elbo_converged(elbo_trace: Sequence[float], tol: float) -> bool:
 def fit_lda(
     dtm: DocumentTermMatrix,
     k: int = 50,
-    alpha_prior: float | None = None,
-    gamma_prior: float = DEFAULT_GAMMA_PRIOR,
     seed: int = 0,
     max_iters: int = 200,
     tol: float = 1e-4,
-    e_step_max_iters: int = 100,
-    e_step_tol: float = 1e-3,
 ) -> LdaModel:
     """Fit LDA by batch coordinate-ascent mean-field variational inference.
 
-    alpha_prior defaults to 1/k.  Each sweep runs the per-post updates to
-    convergence (warm-started from the previous sweep), records the bound,
-    then takes the exact topic update.  Stops when the relative bound
-    change drops below ``tol`` or after ``max_iters`` sweeps; a model
-    that stopped at ``max_iters`` has ``elbo_converged(model.elbo_trace,
-    tol)`` false, and ``fit_topic_models`` logs a warning for it.  Two
-    runs with the same inputs and seed produce identical models.
+    The priors are alpha_prior = 1/k and ``DEFAULT_GAMMA_PRIOR``.  Each
+    sweep runs the per-post updates to convergence (warm-started from the
+    previous sweep), records the bound, then takes the exact topic update.
+    Stops when the relative bound change drops below ``tol`` or after
+    ``max_iters`` sweeps; a model that stopped at ``max_iters`` has
+    ``elbo_converged(model.elbo_trace, tol)`` false, and
+    ``fit_topic_models`` logs a warning for it.  Two runs with the same
+    inputs and seed produce identical models.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise TopicModelError(f"k must be a positive integer, got {k!r}")
-    if alpha_prior is None:
-        alpha_prior = 1.0 / k
-    if alpha_prior <= 0 or gamma_prior <= 0:
-        raise TopicModelError("priors must be positive")
     if max_iters < 1:
         raise TopicModelError("max_iters must be at least 1")
     counts = dtm.counts.astype(float).tocsr()
     n_docs, n_terms = counts.shape
     if n_docs == 0 or counts.sum() == 0:
         raise TopicModelError("document-term matrix has no tokens to fit")
-    if k > n_terms:
-        logger.warning("k=%d exceeds the %d-term vocabulary", k, n_terms)
 
-    alpha = float(alpha_prior)
-    eta = float(gamma_prior)
+    alpha = 1.0 / k
+    eta = DEFAULT_GAMMA_PRIOR
     nonzeros = _nonzeros(counts)
     doc_totals = np.asarray(counts.sum(axis=1)).ravel()
 
@@ -514,13 +468,13 @@ def fit_lda(
         exp_elog_beta = np.exp(elog_beta)
         exp_elog_beta_t = np.ascontiguousarray(exp_elog_beta.T)
 
-        for _ in range(e_step_max_iters):
+        for _ in range(_E_STEP_MAX_ITERS):
             gamma_new = _gamma_sweep(
                 _exp_elog_theta(gamma), nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
             )
             change = float(np.abs(gamma_new - gamma).mean())
             gamma = gamma_new
-            if change < e_step_tol:
+            if change < _E_STEP_TOL:
                 break
 
         # final responsibilities consistent with the converged gamma; they
@@ -550,12 +504,6 @@ def fit_lda(
             break
 
     beta = lam / lam.sum(axis=1, keepdims=True)
-    vocabulary = dtm.vocabulary
-    if vocabulary is None:
-        vocabulary = Vocabulary(
-            terms=tuple(f"term{i}" for i in range(n_terms)),
-            document_frequency=np.zeros(n_terms),
-        )
     return LdaModel(
         k=k,
         beta=beta,
@@ -563,7 +511,7 @@ def fit_lda(
         gamma_prior=eta,
         elbo_trace=tuple(elbo_trace),
         seed=seed,
-        vocabulary=vocabulary,
+        vocabulary=dtm.vocabulary,
     )
 
 

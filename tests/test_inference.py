@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -247,6 +247,8 @@ def _resample_stack(features, treatments, outcomes, samples, seed):
 )
 def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularization):
     features, treatments = _logistic_data(n=n, seed=seed)
+    # data of one arm has no resample with both arms (12 draws at seed 1109)
+    assume(treatments.min() != treatments.max())
     z, t, _ = _resample_stack(features, treatments, np.zeros(n), samples, seed)
     stack = fit_propensity_stack(z, t, regularization=regularization)
     scores = predict_propensity(stack, z)
@@ -272,6 +274,8 @@ def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularizati
 )
 def test_outcome_stack_matches_one_sample_fits(seed, samples, n, ridge):
     features, treatments = _logistic_data(n=n, seed=seed)
+    # data of one arm has no resample with both arms
+    assume(treatments.min() != treatments.max())
     outcomes = treatments + features @ np.array([1.0, -2.0, 0.5])
     outcomes += np.random.default_rng(seed).normal(size=n)
     z, t, y = _resample_stack(features, treatments, outcomes, samples, seed)
@@ -290,7 +294,6 @@ def test_outcome_stack_matches_one_sample_fits(seed, samples, n, ridge):
     q0, q1 = predict_outcome(stack, z)
     for r in range(samples):
         for arm, model, q in zip((0, 1), fit_outcome_models(z[r], t[r], y[r], ridge=ridge), (q0, q1)):
-            assert stack.n_train[arm, r] == model.n_train
             np.testing.assert_allclose(stack.weights[arm, r], model.weights, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(
                 stack.coefficients[arm, r], model.coefficients, rtol=1e-10, atol=1e-10
@@ -361,7 +364,6 @@ def test_outcome_models_recover_linear_truth():
     np.testing.assert_allclose(model0.coefficients, [0.5, 0.5], atol=1e-9)
     assert model1.intercept_raw == pytest.approx(1.5, abs=1e-9)
     assert model0.intercept_raw == pytest.approx(-0.5, abs=1e-9)
-    assert model0.n_train == model1.n_train == 40
 
 
 def test_outcome_residuals_orthogonal_to_features():

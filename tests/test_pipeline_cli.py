@@ -32,7 +32,6 @@ from tonefx.topics import (
     Tokenizer,
     TopicModelError,
     build_dtm,
-    default_tokenizer,
     infer_theta_batch,
     load_model,
     save_model,
@@ -264,13 +263,13 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         assert set(categorized) == {
             form for text in vectorized for form in split_words(text)
         }
-        default_texts = {text for tok, text in tokenized if tok == default_tokenizer()}
+        tokenized_texts = {text for _, text in tokenized}
         if cache == "miss":
-            assert default_texts == {post.text for post in posts}
+            assert tokenized_texts == {post.text for post in posts}
         else:
             # the cached models need no tokens; the confounders read p1 and p2
-            assert default_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
-            assert len(default_texts) < len(posts)
+            assert tokenized_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
+            assert len(tokenized_texts) < len(posts)
 
 
 def _record_theta_batches(monkeypatch) -> list:
@@ -310,7 +309,7 @@ def test_pipeline_infers_each_post_once_per_run(tmp_path, monkeypatch):
     assert [label for _, _, label in calls] == [
         "debate topic 'evolution'", "debate topic 'gun control'",
     ]
-    tokenize = default_tokenizer()
+    tokenize = Tokenizer()
     for (model, counts, _), (topic, post_ids) in zip(calls, sorted(expected.items())):
         want = build_dtm([tokenize(posts.get(i).text) for i in post_ids], model.vocabulary)
         np.testing.assert_array_equal(counts, want.counts.toarray())
@@ -370,6 +369,22 @@ def test_pipeline_warns_once_per_debate_topic_on_unconverged_topic_model(tmp_pat
         # run output, not a number of the report
         assert not any("lda_max_iters" in warning for warning in report.warnings)
         assert "converge" not in (tmp_path / "report.json").read_text(encoding="utf-8")
+
+
+def test_topic_model_warnings_name_their_debate_topic(tmp_path, caplog):
+    # k=40 outgrows both vocabularies, and one evolution post keeps no term
+    with caplog.at_level(logging.WARNING, logger="tonefx"):
+        code = main([
+            "fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3",
+            "--k", "40", "--min-df", "0.4", "--no-cache",
+        ])
+    assert code == EXIT_OK
+    messages = [r.getMessage() for r in caplog.records if "vocabulary" in r.getMessage()]
+    assert messages == [
+        "debate topic 'evolution': 1 of 96 posts have no in-vocabulary tokens",
+        "debate topic 'evolution': k=40 exceeds the 9-term vocabulary",
+        "debate topic 'gun control': k=40 exceeds the 7-term vocabulary",
+    ]
 
 
 def test_largest_seed_is_written_and_read_back(tmp_path):

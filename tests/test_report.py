@@ -110,6 +110,14 @@ def _mistyped_field_cases():
         ({"use_cache": 1}, "use_cache"),
         ({"seed": -1}, "seed"),
         ({"seed": 2**63}, "seed"),
+        ({"bootstrap_replicates": 1}, "bootstrap_replicates"),
+        ({"lda_max_iters": 0}, "lda_max_iters"),
+        ({"lda_tol": -1.0}, "lda_tol"),
+        ({"lda_tol": 0.0}, "lda_tol"),
+        ({"reply_types": ("nasty_nice", "nasty_nice")}, "reply_types"),
+        ({"category_types": ("positive_sentiment", "positive_sentiment")}, "category_types"),
+        ({"confounder_variants": ("full", "full")}, "confounder_variants"),
+        ({"estimators": ("q", "q")}, "estimators"),
         *_mistyped_field_cases(),
     ],
 )

@@ -23,7 +23,6 @@ from tonefx.topics import (
     _dirichlet_expectation,
     build_dtm,
     build_vocabulary,
-    default_tokenizer,
     fit_lda,
     infer_theta_batch,
     lemmatize_token,
@@ -38,7 +37,7 @@ from tonefx.topics import (
 
 
 def test_default_tokenizer_frozen_example():
-    assert default_tokenizer()("The guns were firing.") == ["gun", "fire"]
+    assert Tokenizer()("The guns were firing.") == ["gun", "fire"]
 
 
 def test_surface_tokenizer_keeps_everything():
@@ -68,23 +67,19 @@ def test_lemmatizer_suffix_rules(token, base):
     assert lemmatize_token(token) == base
 
 
-def _reference_tokens(tokenizer: Tokenizer, text: str) -> list[str]:
+def _reference_tokens(text: str) -> list[str]:
     """The tokenizer's output rebuilt one occurrence at a time, with no memo."""
-    table = dict(tokenizer.exceptions)
-    tokens = []
-    for raw in _TOKEN_RE.findall(text.lower()):
-        if raw in tokenizer.stopwords:
-            continue
-        token = lemmatize_token(raw, table)
-        if token:
-            tokens.append(token)
-    return tokens
+    return [
+        lemmatize_token(raw, topics._LEMMA_EXCEPTIONS)
+        for raw in _TOKEN_RE.findall(text.lower())
+        if raw not in topics._STOPWORDS
+    ]
 
 
-_DEFAULT = default_tokenizer()
+_DEFAULT = Tokenizer()
 _WORDS = st.sampled_from(
-    sorted(_DEFAULT.stopwords)[:15]
-    + sorted(dict(_DEFAULT.exceptions))[:15]
+    sorted(topics._STOPWORDS)[:15]
+    + sorted(topics._LEMMA_EXCEPTIONS)[:15]
     + ["running", "parties", "boxes", "classes", "hoped", "falling", "fired", "bus",
        "is", "don't", "it's", "gone", "went", "the", "GUNS"]
 ) | st.text(alphabet="abeginorst'", max_size=8)
@@ -97,17 +92,16 @@ _TEXTS = st.lists(
 @given(_TEXTS)
 def test_memoized_tokenizer_matches_per_token_reference(texts):
     # a fresh tokenizer starts with an empty memo; the module-level one
-    # carries its memo across examples; "gone" maps to an empty lemma and is dropped
-    fresh = Tokenizer(stopwords=frozenset({"the", "is"}), exceptions=(("gone", ""), ("went", "go")))
-    for tokenizer in (fresh, _DEFAULT):
+    # carries its memo across examples
+    for tokenizer in (Tokenizer(), _DEFAULT):
         outputs = [tokenizer(text) for text in texts + texts[::-1]]
-        assert outputs == [_reference_tokens(tokenizer, text) for text in texts + texts[::-1]]
+        assert outputs == [_reference_tokens(text) for text in texts + texts[::-1]]
         # all occurrences of one raw form share one string object
         raws = {raw for text in texts for raw in _TOKEN_RE.findall(text.lower())}
         assert len({id(t) for tokens in outputs for t in tokens}) <= len(raws)
 
 
-@pytest.mark.parametrize("make", [default_tokenizer])
+@pytest.mark.parametrize("make", [pytest.param(Tokenizer, id="default_tokenizer")])
 def test_tokenizer_factories_return_fresh_memos(make):
     # a run creates its own, so no memo outlives the run that filled it
     first = make()
@@ -119,7 +113,7 @@ def test_tokenizer_factories_return_fresh_memos(make):
 
 def test_lemmatizer_exception_table_wins():
     assert lemmatize_token("went", {"went": "go"}) == "go"
-    assert default_tokenizer()("she went home") == ["go", "home"]
+    assert Tokenizer()("she went home") == ["go", "home"]
 
 
 def test_tokenizer_drops_non_alphabetic():
@@ -129,14 +123,17 @@ def test_tokenizer_drops_non_alphabetic():
 
 
 def test_tokenizer_fingerprint_tracks_config():
-    plain = Tokenizer()
-    assert plain.fingerprint() == Tokenizer().fingerprint()
-    assert plain.fingerprint() != Tokenizer(stopwords=frozenset({"the"})).fingerprint()
+    # the digest of the shipped stop words and lemma exceptions is part of
+    # every topic cache key; an edit of either list must change this value
+    # on purpose, since it invalidates every cached topic model
+    assert topics.TOKENIZER_DIGEST == (
+        "d3756946d8616d9e6e22d123833bc03f04fa0d42496a7d106fc4149e31996066"
+    )
 
 
 @given(st.text(max_size=300))
 def test_tokenizer_output_is_lowercase_alpha(text):
-    for token in default_tokenizer()(text):
+    for token in Tokenizer()(text):
         assert token == token.lower()
         assert all(c.isalpha() or c == "'" for c in token)
 
@@ -266,8 +263,6 @@ def test_fit_lda_rejects_bad_inputs():
     dtm = _random_dtm()
     with pytest.raises(TopicModelError, match="positive integer"):
         fit_lda(dtm, k=0)
-    with pytest.raises(TopicModelError, match="priors"):
-        fit_lda(dtm, k=2, alpha_prior=-1.0)
     empty = _dtm_from_counts(
         np.zeros((3, 25), dtype=int),
         Vocabulary(
@@ -361,7 +356,7 @@ def _reference_sweep(gamma, counts, exp_elog_beta, alpha):
     return alpha + exp_elog_theta * (ratio @ exp_elog_beta.T), exp_elog_theta, pnorm, ratio
 
 
-def _reference_fit(counts, k, seed, max_iters, tol=1e-4, e_step_max_iters=100, e_step_tol=1e-3):
+def _reference_fit(counts, k, seed, max_iters, tol=1e-4):
     """fit_lda's beta and ELBO trace, from _reference_sweep."""
     counts = sparse.csr_matrix(counts, dtype=float)
     n_docs, n_terms = counts.shape
@@ -372,11 +367,11 @@ def _reference_fit(counts, k, seed, max_iters, tol=1e-4, e_step_max_iters=100, e
     for _ in range(max_iters):
         elog_beta = _dirichlet_expectation(lam)
         exp_elog_beta = np.exp(elog_beta)
-        for _ in range(e_step_max_iters):
+        for _ in range(100):
             gamma_new = _reference_sweep(gamma, counts, exp_elog_beta, alpha)[0]
             change = float(np.abs(gamma_new - gamma).mean())
             gamma = gamma_new
-            if change < e_step_tol:
+            if change < 1e-3:
                 break
         _, exp_elog_theta, pnorm, ratio = _reference_sweep(gamma, counts, exp_elog_beta, alpha)
         sstats = exp_elog_beta * (ratio.T @ exp_elog_theta).T
