@@ -24,8 +24,7 @@ from tonefx.corpus import (
     extract_triples,
     load_annotations,
     load_posts,
-    write_annotations,
-    write_posts,
+    write_records,
 )
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "data" / "minicorpus"
@@ -155,8 +154,8 @@ def main() -> None:
     )
 
     OUT.mkdir(parents=True, exist_ok=True)
-    write_posts(posts, OUT / "posts.jsonl")
-    write_annotations(annotations, OUT / "annotations.jsonl")
+    write_records(posts, OUT / "posts.jsonl")
+    write_records(annotations, OUT / "annotations.jsonl")
 
     loaded_posts = load_posts(OUT / "posts.jsonl")
     loaded_annotations = load_annotations(OUT / "annotations.jsonl")
@@ -165,7 +164,7 @@ def main() -> None:
     print(f"load warnings: {list(loaded_posts.warnings)}")
     for reply_type in (ReplyType.NASTY_NICE, ReplyType.ATTACKING_REASONABLE):
         triples = extract_triples(loaded_posts, loaded_annotations, reply_type)
-        treated = sum(t.treatment.value for t in triples)
+        treated = sum(t.treatment for t in triples)
         print(
             f"triples[{reply_type.value}]: {len(triples)} "
             f"(treated {treated}, control {len(triples) - treated})"

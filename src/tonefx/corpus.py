@@ -74,27 +74,19 @@ class QuoteResponseAnnotation:
 
 
 @dataclass(frozen=True)
-class TreatmentAssignment:
-    """Binary treatment: 1 is the positive pole of the scale, 0 the negative."""
-
-    value: int
-    reply_type: ReplyType
-
-    def __post_init__(self) -> None:
-        if self.value not in (0, 1):
-            raise ValueError(f"treatment value must be 0 or 1, got {self.value!r}")
-
-
-@dataclass(frozen=True)
 class Triple:
-    """A (p1, p2, p3) exchange: post, annotated reply, original author's follow-up."""
+    """A (p1, p2, p3) exchange: post, annotated reply, original author's follow-up.
+
+    ``treatment`` is 1 for the positive pole of the reply type's scale and
+    0 for the negative one; the id starts with the reply type.
+    """
 
     id: str
     p1: Post
     p2: Post
     p3: Post
     debate_topic: str
-    treatment: TreatmentAssignment
+    treatment: int
 
 
 # the fields a record must carry; a root post may leave parent_id out
@@ -268,14 +260,6 @@ def _parent_fault(post: Post, parent: Post | None) -> str | None:
     return None
 
 
-def _resolved_parent(post: Post, posts: PostCollection) -> Post | None:
-    """Parent post if it exists earlier in the same discussion, else None."""
-    if post.parent_id is None:
-        return None
-    parent = posts.get(post.parent_id)
-    return None if _parent_fault(post, parent) else parent
-
-
 def load_annotations(path: str | Path) -> AnnotationCollection:
     """Load a line-delimited annotations file, skipping malformed records.
 
@@ -309,10 +293,11 @@ def load_annotations(path: str | Path) -> AnnotationCollection:
     return AnnotationCollection(annotations=tuple(annotations), record_errors=tuple(errors))
 
 
-def _write_records(records: Iterable[object], path: str | Path) -> None:
+def write_records(records: Iterable[object], path: str | Path) -> None:
     """Write dataclass records as JSON lines, one object per record.
 
-    ``vars`` reads each record's fields shallowly, in declaration order;
+    The inverse of ``load_posts`` and ``load_annotations``.  ``vars``
+    reads each record's fields shallowly, in declaration order;
     ``dataclasses.asdict`` would deep-copy every value first.
     """
     path = Path(path)
@@ -320,16 +305,6 @@ def _write_records(records: Iterable[object], path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(vars(record), ensure_ascii=False) + "\n")
-
-
-def write_posts(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts as line-delimited records (inverse of load_posts)."""
-    _write_records(posts, path)
-
-
-def write_annotations(annotations: Iterable[QuoteResponseAnnotation], path: str | Path) -> None:
-    """Write annotations as line-delimited records (inverse of load_annotations)."""
-    _write_records(annotations, path)
 
 
 def binarize_score(mean_score: float) -> int | None:
@@ -353,19 +328,40 @@ def binarize_score(mean_score: float) -> int | None:
 def _find_p3(posts: PostCollection, p1: Post, p2: Post) -> Post | None:
     """Earliest follow-up by p1's author: a direct reply to p2 if one exists,
     otherwise the author's next post in the discussion after p2."""
-    discussion = posts.discussion(p2.discussion_id)
-    direct_reply: Post | None = None
-    fallback: Post | None = None
-    for post in discussion:
-        if post.position <= p2.position or post.author != p1.author:
-            continue
-        parent = _resolved_parent(post, posts)
-        if parent is not None and parent.id == p2.id and direct_reply is None:
-            direct_reply = post
-            break
-        if fallback is None:
-            fallback = post
-    return direct_reply if direct_reply is not None else fallback
+    later = [
+        post
+        for post in posts.discussion(p2.discussion_id)
+        if post.position > p2.position and post.author == p1.author
+    ]
+    # a later post of p2's discussion that names p2 has a valid parent
+    for post in later:
+        if post.parent_id == p2.id:
+            return post
+    return later[0] if later else None
+
+
+def _triple_parts(
+    posts: PostCollection, ann: QuoteResponseAnnotation
+) -> tuple[Post, Post, Post, int] | str:
+    """The (p1, p2, p3, treatment) an annotation names, or why it names none."""
+    p1 = posts.get(ann.quote_post_id)
+    p2 = posts.get(ann.response_post_id)
+    if p1 is None or p2 is None:
+        missing = ann.quote_post_id if p1 is None else ann.response_post_id
+        return f"post {missing!r} not found"
+    if p1.discussion_id != p2.discussion_id:
+        return "posts in different discussions"
+    if p1.position >= p2.position:
+        return "response does not follow quote"
+    if p1.author == p2.author:
+        return "self-reply"
+    treatment = binarize_score(ann.mean_score)
+    if treatment is None:
+        return f"mean score {ann.mean_score:.2f} in discard band"
+    p3 = _find_p3(posts, p1, p2)
+    if p3 is None:
+        return f"author {p1.author!r} never posts again"
+    return p1, p2, p3, treatment
 
 
 def extract_triples(
@@ -389,48 +385,17 @@ def extract_triples(
     for ann in annotations:
         if ann.reply_type is not reply_type:
             continue
-        p1 = posts.get(ann.quote_post_id)
-        p2 = posts.get(ann.response_post_id)
-        if p1 is None or p2 is None:
-            missing = ann.quote_post_id if p1 is None else ann.response_post_id
-            logger.info("dropped annotation (%s, %s): post %r not found",
-                        ann.quote_post_id, ann.response_post_id, missing)
+        parts = _triple_parts(posts, ann)
+        if isinstance(parts, str):
+            logger.info("dropped annotation (%s, %s): %s",
+                        ann.quote_post_id, ann.response_post_id, parts)
             continue
-        if p1.discussion_id != p2.discussion_id:
-            logger.info("dropped annotation (%s, %s): posts in different discussions",
-                        p1.id, p2.id)
-            continue
-        if p1.position >= p2.position:
-            logger.info("dropped annotation (%s, %s): response does not follow quote",
-                        p1.id, p2.id)
-            continue
-        if p1.author == p2.author:
-            logger.info("dropped annotation (%s, %s): self-reply", p1.id, p2.id)
-            continue
-        value = binarize_score(ann.mean_score)
-        if value is None:
-            logger.info("dropped annotation (%s, %s): mean score %.2f in discard band",
-                        p1.id, p2.id, ann.mean_score)
-            continue
-        p3 = _find_p3(posts, p1, p2)
-        if p3 is None:
-            logger.info("dropped annotation (%s, %s): author %r never posts again",
-                        p1.id, p2.id, p1.author)
-            continue
+        p1, p2, p3, treatment = parts
         triple_id = f"{reply_type.value}:{p1.id}:{p2.id}"
         if triple_id in seen_ids:
             seen_ids[triple_id] += 1
             triple_id = f"{triple_id}~{seen_ids[triple_id]}"
         else:
             seen_ids[triple_id] = 1
-        triples.append(
-            Triple(
-                id=triple_id,
-                p1=p1,
-                p2=p2,
-                p3=p3,
-                debate_topic=p1.debate_topic,
-                treatment=TreatmentAssignment(value=value, reply_type=reply_type),
-            )
-        )
+        triples.append(Triple(triple_id, p1, p2, p3, p1.debate_topic, treatment))
     return triples

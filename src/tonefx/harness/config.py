@@ -69,13 +69,11 @@ class PipelineConfig:
     use_cache: bool = True
 
     def __post_init__(self) -> None:
-        # an empty or null path means the shipped file
-        object.__setattr__(
-            self, "lexicon_path", self.lexicon_path or str(default_lexicon_path())
-        )
-        object.__setattr__(
-            self, "grouping_path", self.grouping_path or str(default_grouping_path())
-        )
+        # an empty or null path means the shipped file; any other value is type-checked below
+        if self.lexicon_path in ("", None):
+            object.__setattr__(self, "lexicon_path", str(default_lexicon_path()))
+        if self.grouping_path in ("", None):
+            object.__setattr__(self, "grouping_path", str(default_grouping_path()))
         try:
             values = record_values(PipelineConfig, vars(self))
         except ValueError as exc:
@@ -143,12 +141,7 @@ def config_from_dict(raw: Mapping[str, Any], overrides: Mapping[str, Any] | None
     missing = [name for name in _REQUIRED if name not in merged]
     if missing:
         raise ConfigError(f"missing required config fields: {missing}")
-    try:
-        return PipelineConfig(**merged)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return PipelineConfig(**merged)
 
 
 def load_config(path: str | Path, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:

@@ -50,6 +50,7 @@ import multiprocessing
 import re
 import shutil
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -274,10 +275,11 @@ def token_table(posts: PostCollection) -> PostFeatures:
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
+    debate_topics: Sequence[str],
     post_tokens: Mapping[str, Sequence[str]],
     warnings: list[str],
 ) -> dict[str, LdaModel]:
-    """Fit or load from cache one topic model per debate topic.
+    """Fit or load from cache one topic model for each of ``debate_topics``.
 
     ``post_tokens`` holds each post's tokens; only a cache miss reads
     it.  Every model is also published under out_dir/models, as a copy
@@ -288,16 +290,25 @@ def fit_topic_models(
     relative ELBO change; the report leaves it out.  So does a model
     fitted now whose k exceeds its vocabulary, or whose posts include
     some with no vocabulary term; every warning names its debate topic.
+
+    A published model is named by the slug of its debate topic.  Where
+    two debate topics of ``posts`` share a slug, each name also carries
+    the first 8 hex digits of the sha256 of its topic, so a model's file
+    name depends only on the corpus.
     """
     cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
+    slug_counts = Counter(_slug(debate_topic) for debate_topic in posts.debate_topics)
     models: dict[str, LdaModel] = {}
-    for debate_topic in posts.debate_topics:
+    for debate_topic in debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
         key = _topic_cache_key(config, subset)
-        cache_path = cache_dir / f"lda-{_slug(debate_topic)}-{key[:16]}.json"
-        model_path = models_dir / f"{_slug(debate_topic)}.json"
+        slug = _slug(debate_topic)
+        cache_path = cache_dir / f"lda-{slug}-{key[:16]}.json"
+        if slug_counts[slug] > 1:
+            slug += "-" + hashlib.sha256(debate_topic.encode("utf-8")).hexdigest()[:8]
+        model_path = models_dir / f"{slug}.json"
         model: LdaModel | None = None
         if config.use_cache and cache_path.exists():
             try:
@@ -461,7 +472,11 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             raise PipelineError("triples", "no reply type yielded any triples", warnings)
 
     with _stage("topics", timings, warnings):
-        models = fit_topic_models(config, posts, post_tokens, warnings)
+        # a debate topic without triples feeds no confounder, so it is not fitted
+        triple_topics = sorted(
+            {t.debate_topic for triples in triples_by_reply.values() for t in triples}
+        )
+        models = fit_topic_models(config, posts, triple_topics, post_tokens, warnings)
 
     with _stage("outcomes", timings, warnings):
         outcomes: dict[tuple[str, str], np.ndarray] = {}
@@ -503,7 +518,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
     with _stage("crossval", timings, warnings):
         cv_reports = []
         for reply_value, triples in triples_by_reply.items():
-            treatments = np.array([t.treatment.value for t in triples])
+            treatments = np.array([t.treatment for t in triples])
             y_cv = outcomes[(reply_value, config.cv_category_type.value)]
             for variant in config.confounder_variants:
                 try:
@@ -533,9 +548,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             reply_value = reply_type.value
             if reply_value not in triples_by_reply:
                 continue
-            treatments = np.array(
-                [t.treatment.value for t in triples_by_reply[reply_value]]
-            )
+            treatments = np.array([t.treatment for t in triples_by_reply[reply_value]])
             for category_type in config.category_types:
                 for variant in config.confounder_variants:
                     tasks.append(

@@ -49,7 +49,7 @@ class ReportError(ValueError):
 
 def triple_summary(triples: Sequence[Triple]) -> dict[str, Any]:
     """Count block for one reply type's extracted triples."""
-    treated = sum(t.treatment.value for t in triples)
+    treated = sum(t.treatment for t in triples)
     per_topic: dict[str, int] = {}
     for t in triples:
         per_topic[t.debate_topic] = per_topic.get(t.debate_topic, 0) + 1

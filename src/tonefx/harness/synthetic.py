@@ -29,13 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from ..corpus import (
-    Post,
-    QuoteResponseAnnotation,
-    ReplyType,
-    write_annotations,
-    write_posts,
-)
+from ..corpus import Post, QuoteResponseAnnotation, ReplyType, write_records
 from ..lexicon import (
     CategoryLexicon,
     CategoryType,
@@ -322,8 +316,8 @@ def generate_corpus(
         )
         true_ate[ctype.value] = float(np.mean(y1 - y0))
 
-    write_posts(posts, out_dir / "posts.jsonl")
-    write_annotations(annotations, out_dir / "annotations.jsonl")
+    write_records(posts, out_dir / "posts.jsonl")
+    write_records(annotations, out_dir / "annotations.jsonl")
     truth = CorpusTruth(
         true_ate=true_ate,
         n_triples=n_triples,

@@ -1,11 +1,12 @@
 """Corpus loading, score binarization, and triple extraction."""
 
 import json
+import logging
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tonefx.corpus import (
@@ -17,8 +18,7 @@ from tonefx.corpus import (
     extract_triples,
     load_annotations,
     load_posts,
-    write_annotations,
-    write_posts,
+    write_records,
 )
 from tonefx.harness.report import triple_summary
 
@@ -90,7 +90,7 @@ def test_parent_in_other_discussion_warns(tmp_path):
         make_post("p2", 1, discussion_id="d2", parent_id="p1"),
     ]
     path = tmp_path / "posts.jsonl"
-    write_posts(posts, path)
+    write_records(posts, path)
     loaded = load_posts(path)
     assert len(loaded.warnings) == 1
     assert "not an earlier post in the same discussion" in loaded.warnings[0]
@@ -159,8 +159,8 @@ def test_missing_files_raise(tmp_path):
 
 
 def test_write_load_roundtrip(tmp_path, posts, annotations):
-    write_posts(posts, tmp_path / "posts.jsonl")
-    write_annotations(annotations, tmp_path / "ann.jsonl")
+    write_records(posts, tmp_path / "posts.jsonl")
+    write_records(annotations, tmp_path / "ann.jsonl")
     again = load_posts(tmp_path / "posts.jsonl")
     assert again.posts == posts.posts
     assert load_annotations(tmp_path / "ann.jsonl").annotations == annotations.annotations
@@ -296,8 +296,8 @@ def test_triple_structural_invariants(posts, annotations):
         assert p1.position < p2.position < p3.position
         assert p1.discussion_id == p2.discussion_id == p3.discussion_id
         assert triple.debate_topic == p1.debate_topic
-        assert triple.treatment.value in (0, 1)
-        assert triple.treatment.reply_type is ReplyType.NASTY_NICE
+        assert triple.treatment in (0, 1)
+        assert triple.id.startswith("nasty_nice:")
 
 
 def _annotation(q="p1", r="p2", score=2.0, reply_type=ReplyType.NASTY_NICE):
@@ -386,8 +386,8 @@ def test_duplicate_pair_gets_distinct_triple_ids():
     )
     assert len(triples) == 2
     assert len({t.id for t in triples}) == 2
-    assert triples[0].treatment.value == 1
-    assert triples[1].treatment.value == 0
+    assert triples[0].treatment == 1
+    assert triples[1].treatment == 0
 
 
 def test_triple_counts_partition(posts, annotations):
@@ -395,5 +395,164 @@ def test_triple_counts_partition(posts, annotations):
     summary = triple_summary(triples)
     assert summary["treated"] + summary["control"] == summary["total"]
     assert sum(summary["per_topic"].values()) == summary["total"]
-    assert {t.treatment.reply_type.value for t in triples} == {"nasty_nice"}
+    assert all(t.id.startswith("nasty_nice:") for t in triples)
     assert summary["treated"] / summary["total"] == pytest.approx(22 / 48)
+
+
+# ---------------------------------------------------------- extraction pin
+
+
+def _reference_parent(post, posts):
+    """Parent post if it exists earlier in the same discussion, else None."""
+    if post.parent_id is None:
+        return None
+    parent = posts.get(post.parent_id)
+    if parent is None:
+        return None
+    if parent.discussion_id != post.discussion_id or parent.position >= post.position:
+        return None
+    return parent
+
+
+def _reference_find_p3(posts, p1, p2):
+    """p3 search as first written: every candidate's parent resolved in full."""
+    discussion = posts.discussion(p2.discussion_id)
+    direct_reply = None
+    fallback = None
+    for post in discussion:
+        if post.position <= p2.position or post.author != p1.author:
+            continue
+        parent = _reference_parent(post, posts)
+        if parent is not None and parent.id == p2.id and direct_reply is None:
+            direct_reply = post
+            break
+        if fallback is None:
+            fallback = post
+    return direct_reply if direct_reply is not None else fallback
+
+
+def _reference_extract(posts, annotations, reply_type):
+    """Extraction as first written, one check-log-continue block per rule.
+
+    Returns the triples as (id, p1, p2, p3, debate topic, treatment)
+    tuples and the drop lines it would have logged.
+    """
+    triples = []
+    drops = []
+    seen_ids = {}
+    for ann in annotations:
+        if ann.reply_type is not reply_type:
+            continue
+        p1 = posts.get(ann.quote_post_id)
+        p2 = posts.get(ann.response_post_id)
+        if p1 is None or p2 is None:
+            missing = ann.quote_post_id if p1 is None else ann.response_post_id
+            drops.append("dropped annotation (%s, %s): post %r not found"
+                         % (ann.quote_post_id, ann.response_post_id, missing))
+            continue
+        if p1.discussion_id != p2.discussion_id:
+            drops.append("dropped annotation (%s, %s): posts in different discussions"
+                         % (p1.id, p2.id))
+            continue
+        if p1.position >= p2.position:
+            drops.append("dropped annotation (%s, %s): response does not follow quote"
+                         % (p1.id, p2.id))
+            continue
+        if p1.author == p2.author:
+            drops.append("dropped annotation (%s, %s): self-reply" % (p1.id, p2.id))
+            continue
+        value = binarize_score(ann.mean_score)
+        if value is None:
+            drops.append("dropped annotation (%s, %s): mean score %.2f in discard band"
+                         % (p1.id, p2.id, ann.mean_score))
+            continue
+        p3 = _reference_find_p3(posts, p1, p2)
+        if p3 is None:
+            drops.append("dropped annotation (%s, %s): author %r never posts again"
+                         % (p1.id, p2.id, p1.author))
+            continue
+        triple_id = f"{reply_type.value}:{p1.id}:{p2.id}"
+        if triple_id in seen_ids:
+            seen_ids[triple_id] += 1
+            triple_id = f"{triple_id}~{seen_ids[triple_id]}"
+        else:
+            seen_ids[triple_id] = 1
+        triples.append((triple_id, p1, p2, p3, p1.debate_topic, value))
+    return triples, drops
+
+
+def _discussions(rng):
+    """Two small discussions and annotations on their posts, drawn from ``rng``.
+
+    Most parents are one of the last few posts of the discussion and
+    most annotations pair a reply with its parent, as in a real thread.
+    The rest make the drop rules fire: a parent may be missing, later,
+    the post itself or in the other discussion, a position may repeat or
+    go back, and an annotation may name a missing post, repeat a pair,
+    pair an author with itself or score in the discard band.
+    """
+    posts = []
+    for i in range(rng.randint(1, 14)):
+        discussion = rng.choice(("d1",) * 4 + ("d2",))
+        thread = [post.id for post in posts if post.discussion_id == discussion]
+        if rng.random() < 0.85:
+            parent = thread and rng.choice(thread[-3:])
+        else:
+            # none, missing, itself, later or maybe in the other discussion
+            odd = [None, "ghost", f"p{i}", f"p{i + 1}", posts and rng.choice(posts).id]
+            parent = rng.choice(odd)
+        posts.append(make_post(
+            f"p{i}",
+            rng.choice((i,) * 9 + (rng.randint(0, i),)),
+            author=rng.choice("aaaabbbbc"),
+            discussion_id=discussion,
+            debate_topic=f"topic of {discussion}",
+            parent_id=parent or None,
+        ))
+    replies = [(post.parent_id, post.id) for post in posts if post.parent_id]
+    named = [post.id for post in posts] + ["ghost"]
+    scores = (-5.0, -1.0, -0.99, 0.0, 0.4, 0.99, 1.0, 2.5, rng.uniform(-5.0, 5.0))
+    annotations = []
+    for _ in range(rng.randint(0, 16)):
+        if replies and rng.random() < 0.8:
+            quote, response = rng.choice(replies)
+        else:
+            quote, response = rng.choice(named), rng.choice(named)
+        annotations.append(QuoteResponseAnnotation(
+            quote_post_id=quote,
+            response_post_id=response,
+            reply_type=rng.choice((ReplyType.NASTY_NICE, ReplyType.EMOTIONAL_FACTUAL)),
+            mean_score=rng.choice(scores),
+        ))
+    return PostCollection(posts=tuple(posts)), annotations
+
+
+class _DropLines(logging.Handler):
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+
+# one seeded generator per example: drawn value by value, examples cluster
+# on repeated values and seldom hold the exchanges where the rules differ
+@settings(max_examples=400)
+@given(st.randoms(use_true_random=True))
+def test_extraction_matches_reference(rng):
+    posts, annotations = _discussions(rng)
+    logger = logging.getLogger("tonefx.corpus")
+    handler = _DropLines()
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        for reply_type in (ReplyType.NASTY_NICE, ReplyType.EMOTIONAL_FACTUAL):
+            handler.lines.clear()
+            triples = extract_triples(posts, annotations, reply_type)
+            got = [(t.id, t.p1, t.p2, t.p3, t.debate_topic, t.treatment) for t in triples]
+            assert (got, handler.lines) == _reference_extract(posts, annotations, reply_type)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from tonefx.corpus import ReplyType, TreatmentAssignment, Triple
+from tonefx.corpus import Triple
 from tonefx import inference
 from tonefx.inference import (
     ConfounderVariant,
@@ -43,7 +43,7 @@ def _triple(i=0, topic="gun control", text1="the w00 w01 w02", text2="w03 w04"):
         p2=p2,
         p3=p3,
         debate_topic=topic,
-        treatment=TreatmentAssignment(value=i % 2, reply_type=ReplyType.NASTY_NICE),
+        treatment=i % 2,
     )
 
 

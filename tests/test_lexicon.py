@@ -1,5 +1,6 @@
 """Category lexicon parsing, post category rows, and the distance outcome."""
 
+import re
 from collections import Counter
 from unittest import mock
 
@@ -54,6 +55,44 @@ def test_grouping_unknown_category_rejected(tmp_path):
     grp = tmp_path / "grp.txt"
     grp.write_text("[positive_sentiment]\nposemo\nmystery\n")
     with pytest.raises(LexiconError, match="mystery"):
+        load_lexicon(lex, grp)
+
+
+_GROUPING = (
+    "[positive_sentiment]\nposemo\n[negative_sentiment]\nnegemo\n[linguistic_style]\narticle\n"
+)
+
+
+@pytest.mark.parametrize(
+    "lexicon_text,grouping_text,message",
+    [
+        ("good\tposemo\nbad\tnegemo,\n", _GROUPING,
+         "lex.txt line 2: empty pattern or category"),
+        ("good\tposemo\nba*d\tnegemo\n", _GROUPING,
+         "lex.txt line 2: '*' is only allowed at the end of a pattern, got 'ba*d'"),
+        ("good\tposemo\n# comment\n*\tnegemo\n", _GROUPING,
+         "lex.txt line 3: bare '*' pattern is not allowed"),
+        ("good\tposemo\n", "[positive_sentiment]\nposemo\n[moods]\n",
+         "grp.txt line 3: unknown category type 'moods'"),
+        ("good\tposemo\n", "[positive_sentiment]\nposemo\n[positive_sentiment]\n",
+         "grp.txt line 3: duplicate section 'positive_sentiment'"),
+        ("good\tposemo\n", "# heading\nposemo\n",
+         "grp.txt line 2: category outside any section"),
+        ("good\tposemo\n", "[positive_sentiment]\nposemo\n\nposemo\n",
+         "grp.txt line 4: duplicate category 'posemo'"),
+        ("good\tposemo\nbad\tnegemo\n",
+         "[positive_sentiment]\nposemo\n[negative_sentiment]\nnegemo\n[linguistic_style]\n",
+         "grouping section 'linguistic_style' is missing or empty"),
+    ],
+    ids=["empty-category", "inner-star", "bare-star", "unknown-section", "duplicate-section",
+         "outside-section", "duplicate-category", "empty-section"],
+)
+def test_lexicon_format_rules(tmp_path, lexicon_text, grouping_text, message):
+    lex = tmp_path / "lex.txt"
+    lex.write_text(lexicon_text + "the\tarticle\n")
+    grp = tmp_path / "grp.txt"
+    grp.write_text(grouping_text)
+    with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
         load_lexicon(lex, grp)
 
 

@@ -394,7 +394,9 @@ def test_largest_seed_is_written_and_read_back(tmp_path):
     posts = load_posts(POSTS)
     for cache in ("miss", "hit"):
         warnings: list[str] = []
-        models = pipeline.fit_topic_models(config, posts, pipeline.token_table(posts), warnings)
+        models = pipeline.fit_topic_models(
+            config, posts, posts.debate_topics, pipeline.token_table(posts), warnings
+        )
         assert warnings == [], cache
         assert [model.seed for model in models.values()] == [2**63 - 1] * 2
         for slug in ("evolution", "gun-control"):
@@ -429,6 +431,41 @@ def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
             assert published == entry.read_bytes(), cache
             save(load_model(entry), tmp_path / "resaved.json")
             assert published == (tmp_path / "resaved.json").read_bytes(), cache
+
+
+def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
+    posts_path = tmp_path / "posts.jsonl"
+    posts_path.write_text(Path(POSTS).read_text().replace(
+        '"debate_topic": "evolution"', '"debate_topic": "Gun-Control"'
+    ))
+    config = _config(tmp_path / "out", posts_path=str(posts_path))
+    posts = load_posts(posts_path)
+    assert posts.debate_topics == ["Gun-Control", "gun control"]
+    pipeline.fit_topic_models(config, posts, posts.debate_topics, pipeline.token_table(posts), [])
+    models_dir = tmp_path / "out" / "models"
+    published = []
+    for topic in posts.debate_topics:
+        key = pipeline._topic_cache_key(config, [p for p in posts if p.debate_topic == topic])
+        name = f"gun-control-{hashlib.sha256(topic.encode('utf-8')).hexdigest()[:8]}.json"
+        entry = tmp_path / "out" / "cache" / f"lda-gun-control-{key[:16]}.json"
+        assert (models_dir / name).read_bytes() == entry.read_bytes()
+        published.append(name)
+    assert sorted(path.name for path in models_dir.iterdir()) == sorted(published)
+
+
+def test_debate_topic_without_triples_is_not_fitted(tmp_path):
+    # one post alone in its debate topic: too few documents for a vocabulary
+    stray = {
+        "id": "stray", "discussion_id": "abortion-00", "debate_topic": "abortion",
+        "author": "user999", "position": 0, "parent_id": None, "text": "a lone post",
+    }
+    posts_path = tmp_path / "posts.jsonl"
+    posts_path.write_text(Path(POSTS).read_text() + json.dumps(stray) + "\n")
+    report = run_pipeline(_config(tmp_path / "out", posts_path=str(posts_path)))
+    assert sorted(report.topic_top_words) == ["evolution", "gun control"]
+    assert sorted(path.name for path in (tmp_path / "out" / "models").iterdir()) == [
+        "evolution.json", "gun-control.json",
+    ]
 
 
 def _one_arm_annotations(tmp_path) -> Path:
@@ -578,9 +615,10 @@ def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
     assert two_blas_threads() == 2
     # fit-topics calls the topic stage on its own
     seen.clear()
+    posts = load_posts(POSTS)
     pipeline.fit_topic_models(
-        _config(tmp_path / "topics", use_cache=False), load_posts(POSTS),
-        pipeline.token_table(load_posts(POSTS)), [],
+        _config(tmp_path / "topics", use_cache=False), posts, posts.debate_topics,
+        pipeline.token_table(posts), [],
     )
     assert seen and {threads for _, threads in seen} == {1}
     assert two_blas_threads() == 2

@@ -119,6 +119,11 @@ def _mistyped_field_cases():
         ({"confounder_variants": ("full", "full")}, "confounder_variants"),
         ({"estimators": ("q", "q")}, "estimators"),
         *_mistyped_field_cases(),
+        # only "" or null selects the shipped file
+        pytest.param({"lexicon_path": False}, "^lexicon_path must be a str", id="lexicon-false"),
+        pytest.param({"lexicon_path": 0}, "^lexicon_path must be a str", id="lexicon-0"),
+        pytest.param({"lexicon_path": []}, "^lexicon_path must be a str", id="lexicon-list"),
+        pytest.param({"grouping_path": {}}, "^grouping_path must be a str", id="grouping-dict"),
     ],
 )
 def test_config_validation_rejects(overrides, message):
