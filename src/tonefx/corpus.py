@@ -124,9 +124,6 @@ class PostCollection:
     def __iter__(self) -> Iterator[Post]:
         return iter(self.posts)
 
-    def __contains__(self, post_id: object) -> bool:
-        return post_id in self._by_id
-
     def get(self, post_id: str) -> Post | None:
         return self._by_id.get(post_id)
 

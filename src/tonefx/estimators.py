@@ -58,6 +58,8 @@ Z_CRITICAL_95 = 1.96
 # bytes of the (R, n, d + 1) float stack that one chunk of bootstrap
 # resamples is refit on
 CHUNK_BYTES = 256 * 1024
+# draws per bootstrap replicate before a resample in one arm is skipped
+MAX_REDRAWS = 10
 
 
 class EstimationError(ValueError):
@@ -262,13 +264,12 @@ def bootstrap_se(
     regularization: float = DEFAULT_REGULARIZATION,
     ridge: float = 0.0,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
-    max_redraws: int = 10,
 ) -> BootstrapResult:
     """Nonparametric bootstrap of one estimator or several, in one pass.
 
     ``estimator`` is one ``Estimator`` or a sequence of them.  Replicate
     ``i`` draws its resample from ``default_rng([seed, i])``.  A resample
-    that lands entirely in one arm is redrawn up to ``max_redraws`` times
+    that lands entirely in one arm is redrawn up to ``MAX_REDRAWS`` times
     and then skipped; the result's ``skipped`` counts the skips, which
     are not logged.  With ``refit``, and when any requested estimator
     uses the nuisances, the propensity and outcome models are refit on
@@ -299,7 +300,7 @@ def bootstrap_se(
     width = data.features.shape[1] + 1 if do_refit else 1
     chunk = max(1, CHUNK_BYTES // (8 * data.n * width))
     draws = (
-        _resample_indices(np.random.default_rng([seed, i]), data.treatments, max_redraws)
+        _resample_indices(np.random.default_rng([seed, i]), data.treatments, MAX_REDRAWS)
         for i in range(replicates)
     )
     usable = (idx for idx in draws if idx is not None)

@@ -123,7 +123,6 @@ class PipelineError(RuntimeError):
 
     def __init__(self, stage: str, message: str, warnings: Sequence[str] = ()):
         super().__init__(f"stage {stage!r}: {message}")
-        self.stage = stage
         self.warnings = tuple(warnings)
 
 
@@ -509,7 +508,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             thetas.update(zip(post_ids, infer_theta_batch(model, dtm.counts, label=label)))
         confounders = {
             (reply_value, variant.value): build_confounder_matrix(
-                triples, variant, thetas, category_rows, posts.debate_topics
+                triples, variant, thetas, category_rows
             )
             for reply_value, triples in triples_by_reply.items()
             for variant in config.confounder_variants

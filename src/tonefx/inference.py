@@ -7,8 +7,8 @@ length is 2k plus the total category count.  The caller featurizes the
 text and infers the topic proportions: it passes both as tables keyed by
 post id, so one run tokenizes, categorizes and infers each post once
 however many confounder matrices it builds, and building a matrix is a
-lookup.  The topics-only variant is a one-hot encoding of the debate
-topic and serves as the weak baseline adjustment set.
+lookup.  The topics-only variant is a one-hot encoding of the triples'
+own debate topics and serves as the weak baseline adjustment set.
 
 The propensity model is an L2-penalized logistic regression fit by
 damped Newton iteration on the mean log-loss; it stops when the gradient
@@ -64,7 +64,6 @@ def build_confounder_matrix(
     variant: ConfounderVariant,
     thetas: Mapping[str, np.ndarray],
     category_rows: Mapping[str, np.ndarray],
-    debate_topics: Sequence[str],
 ) -> np.ndarray:
     """Confounder rows for the triples, looked up from per-post tables.
 
@@ -72,20 +71,17 @@ def build_confounder_matrix(
     and ``category_rows`` maps the id of every p1 to its
     ``vectorize_post`` row; a full row is theta[p1], theta[p2] and
     category_rows[p1], concatenated.  The topics-only variant reads
-    neither table and one-hot encodes the debate topic, with components
-    in ``debate_topics`` order.  Row order follows the input triples.
+    neither table and one-hot encodes the debate topic over the sorted
+    debate topics of the given triples, so posts outside them change no
+    column.  Row order follows the input triples.
     """
     variant = ConfounderVariant(variant)
     if not triples:
         raise InferenceError("no triples to build confounders for")
-    topic_index = {topic: i for i, topic in enumerate(debate_topics)}
-    for triple in triples:
-        if triple.debate_topic not in topic_index:
-            raise InferenceError(
-                f"triple {triple.id!r}: unknown debate topic {triple.debate_topic!r}"
-            )
     if variant is ConfounderVariant.DEBATE_TOPICS_ONLY:
-        return np.eye(len(debate_topics))[[topic_index[t.debate_topic] for t in triples]]
+        topics = sorted({triple.debate_topic for triple in triples})
+        topic_index = {topic: i for i, topic in enumerate(topics)}
+        return np.eye(len(topics))[[topic_index[t.debate_topic] for t in triples]]
 
     try:
         pairs = [(thetas[triple.p1.id], thetas[triple.p2.id]) for triple in triples]
@@ -218,24 +214,13 @@ def logistic_loss_and_grad(
 class _LinearModel:
     """Weights and intercept in a feature space standardized by the stored statistics.
 
-    A stacked fit has leading axes on every field, and the properties
-    keep them.
+    A stacked fit has leading axes on every field.
     """
 
     weights: np.ndarray
     intercept: float | np.ndarray
     feature_means: np.ndarray
     feature_scales: np.ndarray
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Weights in the original (unstandardized) feature space."""
-        return self.weights / self.feature_scales
-
-    @property
-    def intercept_raw(self) -> float | np.ndarray:
-        shift = np.sum(self.weights * self.feature_means / self.feature_scales, axis=-1)
-        return self.intercept - shift
 
 
 @dataclass(eq=False)
@@ -249,7 +234,6 @@ class PropensityModel(_LinearModel):
 
     iterations: int | np.ndarray
     gradient_norm: float | np.ndarray
-    loss: float | np.ndarray
     stalled: bool | np.ndarray
     converged: bool | np.ndarray
 
@@ -345,7 +329,6 @@ def fit_propensity_stack(
         feature_scales=scales,
         iterations=iterations,
         gradient_norm=grad_norm,
-        loss=loss,
         stalled=stalled,
         converged=grad_norm < tol,
     )

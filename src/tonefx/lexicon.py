@@ -61,7 +61,6 @@ class CategoryType(str, Enum):
 class CategoryLexicon:
     """Compiled lexicon: exact patterns and prefix patterns (wildcard stripped)."""
 
-    categories: frozenset[str]
     exact: Mapping[str, frozenset[str]]
     prefixes: Mapping[str, frozenset[str]]
     # token form -> its categories, filled by vectorize_post
@@ -182,7 +181,6 @@ def load_lexicon(
             raise LexiconError(f"grouping section {ctype.value!r} is missing or empty")
 
     lexicon = CategoryLexicon(
-        categories=frozenset(categories),
         exact={token: frozenset(cats) for token, cats in exact.items()},
         prefixes={stem: frozenset(cats) for stem, cats in prefixes.items()},
     )

@@ -46,6 +46,9 @@ DEFAULT_GAMMA_PRIOR = 0.01
 # once the mean change of the Dirichlet parameters drops below the tol
 _E_STEP_MAX_ITERS = 100
 _E_STEP_TOL = 1e-3
+# infer_theta_batch's sweeps, and the change below which a row freezes
+_THETA_MAX_ITERS = 200
+_THETA_TOL = 1e-6
 
 _TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
 _VOWELS = "aeiou"
@@ -232,10 +235,6 @@ class DocumentTermMatrix:
     @property
     def n_docs(self) -> int:
         return self.counts.shape[0]
-
-    @property
-    def n_terms(self) -> int:
-        return self.counts.shape[1]
 
 
 def build_dtm(
@@ -518,8 +517,6 @@ def fit_lda(
 def infer_theta_batch(
     model: LdaModel,
     counts: sparse.spmatrix | np.ndarray,
-    max_iters: int = 200,
-    tol: float = 1e-6,
     *,
     label: str = "",
 ) -> np.ndarray:
@@ -527,11 +524,11 @@ def infer_theta_batch(
 
     Uses the fitted beta as the term distributions.  Rows with zero count
     keep the symmetric prior and come out exactly uniform.  Rows still
-    moving by ``tol`` or more after ``max_iters`` sweeps keep their last
-    values, and one warning per call counts them; a nonempty ``label``,
-    such as the debate topic of the rows, starts that warning.  The
-    nonzero index and the transposed beta are built once per call and
-    shared by its sweeps.
+    moving by ``_THETA_TOL`` or more after ``_THETA_MAX_ITERS`` sweeps
+    keep their last values, and one warning per call counts them; a
+    nonempty ``label``, such as the debate topic of the rows, starts that
+    warning.  The nonzero index and the transposed beta are built once
+    per call and shared by its sweeps.
     A row that has converged is frozen and not swept again.  The sweeps
     run over the whole batch until at most three quarters of the rows
     still move; from then on they index only the moving rows, and index
@@ -563,7 +560,7 @@ def infer_theta_batch(
     # on which rows are still active (the batch's row count can move them)
     active = np.ones(counts.shape[0], dtype=bool)
     indexed = counts.shape[0]
-    for _ in range(max_iters):
+    for _ in range(_THETA_MAX_ITERS):
         n_active = np.count_nonzero(active)
         if not n_active:
             break
@@ -580,12 +577,12 @@ def infer_theta_batch(
         np.copyto(gamma_new, gamma_old, where=~moving[:, np.newaxis])
         gamma[rows] = gamma_new
         exp_elog_theta[rows] = _exp_elog_theta(gamma_new)
-        active[rows] = moving & (change >= tol)
+        active[rows] = moving & (change >= _THETA_TOL)
     unconverged = int(active.sum())
     if unconverged:
         logger.warning(
             "%s%d of %d rows did not converge within max_iters=%d",
-            f"{label}: " if label else "", unconverged, counts.shape[0], max_iters,
+            f"{label}: " if label else "", unconverged, counts.shape[0], _THETA_MAX_ITERS,
         )
     return gamma / gamma.sum(axis=1, keepdims=True)
 

@@ -40,7 +40,6 @@ def test_minicorpus_loads_clean(posts, annotations):
 
 def test_minicorpus_indexes(posts):
     assert posts.debate_topics == ["evolution", "gun control"]
-    assert "post0000" in posts
     assert posts.get("post0000").position == 0
     assert posts.get("nope") is None
     first = posts.discussion(posts.discussion_ids[0])

@@ -236,7 +236,7 @@ def test_bootstrap_unadjusted_never_needs_features():
     assert result.standard_error > 0
 
 
-def test_bootstrap_skips_single_arm_resamples():
+def test_bootstrap_skips_single_arm_resamples(monkeypatch):
     rng = np.random.default_rng(0)
     treatments = np.array([1, 0, 0, 0, 0, 0])
     outcomes = rng.normal(size=6)
@@ -244,9 +244,8 @@ def test_bootstrap_skips_single_arm_resamples():
         treatments=treatments, outcomes=outcomes,
         propensity=np.full(6, 1 / 6), q0=np.zeros(6), q1=np.zeros(6),
     )
-    result = bootstrap_se(
-        data, Estimator.UNADJUSTED, replicates=200, seed=0, max_redraws=1
-    )
+    monkeypatch.setattr(estimators, "MAX_REDRAWS", 1)
+    result = bootstrap_se(data, Estimator.UNADJUSTED, replicates=200, seed=0)
     assert result.skipped > 0
     assert len(result.estimates[Estimator.UNADJUSTED]) + result.skipped == 200
 

@@ -30,9 +30,6 @@ from conftest import make_post, stall_line_search
 
 # ----------------------------------------------------------- confounders
 
-DEBATE_TOPICS = ("evolution", "gun control")
-
-
 def _triple(i=0, topic="gun control", text1="the w00 w01 w02", text2="w03 w04"):
     p1 = make_post(f"p{i}a", 3 * i, author="a", debate_topic=topic, text=text1)
     p2 = make_post(f"p{i}b", 3 * i + 1, author="b", debate_topic=topic, text=text2)
@@ -66,9 +63,7 @@ def _tables(triples, lexicon_grouping, k=None):
 def test_full_confounder_layout(lexicon_grouping):
     triples = [_triple()]
     thetas, rows = _tables(triples, lexicon_grouping)
-    matrix = build_confounder_matrix(
-        triples, ConfounderVariant.FULL, thetas, rows, DEBATE_TOPICS
-    )
+    matrix = build_confounder_matrix(triples, ConfounderVariant.FULL, thetas, rows)
     assert matrix.shape == (1, 2 * 2 + 16)
     # theta of p1, theta of p2, then p1's category row, bit for bit
     np.testing.assert_array_equal(matrix[0, :2], thetas["p0a"])
@@ -80,35 +75,36 @@ def test_full_confounder_layout(lexicon_grouping):
 def test_topics_only_confounder_is_one_hot(lexicon_grouping):
     triples = [_triple(topic="evolution"), _triple(1, "gun control")]
     # the topics-only variant reads neither table
-    matrix = build_confounder_matrix(
-        triples, ConfounderVariant.DEBATE_TOPICS_ONLY, {}, {}, DEBATE_TOPICS
-    )
+    matrix = build_confounder_matrix(triples, ConfounderVariant.DEBATE_TOPICS_ONLY, {}, {})
     np.testing.assert_array_equal(matrix, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_confounder_matrix_matches_single_path(lexicon_grouping):
-    # a row of a many-triple matrix equals the one-triple matrix of that triple
+    # a full row equals the one-triple matrix of that triple; the topics-only
+    # columns depend on the cell's topics, so only its row order is checked
     triples = [
         _triple(0, "gun control"),
         _triple(1, "evolution", text1="w06 w07", text2="w08"),
         _triple(2, "gun control", text1="w00 w09", text2="w10 w11 w00"),
     ]
     tables = _tables(triples, lexicon_grouping)
+    matrix = build_confounder_matrix(triples, ConfounderVariant.FULL, *tables)
+    for row, triple in zip(matrix, triples):
+        single = build_confounder_matrix([triple], ConfounderVariant.FULL, *tables)
+        np.testing.assert_array_equal(row, single[0])
     for variant in ConfounderVariant:
-        matrix = build_confounder_matrix(triples, variant, *tables, DEBATE_TOPICS)
+        matrix = build_confounder_matrix(triples, variant, *tables)
         assert matrix.shape[0] == 3
-        for row, triple in zip(matrix, triples):
-            single = build_confounder_matrix([triple], variant, *tables, DEBATE_TOPICS)
-            np.testing.assert_array_equal(row, single[0])
+        reordered = build_confounder_matrix(triples[::-1], variant, *tables)
+        np.testing.assert_array_equal(reordered, matrix[::-1])
 
 
-def test_confounder_unknown_topic_raises(lexicon_grouping):
-    stranger = [_triple(topic="astrology")]
-    for variant in ConfounderVariant:
-        with pytest.raises(InferenceError, match="astrology"):
-            build_confounder_matrix(
-                stranger, variant, *_tables(stranger, lexicon_grouping), DEBATE_TOPICS
-            )
+def test_topics_only_block_covers_only_the_cells_topics():
+    # a cell whose triples all come from one of two debate topics gets
+    # one topic column, whatever other topics the corpus holds
+    triples = [_triple(0, "gun control"), _triple(1, "gun control")]
+    matrix = build_confounder_matrix(triples, ConfounderVariant.DEBATE_TOPICS_ONLY, {}, {})
+    np.testing.assert_array_equal(matrix, [[1.0], [1.0]])
 
 
 def test_confounder_matrix_names_a_post_missing_from_the_table(lexicon_grouping):
@@ -116,14 +112,14 @@ def test_confounder_matrix_names_a_post_missing_from_the_table(lexicon_grouping)
     thetas, rows = _tables(triples, lexicon_grouping)
     del thetas["p1b"]
     with pytest.raises(InferenceError, match="no topic proportions for post 'p1b'"):
-        build_confounder_matrix(triples, ConfounderVariant.FULL, thetas, rows, DEBATE_TOPICS)
+        build_confounder_matrix(triples, ConfounderVariant.FULL, thetas, rows)
 
 
 def test_confounder_matrix_rejects_mismatched_k(lexicon_grouping):
     triples = [_triple(0), _triple(1, "evolution")]
     tables = _tables(triples, lexicon_grouping, k={"evolution": 3})
     with pytest.raises(InferenceError, match="disagree on k"):
-        build_confounder_matrix(triples, ConfounderVariant.FULL, *tables, DEBATE_TOPICS)
+        build_confounder_matrix(triples, ConfounderVariant.FULL, *tables)
 
 
 def test_as_feature_matrix_flags_non_finite():
@@ -134,6 +130,12 @@ def test_as_feature_matrix_flags_non_finite():
 
 
 # ------------------------------------------------------------- propensity
+
+
+def _raw_parameters(model):
+    """Intercept and weights of a fitted linear model in the unstandardized feature space."""
+    coefficients = model.weights / model.feature_scales
+    return model.intercept - np.sum(coefficients * model.feature_means, axis=-1), coefficients
 
 
 def _logistic_data(n=4000, seed=0, weights=(0.8, -0.5, 0.3), intercept=0.2):
@@ -181,8 +183,9 @@ def test_fit_propensity_converges_and_recovers():
     features, treatments = _logistic_data()
     model = fit_propensity(features, treatments, regularization=1e-4)
     assert model.gradient_norm < 1e-8
-    np.testing.assert_allclose(model.coefficients, [0.8, -0.5, 0.3], atol=0.15)
-    assert model.intercept_raw == pytest.approx(0.2, abs=0.15)
+    intercept, coefficients = _raw_parameters(model)
+    np.testing.assert_allclose(coefficients, [0.8, -0.5, 0.3], atol=0.15)
+    assert intercept == pytest.approx(0.2, abs=0.15)
 
 
 def test_fit_propensity_standardization_is_internal():
@@ -190,7 +193,8 @@ def test_fit_propensity_standardization_is_internal():
     features, treatments = _logistic_data(n=500, seed=2)
     features[:, 0] = features[:, 0] * 100 + 50  # wildly different scale
     model = fit_propensity(features, treatments)
-    direct = expit(model.intercept_raw + features @ model.coefficients)
+    intercept, coefficients = _raw_parameters(model)
+    direct = expit(intercept + features @ coefficients)
     np.testing.assert_allclose(
         predict_propensity(model, features, clip_epsilon=0.0), direct, atol=1e-10
     )
@@ -222,7 +226,6 @@ def test_fit_propensity_stops_when_line_search_fails(monkeypatch, caplog):
     assert model.gradient_norm >= 1e-8
     np.testing.assert_array_equal(model.weights, np.zeros(3))
     assert model.intercept == 0.0
-    assert model.loss == pytest.approx(np.log(2.0))
     assert "line search failed" in caplog.text
 
 
@@ -258,8 +261,9 @@ def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularizati
         assert stack.converged[r] == (alone.gradient_norm < 1e-8)
         np.testing.assert_allclose(stack.weights[r], alone.weights, rtol=1e-10, atol=1e-10)
         assert stack.intercept[r] == pytest.approx(alone.intercept, rel=1e-10, abs=1e-10)
-        assert stack.loss[r] == pytest.approx(alone.loss, rel=1e-10, abs=1e-10)
-        assert stack.intercept_raw[r] == pytest.approx(alone.intercept_raw, rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(
+            _raw_parameters(stack)[0][r], _raw_parameters(alone)[0], rtol=1e-10, atol=1e-10
+        )
         np.testing.assert_allclose(
             scores[r], predict_propensity(alone, z[r]), rtol=1e-10, atol=1e-10
         )
@@ -295,12 +299,8 @@ def test_outcome_stack_matches_one_sample_fits(seed, samples, n, ridge):
     for r in range(samples):
         for arm, model, q in zip((0, 1), fit_outcome_models(z[r], t[r], y[r], ridge=ridge), (q0, q1)):
             np.testing.assert_allclose(stack.weights[arm, r], model.weights, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(
-                stack.coefficients[arm, r], model.coefficients, rtol=1e-10, atol=1e-10
-            )
-            assert stack.intercept_raw[arm, r] == pytest.approx(
-                model.intercept_raw, rel=1e-10, abs=1e-10
-            )
+            for stacked, alone in zip(_raw_parameters(stack), _raw_parameters(model)):
+                np.testing.assert_allclose(stacked[arm, r], alone, rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(q[r], predict_outcome(model, z[r]), rtol=1e-10, atol=1e-10)
 
 
@@ -315,7 +315,6 @@ def test_propensity_stack_freezes_only_the_stalled_sample(monkeypatch):
     assert stack.iterations[2] == 0
     np.testing.assert_array_equal(stack.weights[2], np.zeros(3))
     assert stack.intercept[2] == 0.0
-    assert stack.loss[2] == pytest.approx(np.log(2.0))
     for r in (0, 1, 3, 4):
         assert stack.iterations[r] == expected[r].iterations > 0
         np.testing.assert_allclose(stack.weights[r], expected[r].weights, rtol=1e-10, atol=1e-10)
@@ -359,11 +358,11 @@ def test_outcome_models_recover_linear_truth():
         1.5 + features @ np.array([2.0, -1.0]),
         -0.5 + features @ np.array([0.5, 0.5]),
     )
-    model0, model1 = fit_outcome_models(features, treatments, outcomes)
-    np.testing.assert_allclose(model1.coefficients, [2.0, -1.0], atol=1e-9)
-    np.testing.assert_allclose(model0.coefficients, [0.5, 0.5], atol=1e-9)
-    assert model1.intercept_raw == pytest.approx(1.5, abs=1e-9)
-    assert model0.intercept_raw == pytest.approx(-0.5, abs=1e-9)
+    for model, expected in zip(
+        fit_outcome_models(features, treatments, outcomes), ((-0.5, 0.5, 0.5), (1.5, 2.0, -1.0))
+    ):
+        intercept, coefficients = _raw_parameters(model)
+        np.testing.assert_allclose([intercept, *coefficients], expected, atol=1e-9)
 
 
 def test_outcome_residuals_orthogonal_to_features():

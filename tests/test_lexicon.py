@@ -34,7 +34,7 @@ STYLE = (
 
 def test_default_lexicon_shape(lexicon_grouping):
     lexicon, grouping = lexicon_grouping
-    assert len(lexicon.categories) == 16
+    assert len(set().union(*lexicon.exact.values(), *lexicon.prefixes.values())) == 16
     assert grouping.categories(CategoryType.POSITIVE_SENTIMENT) == POSITIVE
     assert grouping.categories(CategoryType.NEGATIVE_SENTIMENT) == NEGATIVE
     assert grouping.categories(CategoryType.LINGUISTIC_STYLE) == STYLE

@@ -1,6 +1,5 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
-import functools
 import hashlib
 import json
 import logging
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tonefx import lexicon
+from tonefx import lexicon, topics
 from tonefx.corpus import extract_triples, load_annotations, load_posts
 from tonefx.estimators import AipwVariant, Estimator, bootstrap_se
 from tonefx.harness import pipeline
@@ -298,8 +297,8 @@ def test_pipeline_infers_each_post_once_per_run(tmp_path, monkeypatch):
     built = []
     build = pipeline.build_confounder_matrix
 
-    def recorded_build(triples, variant, thetas, category_rows, debate_topics):
-        matrix = build(triples, variant, thetas, category_rows, debate_topics)
+    def recorded_build(triples, variant, thetas, category_rows):
+        matrix = build(triples, variant, thetas, category_rows)
         built.append((triples, variant, thetas, category_rows, matrix))
         return matrix
 
@@ -334,9 +333,7 @@ def test_pipeline_warns_once_per_debate_topic_on_unconverged_theta(
     tmp_path, monkeypatch, caplog
 ):
     # two sweeps leave rows of both topics unconverged, on any machine
-    monkeypatch.setattr(pipeline, "infer_theta_batch", functools.partial(
-        infer_theta_batch, max_iters=2,
-    ))
+    monkeypatch.setattr(topics, "_THETA_MAX_ITERS", 2)
     with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
         run_pipeline(_config(tmp_path), run_estimates=False)
     messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
@@ -453,19 +450,46 @@ def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     assert sorted(path.name for path in models_dir.iterdir()) == sorted(published)
 
 
-def test_debate_topic_without_triples_is_not_fitted(tmp_path):
-    # one post alone in its debate topic: too few documents for a vocabulary
+def _with_stray_post(tmp_path, debate_topic="abortion") -> Path:
+    """The minicorpus posts plus one post alone in its own debate topic, in no triple."""
     stray = {
-        "id": "stray", "discussion_id": "abortion-00", "debate_topic": "abortion",
+        "id": "stray", "discussion_id": f"{debate_topic}-00", "debate_topic": debate_topic,
         "author": "user999", "position": 0, "parent_id": None, "text": "a lone post",
     }
     posts_path = tmp_path / "posts.jsonl"
     posts_path.write_text(Path(POSTS).read_text() + json.dumps(stray) + "\n")
+    return posts_path
+
+
+def test_debate_topic_without_triples_is_not_fitted(tmp_path):
+    # one post alone in its debate topic: too few documents for a vocabulary
+    posts_path = _with_stray_post(tmp_path)
     report = run_pipeline(_config(tmp_path / "out", posts_path=str(posts_path)))
     assert sorted(report.topic_top_words) == ["evolution", "gun control"]
     assert sorted(path.name for path in (tmp_path / "out" / "models").iterdir()) == [
         "evolution.json", "gun-control.json",
     ]
+
+
+@pytest.fixture(scope="module")
+def plain_numbers(tmp_path_factory):
+    """The estimates and cv blocks of the minicorpus report, with a small bootstrap."""
+    out = tmp_path_factory.mktemp("plain")
+    run_pipeline(_config(out, bootstrap_replicates=20))
+    document = json.loads((out / "report.json").read_text())
+    return document["estimates"], document["cv"]
+
+
+# "abortion" sorts before both minicorpus topics, "zoning" after them
+@pytest.mark.parametrize("debate_topic", ["abortion", "zoning"])
+def test_post_outside_every_triple_changes_no_number(tmp_path, plain_numbers, debate_topic):
+    # the topics-only confounder is built from the cell's own triples, so
+    # a debate topic that no triple uses adds no column and moves no bit
+    posts_path = _with_stray_post(tmp_path, debate_topic)
+    out = tmp_path / "out"
+    run_pipeline(_config(out, posts_path=str(posts_path), bootstrap_replicates=20))
+    document = json.loads((out / "report.json").read_text())
+    assert (document["estimates"], document["cv"]) == plain_numbers
 
 
 def _one_arm_annotations(tmp_path) -> Path:

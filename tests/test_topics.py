@@ -180,7 +180,7 @@ def test_vocabulary_terms_sorted_and_unique():
 def test_build_dtm_counts_and_zero_rows():
     vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0)
     dtm = build_dtm(DOCS + [["nothing", "known", "here"]], vocab)
-    assert dtm.n_docs == 6 and dtm.n_terms == 4
+    assert dtm.n_docs == 6 and dtm.counts.shape[1] == 4
     dense = dtm.counts.toarray()
     assert dense[0, vocab.index["gun"]] == 2
     assert dense[0, vocab.index["courts"]] == 0
@@ -298,12 +298,13 @@ def test_infer_theta_zero_count_doc_is_uniform():
     np.testing.assert_array_equal(theta, np.full((1, 4), 0.25))
 
 
-def test_infer_theta_warns_once_on_unconverged_rows(caplog):
+def test_infer_theta_warns_once_on_unconverged_rows(monkeypatch, caplog):
     dtm = _random_dtm(seed=3)
     model = fit_lda(dtm, k=3, seed=0, max_iters=20)
     rows = dtm.counts.toarray()
+    monkeypatch.setattr(topics, "_THETA_MAX_ITERS", 2)
     with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
-        theta = infer_theta_batch(model, rows, max_iters=2)
+        theta = infer_theta_batch(model, rows)
     assert type(theta) is np.ndarray and theta.shape == (40, 3)
     messages = [r.getMessage() for r in caplog.records if r.name == "tonefx.topics"]
     assert len(messages) == 1
@@ -313,7 +314,7 @@ def test_infer_theta_warns_once_on_unconverged_rows(caplog):
     caplog.clear()
     # zero-count rows converge on the first sweep
     with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
-        infer_theta_batch(model, np.zeros((2, 25)), max_iters=2)
+        infer_theta_batch(model, np.zeros((2, 25)))
     assert not caplog.records
 
 
