@@ -11,22 +11,26 @@ can detect the gap by comparing against the requested grid.
 
 Topic models are cached under out_dir/cache keyed by a digest of the
 per-topic corpus content, the digest of the tokenizer's word lists and
-every fitting parameter, so reruns over unchanged inputs skip straight
-to inference.  The fitted models are also published under
-out_dir/models for inspection regardless of cache hits: each is
-serialized once, into the cache, and its bytes are copied to
+every fitting parameter, so reruns over unchanged inputs skip the fit.
+Each debate topic's batch of theta rows is cached there too, keyed by
+its model, the tokenizer's word lists, the batch's ordered post ids and
+texts and the settings of theta inference, so such reruns skip
+tokenizing and theta inference as well.  The fitted models are also
+published under out_dir/models for inspection regardless of cache hits:
+each is serialized once, into the cache, and its bytes are copied to
 out_dir/models (with the cache off, it is serialized into
 out_dir/models directly).
 
 Each post's tokens and its category row are computed at most once per
 run, on first use, and shared by the topics, outcomes and confounders
 stages; with cached topic models, posts outside the triples are never
-tokenized.  Each run creates its own tokenizer and loads its own
-lexicon; they memoize each distinct token form, so a form is lemmatized
-and categorized once per run, and no memo outlives its run.  Likewise
-each p1 and p2 post's topic proportions are inferred once per run, in
-one batch per debate topic across all reply types, and each confounder
-matrix is a lookup in these per-post tables.
+tokenized, and with cached theta batches too, no post is.  Each run
+creates its own tokenizer and loads its own lexicon; they memoize each
+distinct token form, so a form is lemmatized and categorized once per
+run, and no memo outlives its run.  Likewise each p1 and p2 post's
+topic proportions are inferred, or read from the cache, once per run,
+in one batch per debate topic across all reply types, and each
+confounder matrix is a lookup in these per-post tables.
 
 ``run_pipeline`` and ``fit_topic_models`` run numpy's bundled OpenBLAS
 on one thread, and so does each worker of the ``jobs`` pool.  The dense
@@ -62,6 +66,7 @@ import numpy as np
 from ..corpus import (
     AnnotationCollection,
     CorpusError,
+    Post,
     PostCollection,
     Triple,
     extract_triples,
@@ -99,7 +104,11 @@ from ..topics import (
     fit_lda,
     infer_theta_batch,
     load_model,
+    load_theta,
+    log_unconverged_theta,
     save_model,
+    save_theta,
+    theta_digest,
     top_words,
 )
 from .config import PipelineConfig
@@ -108,6 +117,7 @@ from .report import RunReport, render_report, triple_summary
 logger = logging.getLogger(__name__)
 
 MODEL_CACHE_VERSION = "1"
+THETA_CACHE_VERSION = "1"
 
 # settings that change how a run goes but no number in its report, so
 # report.json leaves them out and reruns that differ only in them match
@@ -248,6 +258,17 @@ def _topic_cache_key(config: PipelineConfig, posts: Sequence) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _theta_cache_key(model: LdaModel, batch: Sequence[Post]) -> str:
+    payload = {
+        "cache_version": THETA_CACHE_VERSION,
+        "model": theta_digest(model),
+        "tokenizer": TOKENIZER_DIGEST,
+        "posts": [(p.id, p.text) for p in batch],
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 class PostFeatures(dict):
     """Per-post values keyed by post id, each computed from the post text on first lookup."""
 
@@ -354,6 +375,49 @@ def fit_topic_models(
             )
         models[debate_topic] = model
     return models
+
+
+def _topic_thetas(
+    config: PipelineConfig,
+    debate_topic: str,
+    model: LdaModel,
+    batch: Sequence[Post],
+    post_tokens: Mapping[str, Sequence[str]],
+    warnings: list[str],
+) -> np.ndarray:
+    """The theta rows of one debate topic's ``batch`` of posts, read or inferred.
+
+    With the cache on, a cache entry for the batch is read, and a batch
+    without one is inferred and written to it; ``post_tokens`` is read
+    only then.  An entry that cannot be read or does not hold this batch
+    adds a warning to ``warnings`` and is inferred and written again.
+    Rows that did not converge get one logged warning either way.
+    """
+    post_ids = [post.id for post in batch]
+    label = f"debate topic {debate_topic!r}"
+    cache_path = None
+    if config.use_cache:
+        key = _theta_cache_key(model, batch)
+        name = f"theta-{_slug(debate_topic)}-{key[:16]}.json"
+        cache_path = Path(config.out_dir) / "cache" / name
+        if cache_path.exists():
+            try:
+                theta, unconverged = load_theta(cache_path, post_ids, model.k)
+            except TopicModelError as exc:
+                warnings.append(
+                    f"theta cache entry for debate topic {debate_topic!r} unreadable "
+                    f"({exc}); inferring again"
+                )
+            else:
+                if unconverged:
+                    log_unconverged_theta(unconverged, len(post_ids), label)
+                return theta
+    dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
+    converged = np.empty(len(post_ids), dtype=bool)
+    theta = infer_theta_batch(model, dtm.counts, label=label, converged=converged)
+    if cache_path is not None:
+        save_theta(cache_path, post_ids, theta, len(post_ids) - int(converged.sum()))
+    return theta
 
 
 def _cell_seed(seed: int, reply_type: str, category_type: str, variant: str) -> int:
@@ -495,17 +559,18 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
 
     with _stage("confounders", timings, warnings):
         # each debate topic's p1 and p2 posts, first seen over the reply types
-        batches: dict[str, dict[str, None]] = {}
+        batches: dict[str, dict[str, Post]] = {}
         if ConfounderVariant.FULL in config.confounder_variants:
             for triple in (t for triples in triples_by_reply.values() for t in triples):
                 batch = batches.setdefault(triple.debate_topic, {})
-                batch.update(dict.fromkeys((triple.p1.id, triple.p2.id)))
+                batch.update((post.id, post) for post in (triple.p1, triple.p2))
         thetas: dict[str, np.ndarray] = {}
-        for debate_topic, post_ids in sorted(batches.items()):
-            model = models[debate_topic]
-            dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
-            label = f"debate topic {debate_topic!r}"
-            thetas.update(zip(post_ids, infer_theta_batch(model, dtm.counts, label=label)))
+        for debate_topic, batch in sorted(batches.items()):
+            theta = _topic_thetas(
+                config, debate_topic, models[debate_topic], list(batch.values()),
+                post_tokens, warnings,
+            )
+            thetas.update(zip(batch, theta))
         confounders = {
             (reply_value, variant.value): build_confounder_matrix(
                 triples, variant, thetas, category_rows

@@ -20,6 +20,7 @@ The posterior mean E[theta_i] serves as the post's ideology embedding.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import logging
@@ -39,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "tonefx-lda"
 MODEL_FORMAT_VERSION = "1.0"
+THETA_FORMAT = "tonefx-theta"
+THETA_FORMAT_VERSION = "1.0"
 DEFAULT_MIN_DF = 0.02
 DEFAULT_MAX_DF = 0.80
 DEFAULT_GAMMA_PRIOR = 0.01
@@ -59,7 +62,7 @@ class TopicModelError(ValueError):
 
 
 class ModelFileError(TopicModelError):
-    """A saved topic model file that cannot be read or does not hold a model."""
+    """A saved topic model or theta file that cannot be read or does not hold one."""
 
 
 def _shipped_entries(name: str) -> list[str]:
@@ -514,11 +517,42 @@ def fit_lda(
     )
 
 
+def theta_digest(model: LdaModel) -> str:
+    """Digest of everything ``infer_theta_batch`` reads besides the counts.
+
+    It covers the model's k, alpha_prior, vocabulary terms and the bytes
+    of its beta, and the sweep limit and tolerance of theta inference,
+    read when called.
+    """
+    digest = hashlib.sha256(
+        json.dumps(
+            {
+                "k": model.k,
+                "alpha_prior": model.alpha_prior,
+                "terms": model.vocabulary.terms,
+                "max_iters": _THETA_MAX_ITERS,
+                "tol": _THETA_TOL,
+            }
+        ).encode("utf-8")
+    )
+    digest.update(np.ascontiguousarray(model.beta, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+def log_unconverged_theta(unconverged: int, rows: int, label: str = "") -> None:
+    """The one warning of a theta batch with rows that did not converge."""
+    logger.warning(
+        "%s%d of %d rows did not converge within max_iters=%d",
+        f"{label}: " if label else "", unconverged, rows, _THETA_MAX_ITERS,
+    )
+
+
 def infer_theta_batch(
     model: LdaModel,
     counts: sparse.spmatrix | np.ndarray,
     *,
     label: str = "",
+    converged: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior mean topic proportions for each count row, topics held fixed.
 
@@ -527,8 +561,9 @@ def infer_theta_batch(
     moving by ``_THETA_TOL`` or more after ``_THETA_MAX_ITERS`` sweeps
     keep their last values, and one warning per call counts them; a
     nonempty ``label``, such as the debate topic of the rows, starts that
-    warning.  The nonzero index and the transposed beta are built once
-    per call and shared by its sweeps.
+    warning.  A ``converged`` bool array, one entry per row, is set to
+    whether each row converged.  The nonzero index and the transposed
+    beta are built once per call and shared by its sweeps.
     A row that has converged is frozen and not swept again.  The sweeps
     run over the whole batch until at most three quarters of the rows
     still move; from then on they index only the moving rows, and index
@@ -578,12 +613,11 @@ def infer_theta_batch(
         gamma[rows] = gamma_new
         exp_elog_theta[rows] = _exp_elog_theta(gamma_new)
         active[rows] = moving & (change >= _THETA_TOL)
+    if converged is not None:
+        np.logical_not(active, out=converged)
     unconverged = int(active.sum())
     if unconverged:
-        logger.warning(
-            "%s%d of %d rows did not converge within max_iters=%d",
-            f"{label}: " if label else "", unconverged, counts.shape[0], _THETA_MAX_ITERS,
-        )
+        log_unconverged_theta(unconverged, counts.shape[0], label)
     return gamma / gamma.sum(axis=1, keepdims=True)
 
 
@@ -663,6 +697,58 @@ def load_model(path: str | Path) -> LdaModel:
                 document_frequency=_json_field(vocabulary, "document_frequency", "if", 1),
             ),
         )
+    except KeyError as exc:
+        raise ModelFileError(f"{path.name}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path.name}: {exc}") from exc
+
+
+def save_theta(
+    path: str | Path, post_ids: Sequence[str], theta: np.ndarray, unconverged: int
+) -> None:
+    """Write one theta batch: its post ids, shape, unconverged row count and values.
+
+    The values are the base64 of their little-endian float64 bytes, so
+    ``load_theta`` gives them back bit for bit.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    payload = {
+        "format": THETA_FORMAT,
+        "format_version": THETA_FORMAT_VERSION,
+        "post_ids": list(post_ids),
+        "shape": list(theta.shape),
+        "unconverged": unconverged,
+        "theta": base64.b64encode(np.ascontiguousarray(theta, dtype="<f8")).decode("ascii"),
+    }
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+
+
+def load_theta(path: str | Path, post_ids: Sequence[str], k: int) -> tuple[np.ndarray, int]:
+    """The theta and unconverged row count of a batch written by ``save_theta``.
+
+    The file must hold exactly ``post_ids``, in order, with ``k`` topics.
+    A missing file raises FileNotFoundError; any other fault, a mismatch
+    with the batch included, is a ModelFileError naming the file.
+    """
+    path = Path(path)
+    try:
+        payload = decode_json(read_input(path))
+        check_format(payload, THETA_FORMAT, "format_version", THETA_FORMAT_VERSION)
+        if _json_field(payload, "post_ids", "U", 1) != list(post_ids):
+            raise ValueError("its post ids are not the batch's")
+        if _json_field(payload, "shape", "i", 1) != [len(post_ids), k]:
+            raise ValueError(f"its shape is not ({len(post_ids)}, {k})")
+        unconverged = _json_field(payload, "unconverged", "i")
+        if not 0 <= unconverged <= len(post_ids):
+            raise ValueError(f"unconverged count {unconverged} out of range")
+        values = base64.b64decode(_json_field(payload, "theta", "U"), validate=True)
+        if len(values) != 8 * len(post_ids) * k:
+            raise ValueError(f"theta holds {len(values)} bytes, not {8 * len(post_ids) * k}")
+        theta = np.frombuffer(values, dtype="<f8").astype(float).reshape(len(post_ids), k)
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("theta is not finite")
+        return theta, unconverged
     except KeyError as exc:
         raise ModelFileError(f"{path.name}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:

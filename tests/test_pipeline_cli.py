@@ -161,7 +161,11 @@ def test_pipeline_writes_artifacts(full_run):
     assert sorted(p.name for p in (out / "models").iterdir()) == [
         "evolution.json", "gun-control.json",
     ]
-    assert len(list((out / "cache").iterdir())) == 2
+    assert len(list((out / "cache").glob("lda-*"))) == 2
+    # one theta batch per debate topic, beside its model
+    assert [p.name.split("-")[1] for p in sorted((out / "cache").glob("theta-*"))] == [
+        "evolution", "gun",
+    ]
     parsed = parse_report((out / "report.json").read_text())
     assert len(parsed.estimates) == 48
     assert report.topic_top_words.keys() == {"evolution", "gun control"}
@@ -192,7 +196,9 @@ def test_pipeline_recovers_from_corrupt_cache(tmp_path):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))
     baseline = run_pipeline(config)
-    broken, deep = sorted((tmp_path / "cache").iterdir())
+    thetas = {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")}
+    assert len(thetas) == 2
+    broken, deep = sorted((tmp_path / "cache").glob("lda-*"))
     broken.write_text("{broken")
     deep.write_text("[" * 100_000 + "]" * 100_000)
     repaired = run_pipeline(config)
@@ -200,6 +206,9 @@ def test_pipeline_recovers_from_corrupt_cache(tmp_path):
                for w in repaired.warnings) == 2
     assert sum("nested too deeply" in w for w in repaired.warnings) == 1
     assert [e.psi for e in repaired.estimates] == [e.psi for e in baseline.estimates]
+    # the refitted models have the old bits, so their theta entries still hit
+    assert not any("theta" in w for w in repaired.warnings)
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")} == thetas
 
 
 def test_pipeline_cache_disabled(tmp_path):
@@ -254,7 +263,7 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         vectorized.clear()
         categorized.clear()
         run_pipeline(config)
-        assert max(tokenized.values()) == 1, cache
+        assert max(tokenized.values(), default=1) == 1, cache
         assert max(vectorized.values()) == 1, cache
         assert set(vectorized) == {t.p1.text for t in triples} | {t.p3.text for t in triples}
         # each run loads its own lexicon, which categorizes each surface form once
@@ -266,8 +275,8 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         if cache == "miss":
             assert tokenized_texts == {post.text for post in posts}
         else:
-            # the cached models need no tokens; the confounders read p1 and p2
-            assert tokenized_texts == {t.p1.text for t in triples} | {t.p2.text for t in triples}
+            # neither the cached models nor the cached theta batches need tokens
+            assert tokenized_texts == set()
             assert len(tokenized_texts) < len(posts)
 
 
@@ -332,16 +341,139 @@ def test_pipeline_skips_theta_without_the_full_variant(tmp_path, monkeypatch):
 def test_pipeline_warns_once_per_debate_topic_on_unconverged_theta(
     tmp_path, monkeypatch, caplog
 ):
-    # two sweeps leave rows of both topics unconverged, on any machine
+    config = _config(tmp_path)
+    run_pipeline(config, run_estimates=False)
+    calls = _record_theta_batches(monkeypatch)
+    # two sweeps leave rows of both topics unconverged, on any machine; the
+    # sweep limit is part of the theta cache key, so the first run misses
     monkeypatch.setattr(topics, "_THETA_MAX_ITERS", 2)
-    with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
-        run_pipeline(_config(tmp_path), run_estimates=False)
-    messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
-    assert [m.split(":")[0] for m in messages] == [
+    legs = {}
+    for cache in ("miss", "hit"):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
+            run_pipeline(config, run_estimates=False)
+        assert len(calls) == (2 if cache == "miss" else 0), cache
+        messages = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+        assert [m.split(":")[0] for m in messages] == [
+            "debate topic 'evolution'", "debate topic 'gun control'",
+        ], cache
+        assert all(re.search(r": \d+ of 56 rows did not converge within max_iters=2$", m)
+                   for m in messages), messages
+        legs[cache] = messages
+    # the hit repeats the stored counts
+    assert legs["hit"] == legs["miss"]
+
+
+def _record_theta_tables(monkeypatch) -> list[dict]:
+    """Record the theta table of each full-variant confounder matrix the pipeline builds."""
+    tables = []
+    build = pipeline.build_confounder_matrix
+
+    def recorded(triples, variant, thetas, category_rows):
+        if variant is ConfounderVariant.FULL:
+            tables.append(dict(thetas))
+        return build(triples, variant, thetas, category_rows)
+
+    monkeypatch.setattr(pipeline, "build_confounder_matrix", recorded)
+    return tables
+
+
+def test_theta_cache_hit_matches_miss_bit_for_bit(tmp_path, monkeypatch):
+    config = _config(tmp_path, bootstrap_replicates=20)
+    tables = _record_theta_tables(monkeypatch)
+    calls = _record_theta_batches(monkeypatch)
+    written = {}
+    for cache in ("miss", "hit"):
+        calls.clear()
+        run_pipeline(config)
+        assert len(calls) == (2 if cache == "miss" else 0), cache
+        written[cache] = (tmp_path / "report.json").read_bytes()
+    assert written["hit"] == written["miss"]
+    miss, hit = tables[0], tables[-1]
+    assert list(hit) == list(miss)
+    assert all(hit[i].tobytes() == miss[i].tobytes() for i in miss)
+
+
+def test_theta_cache_hit_needs_no_tokens_and_no_inference(tmp_path, monkeypatch):
+    config = _config(tmp_path)
+    run_pipeline(config)
+    tokenized, _, _ = _count_featurization(monkeypatch)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("a full cache hit needs no counts")
+
+    for name in ("build_dtm", "infer_theta_batch"):
+        monkeypatch.setattr(pipeline, name, not_called)
+    report = run_pipeline(config)
+    assert not tokenized
+    assert report.estimates and not report.failed_cells
+
+
+def _reverse(key: str):
+    """Damage to a theta entry: reverse the list under ``key``."""
+
+    def damage(entry: Path) -> None:
+        document = json.loads(entry.read_text())
+        document[key] = document[key][::-1]
+        entry.write_text(json.dumps(document))
+
+    return damage
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (lambda entry: entry.write_text("{broken"), "invalid JSON"),
+    (_reverse("post_ids"), "post ids are not the batch's"),
+    (_reverse("shape"), "shape is not"),
+])
+def test_unusable_theta_entry_is_inferred_again(tmp_path, monkeypatch, damage, reason):
+    config = _config(tmp_path, reply_types=("nasty_nice",), bootstrap_replicates=20)
+    baseline = run_pipeline(config)
+    entry = sorted((tmp_path / "cache").glob("theta-evolution-*"))[0]
+    good = entry.read_bytes()
+    damage(entry)
+    calls = _record_theta_batches(monkeypatch)
+    repaired = run_pipeline(config)
+    theta_warnings = [w for w in repaired.warnings if "theta cache entry" in w]
+    assert len(theta_warnings) == 1
+    assert theta_warnings[0].startswith(
+        f"theta cache entry for debate topic 'evolution' unreadable ({entry.name}: "
+    )
+    assert reason in theta_warnings[0] and theta_warnings[0].endswith("; inferring again")
+    # only the damaged batch is inferred again, and its entry is rewritten
+    assert [label for _, _, label in calls] == ["debate topic 'evolution'"]
+    assert entry.read_bytes() == good
+    assert [(e.psi, e.standard_error) for e in repaired.estimates] == [
+        (e.psi, e.standard_error) for e in baseline.estimates
+    ]
+
+
+def test_other_theta_batch_misses_and_writes_its_own_entry(tmp_path, monkeypatch):
+    run_pipeline(_config(tmp_path))
+    before = {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")}
+    calls = _record_theta_batches(monkeypatch)
+    # without attacking_reasonable, each debate topic's batch has fewer posts
+    report = run_pipeline(_config(tmp_path, reply_types=("nasty_nice",)))
+    assert [label for _, _, label in calls] == [
         "debate topic 'evolution'", "debate topic 'gun control'",
     ]
-    assert all(re.search(r": \d+ of 56 rows did not converge within max_iters=2$", m)
-               for m in messages), messages
+    assert not [w for w in report.warnings if "theta" in w]
+    after = {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")}
+    assert len(after) == 4 and {name: after[name] for name in before} == before
+    # the models' keys ignore the reply types, so they still hit
+    assert len(list((tmp_path / "cache").glob("lda-*"))) == 2
+
+
+def test_theta_cache_off_reads_and_writes_no_entry(tmp_path, monkeypatch):
+    run_pipeline(_config(tmp_path, reply_types=("nasty_nice",)))
+    for entry in (tmp_path / "cache").glob("theta-*"):
+        entry.write_text("{broken")
+    before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+    calls = _record_theta_batches(monkeypatch)
+    report = run_pipeline(_config(tmp_path, use_cache=False, reply_types=("nasty_nice",)))
+    assert len(calls) == 2
+    assert not [w for w in report.warnings if "cache" in w]
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
 
 
 def test_pipeline_warns_once_per_debate_topic_on_unconverged_topic_model(tmp_path, caplog):
@@ -421,8 +553,10 @@ def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
         assert [path.parent.name for path in saved] == (
             ["cache", "cache"] if cache == "miss" else []
         )
-        entries = sorted((tmp_path / "cache").iterdir())
+        entries = sorted((tmp_path / "cache").glob("lda-*"))
         assert [entry.name.split("-")[1] for entry in entries] == ["evolution", "gun"]
+        thetas = sorted((tmp_path / "cache").glob("theta-*"))
+        assert [entry.name.split("-")[1] for entry in thetas] == ["evolution", "gun"], cache
         for slug, entry in zip(("evolution", "gun-control"), entries):
             published = (tmp_path / "models" / f"{slug}.json").read_bytes()
             assert published == entry.read_bytes(), cache

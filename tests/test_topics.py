@@ -27,8 +27,11 @@ from tonefx.topics import (
     infer_theta_batch,
     lemmatize_token,
     load_model,
+    load_theta,
     save_model,
+    save_theta,
     split_words,
+    theta_digest,
     top_words,
 )
 
@@ -311,6 +314,10 @@ def test_infer_theta_warns_once_on_unconverged_rows(monkeypatch, caplog):
     unconverged = int(messages[0].split(" of ")[0])
     assert 0 < unconverged <= 40
     assert messages[0] == f"{unconverged} of 40 rows did not converge within max_iters=2"
+    # the keyword-only output flags the same rows and leaves theta as it was
+    converged = np.ones(40, dtype=bool)
+    assert np.array_equal(infer_theta_batch(model, rows, converged=converged), theta)
+    assert np.count_nonzero(~converged) == unconverged
     caplog.clear()
     # zero-count rows converge on the first sweep
     with caplog.at_level(logging.WARNING, logger="tonefx.topics"):
@@ -687,6 +694,49 @@ def test_load_model_rejects_foreign_artifacts(tmp_path):
         load_model(path)
     with pytest.raises(ModelFileError, match=f"^{tmp_path.name}: cannot read"):
         load_model(tmp_path)
+
+
+def test_theta_entries_read_back_bit_for_bit(tmp_path):
+    import json
+
+    model, counts = _staggered_batch(1300, 12)
+    theta = infer_theta_batch(model, counts)
+    post_ids = [f"p{i}" for i in range(len(theta))]
+    path = tmp_path / "theta.json"
+    save_theta(path, post_ids, theta, 3)
+    loaded, unconverged = load_theta(path, post_ids, 12)
+    assert loaded.tobytes() == theta.tobytes() and unconverged == 3
+    payload = json.loads(path.read_text())
+    assert payload["format"] == "tonefx-theta" and payload["shape"] == [61, 12]
+    # a batch that the entry does not hold, or a malformed entry, names the file
+    for ids, k, message in ((post_ids[::-1], 12, "post ids"), (post_ids, 11, "shape")):
+        with pytest.raises(ModelFileError, match=f"^theta.json: .*{message}"):
+            load_theta(path, ids, k)
+    broken = {
+        json.dumps({**payload, "theta": payload["theta"][:-8]}): "bytes, not",
+        json.dumps({**payload, "theta": "not base64!"}): "",
+        json.dumps({**payload, "unconverged": 62}): "out of range",
+        json.dumps({**payload, "unconverged": True}): "field 'unconverged'",
+        json.dumps({**payload, "format": "tonefx-lda"}): "not a tonefx-theta document",
+        json.dumps({k: v for k, v in payload.items() if k != "shape"}): "missing field",
+    }
+    for text, message in broken.items():
+        path.write_text(text)
+        with pytest.raises(ModelFileError, match=f"^theta.json: .*{re.escape(message)}"):
+            load_theta(path, post_ids, 12)
+
+
+def test_theta_digest_covers_the_model_and_the_sweep_settings(monkeypatch):
+    model, _ = _staggered_batch()
+    digest = theta_digest(model)
+    beta = model.beta.copy()
+    beta[0, :2] = beta[0, 1::-1]
+    assert theta_digest(LdaModel(
+        k=model.k, beta=beta, alpha_prior=model.alpha_prior, gamma_prior=model.gamma_prior,
+        elbo_trace=(), seed=0, vocabulary=model.vocabulary,
+    )) != digest
+    monkeypatch.setattr(topics, "_THETA_TOL", 1e-7)
+    assert theta_digest(model) != digest
 
 
 def test_lda_model_validates_beta():
