@@ -189,9 +189,7 @@ def _cmd_fit_topics(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     _print_stderr(load_warnings(posts, None))
-    warnings: list[str] = []
-    models = fit_topic_models(config, posts, posts.debate_topics, token_table(posts), warnings)
-    _print_stderr(warnings)
+    models = fit_topic_models(config, posts, posts.debate_topics, token_table(posts))
     for debate_topic, model in sorted(models.items()):
         print(
             f"{debate_topic}: k={model.k}, vocabulary={len(model.vocabulary)}, "

@@ -36,10 +36,19 @@ confounder matrix is a lookup in these per-post tables.
 on one thread, and so does each worker of the ``jobs`` pool.  The dense
 products of the topic fits and of theta inference then sum in one fixed
 order, so the topic models and report bytes do not depend on the core
-count or on ``OPENBLAS_NUM_THREADS``; on these corpus sizes a second
-thread only spins.  The caller's thread count is restored on return.
-With another BLAS, whose count cannot be set, the run logs one warning
-per process and goes on at that library's own count.
+count or on ``OPENBLAS_NUM_THREADS``.  The caller's thread count is
+restored on return.  With another BLAS, whose count cannot be set, the
+run logs one warning per process and goes on at that library's own
+count.
+
+The cores go to the debate topics instead, whose models are independent:
+where at least two topic fits, or two theta batches, are large, they run
+at once on threads of this process (see ``_run_kernels``), one per
+usable core at most, and each still runs its BLAS on one thread, so its
+bits are those of a serial run.  Everything around them runs on the
+calling thread in debate-topic order, so cache entries, published
+models, the report and the log lines come out the same either way.
+``jobs`` sizes only the cell pool; CPU affinity limits the topic threads.
 """
 
 from __future__ import annotations
@@ -51,15 +60,17 @@ import json
 import logging
 import math
 import multiprocessing
+import os
 import re
 import shutil
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -95,6 +106,7 @@ from ..lexicon import (
 )
 from ..topics import (
     TOKENIZER_DIGEST,
+    DocumentTermMatrix,
     LdaModel,
     Tokenizer,
     TopicModelError,
@@ -115,6 +127,8 @@ from .config import PipelineConfig
 from .report import RunReport, render_report, triple_summary
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 MODEL_CACHE_VERSION = "1"
 THETA_CACHE_VERSION = "1"
@@ -187,8 +201,11 @@ def _blas_thread_calls() -> tuple[Callable[[], int], Callable[[int], None]] | No
 def _one_blas_thread() -> Iterator[None]:
     """Run the body with BLAS on one thread, then restore the caller's count.
 
-    Nested use restores each level's count.  The count is per process,
-    so two threads of one process should not run pipelines at once.
+    Nested use restores each level's count.  The count is per process, so
+    it also holds on the threads that ``_run_kernels`` starts inside the
+    body, and two threads of one process should not run pipelines at
+    once: the first to return would restore its caller's count under the
+    other.
     """
     calls = _blas_thread_calls()
     if calls is None:
@@ -291,25 +308,91 @@ def token_table(posts: PostCollection) -> PostFeatures:
     return PostFeatures(posts, Tokenizer())
 
 
+# a kernel with this many multiply-adds per sweep (rows x terms x k) is
+# large enough for a thread of its own.  Pairs of topics of 240 posts at
+# k=12 on 2 cores, serial against threaded (medians of 10 fits, 16 theta
+# batches): at 0.55M both kernels ran at the same speed either way; at
+# 0.78M the fits ran 1.58x faster but theta only 1.06x, for 45% more CPU
+# time; from 1.0M up both ran 1.4-1.7x faster
+_THREAD_MIN_MADDS = 1_000_000
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity
+        return os.cpu_count() or 1
+
+
+def _run_kernels(kernels: Sequence[Callable[[], T]], madds: Sequence[int]) -> list[T]:
+    """Call each kernel and return the results in order.
+
+    ``madds`` gives each kernel's multiply-adds per sweep.  When at least
+    two of them reach ``_THREAD_MIN_MADDS`` and two cores are usable, the
+    kernels run at once on min(kernels, usable cores) threads, the
+    calling thread among them, each taking the next kernel not yet
+    taken; smaller kernels would only trade the GIL back and forth, so
+    otherwise they run in order on the calling thread.  Either way, the
+    first kernel in order that raised re-raises here, once no kernel is
+    running.  A kernel must not log or touch shared state; it runs with
+    the caller's BLAS thread count, which is per process, so its result
+    has the same bits on any thread.
+    """
+    workers = min(len(kernels), _usable_cores())
+    if workers < 2 or sum(m >= _THREAD_MIN_MADDS for m in madds) < 2:
+        return [kernel() for kernel in kernels]
+    results: list = [None] * len(kernels)
+    errors: list[Exception | None] = [None] * len(kernels)
+    untaken = iter(range(len(kernels)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = next(untaken, None)
+            if i is None:
+                return
+            try:
+                results[i] = kernels[i]()
+            except Exception as exc:  # re-raised on the calling thread
+                errors[i] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 @_one_blas_thread()
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
     debate_topics: Sequence[str],
     post_tokens: Mapping[str, Sequence[str]],
-    warnings: list[str],
 ) -> dict[str, LdaModel]:
     """Fit or load from cache one topic model for each of ``debate_topics``.
 
     ``post_tokens`` holds each post's tokens; only a cache miss reads
-    it.  Every model is also published under out_dir/models, as a copy
-    of its cache entry when the cache is on; problems that do not stop
-    the run (an unreadable cache entry) go to ``warnings``.  A model
-    whose fit stopped at ``lda_max_iters`` before meeting ``lda_tol``,
-    fitted now or cached, gets one logged warning with its final
-    relative ELBO change; the report leaves it out.  So does a model
-    fitted now whose k exceeds its vocabulary, or whose posts include
-    some with no vocabulary term; every warning names its debate topic.
+    it.  The fits run through ``_run_kernels``, so large ones run at once
+    on threads; everything else, logging included, runs on the calling
+    thread in the order of ``debate_topics``.  Every model is also
+    published under out_dir/models, as a copy of its cache entry when the
+    cache is on.  A cache entry that cannot be read gets one logged
+    warning and is fitted again.  A model whose fit stopped at
+    ``lda_max_iters`` before meeting ``lda_tol``, fitted now or cached,
+    gets one logged warning with its final relative ELBO change.  So
+    does a model fitted now whose k exceeds its vocabulary, or whose
+    posts include some with no vocabulary term; every warning names its
+    debate topic, and the report leaves them all out.
 
     A published model is named by the slug of its debate topic.  Where
     two debate topics of ``posts`` share a slug, each name also carries
@@ -320,7 +403,9 @@ def fit_topic_models(
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     slug_counts = Counter(_slug(debate_topic) for debate_topic in posts.debate_topics)
-    models: dict[str, LdaModel] = {}
+    paths: dict[str, tuple[Path, Path]] = {}
+    cached: dict[str, LdaModel] = {}
+    misses: dict[str, DocumentTermMatrix] = {}
     for debate_topic in debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
         key = _topic_cache_key(config, subset)
@@ -328,41 +413,47 @@ def fit_topic_models(
         cache_path = cache_dir / f"lda-{slug}-{key[:16]}.json"
         if slug_counts[slug] > 1:
             slug += "-" + hashlib.sha256(debate_topic.encode("utf-8")).hexdigest()[:8]
-        model_path = models_dir / f"{slug}.json"
-        model: LdaModel | None = None
+        paths[debate_topic] = cache_path, models_dir / f"{slug}.json"
         if config.use_cache and cache_path.exists():
             try:
-                model = load_model(cache_path)
-                logger.info("topic model for %r loaded from cache", debate_topic)
+                cached[debate_topic] = load_model(cache_path)
             except TopicModelError as exc:
-                warnings.append(
-                    f"cache entry for debate topic {debate_topic!r} unreadable "
-                    f"({exc}); refitting"
-                )
-        if model is None:
-            token_lists = [post_tokens[post.id] for post in subset]
-            vocabulary = build_vocabulary(
-                token_lists, min_df=config.min_df, max_df=config.max_df
-            )
-            dtm = build_dtm(token_lists, vocabulary)
-            if dtm.zero_rows:
                 logger.warning(
-                    "debate topic %r: %d of %d posts have no in-vocabulary tokens",
-                    debate_topic, len(dtm.zero_rows), dtm.n_docs,
+                    "cache entry for debate topic %r unreadable (%s); refitting",
+                    debate_topic, exc,
                 )
-            if config.k > len(vocabulary):
-                logger.warning(
-                    "debate topic %r: k=%d exceeds the %d-term vocabulary",
-                    debate_topic, config.k, len(vocabulary),
-                )
-            model = fit_lda(
-                dtm,
-                k=config.k,
-                seed=config.seed,
-                max_iters=config.lda_max_iters,
-                tol=config.lda_tol,
+            else:
+                logger.info("topic model for %r loaded from cache", debate_topic)
+                continue
+        token_lists = [post_tokens[post.id] for post in subset]
+        vocabulary = build_vocabulary(token_lists, min_df=config.min_df, max_df=config.max_df)
+        dtm = build_dtm(token_lists, vocabulary)
+        if dtm.zero_rows:
+            logger.warning(
+                "debate topic %r: %d of %d posts have no in-vocabulary tokens",
+                debate_topic, len(dtm.zero_rows), dtm.n_docs,
             )
+        if config.k > len(vocabulary):
+            logger.warning(
+                "debate topic %r: k=%d exceeds the %d-term vocabulary",
+                debate_topic, config.k, len(vocabulary),
+            )
+        misses[debate_topic] = dtm
+    fit = functools.partial(
+        fit_lda, k=config.k, seed=config.seed, max_iters=config.lda_max_iters, tol=config.lda_tol
+    )
+    fitted = dict(zip(misses, _run_kernels(
+        [functools.partial(fit, dtm) for dtm in misses.values()],
+        [math.prod(dtm.counts.shape) * config.k for dtm in misses.values()],
+    )))
+    models: dict[str, LdaModel] = {}
+    for debate_topic in debate_topics:
+        cache_path, model_path = paths[debate_topic]
+        if debate_topic in fitted:
+            model = fitted[debate_topic]
             save_model(model, cache_path if config.use_cache else model_path)
+        else:
+            model = cached[debate_topic]
         if config.use_cache:
             shutil.copyfile(cache_path, model_path)
         trace = model.elbo_trace
@@ -379,45 +470,64 @@ def fit_topic_models(
 
 def _topic_thetas(
     config: PipelineConfig,
-    debate_topic: str,
-    model: LdaModel,
-    batch: Sequence[Post],
+    models: Mapping[str, LdaModel],
+    batches: Mapping[str, Sequence[Post]],
     post_tokens: Mapping[str, Sequence[str]],
-    warnings: list[str],
-) -> np.ndarray:
-    """The theta rows of one debate topic's ``batch`` of posts, read or inferred.
+) -> dict[str, np.ndarray]:
+    """The theta row of each post of ``batches``, read or inferred per debate topic.
 
-    With the cache on, a cache entry for the batch is read, and a batch
-    without one is inferred and written to it; ``post_tokens`` is read
-    only then.  An entry that cannot be read or does not hold this batch
-    adds a warning to ``warnings`` and is inferred and written again.
-    Rows that did not converge get one logged warning either way.
+    With the cache on, each debate topic's batch is read from its cache
+    entry, and a batch without one is inferred and written to it;
+    ``post_tokens`` is read only then.  An entry that cannot be read or
+    does not hold its batch gets one logged warning and is inferred and
+    written again.  The inferences run through ``_run_kernels``;
+    everything else runs on the calling thread in sorted debate-topic
+    order, including the one logged warning of each batch, read or
+    inferred, with rows that did not converge.
     """
-    post_ids = [post.id for post in batch]
-    label = f"debate topic {debate_topic!r}"
-    cache_path = None
-    if config.use_cache:
-        key = _theta_cache_key(model, batch)
-        name = f"theta-{_slug(debate_topic)}-{key[:16]}.json"
-        cache_path = Path(config.out_dir) / "cache" / name
-        if cache_path.exists():
-            try:
-                theta, unconverged = load_theta(cache_path, post_ids, model.k)
-            except TopicModelError as exc:
-                warnings.append(
-                    f"theta cache entry for debate topic {debate_topic!r} unreadable "
-                    f"({exc}); inferring again"
-                )
-            else:
-                if unconverged:
-                    log_unconverged_theta(unconverged, len(post_ids), label)
-                return theta
-    dtm = build_dtm([post_tokens[post_id] for post_id in post_ids], model.vocabulary)
-    converged = np.empty(len(post_ids), dtype=bool)
-    theta = infer_theta_batch(model, dtm.counts, label=label, converged=converged)
-    if cache_path is not None:
-        save_theta(cache_path, post_ids, theta, len(post_ids) - int(converged.sum()))
-    return theta
+    found: dict[str, tuple[np.ndarray, int]] = {}
+    misses: list[tuple[str, Path | None, DocumentTermMatrix]] = []
+    for debate_topic, batch in sorted(batches.items()):
+        model = models[debate_topic]
+        post_ids = [post.id for post in batch]
+        cache_path = None
+        if config.use_cache:
+            key = _theta_cache_key(model, batch)
+            name = f"theta-{_slug(debate_topic)}-{key[:16]}.json"
+            cache_path = Path(config.out_dir) / "cache" / name
+            if cache_path.exists():
+                try:
+                    found[debate_topic] = load_theta(cache_path, post_ids, model.k)
+                except TopicModelError as exc:
+                    logger.warning(
+                        "theta cache entry for debate topic %r unreadable (%s); inferring again",
+                        debate_topic, exc,
+                    )
+                else:
+                    continue
+        dtm = build_dtm([post_tokens[i] for i in post_ids], model.vocabulary)
+        misses.append((debate_topic, cache_path, dtm))
+    flags = [np.empty(dtm.n_docs, dtype=bool) for _, _, dtm in misses]
+    inferred = _run_kernels(
+        [
+            functools.partial(infer_theta_batch, models[topic], dtm.counts, converged=converged)
+            for (topic, _, dtm), converged in zip(misses, flags)
+        ],
+        [math.prod(dtm.counts.shape) * models[topic].k for topic, _, dtm in misses],
+    )
+    for (debate_topic, cache_path, _), converged, theta in zip(misses, flags, inferred):
+        unconverged = int(np.count_nonzero(~converged))
+        if cache_path is not None:
+            post_ids = [post.id for post in batches[debate_topic]]
+            save_theta(cache_path, post_ids, theta, unconverged)
+        found[debate_topic] = theta, unconverged
+    thetas: dict[str, np.ndarray] = {}
+    for debate_topic, batch in sorted(batches.items()):
+        theta, unconverged = found[debate_topic]
+        if unconverged:
+            log_unconverged_theta(unconverged, len(batch), f"debate topic {debate_topic!r}")
+        thetas.update(zip((post.id for post in batch), theta))
+    return thetas
 
 
 def _cell_seed(seed: int, reply_type: str, category_type: str, variant: str) -> int:
@@ -539,7 +649,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         triple_topics = sorted(
             {t.debate_topic for triples in triples_by_reply.values() for t in triples}
         )
-        models = fit_topic_models(config, posts, triple_topics, post_tokens, warnings)
+        models = fit_topic_models(config, posts, triple_topics, post_tokens)
 
     with _stage("outcomes", timings, warnings):
         outcomes: dict[tuple[str, str], np.ndarray] = {}
@@ -564,13 +674,10 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             for triple in (t for triples in triples_by_reply.values() for t in triples):
                 batch = batches.setdefault(triple.debate_topic, {})
                 batch.update((post.id, post) for post in (triple.p1, triple.p2))
-        thetas: dict[str, np.ndarray] = {}
-        for debate_topic, batch in sorted(batches.items()):
-            theta = _topic_thetas(
-                config, debate_topic, models[debate_topic], list(batch.values()),
-                post_tokens, warnings,
-            )
-            thetas.update(zip(batch, theta))
+        thetas = _topic_thetas(
+            config, models, {topic: list(batch.values()) for topic, batch in batches.items()},
+            post_tokens,
+        )
         confounders = {
             (reply_value, variant.value): build_confounder_matrix(
                 triples, variant, thetas, category_rows

@@ -340,7 +340,8 @@ class _Nonzeros:
 
 def _nonzeros(counts: sparse.csr_matrix) -> _Nonzeros:
     n_docs, n_terms = counts.shape
-    rows = np.repeat(np.arange(n_docs), np.diff(counts.indptr))
+    flat = np.repeat(np.arange(n_docs) * n_terms, np.diff(counts.indptr))
+    flat += counts.indices
     vals = counts.data.astype(float)
     ratio = sparse.csr_matrix(
         (np.empty_like(vals), counts.indices, counts.indptr), shape=counts.shape
@@ -348,7 +349,7 @@ def _nonzeros(counts: sparse.csr_matrix) -> _Nonzeros:
     return _Nonzeros(
         rows=slice(None),
         vals=vals,
-        flat=rows * n_terms + counts.indices,
+        flat=flat,
         product=np.empty(counts.shape),
         ratio=ratio,
     )
@@ -450,7 +451,7 @@ def fit_lda(
         raise TopicModelError(f"k must be a positive integer, got {k!r}")
     if max_iters < 1:
         raise TopicModelError("max_iters must be at least 1")
-    counts = dtm.counts.astype(float).tocsr()
+    counts = dtm.counts
     n_docs, n_terms = counts.shape
     if n_docs == 0 or counts.sum() == 0:
         raise TopicModelError("document-term matrix has no tokens to fit")
@@ -463,6 +464,7 @@ def fit_lda(
     rng = np.random.default_rng(seed)
     lam = rng.gamma(100.0, 0.01, (k, n_terms))
     gamma = np.full((n_docs, k), alpha) + doc_totals[:, np.newaxis] / k
+    exp_elog_theta = _exp_elog_theta(gamma)
 
     elbo_trace: list[float] = []
     for sweep in range(max_iters):
@@ -470,9 +472,12 @@ def fit_lda(
         exp_elog_beta = np.exp(elog_beta)
         exp_elog_beta_t = np.ascontiguousarray(exp_elog_beta.T)
 
-        for _ in range(_E_STEP_MAX_ITERS):
+        # the first step reuses the previous sweep's final exp E[log theta]
+        for step in range(_E_STEP_MAX_ITERS):
+            if step:
+                exp_elog_theta = _exp_elog_theta(gamma)
             gamma_new = _gamma_sweep(
-                _exp_elog_theta(gamma), nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
+                exp_elog_theta, nonzeros, exp_elog_beta, exp_elog_beta_t, alpha
             )
             change = float(np.abs(gamma_new - gamma).mean())
             gamma = gamma_new
@@ -551,7 +556,6 @@ def infer_theta_batch(
     model: LdaModel,
     counts: sparse.spmatrix | np.ndarray,
     *,
-    label: str = "",
     converged: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior mean topic proportions for each count row, topics held fixed.
@@ -559,11 +563,13 @@ def infer_theta_batch(
     Uses the fitted beta as the term distributions.  Rows with zero count
     keep the symmetric prior and come out exactly uniform.  Rows still
     moving by ``_THETA_TOL`` or more after ``_THETA_MAX_ITERS`` sweeps
-    keep their last values, and one warning per call counts them; a
-    nonempty ``label``, such as the debate topic of the rows, starts that
-    warning.  A ``converged`` bool array, one entry per row, is set to
-    whether each row converged.  The nonzero index and the transposed
-    beta are built once per call and shared by its sweeps.
+    keep their last values.  A ``converged`` bool array, one entry per
+    row, is set to whether each row converged, and a caller that passes
+    one logs the warning about the rest itself (``log_unconverged_theta``
+    words it), so batches run at once on threads log in the caller's
+    order; without one, this call logs one warning that counts them.
+    The nonzero index and the transposed beta are built once per call
+    and shared by its sweeps.
     A row that has converged is frozen and not swept again.  The sweeps
     run over the whole batch until at most three quarters of the rows
     still move; from then on they index only the moving rows, and index
@@ -615,9 +621,8 @@ def infer_theta_batch(
         active[rows] = moving & (change >= _THETA_TOL)
     if converged is not None:
         np.logical_not(active, out=converged)
-    unconverged = int(active.sum())
-    if unconverged:
-        log_unconverged_theta(unconverged, counts.shape[0], label)
+    elif active.any():
+        log_unconverged_theta(int(active.sum()), counts.shape[0])
     return gamma / gamma.sum(axis=1, keepdims=True)
 
 

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
+import functools
 import hashlib
 import json
 import logging
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -192,22 +194,28 @@ def test_report_files_reparse_to_the_same_bytes(tmp_path):
         assert render_report(parsed, fmt) == written, suffix
 
 
-def test_pipeline_recovers_from_corrupt_cache(tmp_path):
+def test_pipeline_recovers_from_corrupt_cache(tmp_path, caplog):
     config = _config(tmp_path, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))
-    baseline = run_pipeline(config)
+    run_pipeline(config)
+    clean = (tmp_path / "report.json").read_bytes()
     thetas = {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")}
     assert len(thetas) == 2
     broken, deep = sorted((tmp_path / "cache").glob("lda-*"))
     broken.write_text("{broken")
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    repaired = run_pipeline(config)
-    assert sum("cache entry" in w and "unreadable" in w and "refitting" in w
-               for w in repaired.warnings) == 2
-    assert sum("nested too deeply" in w for w in repaired.warnings) == 1
-    assert [e.psi for e in repaired.estimates] == [e.psi for e in baseline.estimates]
+    with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+        run_pipeline(config)
+    messages = [r.getMessage() for r in caplog.records if "cache entry" in r.getMessage()]
+    assert messages == [
+        f"cache entry for debate topic 'evolution' unreadable ({broken.name}: invalid JSON "
+        "(Expecting property name enclosed in double quotes)); refitting",
+        f"cache entry for debate topic 'gun control' unreadable ({deep.name}: invalid JSON "
+        "(nested too deeply)); refitting",
+    ]
+    # the faults are run output, so the repaired report has the clean one's bytes
+    assert (tmp_path / "report.json").read_bytes() == clean
     # the refitted models have the old bits, so their theta entries still hit
-    assert not any("theta" in w for w in repaired.warnings)
     assert {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")} == thetas
 
 
@@ -281,13 +289,22 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
 
 
 def _record_theta_batches(monkeypatch) -> list:
-    """Record each infer_theta_batch call of the pipeline as (model, counts, label)."""
+    """Record each infer_theta_batch call of the pipeline as (model, counts, label),
+    where the label names the debate topic whose model the call got."""
     calls = []
+    labels: dict[int, str] = {}
+    fit_topic_models = pipeline.fit_topic_models
+
+    def named(*args, **kwargs):
+        models = fit_topic_models(*args, **kwargs)
+        labels.update((id(model), f"debate topic {topic!r}") for topic, model in models.items())
+        return models
 
     def recorded(model, counts, *args, **kwargs):
-        calls.append((model, counts.toarray(), kwargs.get("label")))
+        calls.append((model, counts.toarray(), labels[id(model)]))
         return infer_theta_batch(model, counts, *args, **kwargs)
 
+    monkeypatch.setattr(pipeline, "fit_topic_models", named)
     monkeypatch.setattr(pipeline, "infer_theta_batch", recorded)
     return calls
 
@@ -426,26 +443,30 @@ def _reverse(key: str):
     (_reverse("post_ids"), "post ids are not the batch's"),
     (_reverse("shape"), "shape is not"),
 ])
-def test_unusable_theta_entry_is_inferred_again(tmp_path, monkeypatch, damage, reason):
+def test_unusable_theta_entry_is_inferred_again(
+    tmp_path, monkeypatch, caplog, damage, reason
+):
     config = _config(tmp_path, reply_types=("nasty_nice",), bootstrap_replicates=20)
-    baseline = run_pipeline(config)
+    run_pipeline(config)
+    clean = (tmp_path / "report.json").read_bytes()
     entry = sorted((tmp_path / "cache").glob("theta-evolution-*"))[0]
     good = entry.read_bytes()
     damage(entry)
     calls = _record_theta_batches(monkeypatch)
-    repaired = run_pipeline(config)
-    theta_warnings = [w for w in repaired.warnings if "theta cache entry" in w]
+    with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+        repaired = run_pipeline(config)
+    theta_warnings = [r.getMessage() for r in caplog.records
+                      if "theta cache entry" in r.getMessage()]
     assert len(theta_warnings) == 1
     assert theta_warnings[0].startswith(
         f"theta cache entry for debate topic 'evolution' unreadable ({entry.name}: "
     )
     assert reason in theta_warnings[0] and theta_warnings[0].endswith("; inferring again")
+    assert not any("cache" in w for w in repaired.warnings)
     # only the damaged batch is inferred again, and its entry is rewritten
     assert [label for _, _, label in calls] == ["debate topic 'evolution'"]
     assert entry.read_bytes() == good
-    assert [(e.psi, e.standard_error) for e in repaired.estimates] == [
-        (e.psi, e.standard_error) for e in baseline.estimates
-    ]
+    assert (tmp_path / "report.json").read_bytes() == clean
 
 
 def test_other_theta_batch_misses_and_writes_its_own_entry(tmp_path, monkeypatch):
@@ -516,17 +537,18 @@ def test_topic_model_warnings_name_their_debate_topic(tmp_path, caplog):
     ]
 
 
-def test_largest_seed_is_written_and_read_back(tmp_path):
+def test_largest_seed_is_written_and_read_back(tmp_path, caplog):
     # seeds stop below 2**63, where a model file stops reading back as an
     # integer; building the config validates it
     config = _config(tmp_path, seed=2**63 - 1, lda_max_iters=5)
     posts = load_posts(POSTS)
     for cache in ("miss", "hit"):
-        warnings: list[str] = []
-        models = pipeline.fit_topic_models(
-            config, posts, posts.debate_topics, pipeline.token_table(posts), warnings
-        )
-        assert warnings == [], cache
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+            models = pipeline.fit_topic_models(
+                config, posts, posts.debate_topics, pipeline.token_table(posts)
+            )
+        assert not [r for r in caplog.records if "cache entry" in r.getMessage()], cache
         assert [model.seed for model in models.values()] == [2**63 - 1] * 2
         for slug in ("evolution", "gun-control"):
             assert load_model(tmp_path / "models" / f"{slug}.json").seed == 2**63 - 1
@@ -572,7 +594,7 @@ def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     config = _config(tmp_path / "out", posts_path=str(posts_path))
     posts = load_posts(posts_path)
     assert posts.debate_topics == ["Gun-Control", "gun control"]
-    pipeline.fit_topic_models(config, posts, posts.debate_topics, pipeline.token_table(posts), [])
+    pipeline.fit_topic_models(config, posts, posts.debate_topics, pipeline.token_table(posts))
     models_dir = tmp_path / "out" / "models"
     published = []
     for topic in posts.debate_topics:
@@ -776,7 +798,7 @@ def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
     posts = load_posts(POSTS)
     pipeline.fit_topic_models(
         _config(tmp_path / "topics", use_cache=False), posts, posts.debate_topics,
-        pipeline.token_table(posts), [],
+        pipeline.token_table(posts),
     )
     assert seen and {threads for _, threads in seen} == {1}
     assert two_blas_threads() == 2
@@ -844,6 +866,150 @@ def test_report_bytes_do_not_depend_on_openblas_num_threads(tmp_path):
         assert done.returncode == EXIT_OK, done.stderr
         digests[threads] = hashlib.sha256((out_dir / "report.json").read_bytes()).hexdigest()
     assert len(set(digests.values())) == 1, digests
+
+
+# ------------------------------------------------------------- topic threads
+
+
+@pytest.fixture
+def topic_threads(monkeypatch):
+    """Open the thread gate to every topic kernel, with two usable cores.
+
+    Returns a function that sets the usable core count instead.
+    """
+    monkeypatch.setattr(pipeline, "_THREAD_MIN_MADDS", 0)
+
+    def usable(cores: int) -> None:
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+
+    usable(2)
+    return usable
+
+
+@pytest.fixture(scope="module")
+def three_topic_corpus(tmp_path_factory) -> Path:
+    corpus = tmp_path_factory.mktemp("three-topics")
+    world = CorpusWorld(debate_topics=("gun control", "climate change", "abortion"))
+    generate_corpus(world, 90, seed=5, out_dir=corpus)
+    return corpus
+
+
+def _run_and_collect(config, caplog) -> tuple[dict[str, bytes], list[str]]:
+    """Run the pipeline; every file under its out_dir, by relative path, and its log lines."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="tonefx"):
+        run_pipeline(config)
+    out = Path(config.out_dir)
+    files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    return files, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("corpus", ["minicorpus", "three topics"])
+def test_topic_threads_match_one_worker_byte_for_byte(
+    tmp_path, monkeypatch, caplog, topic_threads, three_topic_corpus, corpus
+):
+    paths, n_topics = {}, 2
+    if corpus == "three topics":
+        paths, n_topics = dict(
+            posts_path=str(three_topic_corpus / "posts.jsonl"),
+            annotations_path=str(three_topic_corpus / "annotations.jsonl"),
+        ), 3
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    runs = {}
+    for workers in (2, 1):
+        topic_threads(workers)
+        started.clear()
+        config = _config(tmp_path / f"workers{workers}", bootstrap_replicates=20, **paths)
+        # a miss fits and infers every debate topic, a warm rerun reads them all
+        runs[workers] = [_run_and_collect(config, caplog) for _ in ("miss", "hit")]
+        # one thread for the fits and one for the theta batches of the miss
+        assert len(started) == (2 if workers == 2 else 0)
+    assert runs[2] == runs[1]
+    (files, logs), _ = runs[2]
+    assert "report.json" in files
+    assert sum(name.startswith("models/") for name in files) == n_topics
+    assert sum(name.startswith("cache/") for name in files) == 2 * n_topics
+    theta_topics = [m.split("'")[1] for m in logs if "rows did not converge" in m]
+    assert theta_topics and theta_topics == sorted(theta_topics)
+
+
+def test_theta_warnings_keep_debate_topic_order_on_threads(
+    tmp_path, monkeypatch, caplog, topic_threads
+):
+    test_pipeline_warns_once_per_debate_topic_on_unconverged_theta(tmp_path, monkeypatch, caplog)
+
+
+def test_small_topic_kernels_start_no_thread(tmp_path, monkeypatch):
+    # two cores are usable, but every minicorpus kernel is below the gate
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread started below the gate")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    report = run_pipeline(_config(tmp_path, bootstrap_replicates=20))
+    assert report.estimates and not report.failed_cells
+
+
+def test_large_kernels_run_at_once(monkeypatch):
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+    large = pipeline._THREAD_MIN_MADDS
+    # each wait returns only once both kernels are waiting
+    barrier = threading.Barrier(2, timeout=30)
+    assert sorted(pipeline._run_kernels([barrier.wait] * 2, [large, large])) == [0, 1]
+    # one large kernel alone stays on the calling thread
+    idents = []
+    pipeline._run_kernels([lambda: idents.append(threading.get_ident())] * 2, [large, large - 1])
+    assert idents == [threading.get_ident()] * 2
+
+
+def test_kernel_threads_take_each_kernel_once(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(pipeline, "_THREAD_MIN_MADDS", 0)
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 8)
+    ran = []
+
+    def kernel(i: int) -> int:
+        ran.append(i)
+        np.linalg.norm(np.full((64, 64), float(i)))
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = pipeline._run_kernels([functools.partial(kernel, i) for i in range(40)], [1] * 40)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(40)]
+    assert sorted(ran) == list(range(40))
+
+
+@pytest.mark.parametrize("gate", [0, 2**62])
+def test_kernels_raise_the_first_failure_in_order(monkeypatch, gate):
+    monkeypatch.setattr(pipeline, "_THREAD_MIN_MADDS", gate)
+    monkeypatch.setattr(pipeline, "_usable_cores", lambda: 2)
+
+    done = []
+
+    def kernel(i: int) -> int:
+        if i in (3, 5):
+            raise TopicModelError(f"kernel {i} failed")
+        done.append(i)
+        return i
+
+    kernels = [functools.partial(kernel, i) for i in range(8)]
+    with pytest.raises(TopicModelError, match="^kernel 3 failed$"):
+        pipeline._run_kernels(kernels, [1] * 8)
+    # threads finish every kernel before the failure is raised; in order,
+    # the failure stops the rest
+    assert sorted(done) == ([0, 1, 2, 4, 6, 7] if gate == 0 else [0, 1, 2])
 
 
 # ---------------------------------------------------------------------- cli

@@ -325,6 +325,17 @@ def test_infer_theta_warns_once_on_unconverged_rows(monkeypatch, caplog):
     assert not caplog.records
 
 
+def test_infer_theta_with_converged_leaves_the_warning_to_its_caller(monkeypatch, caplog):
+    dtm = _random_dtm(seed=3)
+    model = fit_lda(dtm, k=3, seed=0, max_iters=20)
+    monkeypatch.setattr(topics, "_THETA_MAX_ITERS", 2)
+    converged = np.empty(40, dtype=bool)
+    with caplog.at_level(logging.DEBUG, logger="tonefx"):
+        infer_theta_batch(model, dtm.counts, converged=converged)
+    assert not converged.all()
+    assert not caplog.records
+
+
 def test_infer_theta_rejects_wrong_width():
     model = fit_lda(_random_dtm(), k=3, seed=0, max_iters=10)
     with pytest.raises(TopicModelError, match="terms"):
