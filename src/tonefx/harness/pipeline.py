@@ -9,17 +9,17 @@ analysis cell (one reply type, category type and confounder variant) do
 not abort the run; the cell is dropped with a warning and the caller
 can detect the gap by comparing against the requested grid.
 
-Topic models are cached under out_dir/cache keyed by a digest of the
-per-topic corpus content, the digest of the tokenizer's word lists and
-every fitting parameter, so reruns over unchanged inputs skip the fit.
-Each debate topic's batch of theta rows is cached there too, keyed by
-its model, the tokenizer's word lists, the batch's ordered post ids and
-texts and the settings of theta inference, so such reruns skip
-tokenizing and theta inference as well.  The fitted models are also
-published under out_dir/models for inspection regardless of cache hits:
-each is serialized once, into the cache, and its bytes are copied to
-out_dir/models (with the cache off, it is serialized into
-out_dir/models directly).
+Each debate topic's topic model and theta batch are cached under
+out_dir/cache.  The ``lda-*`` key covers the topic's posts in posts-file
+order, the tokenizer's word lists and every fitting parameter, so reruns
+over unchanged inputs skip the fit and a reordered posts file refits;
+the ``theta-*`` key covers the model, the tokenizer's word lists, the
+batch's ordered posts and the settings of theta inference, so reruns
+skip tokenizing and theta inference too.  No entry is ever removed, so a
+directory reused across corpora or settings keeps growing; deleting
+out_dir/cache is always safe, as the next run writes the same report
+bytes.  Each model is also published as a byte copy of its cache entry
+under out_dir/models (with the cache off, it is serialized there).
 
 Each post's tokens and its category row are computed at most once per
 run, on first use, and shared by the topics, outcomes and confounders
@@ -259,31 +259,35 @@ def _slug(text: str) -> str:
     return cleaned or "topic"
 
 
-def _topic_cache_key(config: PipelineConfig, posts: Sequence) -> str:
-    payload = {
-        "cache_version": MODEL_CACHE_VERSION,
-        "posts": [(p.id, p.text) for p in sorted(posts, key=lambda p: p.id)],
-        "tokenizer": TOKENIZER_DIGEST,
-        "k": config.k,
-        "min_df": config.min_df,
-        "max_df": config.max_df,
-        "max_iters": config.lda_max_iters,
-        "tol": config.lda_tol,
-        "seed": config.seed,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+# the warning of each kind of cache entry whose file cannot be read
+_UNREADABLE_ENTRY = {
+    "lda": "cache entry for debate topic %r unreadable (%s); refitting",
+    "theta": "theta cache entry for debate topic %r unreadable (%s); inferring again",
+}
 
 
-def _theta_cache_key(model: LdaModel, batch: Sequence[Post]) -> str:
-    payload = {
-        "cache_version": THETA_CACHE_VERSION,
-        "model": theta_digest(model),
-        "tokenizer": TOKENIZER_DIGEST,
-        "posts": [(p.id, p.text) for p in batch],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+def _cache_entry(
+    config: PipelineConfig, kind: str, debate_topic: str,
+    payload: Callable[[], Mapping], read: Callable[[Path], T],
+) -> tuple[Path | None, T | None]:
+    """One debate topic's ``kind`` cache entry: its path, and what ``read`` gives from it.
+
+    The name ends in 16 hex digits of the sha256 of ``payload()`` as sorted,
+    compact JSON.  With the cache off, the path is None and ``payload`` is
+    not called.  The entry is None when the file is missing or ``read``
+    raises a TopicModelError on it, which logs one warning.
+    """
+    if not config.use_cache:
+        return None, None
+    blob = json.dumps(payload(), sort_keys=True, separators=(",", ":"))
+    key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    path = Path(config.out_dir) / "cache" / f"{kind}-{_slug(debate_topic)}-{key[:16]}.json"
+    if path.exists():
+        try:
+            return path, read(path)
+        except TopicModelError as exc:
+            logger.warning(_UNREADABLE_ENTRY[kind], debate_topic, exc)
+    return path, None
 
 
 class PostFeatures(dict):
@@ -399,32 +403,32 @@ def fit_topic_models(
     the first 8 hex digits of the sha256 of its topic, so a model's file
     name depends only on the corpus.
     """
-    cache_dir = Path(config.out_dir) / "cache"
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     slug_counts = Counter(_slug(debate_topic) for debate_topic in posts.debate_topics)
-    paths: dict[str, tuple[Path, Path]] = {}
-    cached: dict[str, LdaModel] = {}
+    # each debate topic's cache path, published path and cached model
+    entries: dict[str, tuple[Path | None, Path, LdaModel | None]] = {}
     misses: dict[str, DocumentTermMatrix] = {}
     for debate_topic in debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
-        key = _topic_cache_key(config, subset)
+        cache_path, model = _cache_entry(
+            config, "lda", debate_topic,
+            lambda: {
+                "posts": [(p.id, p.text) for p in subset], "tokenizer": TOKENIZER_DIGEST,
+                "min_df": config.min_df, "max_df": config.max_df,
+                "k": config.k, "seed": config.seed,
+                "max_iters": config.lda_max_iters, "tol": config.lda_tol,
+                "cache_version": MODEL_CACHE_VERSION,
+            },
+            load_model,
+        )
         slug = _slug(debate_topic)
-        cache_path = cache_dir / f"lda-{slug}-{key[:16]}.json"
         if slug_counts[slug] > 1:
             slug += "-" + hashlib.sha256(debate_topic.encode("utf-8")).hexdigest()[:8]
-        paths[debate_topic] = cache_path, models_dir / f"{slug}.json"
-        if config.use_cache and cache_path.exists():
-            try:
-                cached[debate_topic] = load_model(cache_path)
-            except TopicModelError as exc:
-                logger.warning(
-                    "cache entry for debate topic %r unreadable (%s); refitting",
-                    debate_topic, exc,
-                )
-            else:
-                logger.info("topic model for %r loaded from cache", debate_topic)
-                continue
+        entries[debate_topic] = cache_path, models_dir / f"{slug}.json", model
+        if model is not None:
+            logger.info("topic model for %r loaded from cache", debate_topic)
+            continue
         token_lists = [post_tokens[post.id] for post in subset]
         vocabulary = build_vocabulary(token_lists, min_df=config.min_df, max_df=config.max_df)
         dtm = build_dtm(token_lists, vocabulary)
@@ -448,13 +452,11 @@ def fit_topic_models(
     )))
     models: dict[str, LdaModel] = {}
     for debate_topic in debate_topics:
-        cache_path, model_path = paths[debate_topic]
-        if debate_topic in fitted:
+        cache_path, model_path, model = entries[debate_topic]
+        if model is None:
             model = fitted[debate_topic]
-            save_model(model, cache_path if config.use_cache else model_path)
-        else:
-            model = cached[debate_topic]
-        if config.use_cache:
+            save_model(model, cache_path or model_path)
+        if cache_path:
             shutil.copyfile(cache_path, model_path)
         trace = model.elbo_trace
         if not elbo_converged(trace, config.lda_tol):
@@ -485,45 +487,40 @@ def _topic_thetas(
     order, including the one logged warning of each batch, read or
     inferred, with rows that did not converge.
     """
-    found: dict[str, tuple[np.ndarray, int]] = {}
-    misses: list[tuple[str, Path | None, DocumentTermMatrix]] = []
+    # each debate topic's cache path and cached (theta, unconverged rows)
+    entries: dict[str, tuple[Path | None, tuple[np.ndarray, int] | None]] = {}
+    misses: dict[str, DocumentTermMatrix] = {}
     for debate_topic, batch in sorted(batches.items()):
         model = models[debate_topic]
         post_ids = [post.id for post in batch]
-        cache_path = None
-        if config.use_cache:
-            key = _theta_cache_key(model, batch)
-            name = f"theta-{_slug(debate_topic)}-{key[:16]}.json"
-            cache_path = Path(config.out_dir) / "cache" / name
-            if cache_path.exists():
-                try:
-                    found[debate_topic] = load_theta(cache_path, post_ids, model.k)
-                except TopicModelError as exc:
-                    logger.warning(
-                        "theta cache entry for debate topic %r unreadable (%s); inferring again",
-                        debate_topic, exc,
-                    )
-                else:
-                    continue
-        dtm = build_dtm([post_tokens[i] for i in post_ids], model.vocabulary)
-        misses.append((debate_topic, cache_path, dtm))
-    flags = [np.empty(dtm.n_docs, dtype=bool) for _, _, dtm in misses]
-    inferred = _run_kernels(
+        cache_path, entry = _cache_entry(
+            config, "theta", debate_topic,
+            lambda: {
+                "posts": [(p.id, p.text) for p in batch], "tokenizer": TOKENIZER_DIGEST,
+                "model": theta_digest(model),
+                "cache_version": THETA_CACHE_VERSION,
+            },
+            lambda path: load_theta(path, post_ids, model.k),
+        )
+        entries[debate_topic] = cache_path, entry
+        if entry is None:
+            misses[debate_topic] = build_dtm([post_tokens[i] for i in post_ids], model.vocabulary)
+    flags = {topic: np.empty(dtm.n_docs, dtype=bool) for topic, dtm in misses.items()}
+    inferred = dict(zip(misses, _run_kernels(
         [
-            functools.partial(infer_theta_batch, models[topic], dtm.counts, converged=converged)
-            for (topic, _, dtm), converged in zip(misses, flags)
+            functools.partial(infer_theta_batch, models[topic], dtm.counts, converged=flags[topic])
+            for topic, dtm in misses.items()
         ],
-        [math.prod(dtm.counts.shape) * models[topic].k for topic, _, dtm in misses],
-    )
-    for (debate_topic, cache_path, _), converged, theta in zip(misses, flags, inferred):
-        unconverged = int(np.count_nonzero(~converged))
-        if cache_path is not None:
-            post_ids = [post.id for post in batches[debate_topic]]
-            save_theta(cache_path, post_ids, theta, unconverged)
-        found[debate_topic] = theta, unconverged
+        [math.prod(dtm.counts.shape) * models[topic].k for topic, dtm in misses.items()],
+    )))
     thetas: dict[str, np.ndarray] = {}
     for debate_topic, batch in sorted(batches.items()):
-        theta, unconverged = found[debate_topic]
+        cache_path, entry = entries[debate_topic]
+        if entry is None:
+            entry = inferred[debate_topic], int(np.count_nonzero(~flags[debate_topic]))
+            if cache_path:
+                save_theta(cache_path, [post.id for post in batch], *entry)
+        theta, unconverged = entry
         if unconverged:
             log_unconverged_theta(unconverged, len(batch), f"debate topic {debate_topic!r}")
         thetas.update(zip((post.id for post in batch), theta))

@@ -683,12 +683,14 @@ def _json_field(payload: dict, key: str, kinds: str, ndim: int = 0):
 
 
 def load_model(path: str | Path) -> LdaModel:
-    """Load a serialized model.  A missing file raises FileNotFoundError, and any other
-    fault, from an unreadable path to a mistyped field, is a ModelFileError naming it."""
+    """Load a serialized model.  A missing file raises FileNotFoundError; any other fault,
+    from an unreadable path to a mistyped field or empty trace, is a ModelFileError naming it."""
     path = Path(path)
     try:
         payload = decode_json(read_input(path))
         check_format(payload, MODEL_FORMAT, "format_version", MODEL_FORMAT_VERSION)
+        if not _json_field(payload, "elbo_trace", "if", 1):
+            raise ValueError("field 'elbo_trace' is empty")
         vocabulary = payload["vocabulary"]
         return LdaModel(
             k=_json_field(payload, "k", "i"),

@@ -594,16 +594,62 @@ def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     config = _config(tmp_path / "out", posts_path=str(posts_path))
     posts = load_posts(posts_path)
     assert posts.debate_topics == ["Gun-Control", "gun control"]
-    pipeline.fit_topic_models(config, posts, posts.debate_topics, pipeline.token_table(posts))
+    models = pipeline.fit_topic_models(
+        config, posts, posts.debate_topics, pipeline.token_table(posts)
+    )
     models_dir = tmp_path / "out" / "models"
+    entries = {p.read_bytes() for p in (tmp_path / "out" / "cache").glob("lda-gun-control-*")}
+    assert len(entries) == 2
     published = []
     for topic in posts.debate_topics:
-        key = pipeline._topic_cache_key(config, [p for p in posts if p.debate_topic == topic])
         name = f"gun-control-{hashlib.sha256(topic.encode('utf-8')).hexdigest()[:8]}.json"
-        entry = tmp_path / "out" / "cache" / f"lda-gun-control-{key[:16]}.json"
-        assert (models_dir / name).read_bytes() == entry.read_bytes()
+        # each topic's own model, copied from one of the two cache entries
+        save_model(models[topic], tmp_path / "resaved.json")
+        assert (models_dir / name).read_bytes() == (tmp_path / "resaved.json").read_bytes()
+        assert (models_dir / name).read_bytes() in entries
         published.append(name)
     assert sorted(path.name for path in models_dir.iterdir()) == sorted(published)
+
+
+def test_minicorpus_topic_model_entry_names_are_pinned(tmp_path):
+    # an lda-* name is a key over posts, tokenizer and settings, never float bits;
+    # a key change would silently invalidate every existing cache
+    args = ["fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3", "--k", "4"]
+    assert main(args) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "cache").glob("lda-*")) == [
+        "lda-evolution-4e5ced67e20f01e3.json", "lda-gun-control-f12a00833ee3afbe.json",
+    ]
+
+
+def test_cached_model_with_an_empty_elbo_trace_is_refitted(tmp_path, capsys, caplog):
+    args = ["fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3", "--k", "4"]
+    assert main(args) == EXIT_OK
+    entry = sorted((tmp_path / "cache").glob("lda-evolution-*"))[0]
+    good = entry.read_bytes()
+    entry.write_text(json.dumps({**json.loads(good), "elbo_trace": []}))
+    capsys.readouterr()
+    with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
+        assert main(args) == EXIT_OK
+    assert [r.getMessage() for r in caplog.records if "cache entry" in r.getMessage()] == [
+        f"cache entry for debate topic 'evolution' unreadable ({entry.name}: "
+        "field 'elbo_trace' is empty); refitting",
+    ]
+    assert "evolution: k=4, vocabulary=61, sweeps=" in capsys.readouterr().out
+    assert entry.read_bytes() == good
+
+
+def test_warm_run_on_reordered_posts_matches_a_cold_one(tmp_path):
+    # a topic model's bits follow the order of its posts in the posts file,
+    # so the same posts in another order must not hit the first order's entries
+    reversed_posts = tmp_path / "reversed.jsonl"
+    lines = Path(POSTS).read_text(encoding="utf-8").splitlines(keepends=True)
+    reversed_posts.write_text("".join(reversed(lines)), encoding="utf-8")
+    run_pipeline(_config(tmp_path / "warm"))
+    run_pipeline(_config(tmp_path / "warm", posts_path=str(reversed_posts)))
+    run_pipeline(_config(tmp_path / "cold", posts_path=str(reversed_posts)))
+    warm = (tmp_path / "warm" / "report.json").read_bytes()
+    assert warm == (tmp_path / "cold" / "report.json").read_bytes()
+    assert len(list((tmp_path / "warm" / "cache").glob("lda-*"))) == 4
 
 
 def _with_stray_post(tmp_path, debate_topic="abortion") -> Path:
@@ -1461,7 +1507,7 @@ def test_cli_fit_topics_and_inspect(tmp_path, capsys):
     payload = json.loads(model_path.read_text(encoding="utf-8"))
     bad = tmp_path / "bad.json"
     for text in ("[1]", "{", json.dumps({**payload, "format_version": "2.0"}),
-                 json.dumps({**payload, "k": "4"})):
+                 json.dumps({**payload, "k": "4"}), json.dumps({**payload, "elbo_trace": []})):
         bad.write_text(text, encoding="utf-8")
         capsys.readouterr()
         assert main(["inspect-topics", str(bad)]) == EXIT_USAGE, text

@@ -687,6 +687,7 @@ def test_load_model_rejects_foreign_artifacts(tmp_path):
         json.dumps({**payload, "seed": True}): f"field 'seed' {wrong_type}",
         json.dumps({**payload, "alpha_prior": "0.5"}): f"field 'alpha_prior' {wrong_type}",
         json.dumps({**payload, "elbo_trace": 3}): f"field 'elbo_trace' {wrong_type}",
+        json.dumps({**payload, "elbo_trace": []}): "field 'elbo_trace' is empty",
         json.dumps({**payload, "beta": [[0.5, 0.5], [1.0]]}): "",  # ragged
         json.dumps({**payload, "beta": [[0.5, None]] * 2}): f"field 'beta' {wrong_type}",
         json.dumps({**payload, "beta": [["a"] * 25] * 2}): f"field 'beta' {wrong_type}",
