@@ -33,7 +33,6 @@ replicate count.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -50,8 +49,6 @@ from .inference import (
     predict_outcome,
     predict_propensity,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 Z_CRITICAL_95 = 1.96
@@ -217,11 +214,13 @@ class BootstrapResult:
     """Replicate estimates of every requested estimator from one bootstrap pass.
 
     Every estimator is scored on the same usable resamples, so all share
-    ``skipped``.
+    ``skipped``, and ``unconverged`` counts the propensity refits of those
+    resamples that ended unconverged.
     """
 
     estimates: dict[Estimator, np.ndarray]
     skipped: int
+    unconverged: int
 
     @property
     def standard_errors(self) -> dict[Estimator, float]:
@@ -280,7 +279,7 @@ def bootstrap_se(
     value depends neither on the chunk it lands in nor on
     ``replicates``, and each estimator's values equal those of a call
     that requests it alone.  Propensity refits that end unconverged are
-    counted and logged once per call.
+    counted in the result's ``unconverged``, and are not logged either.
     """
     if isinstance(estimator, str):
         estimator = [estimator]
@@ -321,17 +320,12 @@ def bootstrap_se(
         replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
         for e, values in estimates.items():
             values.append(point_estimate(replicate, e, aipw_variant=aipw_variant))
-    if unconverged:
-        logger.warning(
-            "bootstrap for %s: %d of %d propensity refits ended unconverged "
-            "(failed line search or iteration cap)",
-            ", ".join(e.value for e in requested), unconverged, used,
-        )
     if used < 2:
         raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
     return BootstrapResult(
         estimates={e: np.concatenate(values) for e, values in estimates.items()},
         skipped=replicates - used,
+        unconverged=unconverged,
     )
 
 

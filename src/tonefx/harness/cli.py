@@ -189,7 +189,7 @@ def _cmd_fit_topics(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     _print_stderr(load_warnings(posts, None))
-    models = fit_topic_models(config, posts, posts.debate_topics, token_table(posts))
+    models, _ = fit_topic_models(config, posts, posts.debate_topics, token_table(posts))
     for debate_topic, model in sorted(models.items()):
         print(
             f"{debate_topic}: k={model.k}, vocabulary={len(model.vocabulary)}, "
@@ -263,8 +263,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         rendered = render_report(report, args.format)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # parse_report checks every cv and estimates value; the blocks it
-        # passes through as they are, such as triple_counts, are checked here
+        # parse_report checks the type of every value; one that a rendering
+        # cannot take, such as an unknown category_type in a table, fails here
         raise ReportError(f"malformed report entry: {exc}") from exc
     print(rendered, end="")
     return EXIT_OK

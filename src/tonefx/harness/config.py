@@ -102,8 +102,12 @@ class PipelineConfig:
             raise ConfigError(f"folds must be at least 2, got {self.folds}")
         if not 0.0 <= self.clip_epsilon < 0.5:
             raise ConfigError(f"clip_epsilon must lie in [0, 0.5), got {self.clip_epsilon}")
-        if self.regularization < 0 or self.outcome_ridge < 0:
-            raise ConfigError("regularization and outcome_ridge must be nonnegative")
+        if self.regularization < 0:
+            raise ConfigError(f"regularization must be nonnegative, got {self.regularization}")
+        # each cell's outcome design is rank deficient by construction: each
+        # theta row sums to 1 and the topic one-hot to the arm intercept
+        if self.outcome_ridge <= 0:
+            raise ConfigError(f"outcome_ridge must be positive, got {self.outcome_ridge}")
         if self.bootstrap_replicates < 0 or self.bootstrap_replicates == 1:
             raise ConfigError(
                 f"bootstrap_replicates must be 0 or at least 2, got {self.bootstrap_replicates}"

@@ -13,7 +13,7 @@ Each debate topic's topic model and theta batch are cached under
 out_dir/cache.  The ``lda-*`` key covers the topic's posts in posts-file
 order, the tokenizer's word lists and every fitting parameter, so reruns
 over unchanged inputs skip the fit and a reordered posts file refits;
-the ``theta-*`` key covers the model, the tokenizer's word lists, the
+the ``theta-*`` key covers the name of the model's ``lda-*`` entry, the
 batch's ordered posts and the settings of theta inference, so reruns
 skip tokenizing and theta inference too.  No entry is ever removed, so a
 directory reused across corpora or settings keeps growing; deleting
@@ -42,12 +42,13 @@ run logs one warning per process and goes on at that library's own
 count.
 
 The cores go to the debate topics instead, whose models are independent:
-where at least two topic fits, or two theta batches, are large, they run
-at once on threads of this process (see ``_run_kernels``), one per
-usable core at most, and each still runs its BLAS on one thread, so its
-bits are those of a serial run.  Everything around them runs on the
-calling thread in debate-topic order, so cache entries, published
-models, the report and the log lines come out the same either way.
+each topic's fit and theta batch, where missing, are one kernel, and
+where at least two kernels are large, they run at once on threads of
+this process (see ``_run_kernels``), one per usable core at most, and
+each still runs its BLAS on one thread, so its bits are those of a
+serial run.  Everything around them runs on the calling thread in
+debate-topic order, so cache entries, published models, the report and
+the log lines come out the same either way.
 ``jobs`` sizes only the cell pool; CPU affinity limits the topic threads.
 """
 
@@ -74,6 +75,7 @@ from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .. import topics
 from ..corpus import (
     AnnotationCollection,
     CorpusError,
@@ -120,7 +122,6 @@ from ..topics import (
     log_unconverged_theta,
     save_model,
     save_theta,
-    theta_digest,
     top_words,
 )
 from .config import PipelineConfig
@@ -131,7 +132,7 @@ logger = logging.getLogger(__name__)
 T = TypeVar("T")
 
 MODEL_CACHE_VERSION = "1"
-THETA_CACHE_VERSION = "1"
+THETA_CACHE_VERSION = "2"
 
 # settings that change how a run goes but no number in its report, so
 # report.json leaves them out and reruns that differ only in them match
@@ -376,39 +377,59 @@ def _run_kernels(kernels: Sequence[Callable[[], T]], madds: Sequence[int]) -> li
     return results
 
 
+def _topic_kernel(
+    config: PipelineConfig, model: LdaModel | None, dtm: DocumentTermMatrix | None,
+    batch: DocumentTermMatrix | None,
+) -> tuple[LdaModel, tuple[np.ndarray, int] | None]:
+    """Fit a model on ``dtm`` unless ``model`` is given, then infer the theta of
+    ``batch`` if given, with its count of rows that did not converge."""
+    if model is None:
+        model = fit_lda(
+            dtm, k=config.k, seed=config.seed, max_iters=config.lda_max_iters, tol=config.lda_tol
+        )
+    if batch is None:
+        return model, None
+    converged = np.empty(batch.n_docs, dtype=bool)
+    theta = infer_theta_batch(model, batch.counts, converged=converged)
+    return model, (theta, int(np.count_nonzero(~converged)))
+
+
 @_one_blas_thread()
 def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
     debate_topics: Sequence[str],
     post_tokens: Mapping[str, Sequence[str]],
-) -> dict[str, LdaModel]:
-    """Fit or load from cache one topic model for each of ``debate_topics``.
+    batches: Mapping[str, Sequence[Post]] | None = None,
+) -> tuple[dict[str, LdaModel], dict[str, np.ndarray]]:
+    """Fit or read one topic model per debate topic of ``debate_topics``, and infer
+    or read the theta rows of each post of ``batches``, one batch per debate topic.
 
-    ``post_tokens`` holds each post's tokens; only a cache miss reads
-    it.  The fits run through ``_run_kernels``, so large ones run at once
-    on threads; everything else, logging included, runs on the calling
-    thread in the order of ``debate_topics``.  Every model is also
-    published under out_dir/models, as a copy of its cache entry when the
-    cache is on.  A cache entry that cannot be read gets one logged
-    warning and is fitted again.  A model whose fit stopped at
-    ``lda_max_iters`` before meeting ``lda_tol``, fitted now or cached,
-    gets one logged warning with its final relative ELBO change.  So
-    does a model fitted now whose k exceeds its vocabulary, or whose
-    posts include some with no vocabulary term; every warning names its
-    debate topic, and the report leaves them all out.
-
-    A published model is named by the slug of its debate topic.  Where
+    Per debate topic, the model's cache entry is read, then the batch's;
+    only what is missing reads ``post_tokens``.  One kernel per debate
+    topic fits its missing model, then infers its missing batch, all in
+    one ``_run_kernels`` call; everything else, logging included, runs on
+    the calling thread in the order of ``debate_topics``.  Each model is
+    also published under out_dir/models, as a copy of its cache entry
+    when the cache is on, named by the slug of its debate topic; where
     two debate topics of ``posts`` share a slug, each name also carries
     the first 8 hex digits of the sha256 of its topic, so a model's file
-    name depends only on the corpus.
+    name depends only on the corpus.  One logged warning, which names the
+    debate topic and stays out of the report, goes to each entry that
+    cannot be read or does not hold its batch, which is computed again;
+    each model, fitted or cached, that stopped at ``lda_max_iters`` before
+    meeting ``lda_tol``, with its final relative ELBO change; each batch
+    with unconverged rows; and each model fitted now whose k exceeds its
+    vocabulary or whose posts include some with no vocabulary term.
     """
+    batches = batches or {}
     models_dir = Path(config.out_dir) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     slug_counts = Counter(_slug(debate_topic) for debate_topic in posts.debate_topics)
-    # each debate topic's cache path, published path and cached model
-    entries: dict[str, tuple[Path | None, Path, LdaModel | None]] = {}
-    misses: dict[str, DocumentTermMatrix] = {}
+    # per debate topic: cache path, cached model, theta cache path, cached (theta, unconverged)
+    entries: dict[str, tuple] = {}
+    kernels: dict[str, Callable[[], tuple]] = {}
+    madds: list[int] = []
     for debate_topic in debate_topics:
         subset = [p for p in posts if p.debate_topic == debate_topic]
         cache_path, model = _cache_entry(
@@ -422,39 +443,54 @@ def fit_topic_models(
             },
             load_model,
         )
+        batch = batches.get(debate_topic)
+        theta_path, theta = (None, None) if batch is None else _cache_entry(
+            config, "theta", debate_topic,
+            # the lda-* name stands for the model: its key covers all that the fit reads
+            lambda: {
+                "model": cache_path.name, "posts": [(p.id, p.text) for p in batch],
+                "max_iters": topics._THETA_MAX_ITERS, "tol": topics._THETA_TOL,
+                "cache_version": THETA_CACHE_VERSION,
+            },
+            lambda path: load_theta(path, [p.id for p in batch], config.k),
+        )
+        entries[debate_topic] = cache_path, model, theta_path, theta
+        dtm = counts = None
+        if model is not None:
+            logger.info("topic model for %r loaded from cache", debate_topic)
+        else:
+            token_lists = [post_tokens[post.id] for post in subset]
+            vocabulary = build_vocabulary(token_lists, min_df=config.min_df, max_df=config.max_df)
+            dtm = build_dtm(token_lists, vocabulary)
+            if dtm.zero_rows:
+                logger.warning(
+                    "debate topic %r: %d of %d posts have no in-vocabulary tokens",
+                    debate_topic, len(dtm.zero_rows), dtm.n_docs,
+                )
+            if config.k > len(vocabulary):
+                logger.warning(
+                    "debate topic %r: k=%d exceeds the %d-term vocabulary",
+                    debate_topic, config.k, len(vocabulary),
+                )
+        if batch is not None and theta is None:
+            vocabulary = model.vocabulary if dtm is None else dtm.vocabulary
+            counts = build_dtm([post_tokens[p.id] for p in batch], vocabulary)
+        sizes = [math.prod(m.counts.shape) for m in (dtm, counts) if m is not None]
+        if sizes:
+            kernels[debate_topic] = functools.partial(_topic_kernel, config, model, dtm, counts)
+            # a kernel is as large as its larger part
+            madds.append(max(sizes) * config.k)
+    done = dict(zip(kernels, _run_kernels(list(kernels.values()), madds)))
+    models: dict[str, LdaModel] = {}
+    thetas: dict[str, np.ndarray] = {}
+    for debate_topic in debate_topics:
+        cache_path, cached, theta_path, theta = entries[debate_topic]
+        model, inferred = done.get(debate_topic, (cached, None))
         slug = _slug(debate_topic)
         if slug_counts[slug] > 1:
             slug += "-" + hashlib.sha256(debate_topic.encode("utf-8")).hexdigest()[:8]
-        entries[debate_topic] = cache_path, models_dir / f"{slug}.json", model
-        if model is not None:
-            logger.info("topic model for %r loaded from cache", debate_topic)
-            continue
-        token_lists = [post_tokens[post.id] for post in subset]
-        vocabulary = build_vocabulary(token_lists, min_df=config.min_df, max_df=config.max_df)
-        dtm = build_dtm(token_lists, vocabulary)
-        if dtm.zero_rows:
-            logger.warning(
-                "debate topic %r: %d of %d posts have no in-vocabulary tokens",
-                debate_topic, len(dtm.zero_rows), dtm.n_docs,
-            )
-        if config.k > len(vocabulary):
-            logger.warning(
-                "debate topic %r: k=%d exceeds the %d-term vocabulary",
-                debate_topic, config.k, len(vocabulary),
-            )
-        misses[debate_topic] = dtm
-    fit = functools.partial(
-        fit_lda, k=config.k, seed=config.seed, max_iters=config.lda_max_iters, tol=config.lda_tol
-    )
-    fitted = dict(zip(misses, _run_kernels(
-        [functools.partial(fit, dtm) for dtm in misses.values()],
-        [math.prod(dtm.counts.shape) * config.k for dtm in misses.values()],
-    )))
-    models: dict[str, LdaModel] = {}
-    for debate_topic in debate_topics:
-        cache_path, model_path, model = entries[debate_topic]
-        if model is None:
-            model = fitted[debate_topic]
+        model_path = models_dir / f"{slug}.json"
+        if cached is None:
             save_model(model, cache_path or model_path)
         if cache_path:
             shutil.copyfile(cache_path, model_path)
@@ -467,64 +503,17 @@ def fit_topic_models(
                 debate_topic, config.lda_max_iters, change, config.lda_tol,
             )
         models[debate_topic] = model
-    return models
-
-
-def _topic_thetas(
-    config: PipelineConfig,
-    models: Mapping[str, LdaModel],
-    batches: Mapping[str, Sequence[Post]],
-    post_tokens: Mapping[str, Sequence[str]],
-) -> dict[str, np.ndarray]:
-    """The theta row of each post of ``batches``, read or inferred per debate topic.
-
-    With the cache on, each debate topic's batch is read from its cache
-    entry, and a batch without one is inferred and written to it;
-    ``post_tokens`` is read only then.  An entry that cannot be read or
-    does not hold its batch gets one logged warning and is inferred and
-    written again.  The inferences run through ``_run_kernels``;
-    everything else runs on the calling thread in sorted debate-topic
-    order, including the one logged warning of each batch, read or
-    inferred, with rows that did not converge.
-    """
-    # each debate topic's cache path and cached (theta, unconverged rows)
-    entries: dict[str, tuple[Path | None, tuple[np.ndarray, int] | None]] = {}
-    misses: dict[str, DocumentTermMatrix] = {}
-    for debate_topic, batch in sorted(batches.items()):
-        model = models[debate_topic]
-        post_ids = [post.id for post in batch]
-        cache_path, entry = _cache_entry(
-            config, "theta", debate_topic,
-            lambda: {
-                "posts": [(p.id, p.text) for p in batch], "tokenizer": TOKENIZER_DIGEST,
-                "model": theta_digest(model),
-                "cache_version": THETA_CACHE_VERSION,
-            },
-            lambda path: load_theta(path, post_ids, model.k),
-        )
-        entries[debate_topic] = cache_path, entry
-        if entry is None:
-            misses[debate_topic] = build_dtm([post_tokens[i] for i in post_ids], model.vocabulary)
-    flags = {topic: np.empty(dtm.n_docs, dtype=bool) for topic, dtm in misses.items()}
-    inferred = dict(zip(misses, _run_kernels(
-        [
-            functools.partial(infer_theta_batch, models[topic], dtm.counts, converged=flags[topic])
-            for topic, dtm in misses.items()
-        ],
-        [math.prod(dtm.counts.shape) * models[topic].k for topic, dtm in misses.items()],
-    )))
-    thetas: dict[str, np.ndarray] = {}
-    for debate_topic, batch in sorted(batches.items()):
-        cache_path, entry = entries[debate_topic]
-        if entry is None:
-            entry = inferred[debate_topic], int(np.count_nonzero(~flags[debate_topic]))
-            if cache_path:
-                save_theta(cache_path, [post.id for post in batch], *entry)
-        theta, unconverged = entry
-        if unconverged:
-            log_unconverged_theta(unconverged, len(batch), f"debate topic {debate_topic!r}")
-        thetas.update(zip((post.id for post in batch), theta))
-    return thetas
+        if debate_topic not in batches:
+            continue
+        post_ids = [post.id for post in batches[debate_topic]]
+        if theta is None:
+            theta = inferred
+            if theta_path:
+                save_theta(theta_path, post_ids, *theta)
+        if theta[1]:
+            log_unconverged_theta(theta[1], len(post_ids), f"debate topic {debate_topic!r}")
+        thetas.update(zip(post_ids, theta[0]))
+    return models, thetas
 
 
 def _cell_seed(seed: int, reply_type: str, category_type: str, variant: str) -> int:
@@ -550,8 +539,9 @@ class _CellTask:
         return f"({self.reply_type}, {self.category_type}, {self.variant})"
 
 
-def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool]:
-    """One cell's estimates, its warning lines, and whether it failed.
+def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool, str | None]:
+    """One cell's estimates, its warning lines, whether it failed, and the line
+    to log when propensity refits of its bootstrap ended unconverged.
 
     Every requested estimator is scored from one nuisance fit, and its
     standard error comes from one ``bootstrap_se`` pass over the cell
@@ -596,14 +586,20 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool]:
             for estimator in config.estimators
         ]
     except (EstimationError, InferenceError) as exc:
-        return [], [f"estimate cell {task.cell} failed: {exc}"], True
-    warnings = []
+        return [], [f"estimate cell {task.cell} failed: {exc}"], True, None
+    warnings, unconverged = [], None
     if bootstrap and bootstrap.skipped:
         warnings.append(
             f"cell {task.cell}: {bootstrap.skipped} of {config.bootstrap_replicates} "
             "bootstrap replicates skipped"
         )
-    return estimates, warnings, False
+    if bootstrap and bootstrap.unconverged:
+        unconverged = (
+            f"cell {task.cell}: {bootstrap.unconverged} of "
+            f"{config.bootstrap_replicates - bootstrap.skipped} bootstrap propensity refits "
+            "ended unconverged (failed line search or iteration cap)"
+        )
+    return estimates, warnings, False, unconverged
 
 
 @_one_blas_thread()
@@ -642,11 +638,17 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             raise PipelineError("triples", "no reply type yielded any triples", warnings)
 
     with _stage("topics", timings, warnings):
+        all_triples = [t for triples in triples_by_reply.values() for t in triples]
+        # each debate topic's p1 and p2 posts, first seen over the reply types
+        batches: dict[str, dict[str, Post]] = {}
+        for triple in all_triples if ConfounderVariant.FULL in config.confounder_variants else ():
+            batch = batches.setdefault(triple.debate_topic, {})
+            batch.update((post.id, post) for post in (triple.p1, triple.p2))
         # a debate topic without triples feeds no confounder, so it is not fitted
-        triple_topics = sorted(
-            {t.debate_topic for triples in triples_by_reply.values() for t in triples}
+        models, thetas = fit_topic_models(
+            config, posts, sorted({t.debate_topic for t in all_triples}), post_tokens,
+            {topic: list(batch.values()) for topic, batch in batches.items()},
         )
-        models = fit_topic_models(config, posts, triple_topics, post_tokens)
 
     with _stage("outcomes", timings, warnings):
         outcomes: dict[tuple[str, str], np.ndarray] = {}
@@ -665,16 +667,6 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
                 )
 
     with _stage("confounders", timings, warnings):
-        # each debate topic's p1 and p2 posts, first seen over the reply types
-        batches: dict[str, dict[str, Post]] = {}
-        if ConfounderVariant.FULL in config.confounder_variants:
-            for triple in (t for triples in triples_by_reply.values() for t in triples):
-                batch = batches.setdefault(triple.debate_topic, {})
-                batch.update((post.id, post) for post in (triple.p1, triple.p2))
-        thetas = _topic_thetas(
-            config, models, {topic: list(batch.values()) for topic, batch in batches.items()},
-            post_tokens,
-        )
         confounders = {
             (reply_value, variant.value): build_confounder_matrix(
                 triples, variant, thetas, category_rows
@@ -739,9 +731,11 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         # both maps yield the cells in task order
         with _cell_pool(config.jobs) if parallel else nullcontext() as pool:
             results = pool.map(_run_cell, tasks) if parallel else map(_run_cell, tasks)
-            for task, (cell_estimates, cell_warnings, failed) in zip(tasks, results):
+            for task, (cell_estimates, cell_warnings, failed, unconverged) in zip(tasks, results):
                 estimates.extend(cell_estimates)
                 warnings.extend(cell_warnings)
+                if unconverged:
+                    logger.warning(unconverged)
                 if failed:
                     failed_cells.append(task.cell)
 

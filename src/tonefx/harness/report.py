@@ -19,7 +19,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from ..corpus import Triple
 from ..estimators import AteEstimate, Estimator
@@ -104,8 +104,33 @@ def _render_structured(report: RunReport) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _strings(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+
+
+def _object_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, dict) and all(map(check, value.values()))
+
+
+# each block that parse_report keeps as JSON: a check of its shape, and the shape
+_BLOCKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "config": (_object_of(lambda _: True), "an object"),
+    "triple_counts": (_object_of(lambda counts: isinstance(counts, dict)), "an object of objects"),
+    "topics": (
+        _object_of(lambda words: isinstance(words, list) and all(map(_strings, words))),
+        "an object of lists of lists of strings",
+    ),
+    "warnings": (_strings, "a list of strings"),
+    "failed_cells": (_strings, "a list of strings"),
+}
+
+
 def parse_report(text: bytes | str) -> RunReport:
-    """Rebuild a RunReport from its structured rendering, as UTF-8 bytes or text."""
+    """Rebuild a RunReport from its structured rendering, as UTF-8 bytes or text.
+
+    Every cv and estimates value is checked against its field's type, and
+    every other block against its shape; a fault raises a ReportError.
+    """
     try:
         document = decode_json(text)
         check_format(document, REPORT_FORMAT, "version", REPORT_FORMAT_VERSION)
@@ -116,6 +141,9 @@ def parse_report(text: bytes | str) -> RunReport:
                       for entry in _entries(document, "cv")]
         estimates = [AteEstimate(**record_values(AteEstimate, entry))
                      for entry in _entries(document, "estimates")]
+        for key, (check, shape) in _BLOCKS.items():
+            if key in document and not check(document[key]):
+                raise TypeError(f"{key!r} must be {shape}")
     except (TypeError, ValueError) as exc:
         raise ReportError(f"malformed report entry: {exc}") from exc
     return RunReport(

@@ -522,28 +522,6 @@ def fit_lda(
     )
 
 
-def theta_digest(model: LdaModel) -> str:
-    """Digest of everything ``infer_theta_batch`` reads besides the counts.
-
-    It covers the model's k, alpha_prior, vocabulary terms and the bytes
-    of its beta, and the sweep limit and tolerance of theta inference,
-    read when called.
-    """
-    digest = hashlib.sha256(
-        json.dumps(
-            {
-                "k": model.k,
-                "alpha_prior": model.alpha_prior,
-                "terms": model.vocabulary.terms,
-                "max_iters": _THETA_MAX_ITERS,
-                "tol": _THETA_TOL,
-            }
-        ).encode("utf-8")
-    )
-    digest.update(np.ascontiguousarray(model.beta, dtype="<f8").tobytes())
-    return digest.hexdigest()
-
-
 def log_unconverged_theta(unconverged: int, rows: int, label: str = "") -> None:
     """The one warning of a theta batch with rows that did not converge."""
     logger.warning(

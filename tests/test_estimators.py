@@ -269,7 +269,7 @@ def test_one_pass_matches_one_estimator_calls(seed, n, refit, variant):
 def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
     skip_odd_first_unit(monkeypatch)
     data = _random_input(3, n=60)
-    with caplog.at_level("WARNING", logger=estimators.logger.name):
+    with caplog.at_level("WARNING", logger="tonefx"):
         together = bootstrap_se(data, list(Estimator), replicates=20, seed=5)
     # the result is the one channel for skips
     assert not caplog.records
@@ -388,11 +388,9 @@ def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):
     stall_line_search(monkeypatch, data.treatments[idx])
     with caplog.at_level("WARNING"):
         result = bootstrap_se(data, list(Estimator), replicates=10, seed=4)
-    assert result.skipped == 0
-    assert [r.getMessage() for r in caplog.records] == [
-        "bootstrap for unadjusted, q, ipw, aipw: 1 of 10 propensity refits ended "
-        "unconverged (failed line search or iteration cap)"
-    ]
+    assert (result.skipped, result.unconverged) == (0, 1)
+    # the caller, which knows the cell, logs the count
+    assert not caplog.records
 
 
 def test_bootstrap_rejects_unusable_setups():
@@ -426,12 +424,12 @@ def test_estimate_all_labels_and_order():
         posts_path="posts.jsonl", annotations_path="annotations.jsonl",
         out_dir="out", seed=0, bootstrap_replicates=0,
     )
-    estimates, warnings, failed = pipeline._run_cell(pipeline._CellTask(
+    estimates, warnings, failed, unconverged = pipeline._run_cell(pipeline._CellTask(
         config=config, reply_type="nasty_nice", category_type="positive_sentiment",
         variant="full", features=data.features, treatments=data.treatments,
         outcomes=data.outcomes, seed=0,
     ))
-    assert (warnings, failed) == ([], False)
+    assert (warnings, failed, unconverged) == ([], False, None)
     assert [e.estimator for e in estimates] == list(Estimator)
     for estimate in estimates:
         assert estimate.standard_error is None

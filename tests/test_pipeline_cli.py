@@ -1,5 +1,6 @@
 """End-to-end pipeline runs on the committed mini corpus, plus the CLI."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -131,6 +132,29 @@ def test_pipeline_scores_each_cell_from_one_bootstrap_pass(tmp_path, monkeypatch
             )
     assert skip_lines
     assert [w for w in report.warnings if w.startswith("cell (")] == skip_lines
+
+
+def test_pipeline_logs_unconverged_bootstrap_refits_once_per_cell(tmp_path, monkeypatch, caplog):
+    results = []
+
+    def stalled(*args, **kwargs):
+        results.append(dataclasses.replace(bootstrap_se(*args, **kwargs), unconverged=3))
+        return results[-1]
+
+    monkeypatch.setattr(pipeline, "bootstrap_se", stalled)
+    categories = ("linguistic_style", "negative_sentiment")
+    with caplog.at_level(logging.WARNING, logger="tonefx"):
+        report = run_pipeline(_config(
+            tmp_path, bootstrap_replicates=8, reply_types=("nasty_nice",), category_types=categories,
+        ))
+    cells = [f"(nasty_nice, {c}, {v.value})" for c in categories for v in ConfounderVariant]
+    # one line per cell, naming it, logged by the run in task order
+    assert [r.getMessage() for r in caplog.records if "propensity refits" in r.getMessage()] == [
+        f"cell {cell}: 3 of {8 - result.skipped} bootstrap propensity refits ended "
+        "unconverged (failed line search or iteration cap)"
+        for cell, result in zip(cells, results, strict=True)
+    ]
+    assert not [w for w in report.warnings if "propensity" in w]
 
 
 def test_pipeline_surfaces_load_warnings(full_run):
@@ -292,16 +316,17 @@ def _record_theta_batches(monkeypatch) -> list:
     """Record each infer_theta_batch call of the pipeline as (model, counts, label),
     where the label names the debate topic whose model the call got."""
     calls = []
-    labels: dict[int, str] = {}
     fit_topic_models = pipeline.fit_topic_models
 
     def named(*args, **kwargs):
-        models = fit_topic_models(*args, **kwargs)
-        labels.update((id(model), f"debate topic {topic!r}") for topic, model in models.items())
-        return models
+        start = len(calls)
+        models, thetas = fit_topic_models(*args, **kwargs)
+        labels = {id(model): f"debate topic {topic!r}" for topic, model in models.items()}
+        calls[start:] = [(model, counts, labels[id(model)]) for model, counts, _ in calls[start:]]
+        return models, thetas
 
     def recorded(model, counts, *args, **kwargs):
-        calls.append((model, counts.toarray(), labels[id(model)]))
+        calls.append((model, counts.toarray(), None))
         return infer_theta_batch(model, counts, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "fit_topic_models", named)
@@ -497,6 +522,71 @@ def test_theta_cache_off_reads_and_writes_no_entry(tmp_path, monkeypatch):
     assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
 
 
+def _out_files(out: Path) -> dict[str, bytes]:
+    """Every file under a run's out_dir, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("kept", [(), ("lda",), ("theta",), ("lda", "theta")])
+def test_rerun_from_any_cache_state_matches_a_cold_run(tmp_path, monkeypatch, full_run, kept):
+    _, cold = full_run
+    cold_files = _out_files(cold)
+    out = tmp_path / "out"
+    (out / "cache").mkdir(parents=True)
+    for kind in kept:
+        for entry in (cold / "cache").glob(f"{kind}-*"):
+            (out / "cache" / entry.name).write_bytes(entry.read_bytes())
+    fits, inferences = [], []
+    for name, calls in (("fit_lda", fits), ("infer_theta_batch", inferences)):
+        def counted(*args, _call=getattr(pipeline, name), _calls=calls, **kwargs):
+            _calls.append(args)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(pipeline, name, counted)
+    run_pipeline(_config(out))
+    # each debate topic fits where its lda-* entry is missing, infers where its theta-* is
+    assert len(fits) == (0 if "lda" in kept else 2)
+    assert len(inferences) == (0 if "theta" in kept else 2)
+    assert _out_files(out) == cold_files
+
+
+def _theta_entry_names(tmp_path, monkeypatch, change: str) -> list[str]:
+    """The theta-* entry of evolution's first ten posts, after one change to its inputs."""
+    posts = load_posts(POSTS)
+    batch = [post for post in posts if post.debate_topic == "evolution"][:10]
+    overrides = dict(lda_max_iters=5, bootstrap_replicates=20)
+    if change == "model":
+        overrides["lda_max_iters"] = 6
+    elif change == "ids":
+        batch[0] = [post for post in posts if post.debate_topic == "evolution"][10]
+    elif change == "texts":
+        batch[0] = dataclasses.replace(batch[0], text=batch[0].text + " again")
+    elif change == "order":
+        batch = batch[::-1]
+    elif change in ("_THETA_MAX_ITERS", "_THETA_TOL"):
+        monkeypatch.setattr(topics, change, getattr(topics, change) * 2)
+    elif change in ("bootstrap_replicates", "folds"):
+        overrides[change] = 7
+    out = tmp_path / change
+    pipeline.fit_topic_models(
+        _config(out, **overrides), posts, ["evolution"], pipeline.token_table(posts),
+        {"evolution": batch},
+    )
+    return [p.name for p in (out / "cache").glob("theta-*")]
+
+
+def test_theta_entry_name_follows_the_model_entry_the_batch_and_the_sweep_settings(
+    tmp_path, monkeypatch
+):
+    (base,) = _theta_entry_names(tmp_path, monkeypatch, "none")
+    assert base.startswith("theta-evolution-")
+    for change in ("model", "ids", "texts", "order", "_THETA_MAX_ITERS", "_THETA_TOL"):
+        with monkeypatch.context() as patch:
+            assert _theta_entry_names(tmp_path, patch, change) != [base], change
+    # settings that theta inference does not read leave the name as it is
+    for change in ("bootstrap_replicates", "folds"):
+        assert _theta_entry_names(tmp_path, monkeypatch, change) == [base], change
+
+
 def test_pipeline_warns_once_per_debate_topic_on_unconverged_topic_model(tmp_path, caplog):
     config = _config(tmp_path, lda_max_iters=2, reply_types=("nasty_nice",),
                      category_types=("linguistic_style",))
@@ -545,7 +635,7 @@ def test_largest_seed_is_written_and_read_back(tmp_path, caplog):
     for cache in ("miss", "hit"):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
-            models = pipeline.fit_topic_models(
+            models, _ = pipeline.fit_topic_models(
                 config, posts, posts.debate_topics, pipeline.token_table(posts)
             )
         assert not [r for r in caplog.records if "cache entry" in r.getMessage()], cache
@@ -594,7 +684,7 @@ def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     config = _config(tmp_path / "out", posts_path=str(posts_path))
     posts = load_posts(posts_path)
     assert posts.debate_topics == ["Gun-Control", "gun control"]
-    models = pipeline.fit_topic_models(
+    models, _ = pipeline.fit_topic_models(
         config, posts, posts.debate_topics, pipeline.token_table(posts)
     )
     models_dir = tmp_path / "out" / "models"
@@ -797,6 +887,16 @@ def test_pipeline_stage_error_names_the_stage_and_carries_the_warnings(tmp_path,
     assert not (tmp_path / "report.json").exists()
 
 
+def test_theta_fault_fails_the_topics_stage(tmp_path, monkeypatch):
+    # theta batches are inferred beside their topic models
+    def broken(*args, **kwargs):
+        raise TopicModelError("theta went wrong")
+
+    monkeypatch.setattr(pipeline, "infer_theta_batch", broken)
+    with pytest.raises(PipelineError, match="^stage 'topics': theta went wrong$"):
+        run_pipeline(_config(tmp_path))
+
+
 # -------------------------------------------------------------- BLAS threads
 
 BLAS_CALLS = pipeline._blas_thread_calls()
@@ -975,8 +1075,8 @@ def test_topic_threads_match_one_worker_byte_for_byte(
         config = _config(tmp_path / f"workers{workers}", bootstrap_replicates=20, **paths)
         # a miss fits and infers every debate topic, a warm rerun reads them all
         runs[workers] = [_run_and_collect(config, caplog) for _ in ("miss", "hit")]
-        # one thread for the fits and one for the theta batches of the miss
-        assert len(started) == (2 if workers == 2 else 0)
+        # one thread for the kernels of the miss, each fitting and inferring one topic
+        assert len(started) == (1 if workers == 2 else 0)
     assert runs[2] == runs[1]
     (files, logs), _ = runs[2]
     assert "report.json" in files
@@ -1611,8 +1711,12 @@ def test_cli_report_formats(tmp_path, capsys):
         ("estimator", "median"),
         ("estimates", 5),
         ("psi", "large"),
+        ("warnings", "abc"),
     ],
-    ids=["empty-cv-entry", "unknown-estimator", "estimates-not-a-list", "psi-not-a-number"],
+    ids=[
+        "empty-cv-entry", "unknown-estimator", "estimates-not-a-list", "psi-not-a-number",
+        "warnings-not-a-list",
+    ],
 )
 def test_cli_report_on_malformed_document_is_usage_error(tmp_path, field, value):
     estimate = {
@@ -1620,7 +1724,10 @@ def test_cli_report_on_malformed_document_is_usage_error(tmp_path, field, value)
         "reply_type": "nasty_nice", "category_type": "linguistic_style",
         "aipw_variant": None, "confounder_variant": "full",
     }
-    document = {"format": "tonefx-report", "version": "1.0", "cv": [], "estimates": [estimate]}
+    document = {
+        "format": "tonefx-report", "version": "1.0", "cv": [], "estimates": [estimate],
+        "warnings": [],
+    }
     if field in document:
         document[field] = value
     else:

@@ -124,6 +124,9 @@ def _mistyped_field_cases():
         pytest.param({"lexicon_path": 0}, "^lexicon_path must be a str", id="lexicon-0"),
         pytest.param({"lexicon_path": []}, "^lexicon_path must be a str", id="lexicon-list"),
         pytest.param({"grouping_path": {}}, "^grouping_path must be a str", id="grouping-dict"),
+        # every cell's outcome design is rank deficient without a ridge
+        pytest.param({"outcome_ridge": 0.0}, "^outcome_ridge must be positive, got 0.0$",
+                     id="outcome-ridge-0"),
     ],
 )
 def test_config_validation_rejects(overrides, message):
@@ -254,6 +257,29 @@ def test_parse_report_rejects_mistyped_values(block, field, value):
     document = json.loads(render_report(_sample_report()))
     document[block][0][field] = value
     with pytest.raises(ReportError, match=f"malformed report entry: .*{field}"):
+        parse_report(json.dumps(document))
+
+
+@pytest.mark.parametrize(
+    "block,value,shape",
+    [
+        ("warnings", "abc", "a list of strings"),
+        ("warnings", [1], "a list of strings"),
+        ("failed_cells", "(a, b, c)", "a list of strings"),
+        ("failed_cells", [None], "a list of strings"),
+        ("topics", [], "an object of lists of lists of strings"),
+        ("topics", {"evolution": ["a"]}, "an object of lists of lists of strings"),
+        ("topics", {"evolution": [[1]]}, "an object of lists of lists of strings"),
+        ("triple_counts", {"nasty_nice": 48}, "an object of objects"),
+        ("triple_counts", [], "an object of objects"),
+        ("config", [], "an object"),
+    ],
+)
+def test_parse_report_rejects_misshapen_blocks(block, value, shape):
+    # a string of warnings would otherwise render one warning per character
+    document = json.loads(render_report(_sample_report()))
+    document[block] = value
+    with pytest.raises(ReportError, match=f"^malformed report entry: '{block}' must be {shape}$"):
         parse_report(json.dumps(document))
 
 

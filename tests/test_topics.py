@@ -31,7 +31,6 @@ from tonefx.topics import (
     save_model,
     save_theta,
     split_words,
-    theta_digest,
     top_words,
 )
 
@@ -736,19 +735,6 @@ def test_theta_entries_read_back_bit_for_bit(tmp_path):
         path.write_text(text)
         with pytest.raises(ModelFileError, match=f"^theta.json: .*{re.escape(message)}"):
             load_theta(path, post_ids, 12)
-
-
-def test_theta_digest_covers_the_model_and_the_sweep_settings(monkeypatch):
-    model, _ = _staggered_batch()
-    digest = theta_digest(model)
-    beta = model.beta.copy()
-    beta[0, :2] = beta[0, 1::-1]
-    assert theta_digest(LdaModel(
-        k=model.k, beta=beta, alpha_prior=model.alpha_prior, gamma_prior=model.gamma_prior,
-        elbo_trace=(), seed=0, vocabulary=model.vocabulary,
-    )) != digest
-    monkeypatch.setattr(topics, "_THETA_TOL", 1e-7)
-    assert theta_digest(model) != digest
 
 
 def test_lda_model_validates_beta():
