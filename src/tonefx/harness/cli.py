@@ -36,7 +36,7 @@ from ..inference import InferenceError
 from ..lexicon import LexiconError
 from ..topics import ModelFileError, TopicModelError, load_model, top_words
 from .config import ConfigError, PipelineConfig, config_from_dict, load_config
-from .pipeline import PipelineError, fit_topic_models, load_warnings, run_pipeline, token_table
+from .pipeline import PipelineError, PostForms, fit_topic_models, load_warnings, run_pipeline
 from .records import read_input
 from .report import ReportError, RunReport, parse_report, render_report, triple_summary
 from .synthetic import CorpusWorld, SyntheticError, generate_corpus
@@ -189,7 +189,7 @@ def _cmd_fit_topics(args: argparse.Namespace) -> int:
     config = _build_config(args)
     posts = load_posts(config.posts_path)
     _print_stderr(load_warnings(posts, None))
-    models, _ = fit_topic_models(config, posts, posts.debate_topics, token_table(posts))
+    models, _ = fit_topic_models(config, posts, posts.debate_topics, PostForms(posts))
     for debate_topic, model in sorted(models.items()):
         print(
             f"{debate_topic}: k={model.k}, vocabulary={len(model.vocabulary)}, "
@@ -259,14 +259,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         data = read_input(args.report)
     except ValueError as exc:
         raise ReportError(f"report: {exc}") from exc
-    report = parse_report(data)
-    try:
-        rendered = render_report(report, args.format)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # parse_report checks the type of every value; one that a rendering
-        # cannot take, such as an unknown category_type in a table, fails here
-        raise ReportError(f"malformed report entry: {exc}") from exc
-    print(rendered, end="")
+    print(render_report(parse_report(data), args.format), end="")
     return EXIT_OK
 
 

@@ -21,13 +21,16 @@ out_dir/cache is always safe, as the next run writes the same report
 bytes.  Each model is also published as a byte copy of its cache entry
 under out_dir/models (with the cache off, it is serialized there).
 
-Each post's tokens and its category row are computed at most once per
-run, on first use, and shared by the topics, outcomes and confounders
-stages; with cached topic models, posts outside the triples are never
-tokenized, and with cached theta batches too, no post is.  Each run
-creates its own tokenizer and loads its own lexicon; they memoize each
-distinct token form, so a form is lemmatized and categorized once per
-run, and no memo outlives its run.  Likewise each p1 and p2 post's
+Each post is split into its raw word forms at most once per run, on
+first use, and kept as an array of interned form ids that the topics,
+outcomes and confounders stages share (``PostForms``).  A topic model
+that misses the cache counts its debate topic's posts once, and its
+theta batch is a row slice of those counts; each p1 and p3 post's
+category row comes from its form counts.  A warm run, whose topic
+models and theta batches are all cached, splits only the p1 and p3
+posts.  Each run creates its own form table, tokenizer and lexicon;
+each distinct form is lemmatized and categorized at most once per run,
+and no memo outlives its run.  Likewise each p1 and p2 post's
 topic proportions are inferred, or read from the cache, once per run,
 in one batch per debate topic across all reply types, and each
 confounder matrix is a lookup in these per-post tables.
@@ -57,6 +60,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -74,6 +78,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .. import topics
 from ..corpus import (
@@ -101,19 +106,24 @@ from ..inference import (
     cross_validate,
 )
 from ..lexicon import (
+    CategoryLexicon,
+    CategoryTypeGrouping,
     LexiconError,
     compute_outcome,
     load_lexicon,
-    vectorize_post,
+    vectorize_forms,
 )
 from ..topics import (
     TOKENIZER_DIGEST,
     DocumentTermMatrix,
+    FormIndex,
     LdaModel,
+    TermCounts,
     Tokenizer,
     TopicModelError,
     build_dtm,
     build_vocabulary,
+    count_terms,
     elbo_converged,
     fit_lda,
     infer_theta_batch,
@@ -291,26 +301,46 @@ def _cache_entry(
     return path, None
 
 
-class PostFeatures(dict):
-    """Per-post values keyed by post id, each computed from the post text on first lookup."""
+class PostForms(dict):
+    """Each post's ``split_words`` forms as an array of interned form ids, keyed
+    by post id; a post's text is split on its first lookup, and only then.
 
-    def __init__(self, posts: PostCollection, featurize: Callable[[str], object]):
+    ``forms`` gives each distinct form of the run its id, in first-seen
+    order.  ``term_counts`` normalizes each form with the table's tokenizer
+    the first time a topic count needs it, so a form is lemmatized once
+    per table, and ``category_rows`` categorizes it with the run's lexicon.
+    """
+
+    def __init__(self, posts: PostCollection):
         super().__init__()
         self._posts = posts
-        self._featurize = featurize
+        self.forms = FormIndex()
+        self._tokenizer = Tokenizer()
+        # term -> term id, and the term id of each form normalized so far (-1: stop word)
+        self._terms: dict[str, int] = {}
+        self._form_terms = np.empty(0, dtype=np.int32)
 
-    def __missing__(self, post_id: str):
-        value = self[post_id] = self._featurize(self._posts.get(post_id).text)
-        return value
+    def __missing__(self, post_id: str) -> np.ndarray:
+        ids = self[post_id] = self.forms.split(self._posts.get(post_id).text)
+        return ids
 
+    def term_counts(self, post_ids: Sequence[str]) -> TermCounts:
+        """The topic-model term counts of the given posts, in order."""
+        docs = [self[post_id] for post_id in post_ids]
+        new = list(itertools.islice(self.forms, len(self._form_terms), None))
+        if new:
+            terms = self._terms
+            tokens = map(self._tokenizer.token, new)
+            ids = [terms.setdefault(token, len(terms)) if token else -1 for token in tokens]
+            self._form_terms = np.concatenate((self._form_terms, np.array(ids, dtype=np.int32)))
+        return count_terms(docs, list(self._terms), self._form_terms)
 
-def token_table(posts: PostCollection) -> PostFeatures:
-    """The tokens of each post, tokenized on first lookup.
-
-    Each table has its own tokenizer, whose raw-form memo lives as long
-    as the table, so all lists share one string per raw form.
-    """
-    return PostFeatures(posts, Tokenizer())
+    def category_rows(
+        self, lexicon: CategoryLexicon, grouping: CategoryTypeGrouping, post_ids: Sequence[str]
+    ) -> dict[str, np.ndarray]:
+        """The category row of each given post, by post id."""
+        rows = vectorize_forms(lexicon, grouping, [self[i] for i in post_ids], list(self.forms))
+        return dict(zip(post_ids, rows))
 
 
 # a kernel with this many multiply-adds per sweep (rows x terms x k) is
@@ -377,20 +407,29 @@ def _run_kernels(kernels: Sequence[Callable[[], T]], madds: Sequence[int]) -> li
     return results
 
 
+def _topic_counts(
+    config: PipelineConfig, forms: PostForms, subset: Sequence[Post]
+) -> DocumentTermMatrix:
+    """The count matrix of one debate topic's posts over the vocabulary they give."""
+    counted = forms.term_counts([post.id for post in subset])
+    vocabulary = build_vocabulary(counted, min_df=config.min_df, max_df=config.max_df)
+    return build_dtm(counted, vocabulary)
+
+
 def _topic_kernel(
     config: PipelineConfig, model: LdaModel | None, dtm: DocumentTermMatrix | None,
-    batch: DocumentTermMatrix | None,
+    batch: sparse.csr_matrix | None,
 ) -> tuple[LdaModel, tuple[np.ndarray, int] | None]:
     """Fit a model on ``dtm`` unless ``model`` is given, then infer the theta of
-    ``batch`` if given, with its count of rows that did not converge."""
+    the ``batch`` counts if given, with its count of rows that did not converge."""
     if model is None:
         model = fit_lda(
             dtm, k=config.k, seed=config.seed, max_iters=config.lda_max_iters, tol=config.lda_tol
         )
     if batch is None:
         return model, None
-    converged = np.empty(batch.n_docs, dtype=bool)
-    theta = infer_theta_batch(model, batch.counts, converged=converged)
+    converged = np.empty(batch.shape[0], dtype=bool)
+    theta = infer_theta_batch(model, batch, converged=converged)
     return model, (theta, int(np.count_nonzero(~converged)))
 
 
@@ -399,16 +438,18 @@ def fit_topic_models(
     config: PipelineConfig,
     posts: PostCollection,
     debate_topics: Sequence[str],
-    post_tokens: Mapping[str, Sequence[str]],
+    forms: PostForms,
     batches: Mapping[str, Sequence[Post]] | None = None,
 ) -> tuple[dict[str, LdaModel], dict[str, np.ndarray]]:
     """Fit or read one topic model per debate topic of ``debate_topics``, and infer
     or read the theta rows of each post of ``batches``, one batch per debate topic.
 
     Per debate topic, the model's cache entry is read, then the batch's;
-    only what is missing reads ``post_tokens``.  One kernel per debate
-    topic fits its missing model, then infers its missing batch, all in
-    one ``_run_kernels`` call; everything else, logging included, runs on
+    only what is missing is counted from ``forms``.  A missing model
+    counts the topic's posts once, and its batch is a row slice of those
+    counts; a cached model's batch is counted against its vocabulary.
+    One kernel per debate topic fits its missing model, then infers its
+    missing batch, all in one ``_run_kernels`` call; everything else, logging included, runs on
     the calling thread in the order of ``debate_topics``.  Each model is
     also published under out_dir/models, as a copy of its cache entry
     when the cache is on, named by the slug of its debate topic; where
@@ -459,9 +500,8 @@ def fit_topic_models(
         if model is not None:
             logger.info("topic model for %r loaded from cache", debate_topic)
         else:
-            token_lists = [post_tokens[post.id] for post in subset]
-            vocabulary = build_vocabulary(token_lists, min_df=config.min_df, max_df=config.max_df)
-            dtm = build_dtm(token_lists, vocabulary)
+            dtm = _topic_counts(config, forms, subset)
+            vocabulary = dtm.vocabulary
             if dtm.zero_rows:
                 logger.warning(
                     "debate topic %r: %d of %d posts have no in-vocabulary tokens",
@@ -473,13 +513,18 @@ def fit_topic_models(
                     debate_topic, config.k, len(vocabulary),
                 )
         if batch is not None and theta is None:
-            vocabulary = model.vocabulary if dtm is None else dtm.vocabulary
-            counts = build_dtm([post_tokens[p.id] for p in batch], vocabulary)
-        sizes = [math.prod(m.counts.shape) for m in (dtm, counts) if m is not None]
-        if sizes:
+            rows = {post.id: i for i, post in enumerate(subset)}
+            if dtm is not None and all(post.id in rows for post in batch):
+                # the fit's counts hold every row of the batch
+                counts = dtm.counts[[rows[post.id] for post in batch]]
+            else:
+                counted = forms.term_counts([post.id for post in batch])
+                counts = build_dtm(counted, (model or dtm).vocabulary).counts
+        parts = [m for m in (None if dtm is None else dtm.counts, counts) if m is not None]
+        if parts:
             kernels[debate_topic] = functools.partial(_topic_kernel, config, model, dtm, counts)
             # a kernel is as large as its larger part
-            madds.append(max(sizes) * config.k)
+            madds.append(max(math.prod(m.shape) for m in parts) * config.k)
     done = dict(zip(kernels, _run_kernels(list(kernels.values()), madds)))
     models: dict[str, LdaModel] = {}
     thetas: dict[str, np.ndarray] = {}
@@ -621,8 +666,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         warnings += load_warnings(None, annotations)
         lexicon, grouping = load_lexicon(config.lexicon_path, config.grouping_path)
         out_dir.mkdir(parents=True, exist_ok=True)
-        post_tokens = token_table(posts)
-        category_rows = PostFeatures(posts, lambda text: vectorize_post(lexicon, grouping, text))
+        forms = PostForms(posts)
 
     with _stage("triples", timings, warnings):
         triples_by_reply: dict[str, list[Triple]] = {}
@@ -646,7 +690,7 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
             batch.update((post.id, post) for post in (triple.p1, triple.p2))
         # a debate topic without triples feeds no confounder, so it is not fitted
         models, thetas = fit_topic_models(
-            config, posts, sorted({t.debate_topic for t in all_triples}), post_tokens,
+            config, posts, sorted({t.debate_topic for t in all_triples}), forms,
             {topic: list(batch.values()) for topic, batch in batches.items()},
         )
 
@@ -657,6 +701,10 @@ def run_pipeline(config: PipelineConfig, run_estimates: bool = True) -> RunRepor
         category_types = list(config.category_types)
         if config.cv_category_type not in category_types:
             category_types.append(config.cv_category_type)
+        # each distinct p1 and p3, first seen over the reply types
+        category_rows = forms.category_rows(lexicon, grouping, list(dict.fromkeys(
+            post.id for triple in all_triples for post in (triple.p1, triple.p3)
+        )))
         for reply_value, triples in triples_by_reply.items():
             p1_rows = np.array([category_rows[triple.p1.id] for triple in triples])
             p3_rows = np.array([category_rows[triple.p3.id] for triple in triples])

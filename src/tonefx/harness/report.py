@@ -43,6 +43,9 @@ CATEGORY_LABELS = {
 }
 
 
+_CATEGORY_VALUES = tuple(ctype.value for ctype in CategoryType)
+
+
 class ReportError(ValueError):
     """Malformed or unsupported report document."""
 
@@ -128,8 +131,9 @@ _BLOCKS: dict[str, tuple[Callable[[Any], bool], str]] = {
 def parse_report(text: bytes | str) -> RunReport:
     """Rebuild a RunReport from its structured rendering, as UTF-8 bytes or text.
 
-    Every cv and estimates value is checked against its field's type, and
-    every other block against its shape; a fault raises a ReportError.
+    Every cv and estimates value is checked against its field's type, a
+    category_type also against ``CategoryType``, and every other block
+    against its shape; a fault raises a ReportError.
     """
     try:
         document = decode_json(text)
@@ -141,6 +145,12 @@ def parse_report(text: bytes | str) -> RunReport:
                       for entry in _entries(document, "cv")]
         estimates = [AteEstimate(**record_values(AteEstimate, entry))
                      for entry in _entries(document, "estimates")]
+        for entry in (*cv_reports, *estimates):
+            if entry.category_type is not None and entry.category_type not in _CATEGORY_VALUES:
+                raise ValueError(
+                    f"category_type must be one of {', '.join(_CATEGORY_VALUES)} or null, "
+                    f"got {entry.category_type!r}"
+                )
         for key, (check, shape) in _BLOCKS.items():
             if key in document and not check(document[key]):
                 raise TypeError(f"{key!r} must be {shape}")

@@ -39,9 +39,9 @@ from ..lexicon import (
     default_grouping_path,
     default_lexicon_path,
     load_lexicon,
-    vectorize_post,
+    vectorize_forms,
 )
-from ..topics import Tokenizer
+from ..topics import FormIndex, Tokenizer
 
 
 class SyntheticError(ValueError):
@@ -258,9 +258,9 @@ def generate_corpus(
     stance_direction = np.linspace(-1.0, 1.0, world.n_topics)
     posts: list[Post] = []
     annotations: list[QuoteResponseAnnotation] = []
-    # category rows of each text1 and of both potential text3 arms
-    rows1: list[np.ndarray] = []
-    rows3: dict[int, list[np.ndarray]] = {0: [], 1: []}
+    # each text1 and both potential text3 arms, for their category rows
+    texts1: list[str] = []
+    texts3: dict[int, list[str]] = {0: [], 1: []}
     n_treated = 0
     for i in range(n_triples):
         debate_topic = world.debate_topics[i % len(world.debate_topics)]
@@ -303,17 +303,17 @@ def generate_corpus(
                 mean_score=3.0 if treated else -3.0,
             )
         )
-        rows1.append(vectorize_post(lexicon, grouping, text1))
+        texts1.append(text1)
         for t in (0, 1):
-            rows3[t].append(vectorize_post(lexicon, grouping, text3[t]))
+            texts3[t].append(text3[t])
 
-    p1_rows = np.array(rows1)
+    forms = FormIndex()
+    docs = [forms.split(text) for text in (*texts1, *texts3[0], *texts3[1])]
+    p1_rows, *p3_rows = np.split(vectorize_forms(lexicon, grouping, docs, list(forms)), 3)
     true_ate: dict[str, float] = {}
     for ctype in CategoryType:
         columns = grouping.columns(ctype)
-        y0, y1 = (
-            compute_outcome(p1_rows[:, columns], np.array(rows3[t])[:, columns]) for t in (0, 1)
-        )
+        y0, y1 = (compute_outcome(p1_rows[:, columns], p3_rows[t][:, columns]) for t in (0, 1))
         true_ate[ctype.value] = float(np.mean(y1 - y0))
 
     write_records(posts, out_dir / "posts.jsonl")

@@ -35,16 +35,16 @@ it is built.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .harness.records import decode_text, read_input
-from .topics import split_words
+from .topics import FormIndex, count_terms
 
 
 class LexiconError(ValueError):
@@ -63,7 +63,7 @@ class CategoryLexicon:
 
     exact: Mapping[str, frozenset[str]]
     prefixes: Mapping[str, frozenset[str]]
-    # token form -> its categories, filled by vectorize_post
+    # token form -> its categories, filled by vectorize_forms
     _forms: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
@@ -215,6 +215,47 @@ def categorize_token(lexicon: CategoryLexicon, token: str) -> frozenset[str]:
     return frozenset(cats) if cats else _NO_CATEGORIES
 
 
+def vectorize_forms(
+    lexicon: CategoryLexicon,
+    grouping: CategoryTypeGrouping,
+    docs: Sequence[np.ndarray],
+    forms: Sequence[str],
+) -> np.ndarray:
+    """Category rows of texts given as their ``split_words`` forms, one row per text.
+
+    Each text is an integer array of form ids, and ``forms[i]`` is the
+    form of id i.  A row is the text's form counts times a form x column
+    matrix, whose entry counts how often the form's categories list the
+    column, divided by the text's token count; every sum is of whole
+    numbers, so it is exact in any order.  Each distinct form is
+    categorized only the first time ``lexicon`` meets it.  A text with
+    zero tokens yields the zero row.
+    """
+    counted = count_terms(docs, forms)
+    # the forms that occur, and each entry's index among them
+    seen = np.zeros(len(forms), dtype=bool)
+    seen[counted.term] = True
+    present = np.flatnonzero(seen)
+    column = (np.cumsum(seen) - 1)[counted.term]
+    multiplicity = np.zeros((len(present), grouping.width))
+    memo, columns = lexicon._forms, grouping._columns
+    for i, form in enumerate(map(forms.__getitem__, present.tolist())):
+        cats = memo.get(form)
+        if cats is None:
+            cats = memo[form] = categorize_token(lexicon, form)
+        for cat in cats:
+            for col in columns.get(cat, ()):
+                multiplicity[i, col] += 1
+    indptr = np.zeros(len(docs) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(counted.doc, minlength=len(docs)), out=indptr[1:])
+    per_form = sparse.csr_matrix(
+        (counted.count.astype(float), column, indptr), shape=(len(docs), len(present))
+    )
+    rows = per_form @ multiplicity
+    lengths = np.array([len(doc) for doc in docs], dtype=float)[:, np.newaxis]
+    return np.divide(rows, lengths, out=rows, where=lengths > 0)
+
+
 def vectorize_post(
     lexicon: CategoryLexicon, grouping: CategoryTypeGrouping, text: str
 ) -> np.ndarray:
@@ -222,25 +263,10 @@ def vectorize_post(
 
     Tokens are the text's ``split_words`` forms, stop words and surface
     forms included, because style categories live in exactly those words.
-    Each distinct form is counted once and added to every column of its
-    categories; a form is categorized only the first time ``lexicon``
-    meets it.  A text with zero tokens yields the zero row.
+    The row is ``vectorize_forms`` of the text alone.
     """
-    forms = lexicon._forms
-    columns = grouping._columns
-    tokens = split_words(text)
-    counts = [0] * grouping.width
-    for form, count in Counter(tokens).items():
-        cats = forms.get(form)
-        if cats is None:
-            cats = forms[form] = categorize_token(lexicon, form)
-        for cat in cats:
-            for col in columns.get(cat, ()):
-                counts[col] += count
-    row = np.array(counts, dtype=float)
-    if tokens:
-        row /= len(tokens)
-    return row
+    forms = FormIndex()
+    return vectorize_forms(lexicon, grouping, [forms.split(text)], list(forms))[0]
 
 
 def compute_outcome(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,6 @@ import hashlib
 import json
 import logging
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -134,6 +133,23 @@ def split_words(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+class FormIndex(dict):
+    """Raw ``split_words`` forms and their ids, in first-seen order.
+
+    Looking up a form the index has not met gives it the next id, so
+    ``list(index)`` names every id.
+    """
+
+    def __missing__(self, form: str) -> int:
+        id_ = self[form] = len(self)
+        return id_
+
+    def split(self, text: str) -> np.ndarray:
+        """The ``split_words`` forms of a text as ids."""
+        words = split_words(text)
+        return np.fromiter(map(self.__getitem__, words), dtype=np.int32, count=len(words))
+
+
 @dataclass(frozen=True)
 class Tokenizer:
     """Text-to-token mapping of the topic models and confounders.
@@ -151,12 +167,16 @@ class Tokenizer:
         init=False, repr=False, compare=False, hash=False, default_factory=dict
     )
 
+    def token(self, raw: str) -> str:
+        """The token of one ``split_words`` form, or "" for a stop word."""
+        token = self._forms.get(raw)
+        if token is None:
+            token = "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
+            self._forms[raw] = token
+        return token
+
     def __call__(self, text: str) -> list[str]:
-        forms = self._forms
-        raws = split_words(text)
-        for raw in set(raws).difference(forms):
-            forms[raw] = "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
-        return list(filter(None, map(forms.__getitem__, raws)))
+        return list(filter(None, map(self.token, split_words(text))))
 
 
 @dataclass(eq=False)
@@ -182,39 +202,83 @@ class Vocabulary:
         return self._index
 
 
+@dataclass(eq=False)
+class TermCounts:
+    """Each post's distinct terms and how often it holds each, from one sort.
+
+    One entry per distinct (post, term id) pair, ordered by post, then by
+    term id: ``doc`` is the post's row, ``term`` the term id and
+    ``count`` its number of occurrences.  ``terms`` names every term id,
+    and ``n_docs`` counts the posts, those with no term included.
+    """
+
+    terms: Sequence[str]
+    n_docs: int
+    doc: np.ndarray
+    term: np.ndarray
+    count: np.ndarray
+
+
+def count_terms(
+    docs: Sequence[np.ndarray], terms: Sequence[str], term_of: np.ndarray | None = None
+) -> TermCounts:
+    """Count the term ids of each post, one integer array per post.
+
+    ``terms[i]`` names term id i, and a negative id is a dropped word.
+    With ``term_of``, the arrays hold ids into it, and ``term_of[id]`` is
+    the term id.  All posts are counted by one sort of their (post, term
+    id) keys, so no n x V array is ever built.
+    """
+    ids = np.concatenate(docs) if docs else np.empty(0, dtype=np.int32)
+    if term_of is not None:
+        ids = term_of[ids]
+    width = max(len(terms), 1)
+    # key = post * width + term id, in the narrowest type that holds them all
+    dtype = np.int32 if len(docs) * width < 2**31 else np.int64
+    keys = np.arange(0, len(docs) * width, width, dtype=dtype)
+    keys = np.repeat(keys, [len(doc) for doc in docs])
+    keys += ids
+    dropped = ids < 0
+    del ids
+    if dropped.any():
+        keys = keys[~dropped]
+    keys.sort()
+    # the first entry of each run of equal keys
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    count = np.diff(starts, append=len(keys))
+    doc, term = np.divmod(keys[starts], width)
+    return TermCounts(terms=terms, n_docs=len(docs), doc=doc, term=term, count=count)
+
+
 def build_vocabulary(
-    token_lists: Sequence[Sequence[str]],
+    counts: TermCounts,
     min_df: float = DEFAULT_MIN_DF,
     max_df: float = DEFAULT_MAX_DF,
 ) -> Vocabulary:
     """Collect terms whose document frequency lies strictly inside (min_df, max_df).
 
-    Each token list is one post.  Document frequency is the fraction of
-    posts containing the term at least once.  Both bounds are exclusive,
-    so terms at exactly min_df or max_df are dropped.  Terms are sorted,
-    which fixes column order everywhere downstream.
+    Document frequency is the fraction of the counted posts containing
+    the term at least once.  Both bounds are exclusive, so terms at
+    exactly min_df or max_df are dropped.  Terms are sorted, which fixes
+    column order everywhere downstream.
     """
     if not 0.0 <= min_df < max_df <= 1.0:
         raise TopicModelError(
             f"need 0 <= min_df < max_df <= 1, got min_df={min_df!r} max_df={max_df!r}"
         )
-    if len(token_lists) == 0:
+    if counts.n_docs == 0:
         raise TopicModelError("cannot build a vocabulary from zero posts")
-    doc_counts: dict[str, int] = {}
-    for toks in token_lists:
-        for term in set(toks):
-            doc_counts[term] = doc_counts.get(term, 0) + 1
-    n_docs = len(token_lists)
-    kept = sorted(
-        term for term, count in doc_counts.items() if min_df < count / n_docs < max_df
-    )
+    df = np.bincount(counts.term, minlength=len(counts.terms)) / counts.n_docs
+    terms = counts.terms
+    kept = sorted(np.flatnonzero((min_df < df) & (df < max_df)).tolist(), key=terms.__getitem__)
     if not kept:
         raise TopicModelError(
             f"no terms have document frequency strictly inside ({min_df:g}, {max_df:g}); "
             "adjust the thresholds for this corpus"
         )
-    df = np.array([doc_counts[term] / n_docs for term in kept], dtype=float)
-    return Vocabulary(terms=tuple(kept), document_frequency=df)
+    return Vocabulary(terms=tuple(terms[i] for i in kept), document_frequency=df[kept])
 
 
 @dataclass(eq=False)
@@ -240,38 +304,36 @@ class DocumentTermMatrix:
         return self.counts.shape[0]
 
 
-def build_dtm(
-    token_lists: Sequence[Sequence[str]], vocabulary: Vocabulary
-) -> DocumentTermMatrix:
-    """Count vocabulary terms per token list; out-of-vocabulary tokens are ignored.
+def build_dtm(counts: TermCounts, vocabulary: Vocabulary) -> DocumentTermMatrix:
+    """The counts of the vocabulary's terms per post; other terms are ignored.
 
-    Rows follow the input order and are named ``doc0``, ``doc1``, ...
-    Lists with no in-vocabulary tokens stay as zero rows and are flagged
-    in ``zero_rows`` rather than dropped.
+    Rows follow the counted posts' order and are named ``doc0``,
+    ``doc1``, ...  Posts with no vocabulary term stay as zero rows and are
+    flagged in ``zero_rows`` rather than dropped.
     """
     index = vocabulary.index
-    data: list[int] = []
-    indices: list[int] = []
-    indptr = [0]
-    for toks in token_lists:
-        row_counts: dict[int, int] = {}
-        for token, count in Counter(toks).items():
-            col = index.get(token)
-            if col is not None:
-                row_counts[col] = count
-        for col in sorted(row_counts):
-            indices.append(col)
-            data.append(row_counts[col])
-        indptr.append(len(indices))
-    counts = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64), np.asarray(indices, dtype=np.int32), indptr),
-        shape=(len(token_lists), len(vocabulary)),
+    columns = np.array([index.get(term, -1) for term in counts.terms], dtype=np.intp)
+    column = columns[counts.term]
+    kept = column >= 0
+    doc, column = counts.doc[kept], column[kept]
+    # within a post, term ids and columns sort differently
+    order = np.argsort(doc.astype(np.int64) * len(vocabulary) + column)
+    indptr = np.zeros(counts.n_docs + 1, dtype=np.intp)
+    np.cumsum(np.bincount(doc, minlength=counts.n_docs), out=indptr[1:])
+    matrix = sparse.csr_matrix(
+        (
+            counts.count[kept][order].astype(np.int64),
+            column[order].astype(np.int32),
+            indptr,
+        ),
+        shape=(counts.n_docs, len(vocabulary)),
     )
-    doc_ids = tuple(f"doc{i}" for i in range(len(token_lists)))
-    row_sums = np.asarray(counts.sum(axis=1)).ravel()
-    zero_rows = tuple(int(i) for i in np.flatnonzero(row_sums == 0))
+    zero_rows = tuple(np.flatnonzero(np.diff(indptr) == 0).tolist())
     return DocumentTermMatrix(
-        counts=counts, doc_ids=doc_ids, zero_rows=zero_rows, vocabulary=vocabulary
+        counts=matrix,
+        doc_ids=tuple(f"doc{i}" for i in range(counts.n_docs)),
+        zero_rows=zero_rows,
+        vocabulary=vocabulary,
     )
 
 

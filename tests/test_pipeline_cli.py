@@ -33,7 +33,6 @@ from tonefx.lexicon import CategoryType
 from tonefx.topics import (
     Tokenizer,
     TopicModelError,
-    build_dtm,
     infer_theta_batch,
     load_model,
     save_model,
@@ -253,31 +252,30 @@ def test_pipeline_cache_disabled(tmp_path):
 
 
 def _count_featurization(monkeypatch) -> tuple[Counter, Counter, Counter]:
-    """Count tokenizer calls per (tokenizer, text), vectorize_post calls per
-    text and categorize_token calls per token form."""
-    tokenized: Counter = Counter()
-    vectorized: Counter = Counter()
+    """Count split_words calls per text, lemmatize_token calls per form and
+    categorize_token calls per token form."""
+    split: Counter = Counter()
+    lemmatized: Counter = Counter()
     categorized: Counter = Counter()
-    tokenize, vectorize = Tokenizer.__call__, lexicon.vectorize_post
+    split_words_, lemmatize = topics.split_words, topics.lemmatize_token
     categorize = lexicon.categorize_token
 
-    def counting_tokenize(self, text):
-        tokenized[(self, text)] += 1
-        return tokenize(self, text)
+    def counting_split(text):
+        split[text] += 1
+        return split_words_(text)
 
-    def counting_vectorize(*args):
-        vectorized[args[2]] += 1  # (lexicon, grouping, text)
-        return vectorize(*args)
+    def counting_lemmatize(token, *args):
+        lemmatized[token] += 1
+        return lemmatize(token, *args)
 
     def counting_categorize(lexicon_, token):
         categorized[token] += 1
         return categorize(lexicon_, token)
 
-    monkeypatch.setattr(Tokenizer, "__call__", counting_tokenize)
-    for module in (lexicon, pipeline):
-        monkeypatch.setattr(module, "vectorize_post", counting_vectorize)
+    monkeypatch.setattr(topics, "split_words", counting_split)
+    monkeypatch.setattr(topics, "lemmatize_token", counting_lemmatize)
     monkeypatch.setattr(lexicon, "categorize_token", counting_categorize)
-    return tokenized, vectorized, categorized
+    return split, lemmatized, categorized
 
 
 def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
@@ -289,27 +287,28 @@ def test_pipeline_featurizes_each_post_once(tmp_path, monkeypatch):
         for reply_type in config.reply_types
         for triple in extract_triples(posts, annotations, reply_type)
     ]
-    tokenized, vectorized, categorized = _count_featurization(monkeypatch)
+    fitted = {t.debate_topic for t in triples}
+    row_texts = {t.p1.text for t in triples} | {t.p3.text for t in triples}
+    split, lemmatized, categorized = _count_featurization(monkeypatch)
     for cache in ("miss", "hit"):
-        tokenized.clear()
-        vectorized.clear()
+        split.clear()
+        lemmatized.clear()
         categorized.clear()
         run_pipeline(config)
-        assert max(tokenized.values(), default=1) == 1, cache
-        assert max(vectorized.values()) == 1, cache
-        assert set(vectorized) == {t.p1.text for t in triples} | {t.p3.text for t in triples}
+        # each text is split at most once per run
+        assert max(split.values()) == 1, cache
         # each run loads its own lexicon, which categorizes each surface form once
         assert max(categorized.values()) == 1, cache
-        assert set(categorized) == {
-            form for text in vectorized for form in split_words(text)
-        }
-        tokenized_texts = {text for _, text in tokenized}
+        assert set(categorized) == {form for text in row_texts for form in split_words(text)}
         if cache == "miss":
-            assert tokenized_texts == {post.text for post in posts}
+            assert set(split) == {post.text for post in posts if post.debate_topic in fitted}
+            assert max(lemmatized.values()) == 1
         else:
-            # neither the cached models nor the cached theta batches need tokens
-            assert tokenized_texts == set()
-            assert len(tokenized_texts) < len(posts)
+            # neither the cached models nor the cached theta batches need terms,
+            # so only the posts with category rows are split
+            assert set(split) == row_texts
+            assert len(split) < len(posts)
+            assert not lemmatized
 
 
 def _record_theta_batches(monkeypatch) -> list:
@@ -361,8 +360,13 @@ def test_pipeline_infers_each_post_once_per_run(tmp_path, monkeypatch):
     ]
     tokenize = Tokenizer()
     for (model, counts, _), (topic, post_ids) in zip(calls, sorted(expected.items())):
-        want = build_dtm([tokenize(posts.get(i).text) for i in post_ids], model.vocabulary)
-        np.testing.assert_array_equal(counts, want.counts.toarray())
+        index = model.vocabulary.index
+        want = np.zeros((len(post_ids), len(index)), dtype=np.int64)
+        for row, post_id in enumerate(post_ids):
+            for token in tokenize(posts.get(post_id).text):
+                if token in index:
+                    want[row, index[token]] += 1
+        np.testing.assert_array_equal(counts, want)
     # every full row is theta[p1], theta[p2] and the category row of p1
     full = [b for b in built if b[1] is ConfounderVariant.FULL]
     assert len(full) == 2 and len(built) == 4
@@ -440,7 +444,7 @@ def test_theta_cache_hit_matches_miss_bit_for_bit(tmp_path, monkeypatch):
 def test_theta_cache_hit_needs_no_tokens_and_no_inference(tmp_path, monkeypatch):
     config = _config(tmp_path)
     run_pipeline(config)
-    tokenized, _, _ = _count_featurization(monkeypatch)
+    _, lemmatized, _ = _count_featurization(monkeypatch)
 
     def not_called(*args, **kwargs):
         raise AssertionError("a full cache hit needs no counts")
@@ -448,7 +452,7 @@ def test_theta_cache_hit_needs_no_tokens_and_no_inference(tmp_path, monkeypatch)
     for name in ("build_dtm", "infer_theta_batch"):
         monkeypatch.setattr(pipeline, name, not_called)
     report = run_pipeline(config)
-    assert not tokenized
+    assert not lemmatized
     assert report.estimates and not report.failed_cells
 
 
@@ -568,7 +572,7 @@ def _theta_entry_names(tmp_path, monkeypatch, change: str) -> list[str]:
         overrides[change] = 7
     out = tmp_path / change
     pipeline.fit_topic_models(
-        _config(out, **overrides), posts, ["evolution"], pipeline.token_table(posts),
+        _config(out, **overrides), posts, ["evolution"], pipeline.PostForms(posts),
         {"evolution": batch},
     )
     return [p.name for p in (out / "cache").glob("theta-*")]
@@ -636,7 +640,7 @@ def test_largest_seed_is_written_and_read_back(tmp_path, caplog):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="tonefx.harness.pipeline"):
             models, _ = pipeline.fit_topic_models(
-                config, posts, posts.debate_topics, pipeline.token_table(posts)
+                config, posts, posts.debate_topics, pipeline.PostForms(posts)
             )
         assert not [r for r in caplog.records if "cache entry" in r.getMessage()], cache
         assert [model.seed for model in models.values()] == [2**63 - 1] * 2
@@ -685,7 +689,7 @@ def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     posts = load_posts(posts_path)
     assert posts.debate_topics == ["Gun-Control", "gun control"]
     models, _ = pipeline.fit_topic_models(
-        config, posts, posts.debate_topics, pipeline.token_table(posts)
+        config, posts, posts.debate_topics, pipeline.PostForms(posts)
     )
     models_dir = tmp_path / "out" / "models"
     entries = {p.read_bytes() for p in (tmp_path / "out" / "cache").glob("lda-gun-control-*")}
@@ -944,7 +948,7 @@ def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
     posts = load_posts(POSTS)
     pipeline.fit_topic_models(
         _config(tmp_path / "topics", use_cache=False), posts, posts.debate_topics,
-        pipeline.token_table(posts),
+        pipeline.PostForms(posts),
     )
     assert seen and {threads for _, threads in seen} == {1}
     assert two_blas_threads() == 2
@@ -1739,6 +1743,21 @@ def test_cli_report_on_malformed_document_is_usage_error(tmp_path, field, value)
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: malformed report entry: "), done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
+
+
+@pytest.mark.parametrize("fmt", ["structured", "table", "delimited"])
+def test_cli_report_rejects_unknown_category_type_in_every_format(tmp_path, capsys, fmt):
+    main(_estimate_args(tmp_path, "--reply-types", "nasty_nice",
+                        "--category-types", "linguistic_style"))
+    document = json.loads((tmp_path / "report.json").read_text())
+    document["estimates"][0]["category_type"] = "abc"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(path), "--format", fmt]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.startswith("error: malformed report entry: category_type must be one of "), err
 
 
 def test_cli_unknown_flag_exits_two():

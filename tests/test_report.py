@@ -249,6 +249,8 @@ def test_parse_report_rejects_foreign_documents():
         ("cv", "fold_count", "5"),
         ("cv", "skipped_folds", [1]),
         ("estimates", "aipw_variant", "robust"),
+        ("estimates", "category_type", "abc"),
+        ("cv", "category_type", "Linguistic_Style"),
     ],
 )
 def test_parse_report_rejects_mistyped_values(block, field, value):

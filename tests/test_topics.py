@@ -23,6 +23,7 @@ from tonefx.topics import (
     _dirichlet_expectation,
     build_dtm,
     build_vocabulary,
+    count_terms,
     fit_lda,
     infer_theta_batch,
     lemmatize_token,
@@ -154,25 +155,32 @@ DOCS = [
 ]
 
 
+def _counted(docs):
+    """The term counts of string token lists, each distinct token one term id."""
+    terms: dict[str, int] = {}
+    ids = [np.array([terms.setdefault(t, len(terms)) for t in doc], dtype=np.int32) for doc in docs]
+    return count_terms(ids, list(terms))
+
+
 def test_build_vocabulary_exclusive_bounds():
     # df: gun 3/5, crime 3/5, law 4/5, courts 3/5
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=0.8)
+    vocab = build_vocabulary(_counted(DOCS), min_df=0.0, max_df=0.8)
     assert vocab.terms == ("courts", "crime", "gun")  # law at exactly 0.8 dropped
-    vocab = build_vocabulary(DOCS, min_df=0.6, max_df=0.9)
+    vocab = build_vocabulary(_counted(DOCS), min_df=0.6, max_df=0.9)
     assert vocab.terms == ("law",)  # the 0.6 terms sit exactly on the bound
 
 
 def test_build_vocabulary_rejects_bad_inputs():
     with pytest.raises(TopicModelError, match="min_df"):
-        build_vocabulary(DOCS, min_df=0.5, max_df=0.5)
+        build_vocabulary(_counted(DOCS), min_df=0.5, max_df=0.5)
     with pytest.raises(TopicModelError, match="zero posts"):
-        build_vocabulary([])
+        build_vocabulary(_counted([]))
     with pytest.raises(TopicModelError, match="no terms"):
-        build_vocabulary(DOCS, min_df=0.99, max_df=1.0)
+        build_vocabulary(_counted(DOCS), min_df=0.99, max_df=1.0)
 
 
 def test_vocabulary_terms_sorted_and_unique():
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0)
+    vocab = build_vocabulary(_counted(DOCS), min_df=0.0, max_df=1.0)
     assert list(vocab.terms) == sorted(set(vocab.terms))
     assert vocab.index["courts"] == 0
     with pytest.raises(TopicModelError, match="unique"):
@@ -180,8 +188,9 @@ def test_vocabulary_terms_sorted_and_unique():
 
 
 def test_build_dtm_counts_and_zero_rows():
-    vocab = build_vocabulary(DOCS, min_df=0.0, max_df=1.0)
-    dtm = build_dtm(DOCS + [["nothing", "known", "here"]], vocab)
+    counted = _counted(DOCS + [["nothing", "known", "here"]])
+    vocab = build_vocabulary(_counted(DOCS), min_df=0.0, max_df=1.0)
+    dtm = build_dtm(counted, vocab)
     assert dtm.n_docs == 6 and dtm.counts.shape[1] == 4
     dense = dtm.counts.toarray()
     assert dense[0, vocab.index["gun"]] == 2
@@ -190,10 +199,19 @@ def test_build_dtm_counts_and_zero_rows():
     assert dense[5].sum() == 0
 
 
+def test_count_terms_skips_negative_ids():
+    docs = [np.array([1, -1, 1, 0]), np.array([-1]), np.array([], dtype=int)]
+    counted = count_terms(docs, ["a", "b"])
+    assert counted.n_docs == 3
+    assert (counted.doc.tolist(), counted.term.tolist(), counted.count.tolist()) == (
+        [0, 0], [0, 1], [1, 2],
+    )
+
+
 @given(st.lists(st.lists(st.sampled_from("abcdefg"), max_size=15), min_size=1, max_size=6))
 def test_build_dtm_matches_per_occurrence_count(docs):
     vocab = Vocabulary(terms=("a", "c", "e"), document_frequency=np.full(3, 0.5))
-    dense = build_dtm(docs, vocab).counts.toarray()
+    dense = build_dtm(_counted(docs), vocab).counts.toarray()
     expected = np.zeros((len(docs), 3), dtype=np.int64)
     for i, doc in enumerate(docs):
         for token in doc:
