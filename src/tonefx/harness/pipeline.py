@@ -28,7 +28,7 @@ that misses the cache counts its debate topic's posts once, and its
 theta batch is a row slice of those counts; each p1 and p3 post's
 category row comes from its form counts.  A warm run, whose topic
 models and theta batches are all cached, splits only the p1 and p3
-posts.  Each run creates its own form table, tokenizer and lexicon;
+posts.  Each run creates its own form table and lexicon;
 each distinct form is lemmatized and categorized at most once per run,
 and no memo outlives its run.  Likewise each p1 and p2 post's
 topic proportions are inferred, or read from the cache, once per run,
@@ -119,7 +119,6 @@ from ..topics import (
     FormIndex,
     LdaModel,
     TermCounts,
-    Tokenizer,
     TopicModelError,
     build_dtm,
     build_vocabulary,
@@ -130,6 +129,7 @@ from ..topics import (
     load_model,
     load_theta,
     log_unconverged_theta,
+    normalize_form,
     save_model,
     save_theta,
     top_words,
@@ -306,7 +306,7 @@ class PostForms(dict):
     by post id; a post's text is split on its first lookup, and only then.
 
     ``forms`` gives each distinct form of the run its id, in first-seen
-    order.  ``term_counts`` normalizes each form with the table's tokenizer
+    order.  ``term_counts`` normalizes each form with ``normalize_form``
     the first time a topic count needs it, so a form is lemmatized once
     per table, and ``category_rows`` categorizes it with the run's lexicon.
     """
@@ -315,7 +315,6 @@ class PostForms(dict):
         super().__init__()
         self._posts = posts
         self.forms = FormIndex()
-        self._tokenizer = Tokenizer()
         # term -> term id, and the term id of each form normalized so far (-1: stop word)
         self._terms: dict[str, int] = {}
         self._form_terms = np.empty(0, dtype=np.int32)
@@ -330,7 +329,7 @@ class PostForms(dict):
         new = list(itertools.islice(self.forms, len(self._form_terms), None))
         if new:
             terms = self._terms
-            tokens = map(self._tokenizer.token, new)
+            tokens = map(normalize_form, new)
             ids = [terms.setdefault(token, len(terms)) if token else -1 for token in tokens]
             self._form_terms = np.concatenate((self._form_terms, np.array(ids, dtype=np.int32)))
         return count_terms(docs, list(self._terms), self._form_terms)

@@ -17,6 +17,15 @@ from the positive sentiment categories of the shipped lexicon, and the
 reported per-category truths are sample averages of the two generated
 potential outcomes, so an estimate can be compared to truth without
 further simulation error.
+
+Each post is built as an array of word ids.  Its topic words are drawn
+per latent topic from that topic's cumulative word distribution, with
+the same draws from the generator that ``Generator.choice`` would make,
+and its signal words take the ids after the vocabulary's.  Only the
+posts written to the corpus are joined into text; the counterfactual
+p3 never is.  Every vocabulary and injection word is its own single
+``split_words`` form, so a post's ids are exactly the forms of its
+text, and the truth's category rows are counted from those ids.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from ..lexicon import (
     load_lexicon,
     vectorize_forms,
 )
-from ..topics import FormIndex, Tokenizer
+from ..topics import FormIndex, normalize_form, split_words
 
 
 class SyntheticError(ValueError):
@@ -122,8 +131,18 @@ class CorpusWorld:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise SyntheticError(f"{name} must be finite, got {value}")
-        if self.n_topics < 2 or self.vocab_size < self.n_topics:
-            raise SyntheticError("need n_topics >= 2 and vocab_size >= n_topics")
+        for name, least in (("n_topics", 2), ("vocab_size", self.n_topics), ("doc_length", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise SyntheticError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("mixture_concentration", "topic_concentration"):
+            if not getattr(self, name) > 0:
+                raise SyntheticError(f"{name} must be positive, got {getattr(self, name)}")
+        topics = self.debate_topics
+        if not topics or not all(isinstance(topic, str) and topic for topic in topics):
+            raise SyntheticError(f"debate_topics must be one or more nonempty names, got {topics!r}")
+        if len(set(topics)) != len(topics):
+            raise SyntheticError(f"debate_topics must be distinct, got {topics!r}")
         if self.baseline_drift + self.effect < 0:
             raise SyntheticError(
                 "baseline_drift must exceed |effect| so the rate gap keeps one sign"
@@ -163,8 +182,11 @@ def _synthetic_vocabulary(
     size: int, lexicon: CategoryLexicon, rng: np.random.Generator
 ) -> list[str]:
     """Deterministic nonsense words that survive tokenization unchanged
-    and match no lexicon category."""
-    tokenizer = Tokenizer()
+    and match no lexicon category.
+
+    A word of syllables splits to itself, so a candidate is kept when
+    ``normalize_form`` returns it unchanged.
+    """
     words: list[str] = []
     seen: set[str] = set()
     attempts = 0
@@ -177,7 +199,7 @@ def _synthetic_vocabulary(
         if word in seen:
             continue
         seen.add(word)
-        if tokenizer(word) != [word]:
+        if normalize_form(word) != word:
             continue
         if categorize_token(lexicon, word):
             continue
@@ -188,7 +210,11 @@ def _synthetic_vocabulary(
 def _injection_words(
     lexicon: CategoryLexicon, grouping: CategoryTypeGrouping, limit: int = 12
 ) -> list[str]:
-    """Exact lexicon entries that signal positive sentiment and nothing else."""
+    """Exact lexicon entries that signal positive sentiment and nothing else.
+
+    Each is its own single ``split_words`` form, so a composed post's
+    word ids are exactly the forms that splitting its text would give.
+    """
     positive = set(grouping.categories(CategoryType.POSITIVE_SENTIMENT))
     other = {
         c
@@ -198,7 +224,7 @@ def _injection_words(
     chosen = [
         word
         for word, cats in sorted(lexicon.exact.items())
-        if set(cats) & positive and not set(cats) & other
+        if set(cats) & positive and not set(cats) & other and split_words(word) == [word]
     ]
     if len(chosen) < 3:
         raise SyntheticError("lexicon offers too few pure positive sentiment words")
@@ -208,22 +234,32 @@ def _injection_words(
 def _compose(
     rng: np.random.Generator,
     theta: np.ndarray,
-    beta: np.ndarray,
-    vocab: list[str],
-    injection: list[str],
+    cdf: np.ndarray,
+    n_injection: int,
     length: int,
     rate: float,
-) -> str:
-    """One post body: topic words with signal words mixed in at ``rate``."""
+) -> np.ndarray:
+    """One post body as word ids: topic words with signal words mixed in at ``rate``.
+
+    Row z of ``cdf`` is latent topic z's cumulative word distribution,
+    normalized to end at 1; each of z's words is the first id whose
+    entry exceeds one uniform draw, which is how ``Generator.choice``
+    draws with ``p``, so a post takes the same draws from ``rng``.  The
+    ``n_injection`` signal words have the ids after the vocabulary's.
+    The caller joins only the posts it writes into text, and counts the
+    truth's category rows from the ids, which ``_injection_words`` and
+    ``_synthetic_vocabulary`` make the text's ``split_words`` forms.
+    """
     n_signal = int(rng.binomial(length, rate))
     per_topic = rng.multinomial(length - n_signal, theta)
-    tokens: list[str] = []
-    for z, count in enumerate(per_topic):
-        if count:
-            tokens += [vocab[j] for j in rng.choice(beta.shape[1], size=count, p=beta[z])]
-    tokens += [injection[i] for i in rng.integers(0, len(injection), size=n_signal)]
-    order = rng.permutation(len(tokens))
-    return " ".join(tokens[i] for i in order)
+    parts = [
+        cdf[z].searchsorted(rng.random(count), side="right")
+        for z, count in enumerate(per_topic)
+        if count
+    ]
+    parts.append(cdf.shape[1] + rng.integers(0, n_injection, size=n_signal))
+    ids = np.concatenate(parts)
+    return ids[rng.permutation(len(ids))]
 
 
 def generate_corpus(
@@ -235,7 +271,11 @@ def generate_corpus(
     """Write posts.jsonl, annotations.jsonl and truth.json under out_dir.
 
     Both potential versions of each p3 are generated; the factual one is
-    written to the corpus and both feed the reported sample truth.
+    written to the corpus and both feed the reported sample truth.  Each
+    post is built as an array of form ids, and only the written posts
+    are joined into text; the category rows behind the truth are counted
+    from the ids of p1 and both p3 versions, which are the forms that
+    splitting their texts would give.
     """
     if n_triples < 10:
         raise SyntheticError(f"need at least 10 triples, got {n_triples}")
@@ -247,25 +287,35 @@ def generate_corpus(
     rng = np.random.default_rng(seed)
     injection = _injection_words(lexicon, grouping)
 
-    vocab_by_topic = {}
-    beta_by_topic = {}
+    # per debate topic: its words' cumulative distributions, and the form id
+    # of each of its word ids (vocabulary, then injection words)
+    forms = FormIndex()
+    cdf_by_topic = {}
+    form_ids_by_topic = {}
     for debate_topic in world.debate_topics:
-        vocab_by_topic[debate_topic] = _synthetic_vocabulary(world.vocab_size, lexicon, rng)
-        beta_by_topic[debate_topic] = rng.dirichlet(
+        vocab = _synthetic_vocabulary(world.vocab_size, lexicon, rng)
+        beta = rng.dirichlet(
             np.full(world.vocab_size, world.topic_concentration), size=world.n_topics
         )
+        cdf = beta.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        cdf_by_topic[debate_topic] = cdf
+        form_ids_by_topic[debate_topic] = np.array(
+            [forms[word] for word in vocab + injection], dtype=np.int32
+        )
+    words = np.array(list(forms), dtype=object)
 
     stance_direction = np.linspace(-1.0, 1.0, world.n_topics)
     posts: list[Post] = []
     annotations: list[QuoteResponseAnnotation] = []
-    # each text1 and both potential text3 arms, for their category rows
-    texts1: list[str] = []
-    texts3: dict[int, list[str]] = {0: [], 1: []}
+    # the form ids of each p1 and of both potential p3 arms, for their category rows
+    docs1: list[np.ndarray] = []
+    docs3: dict[int, list[np.ndarray]] = {0: [], 1: []}
     n_treated = 0
     for i in range(n_triples):
         debate_topic = world.debate_topics[i % len(world.debate_topics)]
-        vocab = vocab_by_topic[debate_topic]
-        beta = beta_by_topic[debate_topic]
+        cdf = cdf_by_topic[debate_topic]
+        form_ids = form_ids_by_topic[debate_topic]
         theta = rng.dirichlet(np.full(world.n_topics, world.mixture_concentration))
         stance = float(theta @ stance_direction)
         lean = (stance + 1.0) / 2.0
@@ -277,23 +327,20 @@ def generate_corpus(
             t: world.baseline_drift + world.confounded_drift * lean + world.effect * t
             for t in (0, 1)
         }
-        text1 = _compose(rng, theta, beta, vocab, injection, world.doc_length, rate1)
-        text2 = _compose(rng, theta, beta, vocab, injection, world.doc_length, 0.0)
-        text3 = {
-            t: _compose(
-                rng, theta, beta, vocab, injection, world.doc_length, rate1 + gap[t]
-            )
-            for t in (0, 1)
-        }
+        doc1, doc2, doc3_0, doc3_1 = (
+            form_ids[_compose(rng, theta, cdf, len(injection), world.doc_length, rate)]
+            for rate in (rate1, 0.0, rate1 + gap[0], rate1 + gap[1])
+        )
+        text1, text2, text3 = (
+            " ".join(words[doc].tolist()) for doc in (doc1, doc2, (doc3_0, doc3_1)[treated])
+        )
 
         base = i * 3
         discussion = f"d{i:05d}"
         author1, author2 = f"u{2 * i}", f"u{2 * i + 1}"
         p1 = Post(f"p{base}", discussion, debate_topic, author1, 0, None, text1)
         p2 = Post(f"p{base + 1}", discussion, debate_topic, author2, 1, p1.id, text2)
-        p3 = Post(
-            f"p{base + 2}", discussion, debate_topic, author1, 2, p2.id, text3[treated]
-        )
+        p3 = Post(f"p{base + 2}", discussion, debate_topic, author1, 2, p2.id, text3)
         posts += [p1, p2, p3]
         annotations.append(
             QuoteResponseAnnotation(
@@ -303,12 +350,11 @@ def generate_corpus(
                 mean_score=3.0 if treated else -3.0,
             )
         )
-        texts1.append(text1)
-        for t in (0, 1):
-            texts3[t].append(text3[t])
+        docs1.append(doc1)
+        docs3[0].append(doc3_0)
+        docs3[1].append(doc3_1)
 
-    forms = FormIndex()
-    docs = [forms.split(text) for text in (*texts1, *texts3[0], *texts3[1])]
+    docs = [*docs1, *docs3[0], *docs3[1]]
     p1_rows, *p3_rows = np.split(vectorize_forms(lexicon, grouping, docs, list(forms)), 3)
     true_ate: dict[str, float] = {}
     for ctype in CategoryType:

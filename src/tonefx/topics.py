@@ -128,6 +128,15 @@ def lemmatize_token(token: str, exceptions: Mapping[str, str] | None = None) -> 
     return token
 
 
+def normalize_form(raw: str) -> str:
+    """The token of one ``split_words`` form, or "" for a stop word.
+
+    Stop words are the shipped list; every other form is lemmatized with
+    the shipped exception table.  Nothing is memoized here.
+    """
+    return "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
+
+
 def split_words(text: str) -> list[str]:
     """The lowercased alphabetic unigrams of a text, internal apostrophes allowed."""
     return _TOKEN_RE.findall(text.lower())
@@ -154,8 +163,8 @@ class FormIndex(dict):
 class Tokenizer:
     """Text-to-token mapping of the topic models and confounders.
 
-    Splits the text with ``split_words``, drops the shipped stop words
-    and lemmatizes the rest with the shipped exception table.
+    Splits the text with ``split_words`` and normalizes each form with
+    ``normalize_form``, dropping stop words.
     Each raw form is normalized once per tokenizer object and memoized,
     so every occurrence of a form yields the same string object.  A new
     tokenizer starts with an empty memo, so a caller that creates one per
@@ -171,8 +180,7 @@ class Tokenizer:
         """The token of one ``split_words`` form, or "" for a stop word."""
         token = self._forms.get(raw)
         if token is None:
-            token = "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
-            self._forms[raw] = token
+            token = self._forms[raw] = normalize_form(raw)
         return token
 
     def __call__(self, text: str) -> list[str]:

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import expit
 
 from tonefx.corpus import Post, QuoteResponseAnnotation, write_records
-from tonefx.harness.synthetic import CorpusWorld, generate_corpus
+from tonefx.harness.synthetic import CorpusWorld, SyntheticError, generate_corpus
 from tonefx.lexicon import (
     CategoryType,
     categorize_token,
@@ -158,3 +158,20 @@ def test_cdf_search_draws_as_choice(size):
             drawn = cdf[z].searchsorted(searched.random(count), side="right")
             np.testing.assert_array_equal(drawn, chosen.choice(size, size=count, p=beta[z]))
         assert searched.bit_generator.state == chosen.bit_generator.state
+
+
+@pytest.mark.parametrize("field,value", [
+    ("debate_topics", ()),
+    ("debate_topics", ("a", "a")),
+    ("debate_topics", ("a", "")),
+    ("doc_length", 0),
+    ("doc_length", -1),
+    ("topic_concentration", -1.0),
+    ("mixture_concentration", 0.0),
+    ("n_topics", 2.5),
+    ("n_topics", 1),
+    ("vocab_size", 5),
+])
+def test_world_rejects_settings_it_cannot_generate(field, value):
+    with pytest.raises(SyntheticError, match=f"^{field} "):
+        CorpusWorld(**{field: value})
