@@ -138,9 +138,13 @@ class CorpusWorld:
         for name in ("mixture_concentration", "topic_concentration"):
             if not getattr(self, name) > 0:
                 raise SyntheticError(f"{name} must be positive, got {getattr(self, name)}")
+        if not isinstance(self.reply_type, ReplyType):
+            raise SyntheticError(f"reply_type must be a ReplyType, got {self.reply_type!r}")
         topics = self.debate_topics
         if not topics or not all(isinstance(topic, str) and topic for topic in topics):
-            raise SyntheticError(f"debate_topics must be one or more nonempty names, got {topics!r}")
+            raise SyntheticError(
+                f"debate_topics must be one or more nonempty names, got {topics!r}"
+            )
         if len(set(topics)) != len(topics):
             raise SyntheticError(f"debate_topics must be distinct, got {topics!r}")
         if self.baseline_drift + self.effect < 0:
@@ -271,11 +275,7 @@ def generate_corpus(
     """Write posts.jsonl, annotations.jsonl and truth.json under out_dir.
 
     Both potential versions of each p3 are generated; the factual one is
-    written to the corpus and both feed the reported sample truth.  Each
-    post is built as an array of form ids, and only the written posts
-    are joined into text; the category rows behind the truth are counted
-    from the ids of p1 and both p3 versions, which are the forms that
-    splitting their texts would give.
+    written to the corpus and both feed the reported sample truth.
     """
     if n_triples < 10:
         raise SyntheticError(f"need at least 10 triples, got {n_triples}")

@@ -171,6 +171,7 @@ def test_cdf_search_draws_as_choice(size):
     ("n_topics", 2.5),
     ("n_topics", 1),
     ("vocab_size", 5),
+    ("reply_type", "nasty_nice"),
 ])
 def test_world_rejects_settings_it_cannot_generate(field, value):
     with pytest.raises(SyntheticError, match=f"^{field} "):
