@@ -7,8 +7,14 @@ import pytest
 from scipy.special import expit
 
 from tonefx.corpus import Post, QuoteResponseAnnotation, write_records
-from tonefx.harness.synthetic import CorpusWorld, SyntheticError, generate_corpus
+from tonefx.harness.synthetic import (
+    CorpusWorld,
+    SyntheticError,
+    _synthetic_vocabulary,
+    generate_corpus,
+)
 from tonefx.lexicon import (
+    CategoryLexicon,
     CategoryType,
     categorize_token,
     compute_outcome,
@@ -143,6 +149,54 @@ def test_corpus_bytes_match_reference(tmp_path, world, n_triples, seed):
         assert (tmp_path / "corpus" / name).read_bytes() == (
             tmp_path / "reference" / name
         ).read_bytes(), name
+
+
+@pytest.mark.parametrize("size", [5, 60, 2000])
+def test_vocabulary_matches_reference(size):
+    # same words and same generator state afterwards, so every later draw
+    # of a corpus stays the same too
+    lexicon, _ = load_lexicon(default_lexicon_path(), default_grouping_path())
+    for seed in range(5):
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _synthetic_vocabulary(size, lexicon, drawn) == _reference_vocabulary(
+            size, lexicon, reference
+        )
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+
+def test_vocabulary_gives_up_after_fifty_candidates_per_word():
+    # every syllable starts with one of these letters, so every candidate has a category
+    lexicon = CategoryLexicon(
+        exact={}, prefixes={c: frozenset({"posemo"}) for c in {s[0] for s in _SYLLABLES}}
+    )
+    rng, expected = np.random.default_rng(3), np.random.default_rng(3)
+    with pytest.raises(SyntheticError, match="could not generate enough clean vocabulary words"):
+        _synthetic_vocabulary(4, lexicon, rng)
+    for _ in range(50 * 4):
+        expected.integers(0, len(_SYLLABLES), size=3)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_vectorize_forms_same_after_vocabulary_check():
+    shipped, grouping = load_lexicon(default_lexicon_path(), default_grouping_path())
+
+    def lexicon():
+        # words starting "b" or "d" match, so the check also meets rejected words
+        prefixes = {**shipped.prefixes, "b": frozenset({"posemo"}), "d": frozenset({"negemo"})}
+        return CategoryLexicon(exact=shipped.exact, prefixes=prefixes)
+
+    checked, fresh = lexicon(), lexicon()
+    _synthetic_vocabulary(60, checked, np.random.default_rng(0))
+    # every candidate the check met, kept or rejected, and some it did not
+    syllables = np.random.default_rng(0).integers(0, len(_SYLLABLES), size=3 * 120)
+    candidates = ["".join(_SYLLABLES[i] for i in syllables[j : j + 3]) for j in range(0, 360, 3)]
+    forms = FormIndex()
+    texts = [" ".join(candidates[:60]) + " happy good i", "", " ".join(candidates[40:]), "sad"]
+    docs = [forms.split(text) for text in texts]
+    np.testing.assert_array_equal(
+        vectorize_forms(checked, grouping, docs, list(forms)),
+        vectorize_forms(fresh, grouping, docs, list(forms)),
+    )
 
 
 @pytest.mark.parametrize("size", [5, 60, 2000])
