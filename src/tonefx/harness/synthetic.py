@@ -43,7 +43,6 @@ from ..lexicon import (
     CategoryLexicon,
     CategoryType,
     CategoryTypeGrouping,
-    categorize_token,
     compute_outcome,
     default_grouping_path,
     default_lexicon_path,
@@ -109,6 +108,10 @@ def generate_tabular(world: TabularWorld, n: int, seed: int) -> TabularSample:
     return TabularSample(features=z, treatments=t, outcomes=y)
 
 
+# a vocabulary word is three of these, so at most 70**3 words are distinct
+_SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
+
+
 @dataclass(frozen=True)
 class CorpusWorld:
     """Generator parameters for the synthetic debate corpus."""
@@ -135,6 +138,11 @@ class CorpusWorld:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise SyntheticError(f"{name} must be an integer >= {least}, got {value!r}")
+        if self.vocab_size > len(_SYLLABLES) ** 3:
+            raise SyntheticError(
+                f"vocab_size must be at most {len(_SYLLABLES) ** 3}, the number of distinct"
+                f" three-syllable words, got {self.vocab_size}"
+            )
         for name in ("mixture_concentration", "topic_concentration"):
             if not getattr(self, name) > 0:
                 raise SyntheticError(f"{name} must be positive, got {getattr(self, name)}")
@@ -179,35 +187,45 @@ class CorpusTruth:
     seed: int
 
 
-_SYLLABLES = [c + v for c in "bdfgklmnprstvz" for v in "aeiou"]
-
-
 def _synthetic_vocabulary(
     size: int, lexicon: CategoryLexicon, rng: np.random.Generator
 ) -> list[str]:
     """Deterministic nonsense words that survive tokenization unchanged
     and match no lexicon category.
 
-    A word of syllables splits to itself, so a candidate is kept when
-    ``normalize_form`` returns it unchanged.
+    A candidate is three syllables.  It is kept when it is new, when
+    ``normalize_form`` returns it unchanged (a word of syllables splits
+    to itself) and when ``lexicon.categories`` finds no category; the
+    lexicon memoizes each result, so the corpus's truth rows do not
+    categorize these words again.  After 50 candidates per word the
+    vocabulary gives up.
+
+    Each round draws the syllables of one candidate per word still
+    missing in a single ``rng.integers`` call.  A round can keep at most
+    all its candidates, so it never draws one that checking candidates
+    one at a time would not have drawn.  Drawing ``3 * n`` integers at
+    once gives the same values, and leaves the generator in the same
+    state, as ``n`` draws of 3: the bit generator keeps any unused half
+    of a 64-bit draw between calls (checked on numpy 2.4.6 by
+    ``tests/test_synthetic.py``).  So the words and every later draw of
+    a corpus are those of the one-at-a-time loop.
     """
     words: list[str] = []
     seen: set[str] = set()
     attempts = 0
     while len(words) < size:
-        attempts += 1
-        if attempts > 50 * size:
+        batch = min(size - len(words), 50 * size - attempts)
+        if batch == 0:
             raise SyntheticError("could not generate enough clean vocabulary words")
-        parts = rng.integers(0, len(_SYLLABLES), size=3)
-        word = "".join(_SYLLABLES[i] for i in parts)
-        if word in seen:
-            continue
-        seen.add(word)
-        if normalize_form(word) != word:
-            continue
-        if categorize_token(lexicon, word):
-            continue
-        words.append(word)
+        attempts += batch
+        parts = rng.integers(0, len(_SYLLABLES), size=3 * batch).tolist()
+        for j in range(0, 3 * batch, 3):
+            word = _SYLLABLES[parts[j]] + _SYLLABLES[parts[j + 1]] + _SYLLABLES[parts[j + 2]]
+            if word in seen:
+                continue
+            seen.add(word)
+            if normalize_form(word) == word and not lexicon.categories(word):
+                words.append(word)
     return words
 
 
@@ -276,13 +294,16 @@ def generate_corpus(
 
     Both potential versions of each p3 are generated; the factual one is
     written to the corpus and both feed the reported sample truth.
+    ``out_dir`` is created only once the corpus is complete, so a call
+    that is rejected or fails leaves no directory behind.
     """
+    for name, value in (("n_triples", n_triples), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SyntheticError(f"{name} must be an integer, got {value!r}")
     if n_triples < 10:
         raise SyntheticError(f"need at least 10 triples, got {n_triples}")
     if not 0 <= seed < 2**63:
         raise SyntheticError(f"seed must lie in [0, 2**63), got {seed}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lexicon, grouping = load_lexicon(default_lexicon_path(), default_grouping_path())
     rng = np.random.default_rng(seed)
     injection = _injection_words(lexicon, grouping)
@@ -362,6 +383,8 @@ def generate_corpus(
         y0, y1 = (compute_outcome(p1_rows[:, columns], p3_rows[t][:, columns]) for t in (0, 1))
         true_ate[ctype.value] = float(np.mean(y1 - y0))
 
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_records(posts, out_dir / "posts.jsonl")
     write_records(annotations, out_dir / "annotations.jsonl")
     truth = CorpusTruth(

@@ -26,11 +26,11 @@ triple is the Euclidean distance between the p1 and p3 blocks of one
 category type.  A small open demonstration lexicon and grouping ship
 with the package; any file in the same format can be substituted.
 
-Each lexicon object memoizes the categories of every token form it has
-met, so a run, which loads its own lexicon, categorizes each distinct
-form once however many posts repeat it, and the memo does not outlive
-the run.  The grouping maps each category to its row columns once, when
-it is built.
+Each lexicon object memoizes, through ``CategoryLexicon.categories``,
+the categories of every token form it has met, so a run, which loads
+its own lexicon, categorizes each distinct form once however many posts
+repeat it, and the memo does not outlive the run.  The grouping maps
+each category to its row columns once, when it is built.
 """
 
 from __future__ import annotations
@@ -63,10 +63,23 @@ class CategoryLexicon:
 
     exact: Mapping[str, frozenset[str]]
     prefixes: Mapping[str, frozenset[str]]
-    # token form -> its categories, filled by vectorize_forms
+    # token form -> its categories, filled by categories()
     _forms: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+
+    def categories(self, form: str) -> frozenset[str]:
+        """The categories of one token form, as ``categorize_token`` gives them.
+
+        The result is memoized on this lexicon, so each distinct form is
+        categorized only the first time any caller asks for it, and later
+        calls return the same set.
+        """
+        cats = self._forms.get(form)
+        if cats is None:
+            # by its module-global name, so a wrapper installed there meets each form once
+            cats = self._forms[form] = categorize_token(self, form)
+        return cats
 
 
 @dataclass(frozen=True)
@@ -227,9 +240,10 @@ def vectorize_forms(
     form of id i.  A row is the text's form counts times a form x column
     matrix, whose entry counts how often the form's categories list the
     column, divided by the text's token count; every sum is of whole
-    numbers, so it is exact in any order.  Each distinct form is
-    categorized only the first time ``lexicon`` meets it.  A text with
-    zero tokens yields the zero row.
+    numbers, so it is exact in any order.  Each form's categories come
+    from ``lexicon.categories``, so a form the lexicon has already met,
+    here or elsewhere, is not categorized again.  A text with zero
+    tokens yields the zero row.
     """
     counted = count_terms(docs, forms)
     # the forms that occur, and each entry's index among them
@@ -238,12 +252,9 @@ def vectorize_forms(
     present = np.flatnonzero(seen)
     column = (np.cumsum(seen) - 1)[counted.term]
     multiplicity = np.zeros((len(present), grouping.width))
-    memo, columns = lexicon._forms, grouping._columns
+    columns = grouping._columns
     for i, form in enumerate(map(forms.__getitem__, present.tolist())):
-        cats = memo.get(form)
-        if cats is None:
-            cats = memo[form] = categorize_token(lexicon, form)
-        for cat in cats:
+        for cat in lexicon.categories(form):
             for col in columns.get(cat, ()):
                 multiplicity[i, col] += 1
     indptr = np.zeros(len(docs) + 1, dtype=np.intp)

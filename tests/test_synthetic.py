@@ -164,15 +164,17 @@ def test_vocabulary_matches_reference(size):
         assert drawn.bit_generator.state == reference.bit_generator.state
 
 
-def test_vocabulary_gives_up_after_fifty_candidates_per_word():
-    # every syllable starts with one of these letters, so every candidate has a category
-    lexicon = CategoryLexicon(
-        exact={}, prefixes={c: frozenset({"posemo"}) for c in {s[0] for s in _SYLLABLES}}
-    )
+@pytest.mark.parametrize("starts", [
+    sorted({s[0] for s in _SYLLABLES}),
+    # a few of the 500 candidates start "bu" and are kept, so later rounds draw fewer
+    [s for s in _SYLLABLES if s != "bu"],
+], ids=["every-first-letter", "all-but-bu"])
+def test_vocabulary_gives_up_after_fifty_candidates_per_word(starts):
+    lexicon = CategoryLexicon(exact={}, prefixes={s: frozenset({"posemo"}) for s in starts})
     rng, expected = np.random.default_rng(3), np.random.default_rng(3)
     with pytest.raises(SyntheticError, match="could not generate enough clean vocabulary words"):
-        _synthetic_vocabulary(4, lexicon, rng)
-    for _ in range(50 * 4):
+        _synthetic_vocabulary(10, lexicon, rng)
+    for _ in range(50 * 10):
         expected.integers(0, len(_SYLLABLES), size=3)
     assert rng.bit_generator.state == expected.bit_generator.state
 
@@ -225,8 +227,21 @@ def test_cdf_search_draws_as_choice(size):
     ("n_topics", 2.5),
     ("n_topics", 1),
     ("vocab_size", 5),
+    ("vocab_size", 70**3 + 1),
     ("reply_type", "nasty_nice"),
 ])
 def test_world_rejects_settings_it_cannot_generate(field, value):
     with pytest.raises(SyntheticError, match=f"^{field} "):
         CorpusWorld(**{field: value})
+
+
+@pytest.mark.parametrize("n_triples,seed,name", [
+    (12.5, 1, "n_triples"),
+    (True, 1, "n_triples"),
+    ("40", 1, "n_triples"),
+    (40, 1.0, "seed"),
+])
+def test_generate_corpus_rejects_non_integer_arguments(tmp_path, n_triples, seed, name):
+    with pytest.raises(SyntheticError, match=f"^{name} must be an integer"):
+        generate_corpus(CorpusWorld(), n_triples, seed=seed, out_dir=tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
