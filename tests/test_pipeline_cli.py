@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -680,6 +681,18 @@ def test_published_models_are_copies_of_cache_entries(tmp_path, monkeypatch):
             assert published == (tmp_path / "resaved.json").read_bytes(), cache
 
 
+def test_fit_topics_publishes_copies_of_cache_entries(tmp_path):
+    # fit-topics infers no theta, so a fresh out_dir gains lda-* entries only
+    args = ["fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3", "--k", "4"]
+    assert main(args) == EXIT_OK
+    assert sorted(p.name.split("-")[0] for p in (tmp_path / "cache").iterdir()) == ["lda"] * 2
+    published = sorted(p.name for p in (tmp_path / "models").iterdir())
+    assert published == ["evolution.json", "gun-control.json"]
+    for name in published:
+        [entry] = (tmp_path / "cache").glob(f"lda-{name.removesuffix('.json')}-*")
+        assert (tmp_path / "models" / name).read_bytes() == entry.read_bytes()
+
+
 def test_topics_sharing_a_slug_publish_one_model_each(tmp_path):
     posts_path = tmp_path / "posts.jsonl"
     posts_path.write_text(Path(POSTS).read_text().replace(
@@ -816,6 +829,14 @@ def test_pipeline_parallel_matches_serial(tmp_path):
     )
     written = {name: (tmp_path / name / "report.json").read_bytes() for name in runs}
     assert written["s"] == written["p"] == written["nocache"]
+    # a copy of the warm serial run whose whole cache is deleted rebuilds that
+    # cache and rewrites the report and every model, all to the same bytes
+    rebuilt = tmp_path / "rebuilt"
+    shutil.copytree(tmp_path / "s", rebuilt)
+    shutil.rmtree(rebuilt / "cache")
+    run_pipeline(_config(rebuilt, reply_types=("nasty_nice",)))
+    assert _out_files(rebuilt) == _out_files(tmp_path / "s")
+    assert (rebuilt / "report.json").read_bytes() == written["s"]
 
 
 def test_pipeline_parallel_matches_serial_with_failed_cells(tmp_path):
