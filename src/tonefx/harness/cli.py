@@ -13,7 +13,8 @@ inspected on its own:
 
 Exit codes: 0 success, 1 invalid configuration or input, 2 runtime
 failure (including output that cannot be written), 3 completed with
-requested estimate cells missing.
+requested estimate cells missing.  An unknown flag, ``--no-cache``
+among them, also exits 2, which is argparse's own code.
 """
 
 from __future__ import annotations
@@ -118,14 +119,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="reuse nuisance values across bootstrap replicates",
     )
     parser.add_argument("--jobs", type=int, help="worker processes for estimate cells")
-    parser.add_argument(
-        "--no-cache",
-        dest="use_cache",
-        action="store_const",
-        const=False,
-        default=None,
-        help="ignore and skip the topic model cache",
-    )
 
 
 _LIST_FIELDS = tuple(

@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..corpus import ReplyType
-from ..estimators import AipwVariant, Estimator
-from ..inference import ConfounderVariant
+from ..estimators import DEFAULT_BOOTSTRAP_REPLICATES, AipwVariant, Estimator
+from ..inference import DEFAULT_CLIP_EPSILON, DEFAULT_REGULARIZATION, ConfounderVariant
 from ..lexicon import CategoryType, default_grouping_path, default_lexicon_path
 from ..topics import DEFAULT_MAX_DF, DEFAULT_MIN_DF
 from .records import decode_json, json_record, read_input, record_values
@@ -59,14 +59,13 @@ class PipelineConfig:
     folds: int = 5
     cv_category_type: CategoryType = CategoryType.POSITIVE_SENTIMENT
 
-    regularization: float = 1e-4
+    regularization: float = DEFAULT_REGULARIZATION
     outcome_ridge: float = 1e-6
-    clip_epsilon: float = 0.01
-    bootstrap_replicates: int = 1000
+    clip_epsilon: float = DEFAULT_CLIP_EPSILON
+    bootstrap_replicates: int = DEFAULT_BOOTSTRAP_REPLICATES
     bootstrap_refit: bool = True
 
     jobs: int = 1
-    use_cache: bool = True
 
     def __post_init__(self) -> None:
         # an empty or null path means the shipped file; any other value is type-checked below

@@ -68,8 +68,8 @@ def build_confounder_matrix(
     """Confounder rows for the triples, looked up from per-post tables.
 
     ``thetas`` maps the id of every p1 and p2 to its topic proportions
-    and ``category_rows`` maps the id of every p1 to its
-    ``vectorize_post`` row; a full row is theta[p1], theta[p2] and
+    and ``category_rows`` maps the id of every p1 to its category row
+    from ``lexicon.vectorize_forms``; a full row is theta[p1], theta[p2] and
     category_rows[p1], concatenated.  The topics-only variant reads
     neither table and one-hot encodes the debate topic over the sorted
     debate topics of the given triples, so posts outside them change no

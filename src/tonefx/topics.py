@@ -25,7 +25,7 @@ import hashlib
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -164,27 +164,13 @@ class Tokenizer:
     """Text-to-token mapping of the topic models and confounders.
 
     Splits the text with ``split_words`` and normalizes each form with
-    ``normalize_form``, dropping stop words.
-    Each raw form is normalized once per tokenizer object and memoized,
-    so every occurrence of a form yields the same string object.  A new
-    tokenizer starts with an empty memo, so a caller that creates one per
-    run keeps the memo to that run's forms.
+    ``normalize_form``, dropping stop words; it keeps no memo.  A run
+    gets the same tokens from ``harness.pipeline.PostForms``, which
+    splits each post once and normalizes each distinct form once.
     """
 
-    # raw form -> its token, or "" for a dropped stop word
-    _forms: dict[str, str] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
-
-    def token(self, raw: str) -> str:
-        """The token of one ``split_words`` form, or "" for a stop word."""
-        token = self._forms.get(raw)
-        if token is None:
-            token = self._forms[raw] = normalize_form(raw)
-        return token
-
     def __call__(self, text: str) -> list[str]:
-        return list(filter(None, map(self.token, split_words(text))))
+        return [t for t in map(normalize_form, split_words(text)) if t]
 
 
 @dataclass(eq=False)

@@ -243,15 +243,6 @@ def test_pipeline_recovers_from_corrupt_cache(tmp_path, caplog):
     assert {p.name: p.read_bytes() for p in (tmp_path / "cache").glob("theta-*")} == thetas
 
 
-def test_pipeline_cache_disabled(tmp_path):
-    run_pipeline(_config(tmp_path, use_cache=False, reply_types=("nasty_nice",),
-                         category_types=("linguistic_style",)))
-    assert not (tmp_path / "cache").exists()
-    assert sorted(p.name for p in (tmp_path / "models").iterdir()) == [
-        "evolution.json", "gun-control.json",
-    ]
-
-
 def _count_featurization(monkeypatch) -> tuple[Counter, Counter, Counter]:
     """Count split_words calls per text, lemmatize_token calls per form and
     categorize_token calls per token form."""
@@ -515,18 +506,6 @@ def test_other_theta_batch_misses_and_writes_its_own_entry(tmp_path, monkeypatch
     assert len(list((tmp_path / "cache").glob("lda-*"))) == 2
 
 
-def test_theta_cache_off_reads_and_writes_no_entry(tmp_path, monkeypatch):
-    run_pipeline(_config(tmp_path, reply_types=("nasty_nice",)))
-    for entry in (tmp_path / "cache").glob("theta-*"):
-        entry.write_text("{broken")
-    before = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
-    calls = _record_theta_batches(monkeypatch)
-    report = run_pipeline(_config(tmp_path, use_cache=False, reply_types=("nasty_nice",)))
-    assert len(calls) == 2
-    assert not [w for w in report.warnings if "cache" in w]
-    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == before
-
-
 def _out_files(out: Path) -> dict[str, bytes]:
     """Every file under a run's out_dir, by relative path."""
     return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -621,7 +600,7 @@ def test_topic_model_warnings_name_their_debate_topic(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="tonefx"):
         code = main([
             "fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3",
-            "--k", "40", "--min-df", "0.4", "--no-cache",
+            "--k", "40", "--min-df", "0.4",
         ])
     assert code == EXIT_OK
     messages = [r.getMessage() for r in caplog.records if "vocabulary" in r.getMessage()]
@@ -814,9 +793,9 @@ def _one_arm_annotations(tmp_path) -> Path:
 
 
 def test_pipeline_parallel_matches_serial(tmp_path):
-    # neither the worker count, the output directory nor the cache moves a
-    # byte of report.json
-    runs = {"s": dict(jobs=1), "p": dict(jobs=2), "nocache": dict(use_cache=False)}
+    # neither the worker count, the output directory nor a deleted cache
+    # moves a byte of report.json
+    runs = {"s": dict(jobs=1), "p": dict(jobs=2)}
     reports = {
         name: run_pipeline(_config(tmp_path / name, reply_types=("nasty_nice",), **overrides))
         for name, overrides in runs.items()
@@ -828,7 +807,7 @@ def test_pipeline_parallel_matches_serial(tmp_path):
         [e.psi for e in serial.estimates], [e.psi for e in parallel.estimates]
     )
     written = {name: (tmp_path / name / "report.json").read_bytes() for name in runs}
-    assert written["s"] == written["p"] == written["nocache"]
+    assert written["s"] == written["p"]
     # a copy of the warm serial run whose whole cache is deleted rebuilds that
     # cache and rewrites the report and every model, all to the same bytes
     rebuilt = tmp_path / "rebuilt"
@@ -836,7 +815,6 @@ def test_pipeline_parallel_matches_serial(tmp_path):
     shutil.rmtree(rebuilt / "cache")
     run_pipeline(_config(rebuilt, reply_types=("nasty_nice",)))
     assert _out_files(rebuilt) == _out_files(tmp_path / "s")
-    assert (rebuilt / "report.json").read_bytes() == written["s"]
 
 
 def test_pipeline_parallel_matches_serial_with_failed_cells(tmp_path):
@@ -958,7 +936,7 @@ def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
 
     for name in ("fit_lda", "infer_theta_batch", "cross_validate"):
         monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
-    run_pipeline(_config(tmp_path / "run", use_cache=False, reply_types=("nasty_nice",)))
+    run_pipeline(_config(tmp_path / "run", reply_types=("nasty_nice",)))
     # theta and crossval run after the nested fit_topic_models has restored
     # the run's own count
     assert {name for name, _ in seen} == {"fit_lda", "infer_theta_batch", "cross_validate"}
@@ -968,7 +946,7 @@ def test_pipeline_runs_on_one_blas_thread_and_restores_the_callers(
     seen.clear()
     posts = load_posts(POSTS)
     pipeline.fit_topic_models(
-        _config(tmp_path / "topics", use_cache=False), posts, posts.debate_topics,
+        _config(tmp_path / "topics"), posts, posts.debate_topics,
         pipeline.PostForms(posts),
     )
     assert seen and {threads for _, threads in seen} == {1}
@@ -1606,6 +1584,20 @@ def test_cli_rejects_mistyped_config_field(tmp_path):
     assert done.returncode == EXIT_USAGE, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error: bootstrap_replicates"), done.stderr
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_rejects_a_config_that_turns_the_cache_off(tmp_path):
+    # every run reads and writes the topic cache; a config that would turn it off is an error
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "posts_path": POSTS, "annotations_path": ANNOTATIONS,
+        "out_dir": str(tmp_path / "run"), "seed": 1, "use_cache": False,
+    }))
+    done = _run_cli("estimate", "--config", str(config))
+    assert done.returncode == EXIT_USAGE, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr == "error: unknown config fields: ['use_cache']\n"
     assert not (tmp_path / "run").exists()
 
 

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import typing
 from enum import Enum
 from pathlib import Path
@@ -107,7 +108,7 @@ def _mistyped_field_cases():
         ({"clip_epsilon": "a"}, "clip_epsilon"),
         ({"reply_types": "nasty_nice"}, "reply_types"),
         ({"reply_types": ["nasty"]}, "reply_types"),
-        ({"use_cache": 1}, "use_cache"),
+        ({"max_df": 1.5}, "max_df"),
         ({"seed": -1}, "seed"),
         ({"seed": 2**63}, "seed"),
         ({"bootstrap_replicates": 1}, "bootstrap_replicates"),
@@ -142,6 +143,12 @@ def test_config_from_dict_rejects_unknown_and_missing():
         })
     with pytest.raises(ConfigError, match="out_dir"):
         config_from_dict({"posts_path": "p", "annotations_path": "a", "seed": 1})
+    # every run uses the topic cache, so no field turns it off
+    with pytest.raises(ConfigError, match=re.escape("unknown config fields: ['use_cache']")):
+        config_from_dict({
+            "posts_path": "p", "annotations_path": "a", "out_dir": "o",
+            "seed": 1, "use_cache": 1,
+        })
 
 
 def test_config_roundtrip_and_overrides(tmp_path):
