@@ -37,13 +37,11 @@ GOLDEN_CSV = Path(__file__).parent / "data" / "golden_report.csv"
 # ----------------------------------------------------------------- config
 
 
+_BASE = dict(posts_path="posts.jsonl", annotations_path="ann.jsonl", out_dir="out", seed=7)
+
+
 def _minimal(**overrides) -> PipelineConfig:
-    base = dict(
-        posts_path="posts.jsonl", annotations_path="ann.jsonl",
-        out_dir="out", seed=7,
-    )
-    base.update(overrides)
-    return PipelineConfig(**base)
+    return PipelineConfig(**{**_BASE, **overrides})
 
 
 def test_config_defaults_frozen():
@@ -108,7 +106,8 @@ def _mistyped_field_cases():
         ({"clip_epsilon": "a"}, "clip_epsilon"),
         ({"reply_types": "nasty_nice"}, "reply_types"),
         ({"reply_types": ["nasty"]}, "reply_types"),
-        ({"max_df": 1.5}, "max_df"),
+        # every run uses the topic cache, so a config naming use_cache is refused
+        ({"use_cache": 1}, "use_cache"),
         ({"seed": -1}, "seed"),
         ({"seed": 2**63}, "seed"),
         ({"bootstrap_replicates": 1}, "bootstrap_replicates"),
@@ -119,6 +118,7 @@ def _mistyped_field_cases():
         ({"category_types": ("positive_sentiment", "positive_sentiment")}, "category_types"),
         ({"confounder_variants": ("full", "full")}, "confounder_variants"),
         ({"estimators": ("q", "q")}, "estimators"),
+        ({"max_df": 1.5}, "max_df"),
         *_mistyped_field_cases(),
         # only "" or null selects the shipped file
         pytest.param({"lexicon_path": False}, "^lexicon_path must be a str", id="lexicon-false"),
@@ -132,7 +132,7 @@ def _mistyped_field_cases():
 )
 def test_config_validation_rejects(overrides, message):
     with pytest.raises(ConfigError, match=message):
-        _minimal(**overrides).validate()
+        config_from_dict({**_BASE, **overrides}).validate()
 
 
 def test_config_from_dict_rejects_unknown_and_missing():
