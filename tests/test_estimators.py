@@ -382,6 +382,23 @@ def test_replicate_values_do_not_depend_on_replicate_count(monkeypatch, refit):
             np.testing.assert_array_equal(head.estimates[e], full.estimates[e][:m])
 
 
+@pytest.mark.parametrize("n, d", [(60, 28), (300, 116)])
+def test_replicate_values_do_not_depend_on_chunk_size(monkeypatch, n, d):
+    rng = np.random.default_rng(n)
+    features = rng.normal(size=(n, d))
+    treatments = rng.binomial(1, expit(features[:, :2] @ np.array([0.7, -0.7])))
+    outcomes = treatments + features[:, 0] + rng.normal(size=n)
+    data = build_estimation_input(features, treatments, outcomes, ridge=1e-6)
+    results = []
+    for per_chunk in (1, 7, 12):
+        monkeypatch.setattr(estimators, "CHUNK_BYTES", per_chunk * 8 * n * (d + 1))
+        results.append(bootstrap_se(data, list(Estimator), replicates=12, seed=3, ridge=1e-6))
+    assert results[0].skipped == 0
+    for result in results[1:]:
+        for e in Estimator:
+            np.testing.assert_array_equal(result.estimates[e], results[0].estimates[e])
+
+
 def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):
     data = _random_input(11, n=60)
     idx = estimators._resample_indices(np.random.default_rng([4, 3]), data.treatments, 10)

@@ -420,6 +420,37 @@ def _cv_data(n=60, seed=0):
     return features, treatments, outcomes
 
 
+def _wide_cv_data(n, d, seed=0):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(n, d))
+    treatments = rng.binomial(1, expit(features[:, :2] @ np.array([1.0, -1.0])))
+    outcomes = treatments + features[:, 0] + rng.normal(scale=0.5, size=n)
+    return features, treatments, outcomes
+
+
+def _fold_by_fold(features, treatments, outcomes, folds, seed, ridge):
+    """cross_validate's numbers from one propensity and one outcome fit per fold."""
+    n = len(treatments)
+    rmse_q1, rmse_q0, f1s, skipped = [], [], [], []
+    assignment = np.array_split(np.random.default_rng(seed).permutation(n), folds)
+    for fold, test in enumerate(assignment):
+        train = np.setdiff1d(np.arange(n), test)
+        if len(np.unique(treatments[train])) < 2:
+            skipped.append(f"fold {fold}: training split lacks a treatment arm")
+            continue
+        if len(np.unique(treatments[test])) < 2:
+            skipped.append(f"fold {fold}: test split lacks a treatment arm")
+            continue
+        scores = predict_propensity(fit_propensity(features[train], treatments[train]), features[test])
+        f1s.append(f1_score(treatments[test], (scores >= 0.5).astype(int)))
+        models = fit_outcome_models(features[train], treatments[train], outcomes[train], ridge=ridge)
+        for arm, model, sink in zip((0, 1), models, (rmse_q0, rmse_q1)):
+            mask = treatments[test] == arm
+            predicted = predict_outcome(model, features[test][mask])
+            sink.append(float(np.sqrt(np.mean((outcomes[test][mask] - predicted) ** 2))))
+    return tuple(rmse_q1), tuple(rmse_q0), tuple(f1s), tuple(skipped)
+
+
 def test_cross_validate_is_deterministic():
     features, treatments, outcomes = _cv_data()
     a = cross_validate(features, treatments, outcomes, folds=4, seed=11)
@@ -454,6 +485,8 @@ def test_cross_validate_skips_single_arm_folds():
     assert report.fold_count + len(report.skipped_folds) == 5
     assert report.fold_count >= 1
     assert all("lacks a treatment arm" in reason for reason in report.skipped_folds)
+    expected = _fold_by_fold(features, treatments, outcomes, 5, 1, 1e-3)
+    assert (report.rmse_q1, report.rmse_q0, report.f1, report.skipped_folds) == expected
 
 
 def test_cross_validate_all_folds_skipped_is_error():
@@ -471,6 +504,44 @@ def test_cross_validate_rejects_bad_folds():
         cross_validate(features, treatments, outcomes, folds=1)
     with pytest.raises(InferenceError, match="cannot split"):
         cross_validate(features, treatments, outcomes, folds=11)
+
+
+@pytest.mark.parametrize(
+    "n, d, folds, ridge",
+    [(63, 28, 5, 1e-6), (61, 2, 5, 0.0), (47, 10, 4, 0.0), (300, 116, 5, 1e-6)],
+)
+def test_cross_validate_equals_one_fit_per_fold(n, d, folds, ridge):
+    # n % folds > 0 gives two training sizes
+    features, treatments, outcomes = _wide_cv_data(n, d, seed=n)
+    report = cross_validate(features, treatments, outcomes, folds=folds, seed=5, ridge=ridge)
+    expected = _fold_by_fold(features, treatments, outcomes, folds, 5, ridge)
+    assert (report.rmse_q1, report.rmse_q0, report.f1, report.skipped_folds) == expected
+    assert report.fold_count == len(expected[2]) == folds
+
+
+@pytest.mark.parametrize("n, d", [(47, 15), (61, 20)])
+def test_cross_validate_raises_the_first_failing_folds_error(n, d):
+    # without a ridge, an arm with fewer than d + 1 training units is rank
+    # deficient: fold 4 alone at (47, 15), folds 2 and 3 at (61, 20)
+    features, treatments, outcomes = _wide_cv_data(n, d, seed=n)
+    with pytest.raises(InferenceError, match="rank deficient") as alone:
+        _fold_by_fold(features, treatments, outcomes, 5, 5, 0.0)
+    with pytest.raises(InferenceError) as stacked:
+        cross_validate(features, treatments, outcomes, folds=5, seed=5)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_cross_validate_logs_a_stalled_fold_once(monkeypatch, caplog):
+    features, treatments, outcomes = _cv_data(n=63, seed=4)
+    test = np.array_split(np.random.default_rng(2).permutation(63), 5)[3]
+    stall_line_search(monkeypatch, np.delete(treatments, test))
+    with caplog.at_level("WARNING", logger="tonefx.inference"):
+        report = cross_validate(features, treatments, outcomes, folds=5, seed=2)
+    (message,) = [record.getMessage() for record in caplog.records]
+    assert message.startswith("propensity fit stopped after 0 iterations: line search failed")
+    # the stalled fold keeps its zero-parameter fit, which scores every unit 0.5
+    assert report.fold_count == 5
+    assert report.f1[3] == f1_score(treatments[test], np.ones(len(test), dtype=int))
 
 
 @settings(deadline=None, max_examples=20)
