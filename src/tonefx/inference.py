@@ -27,13 +27,14 @@ fit is the one it would get alone.  They return the same model types as
 the one-sample fits, with a leading sample axis on every field (arm,
 then sample, for outcomes).  ``fit_propensity`` and
 ``fit_outcome_models`` return sample 0 of a stack of one, used for
-full-sample fits and cross-validation folds; the bootstrap refits whole
-stacks of resamples.
+full-sample fits.  Cross-validation fits its folds as one stack per
+training size, and the bootstrap refits whole stacks of resamples.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 from dataclasses import dataclass
 from enum import Enum
@@ -360,6 +361,17 @@ def fit_propensity(
         tol=tol,
     )
     model = _sample(stack, 0)
+    _log_unconverged(model)
+    return model
+
+
+def _log_unconverged(model: PropensityModel) -> None:
+    """Log why one sample's propensity fit ended unconverged, if it did.
+
+    A fit that never stalled accepted a step at every iteration, so an
+    unconverged one stopped at the iteration cap, after ``iterations``
+    steps.
+    """
     if model.stalled:
         logger.warning(
             "propensity fit stopped after %d iterations: line search failed "
@@ -369,9 +381,8 @@ def fit_propensity(
     elif not model.converged:
         logger.warning(
             "propensity fit stopped at iteration cap %d with gradient norm %.2e",
-            max_iters, model.gradient_norm,
+            model.iterations, model.gradient_norm,
         )
-    return model
 
 
 def predict_propensity(
@@ -528,6 +539,12 @@ def cross_validate(
     A fold whose training or test split lacks an arm is skipped, and its
     reason goes to ``skipped_folds`` (it is not logged); if every fold is
     skipped, the split is unusable and that is an error.
+
+    The folds that run are fit as stacks, one propensity stack and one
+    outcome stack per training size, and each fold's fit is the one it
+    would get alone.  ``np.array_split`` gives at most two sizes, the
+    smaller one to the first folds, so fits, their unconverged-fit
+    warnings and their errors come in fold order.
     """
     matrix = as_feature_matrix(features)
     t = np.asarray(treatments)
@@ -541,29 +558,37 @@ def cross_validate(
     rng = np.random.default_rng(seed)
     assignment = np.array_split(rng.permutation(n), folds)
 
-    rmse_q1: list[float] = []
-    rmse_q0: list[float] = []
-    f1s: list[float] = []
+    # (training units, test units) of each fold that runs, in fold order
+    usable: list[tuple[np.ndarray, np.ndarray]] = []
     skipped: list[str] = []
     for fold_index, test_idx in enumerate(assignment):
         train_idx = np.setdiff1d(np.arange(n), test_idx)
-        t_train, t_test = t[train_idx], t[test_idx]
-        if len(np.unique(t_train)) < 2:
+        if len(np.unique(t[train_idx])) < 2:
             skipped.append(f"fold {fold_index}: training split lacks a treatment arm")
-            continue
-        if len(np.unique(t_test)) < 2:
+        elif len(np.unique(t[test_idx])) < 2:
             skipped.append(f"fold {fold_index}: test split lacks a treatment arm")
-            continue
-        propensity = fit_propensity(matrix[train_idx], t_train, regularization=regularization)
-        scores = predict_propensity(propensity, matrix[test_idx], clip_epsilon=clip_epsilon)
-        f1s.append(f1_score(t_test, (scores >= 0.5).astype(int)))
-        model0, model1 = fit_outcome_models(
-            matrix[train_idx], t_train, y[train_idx], ridge=ridge
-        )
-        for arm, model, sink in ((0, model0, rmse_q0), (1, model1, rmse_q1)):
-            mask = t_test == arm
-            predicted = predict_outcome(model, matrix[test_idx][mask])
-            sink.append(float(np.sqrt(np.mean((y[test_idx][mask] - predicted) ** 2))))
+        else:
+            usable.append((train_idx, test_idx))
+
+    rmse_q1: list[float] = []
+    rmse_q0: list[float] = []
+    f1s: list[float] = []
+    for _, same_size in itertools.groupby(usable, key=lambda fold: fold[0].size):
+        group = list(same_size)
+        train = np.stack([train_idx for train_idx, _ in group])
+        propensity = fit_propensity_stack(matrix[train], t[train], regularization=regularization)
+        models = [_sample(propensity, i) for i in range(len(group))]
+        for model in models:
+            _log_unconverged(model)
+        outcome = fit_outcome_stack(matrix[train], t[train], y[train], ridge=ridge)
+        for i, (model, (_, test_idx)) in enumerate(zip(models, group)):
+            t_test = t[test_idx]
+            scores = predict_propensity(model, matrix[test_idx], clip_epsilon=clip_epsilon)
+            f1s.append(f1_score(t_test, (scores >= 0.5).astype(int)))
+            for arm, sink in ((0, rmse_q0), (1, rmse_q1)):
+                mask = t_test == arm
+                predicted = predict_outcome(_sample(outcome, (arm, i)), matrix[test_idx][mask])
+                sink.append(float(np.sqrt(np.mean((y[test_idx][mask] - predicted) ** 2))))
     if not f1s:
         raise InferenceError(
             "every fold was skipped: " + "; ".join(skipped) if skipped else "no folds ran"

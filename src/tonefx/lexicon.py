@@ -67,6 +67,12 @@ class CategoryLexicon:
     _forms: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # the distinct lengths of the prefix stems, ascending
+    _stem_lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        lengths = tuple(sorted({len(stem) for stem in self.prefixes}))
+        object.__setattr__(self, "_stem_lengths", lengths)
 
     def categories(self, form: str) -> frozenset[str]:
         """The categories of one token form, as ``categorize_token`` gives them.
@@ -214,17 +220,22 @@ _NO_CATEGORIES: frozenset[str] = frozenset()
 
 
 def categorize_token(lexicon: CategoryLexicon, token: str) -> frozenset[str]:
-    """All categories whose patterns match the token (union over matches)."""
+    """All categories whose patterns match the token (union over matches).
+
+    Prefix stems are looked up only at the lengths some stem has, up to
+    the token's own length.
+    """
     cats: set[str] = set()
     exact = lexicon.exact.get(token)
     if exact:
         cats.update(exact)
     prefixes = lexicon.prefixes
-    if prefixes:
-        for end in range(len(token) + 1):
-            hit = prefixes.get(token[:end])
-            if hit:
-                cats.update(hit)
+    for length in lexicon._stem_lengths:
+        if length > len(token):
+            break
+        hit = prefixes.get(token[:length])
+        if hit:
+            cats.update(hit)
     return frozenset(cats) if cats else _NO_CATEGORIES
 
 

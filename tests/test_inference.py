@@ -229,6 +229,18 @@ def test_fit_propensity_stops_when_line_search_fails(monkeypatch, caplog):
     assert "line search failed" in caplog.text
 
 
+def test_fit_propensity_names_its_iteration_cap(caplog):
+    features, treatments = _logistic_data(n=200, seed=4)
+    for max_iters in (0, 2):
+        caplog.clear()
+        model = fit_propensity(features, treatments, max_iters=max_iters)
+        assert model.iterations == max_iters
+        assert caplog.messages == [
+            f"propensity fit stopped at iteration cap {max_iters} "
+            f"with gradient norm {model.gradient_norm:.2e}"
+        ]
+
+
 def _resample_stack(features, treatments, outcomes, samples, seed):
     """Seeded with-replacement resamples with both arms, stacked on a leading axis."""
     rng = np.random.default_rng(seed)

@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tonefx import lexicon as lexicon_module
+from tonefx.harness.synthetic import _synthetic_vocabulary
 from tonefx.lexicon import (
     CategoryType,
     LexiconError,
     categorize_token,
     compute_outcome,
+    default_grouping_path,
+    default_lexicon_path,
     load_lexicon,
     vectorize_post,
 )
@@ -117,6 +120,24 @@ def test_categorize_exact_and_prefix(lexicon_grouping):
     assert categorize_token(lexicon, "gladly") == frozenset()
     assert categorize_token(lexicon, "hopeful") == {"posemo", "hope"}
     assert categorize_token(lexicon, "zebra") == frozenset()
+
+
+def _categorize_at_every_length(lexicon, token):
+    """categorize_token's reference: the exact entry and a prefix lookup at every length."""
+    cats = set(lexicon.exact.get(token, ()))
+    for end in range(len(token) + 1):
+        cats |= lexicon.prefixes.get(token[:end], set())
+    return cats
+
+
+def test_categorize_matches_a_lookup_at_every_length():
+    lexicon, _ = load_lexicon(default_lexicon_path(), default_grouping_path())
+    tokens = {"", *lexicon.exact}
+    for stem in lexicon.prefixes:
+        tokens |= {stem, stem[:-1], stem + "s"}
+    tokens |= set(_synthetic_vocabulary(2000, lexicon, np.random.default_rng(0)))
+    for token in sorted(tokens):
+        assert categorize_token(lexicon, token) == _categorize_at_every_length(lexicon, token)
 
 
 # ------------------------------------------------------------- vectorize
