@@ -576,11 +576,12 @@ def cross_validate(
     for _, same_size in itertools.groupby(usable, key=lambda fold: fold[0].size):
         group = list(same_size)
         train = np.stack([train_idx for train_idx, _ in group])
-        propensity = fit_propensity_stack(matrix[train], t[train], regularization=regularization)
+        z, t_train = matrix[train], t[train]
+        propensity = fit_propensity_stack(z, t_train, regularization=regularization)
         models = [_sample(propensity, i) for i in range(len(group))]
         for model in models:
             _log_unconverged(model)
-        outcome = fit_outcome_stack(matrix[train], t[train], y[train], ridge=ridge)
+        outcome = fit_outcome_stack(z, t_train, y[train], ridge=ridge)
         for i, (model, (_, test_idx)) in enumerate(zip(models, group)):
             t_test = t[test_idx]
             scores = predict_propensity(model, matrix[test_idx], clip_epsilon=clip_epsilon)
