@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from tonefx import estimators
+from tonefx import estimators, inference
 from tonefx.estimators import (
     AipwVariant,
     AteEstimate,
@@ -27,6 +27,8 @@ from tonefx.estimators import (
 from tonefx.harness import pipeline
 from tonefx.harness.config import PipelineConfig
 from tonefx.inference import (
+    DEFAULT_CLIP_EPSILON,
+    DEFAULT_REGULARIZATION,
     InferenceError,
     fit_outcome_models,
     fit_propensity,
@@ -382,13 +384,18 @@ def test_replicate_values_do_not_depend_on_replicate_count(monkeypatch, refit):
             np.testing.assert_array_equal(head.estimates[e], full.estimates[e][:m])
 
 
-@pytest.mark.parametrize("n, d", [(60, 28), (300, 116)])
-def test_replicate_values_do_not_depend_on_chunk_size(monkeypatch, n, d):
+def _wide_input(n, d, ridge):
+    """A cell of n units with d features, its nuisances fit on the full sample."""
     rng = np.random.default_rng(n)
     features = rng.normal(size=(n, d))
     treatments = rng.binomial(1, expit(features[:, :2] @ np.array([0.7, -0.7])))
     outcomes = treatments + features[:, 0] + rng.normal(size=n)
-    data = build_estimation_input(features, treatments, outcomes, ridge=1e-6)
+    return build_estimation_input(features, treatments, outcomes, ridge=ridge)
+
+
+@pytest.mark.parametrize("n, d", [(60, 28), (300, 116)])
+def test_replicate_values_do_not_depend_on_chunk_size(monkeypatch, n, d):
+    data = _wide_input(n, d, 1e-6)
     results = []
     for per_chunk in (1, 7, 12):
         monkeypatch.setattr(estimators, "CHUNK_BYTES", per_chunk * 8 * n * (d + 1))
@@ -397,6 +404,160 @@ def test_replicate_values_do_not_depend_on_chunk_size(monkeypatch, n, d):
     for result in results[1:]:
         for e in Estimator:
             np.testing.assert_array_equal(result.estimates[e], results[0].estimates[e])
+
+
+# The stacked refit of a bootstrap chunk as the pass first computed it,
+# each intermediate in a fresh array: the fits, predictions and scores
+# below must give every replicate the same bits.  Line searches call
+# inference.logistic_loss_and_grad through the module, so that
+# conftest.stall_line_search reaches them as it reaches the pass.
+
+
+def _reference_standardize(matrix, rows):
+    weight = rows[..., np.newaxis]
+    count = rows.sum(axis=-1)[..., np.newaxis]
+    means = (matrix * weight).sum(axis=-2) / count
+    deviations = (matrix - means[..., np.newaxis, :]) * weight
+    scales = np.sqrt((deviations * deviations).sum(axis=-2) / count)
+    scales = np.where(scales < 1e-12, 1.0, scales)
+    return deviations / scales[..., np.newaxis, :], means, scales
+
+
+def _reference_linear_predictor(intercept, weights, means, scales, matrix):
+    design = (matrix - means[..., np.newaxis, :]) / scales[..., np.newaxis, :]
+    return intercept[..., np.newaxis] + (design @ weights[..., np.newaxis])[..., 0]
+
+
+def _reference_lstsq(design, targets, rows):
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    cutoff = np.finfo(float).eps * np.maximum(rows, design.shape[-1]) * s[..., 0]
+    keep = s > cutoff[..., np.newaxis]
+    inverse = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    coordinates = inverse * (np.swapaxes(u, -1, -2) @ targets[..., np.newaxis])[..., 0]
+    solution = (np.swapaxes(vt, -1, -2) @ coordinates[..., np.newaxis])[..., 0]
+    return solution, keep.sum(axis=-1)
+
+
+def _reference_propensity(z, t, regularization=DEFAULT_REGULARIZATION, max_iters=100, tol=1e-8):
+    """Fitted treated probabilities of every sample, and how many fits ended unconverged."""
+    samples, n, d = z.shape
+    design, means, scales = _reference_standardize(z, np.ones((samples, n)))
+    augmented = np.concatenate((np.ones((samples, n, 1)), design), axis=-1)
+    penalty = np.diag(np.concatenate(([0.0], np.full(d, regularization))))
+    params = np.zeros((samples, d + 1))
+    loss, grad = inference.logistic_loss_and_grad(params, design, t, regularization)
+    grad_norm = np.linalg.norm(grad, axis=-1)
+    stalled = np.zeros(samples, dtype=bool)
+    for _ in range(max_iters):
+        active = np.flatnonzero(~stalled & (grad_norm >= tol))
+        if not active.size:
+            break
+        x = augmented if active.size == samples else augmented[active]
+        g = grad[active]
+        mu = expit((x @ params[active, :, np.newaxis])[..., 0])
+        s = mu * (1.0 - mu)
+        hessian = np.swapaxes(x * s[..., np.newaxis], -1, -2) @ x / n + penalty
+        try:
+            step = np.linalg.solve(hessian, g[..., np.newaxis])[..., 0]
+        except np.linalg.LinAlgError:
+            step = _reference_lstsq(hessian, g, d + 1)[0]
+        slope = np.sum(g * step, axis=-1)
+        scale = np.ones(active.size)
+        pending = np.arange(active.size)
+        for _ in range(60):
+            rows = active[pending]
+            candidate = params[rows] - scale[pending, np.newaxis] * step[pending]
+            whole = rows.size == samples
+            new_loss, new_grad = inference.logistic_loss_and_grad(
+                candidate, design if whole else design[rows], t if whole else t[rows],
+                regularization,
+            )
+            ok = new_loss <= loss[rows] - 1e-4 * scale[pending] * slope[pending]
+            accepted = rows[ok]
+            params[accepted] = candidate[ok]
+            loss[accepted] = new_loss[ok]
+            grad[accepted] = new_grad[ok]
+            pending = pending[~ok]
+            if not pending.size:
+                break
+            scale[pending] *= 0.5
+        stalled[active[pending]] = True
+        grad_norm[active] = np.linalg.norm(grad[active], axis=-1)
+    raw = expit(_reference_linear_predictor(params[:, 0], params[:, 1:], means, scales, z))
+    p = np.clip(raw, DEFAULT_CLIP_EPSILON, 1.0 - DEFAULT_CLIP_EPSILON)
+    return p, int(np.count_nonzero(grad_norm >= tol))
+
+
+def _reference_outcome(z, t, y, ridge):
+    """Both arms' fitted outcomes of every sample, shape (2, samples, n)."""
+    arms = np.stack((1.0 - t, t))
+    design, means, scales = _reference_standardize(z, arms)
+    design = np.concatenate((arms[..., np.newaxis], design), axis=-1)
+    p = design.shape[-1]
+    targets = arms * y
+    if ridge > 0:
+        transposed = np.swapaxes(design, -1, -2)
+        gram = transposed @ design + ridge * np.diag(np.concatenate(([0.0], np.ones(p - 1))))
+        solution = np.linalg.solve(gram, transposed @ targets[..., np.newaxis])[..., 0]
+    else:
+        solution, rank = _reference_lstsq(design, targets, arms.sum(axis=-1).astype(int))
+        assert np.all(rank == p)
+    return _reference_linear_predictor(solution[..., 0], solution[..., 1:], means, scales, z)
+
+
+def _reference_bootstrap(data, replicates, seed, ridge):
+    """Replicate values of every estimator, refit chunk by chunk, and the unconverged count."""
+    n, d = data.features.shape
+    chunk = max(1, estimators.CHUNK_BYTES // (8 * n * (d + 1)))
+    draws = (
+        estimators._resample_indices(np.random.default_rng([seed, i]), data.treatments, 10)
+        for i in range(replicates)
+    )
+    usable = [idx for idx in draws if idx is not None]
+    values = {e: [] for e in Estimator}
+    unconverged = 0
+    for start in range(0, len(usable), chunk):
+        idx = np.stack(usable[start : start + chunk])
+        t, y, z = data.treatments[idx], data.outcomes[idx], data.features[idx]
+        p, misses = _reference_propensity(z, t)
+        unconverged += misses
+        q0, q1 = _reference_outcome(z, t, y, ridge)
+        replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
+        for e, sink in values.items():
+            sink.append(point_estimate(replicate, e))
+    return {e: np.concatenate(sink) for e, sink in values.items()}, unconverged
+
+
+@pytest.mark.parametrize(
+    "n, d, replicates, per_chunk, ridge",
+    [
+        (60, 28, 60, None, 1e-6),
+        (300, 116, 11, 3, 1e-6),
+        (60, 5, 30, None, 0.0),
+        (300, 20, 11, 3, 0.0),
+    ],
+)
+def test_replicates_match_reference_refit_bit_for_bit(monkeypatch, n, d, replicates, per_chunk, ridge):
+    if per_chunk is not None:
+        # the last chunk is shorter than the others
+        monkeypatch.setattr(estimators, "CHUNK_BYTES", per_chunk * 8 * n * (d + 1))
+    data = _wide_input(n, d, ridge)
+    expected, unconverged = _reference_bootstrap(data, replicates, 3, ridge)
+    result = bootstrap_se(data, list(Estimator), replicates=replicates, seed=3, ridge=ridge)
+    assert (result.skipped, result.unconverged) == (0, unconverged)
+    for e in Estimator:
+        np.testing.assert_array_equal(result.estimates[e], expected[e])
+
+
+def test_stalled_replicate_matches_reference_refit_bit_for_bit(monkeypatch):
+    data = _wide_input(60, 28, 1e-6)
+    idx = estimators._resample_indices(np.random.default_rng([3, 17]), data.treatments, 10)
+    stall_line_search(monkeypatch, data.treatments[idx])
+    expected, unconverged = _reference_bootstrap(data, 60, 3, 1e-6)
+    result = bootstrap_se(data, list(Estimator), replicates=60, seed=3, ridge=1e-6)
+    assert (result.skipped, result.unconverged, unconverged) == (0, 1, 1)
+    for e in Estimator:
+        np.testing.assert_array_equal(result.estimates[e], expected[e])
 
 
 def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):
