@@ -29,15 +29,27 @@ a chunk holds as many resamples as fit ``CHUNK_BYTES`` for one
 n x (d + 1) float stack, which bounds the memory of a pass whatever the
 replicate count.
 
-Each chunk pays its own Newton loop, about 11 iterations at the sizes
-below, so a larger chunk spreads that loop over more resamples.
-Propensity refits at n = 60, d = 28, per resample (best of 5, one
-OpenBLAS thread of a 2-core Xeon, numpy 2.4):
+A pass allocates one working set, three buffers of one stack each, and
+refits every chunk in it: the resampled features, the standardized and
+augmented designs, the Hessians and their x * s products, each outcome
+arm's design and the predictions' scratch all live in views of those
+buffers, so no stack-sized array is allocated per chunk, Newton step or
+arm.  (The buffers are a little larger, to fit the Hessians, when a
+chunk holds one resample or a cell has about d + 1 units or fewer.)
+Under ``tracemalloc`` a 60-replicate pass peaks at 3.54 stacks at
+n = 60, d = 28 (2.82 MiB) and at 3.39 stacks at n = 300, d = 116
+(2.73 MiB); the rest of the peak is the per-resample vectors.
 
-    resamples per chunk    time per resample
-                      1              1170 us
-                     18               370 us
-                     60               320 us
+Each chunk pays its own Newton loop, about 11 iterations at the sizes
+below, so a larger chunk spreads that loop over more resamples.  Per
+resample at n = 60, d = 28 (best of 5, one OpenBLAS thread of a 2-core
+Xeon, numpy 2.4), a propensity refit through ``fit_propensity_stack``
+and the whole refit pass of ``bootstrap_se`` take:
+
+    resamples per chunk    propensity refit    whole pass
+                      1             1155 us       1643 us
+                     18              334 us        482 us
+                     60              263 us        380 us
 
 The 1 MiB budget holds a whole 60-replicate cell at that size
 (60 x 60 x 29 x 8 B = 835 KB), and 3 resamples per chunk at n = 300,
@@ -47,6 +59,7 @@ d = 116.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -56,10 +69,10 @@ import numpy as np
 from .inference import (
     DEFAULT_CLIP_EPSILON,
     DEFAULT_REGULARIZATION,
+    _refit_resamples,
+    _workspace,
     fit_outcome_models,
-    fit_outcome_stack,
     fit_propensity,
-    fit_propensity_stack,
     predict_outcome,
     predict_propensity,
 )
@@ -288,20 +301,28 @@ def bootstrap_se(
     uses the nuisances, the propensity and outcome models are refit on
     every usable resample and every requested estimator is scored from
     that one fit; otherwise the stored per-unit nuisance values are
-    reused, which is cheaper but ignores nuisance variability.  Resamples are fit and scored in
-    chunks of ``CHUNK_BYTES``, each chunk as one stack; a replicate's
-    value depends neither on the chunk it lands in nor on
+    reused, which is cheaper but ignores nuisance variability.  Resamples
+    are fit and scored in chunks of ``CHUNK_BYTES``, each chunk as one
+    stack refit in one working set that the call allocates once; a
+    replicate's value depends neither on the chunk it lands in nor on
     ``replicates``, and each estimator's values equal those of a call
     that requests it alone.  Propensity refits that end unconverged are
     counted in the result's ``unconverged``, and are not logged either.
+    ``replicates`` and ``seed`` are integers, Python's or numpy's, and
+    ``seed`` is nonnegative.
     """
     if isinstance(estimator, str):
         estimator = [estimator]
     requested = list(dict.fromkeys(Estimator(e) for e in estimator))
     if not requested:
         raise EstimationError("no estimator requested")
+    for name, value in (("replicates", replicates), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise EstimationError(f"{name} must be an integer, got {value!r}")
     if replicates < 2:
         raise EstimationError(f"need at least 2 bootstrap replicates, got {replicates}")
+    if seed < 0:
+        raise EstimationError(f"seed must be nonnegative, got {seed}")
     needs_nuisances = any(e is not Estimator.UNADJUSTED for e in requested)
     do_refit = refit and needs_nuisances
     if do_refit and data.features is None:
@@ -312,6 +333,8 @@ def bootstrap_se(
 
     width = data.features.shape[1] + 1 if do_refit else 1
     chunk = max(1, CHUNK_BYTES // (8 * data.n * width))
+    # every chunk is refit in this one working set
+    work = _workspace(3, min(chunk, replicates), *data.features.shape) if do_refit else None
     draws = (
         _resample_indices(np.random.default_rng([seed, i]), data.treatments, MAX_REDRAWS)
         for i in range(replicates)
@@ -324,11 +347,10 @@ def bootstrap_se(
         used += len(drawn)
         t, y = data.treatments[idx], data.outcomes[idx]
         if do_refit:
-            z = data.features[idx]
-            propensity_models = fit_propensity_stack(z, t, regularization=regularization)
-            unconverged += int(np.count_nonzero(~propensity_models.converged))
-            p = predict_propensity(propensity_models, z, clip_epsilon=clip_epsilon)
-            q0, q1 = predict_outcome(fit_outcome_stack(z, t, y, ridge=ridge), z)
+            p, q0, q1, converged = _refit_resamples(
+                data.features, idx, t, y, regularization, ridge, clip_epsilon, work
+            )
+            unconverged += int(np.count_nonzero(~converged))
         else:
             p, q0, q1 = data.propensity[idx], data.q0[idx], data.q1[idx]
         replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)

@@ -29,6 +29,9 @@ then sample, for outcomes).  ``fit_propensity`` and
 ``fit_outcome_models`` return sample 0 of a stack of one, used for
 full-sample fits.  Cross-validation fits its folds as one stack per
 training size, and the bootstrap refits whole stacks of resamples.
+Every stack-sized intermediate of a stacked fit lives in flat buffers
+allocated once per fit (``_workspace``); the bootstrap allocates them
+once per pass and refits every stack of resamples in them.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -107,22 +111,42 @@ def as_feature_matrix(features: np.ndarray | Sequence[Sequence[float]]) -> np.nd
     return matrix
 
 
-def _standardize(
-    matrix: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize every sample of a (..., n, d) stack over its marked rows.
+def _workspace(count: int, samples: int, n: int, d: int) -> np.ndarray:
+    """``count`` flat float buffers for the stacked fits of a (samples, n, d) stack.
 
-    ``rows`` (..., n) holds 1.0 for the rows that count and 0.0 for the
-    rest, which come out as zero rows.  Constant columns get scale 1.
-    Returns the standardized stack with the means and scales it used.
+    Each buffer holds one (samples, n, d + 1) stack, or, when that is the
+    larger, the (samples, d + 1, d + 1) Hessians with the x * s products
+    of one sample beside them.
+    """
+    p = d + 1
+    return np.empty((count, max(samples * n * p, samples * p * p + n * p)))
+
+
+def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous array of the given shape on the leading elements of a flat buffer."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _standardize(
+    matrix: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standardize every sample of a (samples, n, d) stack over its marked rows.
+
+    ``rows`` (samples, n) holds 1.0 for the rows that count and 0.0 for
+    the rest, which come out as zero rows.  Constant columns get scale 1.
+    The standardized stack is written to ``out``; ``scratch``, of the
+    same shape, takes the products on the way.  Returns ``out`` with the
+    means and scales it used.
     """
     weight = rows[..., np.newaxis]
     count = rows.sum(axis=-1)[..., np.newaxis]
-    means = (matrix * weight).sum(axis=-2) / count
-    deviations = (matrix - means[..., np.newaxis, :]) * weight
-    scales = np.sqrt((deviations * deviations).sum(axis=-2) / count)
+    means = np.multiply(matrix, weight, out=scratch).sum(axis=-2) / count
+    deviations = np.subtract(matrix, means[..., np.newaxis, :], out=out)
+    deviations *= weight
+    scales = np.sqrt(np.multiply(deviations, deviations, out=scratch).sum(axis=-2) / count)
     scales = np.where(scales < 1e-12, 1.0, scales)
-    return deviations / scales[..., np.newaxis, :], means, scales
+    deviations /= scales[..., np.newaxis, :]
+    return deviations, means, scales
 
 
 def _check_treatments(treatments: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
@@ -132,12 +156,22 @@ def _check_treatments(treatments: np.ndarray | Sequence[Sequence[int]]) -> np.nd
         raise InferenceError("treatments must be a flat 0/1 vector per sample")
     if np.any(t.min(axis=-1) == t.max(axis=-1)):
         raise InferenceError("all units share one treatment arm; need both arms to fit")
-    return t.astype(float)
+    return t.astype(float, copy=False)
 
 
-def _rows(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The given samples of a stack, without a copy when that is all of them."""
-    return stack if rows.size == stack.shape[0] else stack[rows]
+def _rows(stack: np.ndarray, rows: np.ndarray, buffer: np.ndarray | None = None) -> np.ndarray:
+    """The given samples of a stack, without a copy when that is all of them.
+
+    A copy goes to the leading elements of the flat ``buffer`` when one
+    is given.
+    """
+    if rows.size == stack.shape[0]:
+        return stack
+    if buffer is None:
+        return stack[rows]
+    # the rows come from flatnonzero, so clipping never moves one
+    out = _view(buffer, rows.size, *stack.shape[1:])
+    return np.take(stack, rows, axis=0, out=out, mode="clip")
 
 
 def _lstsq(
@@ -158,6 +192,20 @@ def _lstsq(
     return solution, keep.sum(axis=-1)
 
 
+def _ridge_solve(
+    design: np.ndarray, targets: np.ndarray, penalty: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """Ridge solutions of a stack of least-squares systems, from their normal equations.
+
+    The Gram matrices go to the leading elements of the flat ``buffer``.
+    """
+    samples, _, p = design.shape
+    transposed = np.swapaxes(design, -1, -2)
+    gram = np.matmul(transposed, design, out=_view(buffer, samples, p, p))
+    gram += penalty
+    return np.linalg.solve(gram, transposed @ targets[..., np.newaxis])[..., 0]
+
+
 def _solve(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Solve a stack of square systems, by least squares if one is singular."""
     try:
@@ -166,19 +214,26 @@ def _solve(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         return _lstsq(matrices, vectors, matrices.shape[-1])[0]
 
 
-def _linear_predictor(model: _LinearModel, features: np.ndarray) -> np.ndarray:
+def _linear_predictor(
+    model: _LinearModel, features: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Intercept plus standardized features times weights.
 
     A stacked model, with leading axes on every field, scores a checked
-    (samples, n, d) feature stack, each sample under its own model.
+    (samples, n, d) feature stack, each sample under its own model.  The
+    standardized features go to ``out`` when it is given.
     """
     if np.ndim(features) == 3:
         matrix = np.asarray(features, dtype=float)
     else:
         matrix = as_feature_matrix(features)
-    design = (matrix - model.feature_means[..., np.newaxis, :]) / model.feature_scales[
-        ..., np.newaxis, :
-    ]
+    design = np.subtract(matrix, model.feature_means[..., np.newaxis, :], out=out)
+    design /= model.feature_scales[..., np.newaxis, :]
+    return _scores(model, design)
+
+
+def _scores(model: _LinearModel, design: np.ndarray) -> np.ndarray:
+    """Intercept plus already standardized features times weights."""
     return (
         np.asarray(model.intercept)[..., np.newaxis]
         + (design @ model.weights[..., np.newaxis])[..., 0]
@@ -275,31 +330,75 @@ def fit_propensity_stack(
     stalled.  A sample's fit does not depend on the other samples of its
     stack.
     """
+    matrix, t = _propensity_input(features, treatments, regularization)
+    work = _workspace(3, *matrix.shape)
+    return _fit_propensity(matrix, t, regularization, max_iters, tol, *work)[0]
+
+
+def _propensity_input(
+    features: np.ndarray, treatments: np.ndarray, regularization: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checked feature and treatment stacks of a stacked propensity fit."""
     t = _check_treatments(treatments)
     matrix = np.asarray(features, dtype=float)
     if matrix.ndim != 3 or matrix.shape[:2] != t.shape:
         raise InferenceError(f"{matrix.shape[-2]} feature rows but {t.shape[-1]} treatments")
     if regularization < 0:
         raise InferenceError("regularization must be nonnegative")
+    return matrix, t
 
+
+def _fit_propensity(
+    matrix: np.ndarray,
+    t: np.ndarray,
+    regularization: float,
+    max_iters: int,
+    tol: float,
+    design_buffer: np.ndarray,
+    augmented_buffer: np.ndarray,
+    product_buffer: np.ndarray,
+) -> tuple[PropensityModel, np.ndarray]:
+    """``fit_propensity_stack`` on checked input, in the three buffers of a ``_workspace``.
+
+    Returns the model and the standardized design, a view of
+    ``design_buffer``.  ``augmented_buffer`` holds the design with a
+    leading column of ones, and keeps only the rows of the samples still
+    iterating.  ``product_buffer`` takes the Hessian's x * s products and
+    the design rows of a line search, and is first written after the
+    design is built, so ``matrix`` may lie in it.
+    """
     samples, n, d = matrix.shape
-    design, means, scales = _standardize(matrix, np.ones((samples, n)))
-    augmented = np.concatenate((np.ones((samples, n, 1)), design), axis=-1)
+    design, means, scales = _standardize(
+        matrix,
+        np.ones((samples, n)),
+        _view(design_buffer, samples, n, d),
+        _view(augmented_buffer, samples, n, d),
+    )
+    augmented = _view(augmented_buffer, samples, n, d + 1)
+    augmented[..., 0] = 1.0
+    augmented[..., 1:] = design
     penalty = np.diag(np.concatenate(([0.0], np.full(d, regularization))))
     params = np.zeros((samples, d + 1))
     loss, grad = logistic_loss_and_grad(params, design, t, regularization)
     grad_norm = np.linalg.norm(grad, axis=-1)
     iterations = np.zeros(samples, dtype=int)
     stalled = np.zeros(samples, dtype=bool)
+    held = np.arange(samples)  # the samples whose rows ``augmented`` holds, in order
     for _ in range(max_iters):
         active = np.flatnonzero(~stalled & (grad_norm >= tol))
         if not active.size:
             break
-        x, g = _rows(augmented, active), grad[active]
+        if active.size < held.size:
+            # a sample never resumes, so its rows are dropped by moving
+            # later rows up, each to a place already read
+            for row, source in enumerate(np.searchsorted(held, active)):
+                if row != source:
+                    augmented[row] = augmented[source]
+            held, augmented = active, augmented[: active.size]
+        x, g = augmented, grad[active]
         mu = expit((x @ params[active, :, np.newaxis])[..., 0])
-        s = mu * (1.0 - mu)
-        hessian = np.swapaxes(x * s[..., np.newaxis], -1, -2) @ x / n + penalty
-        step = _solve(hessian, g)
+        s = np.multiply(mu, 1.0 - mu, out=mu)
+        step = _solve(_hessian(x, s, penalty, product_buffer), g)
         slope = np.sum(g * step, axis=-1)
         # halve each sample's step until its Armijo condition holds;
         # protects near-separable fits
@@ -309,7 +408,7 @@ def fit_propensity_stack(
             rows = active[pending]
             candidate = params[rows] - scale[pending, np.newaxis] * step[pending]
             new_loss, new_grad = logistic_loss_and_grad(
-                candidate, _rows(design, rows), _rows(t, rows), regularization
+                candidate, _rows(design, rows, product_buffer), _rows(t, rows), regularization
             )
             ok = new_loss <= loss[rows] - 1e-4 * scale[pending] * slope[pending]
             accepted = rows[ok]
@@ -332,7 +431,30 @@ def fit_propensity_stack(
         gradient_norm=grad_norm,
         stalled=stalled,
         converged=grad_norm < tol,
-    )
+    ), design
+
+
+def _hessian(
+    x: np.ndarray, s: np.ndarray, penalty: np.ndarray, buffer: np.ndarray
+) -> np.ndarray:
+    """The penalized mean log-loss Hessians of a (samples, n, d + 1) design stack.
+
+    ``s`` (samples, n) holds each row's mu * (1 - mu).  The Hessians take
+    the tail of the flat ``buffer`` (see ``_workspace``) and the products
+    x * s its head, for as many samples at a time as fit there.
+    """
+    samples, n, p = x.shape
+    hessian = _view(buffer[buffer.size - samples * p * p :], samples, p, p)
+    block = (buffer.size - hessian.size) // (n * p)
+    for start in range(0, samples, block):
+        rows = slice(start, start + block)
+        weighted = np.multiply(
+            x[rows], s[rows, :, np.newaxis], out=_view(buffer, *x[rows].shape)
+        )
+        np.matmul(np.swapaxes(weighted, -1, -2), x[rows], out=hessian[rows])
+    hessian /= n
+    hessian += penalty
+    return hessian
 
 
 def fit_propensity(
@@ -395,10 +517,18 @@ def predict_propensity(
     A stacked model scores a (samples, n, d) feature stack and returns
     (samples, n) probabilities.
     """
+    _check_clip_epsilon(clip_epsilon)
+    return _probabilities(_linear_predictor(model, features), clip_epsilon)
+
+
+def _check_clip_epsilon(clip_epsilon: float) -> None:
     if not 0.0 <= clip_epsilon < 0.5:
         raise InferenceError(f"clip_epsilon must lie in [0, 0.5), got {clip_epsilon!r}")
-    raw = expit(_linear_predictor(model, features))
-    return np.clip(raw, clip_epsilon, 1.0 - clip_epsilon)
+
+
+def _probabilities(scores: np.ndarray, clip_epsilon: float) -> np.ndarray:
+    """Treated probabilities of linear scores, clipped away from 0 and 1."""
+    return np.clip(expit(scores), clip_epsilon, 1.0 - clip_epsilon)
 
 
 def predict_outcome(model: OutcomeModel, features: np.ndarray) -> np.ndarray:
@@ -423,6 +553,14 @@ def fit_outcome_stack(
     raises with a suggestion to pass ridge > 0 instead of silently
     picking one of many solutions.
     """
+    matrix, t, y = _outcome_input(features, treatments, outcomes, ridge)
+    return _fit_outcome(matrix, t, y, ridge, *_workspace(2, *matrix.shape))
+
+
+def _outcome_input(
+    features: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked feature, treatment and outcome stacks of a stacked outcome fit."""
     t = _check_treatments(treatments)
     y = np.asarray(outcomes, dtype=float)
     matrix = np.asarray(features, dtype=float)
@@ -432,18 +570,46 @@ def fit_outcome_stack(
         raise InferenceError("outcomes must be finite")
     if ridge < 0:
         raise InferenceError("ridge must be nonnegative")
+    return matrix, t, y
+
+
+def _fit_outcome(
+    matrix: np.ndarray,
+    t: np.ndarray,
+    y: np.ndarray,
+    ridge: float,
+    design_buffer: np.ndarray,
+    scratch_buffer: np.ndarray,
+) -> OutcomeModel:
+    """``fit_outcome_stack`` on checked input, in the two buffers of a ``_workspace``.
+
+    The arms are fit one after the other, each arm's design built in
+    ``design_buffer``; ``scratch_buffer`` takes its standardized features
+    and then its Gram matrices.
+    """
+    samples, n, d = matrix.shape
+    p = d + 1
     arms = np.stack((1.0 - t, t))
-    design, means, scales = _standardize(matrix, arms)
-    design = np.concatenate((arms[..., np.newaxis], design), axis=-1)
-    p = design.shape[-1]
     targets = arms * y
     counts = arms.sum(axis=-1).astype(int)
-    if ridge > 0:
-        transposed = np.swapaxes(design, -1, -2)
-        gram = transposed @ design + ridge * np.diag(np.concatenate(([0.0], np.ones(p - 1))))
-        solution = np.linalg.solve(gram, transposed @ targets[..., np.newaxis])[..., 0]
-    else:
-        solution, rank = _lstsq(design, targets, counts)
+    penalty = ridge * np.diag(np.concatenate(([0.0], np.ones(p - 1))))
+    fits, ranks = [], []
+    for arm, target, count in zip(arms, targets, counts):
+        standardized, means, scales = _standardize(
+            matrix, arm, _view(scratch_buffer, samples, n, d), _view(design_buffer, samples, n, d)
+        )
+        design = _view(design_buffer, samples, n, p)
+        design[..., 0] = arm
+        design[..., 1:] = standardized
+        if ridge > 0:
+            solution = _ridge_solve(design, target, penalty, scratch_buffer)
+        else:
+            solution, rank = _lstsq(design, target, count)
+            ranks.append(rank)
+        fits.append((solution, means, scales))
+    solution, means, scales = (np.stack(field) for field in zip(*fits))
+    if ranks:
+        rank = np.stack(ranks)
         # report the first deficient arm in (sample, arm) order
         deficient = np.argwhere((rank < p).T)
         if deficient.size:
@@ -459,6 +625,57 @@ def fit_outcome_stack(
         feature_means=means,
         feature_scales=scales,
     )
+
+
+def _refit_resamples(
+    features: np.ndarray,
+    index: np.ndarray,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    regularization: float,
+    ridge: float,
+    clip_epsilon: float,
+    work: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refit both nuisance models on a stack of resamples and score the resamples.
+
+    ``index`` (samples, n) picks the rows of the (units, d) ``features``
+    that form each resample, whose treatments and outcomes are given.
+    Returns the clipped treated probabilities, q0 and q1, each of shape
+    (samples, n), and which propensity fits converged.  Every fit equals
+    ``fit_propensity_stack`` and ``fit_outcome_stack`` on
+    ``features[index]``, and every score ``predict_propensity`` and
+    ``predict_outcome``, but each stack-sized intermediate lives in
+    ``work``, from ``_workspace(3, samples, n, d)`` or a larger one.  The
+    resampled features go to its first buffer, which the outcome fits and
+    predictions read and the propensity fit then overwrites.
+    """
+    samples, n = index.shape
+    # the resamples draw their rows from range(units), so clipping never moves one
+    z = np.take(
+        features, index, axis=0, out=_view(work[0], samples, n, features.shape[1]), mode="clip"
+    )
+    t = _propensity_input(z, treatments, regularization)[1]
+    _check_clip_epsilon(clip_epsilon)
+    y = _outcome_input(z, treatments, outcomes, ridge)[2]
+    q0, q1 = _outcome_predictions(z, t, y, ridge, work)
+    propensity, design = _fit_propensity(
+        z, t, regularization, 100, 1e-8, work[1], work[2], work[0]
+    )
+    p = _probabilities(_scores(propensity, design), clip_epsilon)
+    return p, q0, q1, propensity.converged
+
+
+def _outcome_predictions(
+    z: np.ndarray, t: np.ndarray, y: np.ndarray, ridge: float, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """q0 and q1 of an outcome fit on a stack, scored on that stack, in ``work[1:]``."""
+    model = _fit_outcome(z, t, y, ridge, work[1], work[2])
+    q0, q1 = (
+        _linear_predictor(_sample(model, arm), z, out=_view(work[1], *z.shape))
+        for arm in (0, 1)
+    )
+    return q0, q1
 
 
 def fit_outcome_models(

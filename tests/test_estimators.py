@@ -1,6 +1,7 @@
 """Point estimators, their algebraic identities, and the bootstrap."""
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -287,10 +288,11 @@ def test_one_pass_matches_one_estimator_calls_with_skips(monkeypatch, caplog):
 
 def test_bootstrap_refits_once_per_usable_resample(monkeypatch):
     skip_odd_first_unit(monkeypatch)
-    rows = {"fit_propensity_stack": 0, "fit_outcome_stack": 0}
+    # the stacked fits that the pass runs in its working set
+    rows = {"_fit_propensity": 0, "_fit_outcome": 0}
 
     def counted(name):
-        fit = getattr(estimators, name)
+        fit = getattr(inference, name)
 
         def wrapper(features, *args, **kwargs):
             rows[name] += features.shape[0]
@@ -299,14 +301,14 @@ def test_bootstrap_refits_once_per_usable_resample(monkeypatch):
         return wrapper
 
     for name in rows:
-        monkeypatch.setattr(estimators, name, counted(name))
+        monkeypatch.setattr(inference, name, counted(name))
     data = _random_input(4, n=80)
     replicates = 15
     result = bootstrap_se(data, list(Estimator), replicates=replicates, seed=2, refit=True)
     assert list(result.estimates) == list(Estimator)
     assert 0 < result.skipped < replicates
     used = replicates - result.skipped
-    assert rows == {"fit_propensity_stack": used, "fit_outcome_stack": used}
+    assert rows == {"_fit_propensity": used, "_fit_outcome": used}
 
 
 def _one_resample_replicates(data, replicates, seed, refit, variant, ridge):
@@ -537,7 +539,9 @@ def _reference_bootstrap(data, replicates, seed, ridge):
         (300, 20, 11, 3, 0.0),
     ],
 )
-def test_replicates_match_reference_refit_bit_for_bit(monkeypatch, n, d, replicates, per_chunk, ridge):
+def test_replicates_match_reference_refit_bit_for_bit(
+    monkeypatch, n, d, replicates, per_chunk, ridge
+):
     if per_chunk is not None:
         # the last chunk is shorter than the others
         monkeypatch.setattr(estimators, "CHUNK_BYTES", per_chunk * 8 * n * (d + 1))
@@ -575,6 +579,53 @@ def test_bootstrap_rejects_unusable_setups():
     data = _random_input(8)
     with pytest.raises(EstimationError, match="at least 2"):
         bootstrap_se(data, Estimator.Q, replicates=1)
+
+
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"replicates": 10.0}, "replicates"),
+        ({"replicates": "7"}, "replicates"),
+        ({"replicates": True}, "replicates"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": np.True_}, "seed"),
+    ],
+)
+def test_bootstrap_rejects_malformed_replicates_and_seed(overrides, name):
+    data = _random_input(8, n=40)
+    with pytest.raises(EstimationError, match=name):
+        bootstrap_se(data, Estimator.Q, **{"replicates": 10, "seed": 3, **overrides})
+
+
+def test_bootstrap_accepts_numpy_integers():
+    data = _random_input(8, n=40)
+    plain = bootstrap_se(data, Estimator.Q, replicates=10, seed=3)
+    numpy = bootstrap_se(data, Estimator.Q, replicates=np.int64(10), seed=np.uint32(3))
+    np.testing.assert_array_equal(numpy.estimates[Estimator.Q], plain.estimates[Estimator.Q])
+
+
+def test_bootstrap_pass_peaks_within_four_stacks():
+    # a stack is the (R, n, d + 1) float array that CHUNK_BYTES sizes, and
+    # all 60 resamples at n = 60, d = 28 fit one chunk: 0.835 MB
+    n, d, replicates = 60, 28, 60
+    assert estimators.CHUNK_BYTES // (8 * n * (d + 1)) >= replicates
+    stack = replicates * n * (d + 1) * 8
+    data = _wide_input(n, d, 1e-6)
+    kwargs = dict(replicates=replicates, seed=3, ridge=1e-6)
+    bootstrap_se(data, list(Estimator), **kwargs)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        bootstrap_se(data, list(Estimator), **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * stack, f"peak {peak / stack:.2f} stacks"
 
 
 def test_bootstrap_se_close_to_analytic_two_sample_form():
