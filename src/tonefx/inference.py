@@ -669,7 +669,11 @@ def _refit_resamples(
 def _outcome_predictions(
     z: np.ndarray, t: np.ndarray, y: np.ndarray, ridge: float, work: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """q0 and q1 of an outcome fit on a stack, scored on that stack, in ``work[1:]``."""
+    """q0 and q1 of an outcome fit on a stack, scored on that stack, in ``work[1:]``.
+
+    The models go out of scope on return, before the propensity fit's
+    memory peak.
+    """
     model = _fit_outcome(z, t, y, ridge, work[1], work[2])
     q0, q1 = (
         _linear_predictor(_sample(model, arm), z, out=_view(work[1], *z.shape))
