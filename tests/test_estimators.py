@@ -386,13 +386,18 @@ def test_replicate_values_do_not_depend_on_replicate_count(monkeypatch, refit):
             np.testing.assert_array_equal(head.estimates[e], full.estimates[e][:m])
 
 
-def _wide_input(n, d, ridge):
-    """A cell of n units with d features, its nuisances fit on the full sample."""
+def _wide_cell(n, d):
+    """The features, treatments and outcomes of a cell of n units with d features."""
     rng = np.random.default_rng(n)
     features = rng.normal(size=(n, d))
     treatments = rng.binomial(1, expit(features[:, :2] @ np.array([0.7, -0.7])))
     outcomes = treatments + features[:, 0] + rng.normal(size=n)
-    return build_estimation_input(features, treatments, outcomes, ridge=ridge)
+    return features, treatments, outcomes
+
+
+def _wide_input(n, d, ridge):
+    """A cell of n units with d features, its nuisances fit on the full sample."""
+    return build_estimation_input(*_wide_cell(n, d), ridge=ridge)
 
 
 @pytest.mark.parametrize("n, d", [(60, 28), (300, 116)])
@@ -507,8 +512,11 @@ def _reference_outcome(z, t, y, ridge):
     return _reference_linear_predictor(solution[..., 0], solution[..., 1:], means, scales, z)
 
 
-def _reference_bootstrap(data, replicates, seed, ridge):
-    """Replicate values of every estimator, refit chunk by chunk, and the unconverged count."""
+def _reference_bootstrap(data, replicates, seed, ridge, refit=True):
+    """Replicate values of every estimator, refit chunk by chunk, and the unconverged count.
+
+    Without ``refit`` the replicates index the full-sample nuisances of ``data``.
+    """
     n, d = data.features.shape
     chunk = max(1, estimators.CHUNK_BYTES // (8 * n * (d + 1)))
     draws = (
@@ -520,10 +528,14 @@ def _reference_bootstrap(data, replicates, seed, ridge):
     unconverged = 0
     for start in range(0, len(usable), chunk):
         idx = np.stack(usable[start : start + chunk])
-        t, y, z = data.treatments[idx], data.outcomes[idx], data.features[idx]
-        p, misses = _reference_propensity(z, t)
-        unconverged += misses
-        q0, q1 = _reference_outcome(z, t, y, ridge)
+        t, y = data.treatments[idx], data.outcomes[idx]
+        if refit:
+            z = data.features[idx]
+            p, misses = _reference_propensity(z, t)
+            unconverged += misses
+            q0, q1 = _reference_outcome(z, t, y, ridge)
+        else:
+            p, q0, q1 = data.propensity[idx], data.q0[idx], data.q1[idx]
         replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
         for e, sink in values.items():
             sink.append(point_estimate(replicate, e))
@@ -562,6 +574,77 @@ def test_stalled_replicate_matches_reference_refit_bit_for_bit(monkeypatch):
     assert (result.skipped, result.unconverged, unconverged) == (0, 1, 1)
     for e in Estimator:
         np.testing.assert_array_equal(result.estimates[e], expected[e])
+
+
+def _reference_cell(features, treatments, outcomes, replicates, seed, refit, ridge):
+    """A cell's full-sample nuisances as a stack of one, then its bootstrap.
+
+    Returns the cell's EstimationInput, every estimator's replicate
+    values and how many resample refits ended unconverged.
+    """
+    z, t = features[np.newaxis], treatments[np.newaxis].astype(float)
+    p, _ = _reference_propensity(z, t)
+    q0, q1 = _reference_outcome(z, t, outcomes[np.newaxis], ridge)
+    data = EstimationInput(
+        treatments=treatments, outcomes=outcomes, propensity=p[0], q0=q0[0], q1=q1[0],
+        features=features,
+    )
+    return (data, *_reference_bootstrap(data, replicates, seed, ridge, refit))
+
+
+def _cell(features, treatments, outcomes, replicates, seed, refit, ridge):
+    """The cell's EstimationInput and its bootstrap, as the pipeline runs them."""
+    data = build_estimation_input(features, treatments, outcomes, ridge=ridge)
+    result = bootstrap_se(
+        data, list(Estimator), replicates=replicates, seed=seed, refit=refit, ridge=ridge
+    )
+    return data, result
+
+
+def _assert_cell_equal(data, result, expected_data, expected, unconverged):
+    for name in ("propensity", "q0", "q1"):
+        np.testing.assert_array_equal(getattr(data, name), getattr(expected_data, name))
+    assert (result.skipped, result.unconverged) == (0, unconverged)
+    for e in Estimator:
+        np.testing.assert_array_equal(result.estimates[e], expected[e])
+
+
+@pytest.mark.parametrize("refit", [True, False])
+@pytest.mark.parametrize(
+    "n, d, replicates, per_chunk, ridge",
+    [
+        (60, 28, 60, None, 1e-6),
+        (300, 116, 11, 3, 1e-6),
+        (60, 5, 30, None, 0.0),
+        (300, 20, 11, 3, 0.0),
+    ],
+)
+def test_cell_matches_reference_fit_and_refit_bit_for_bit(
+    monkeypatch, n, d, replicates, per_chunk, ridge, refit
+):
+    if per_chunk is not None:
+        monkeypatch.setattr(estimators, "CHUNK_BYTES", per_chunk * 8 * n * (d + 1))
+    cell = _wide_cell(n, d)
+    expected = _reference_cell(*cell, replicates, 3, refit, ridge)
+    _assert_cell_equal(*_cell(*cell, replicates, 3, refit, ridge), *expected)
+
+
+@pytest.mark.parametrize("stalled", ["resample", "full sample"])
+def test_stalled_cell_matches_reference_bit_for_bit(monkeypatch, caplog, stalled):
+    features, treatments, outcomes = cell = _wide_cell(60, 28)
+    if stalled == "resample":
+        idx = estimators._resample_indices(np.random.default_rng([3, 17]), treatments, 10)
+        stall_line_search(monkeypatch, treatments[idx])
+    else:
+        stall_line_search(monkeypatch, treatments)
+    expected = _reference_cell(*cell, 60, 3, True, 1e-6)
+    assert expected[2] == (stalled == "resample")
+    with caplog.at_level("WARNING"):
+        data, result = _cell(*cell, 60, 3, True, 1e-6)
+    _assert_cell_equal(data, result, *expected)
+    # a stalled full-sample fit is logged, once; resample refits are only counted
+    lines = [r.getMessage() for r in caplog.records if "propensity fit" in r.getMessage()]
+    assert len(lines) == (stalled == "full sample")
 
 
 def test_bootstrap_logs_unconverged_refits_once(monkeypatch, caplog):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tonefx import lexicon, topics
+from tonefx import estimators, lexicon, topics
 from tonefx.corpus import extract_triples, load_annotations, load_posts
 from tonefx.estimators import AipwVariant, Estimator, bootstrap_se
 from tonefx.harness import pipeline
@@ -40,7 +40,7 @@ from tonefx.topics import (
     split_words,
 )
 
-from conftest import MINICORPUS, skip_odd_first_unit
+from conftest import MINICORPUS, skip_odd_first_unit, stall_line_search
 
 POSTS = str(MINICORPUS / "posts.jsonl")
 ANNOTATIONS = str(MINICORPUS / "annotations.jsonl")
@@ -155,6 +155,61 @@ def test_pipeline_logs_unconverged_bootstrap_refits_once_per_cell(tmp_path, monk
         for cell, result in zip(cells, results, strict=True)
     ]
     assert not [w for w in report.warnings if "propensity" in w]
+
+
+def test_pipeline_psi_does_not_depend_on_the_bootstrap_pass(tmp_path, monkeypatch):
+    # a cell's point estimates come from its full-sample fit alone, whatever
+    # the bootstrap pass around it holds and however it is chunked
+    def psis(**overrides):
+        report = run_pipeline(_config(tmp_path, **overrides))
+        assert report.failed_cells == []
+        return [
+            (e.reply_type, e.category_type, e.confounder_variant, e.estimator, float(e.psi).hex())
+            for e in report.estimates
+        ]
+
+    plain = psis()
+    assert len(plain) == 48
+    assert psis(bootstrap_replicates=2) == plain
+    assert psis(bootstrap_replicates=40) == plain
+    monkeypatch.setattr(estimators, "CHUNK_BYTES", 1)
+    assert psis(bootstrap_replicates=40) == plain
+
+
+def test_pipeline_logs_a_stalled_full_sample_fit_once(tmp_path, monkeypatch, caplog):
+    config = _config(
+        tmp_path, bootstrap_replicates=8, reply_types=("nasty_nice",),
+        category_types=("linguistic_style",), confounder_variants=("full",),
+    )
+
+    def logged():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="tonefx"):
+            report = run_pipeline(config)
+        assert report.failed_cells == []
+        return [r.getMessage() for r in caplog.records]
+
+    def propensity_lines(messages, phrase):
+        return [m for m in messages if phrase in m]
+
+    plain = logged()
+    triples = extract_triples(
+        load_posts(POSTS), load_annotations(ANNOTATIONS), config.reply_types[0]
+    )
+    # the one cell's full sample; its folds and resamples hold other treatments
+    stall_line_search(monkeypatch, [t.treatment for t in triples])
+    stalled = logged()
+    assert not propensity_lines(plain, "propensity fit stopped")
+    (line,) = propensity_lines(stalled, "propensity fit stopped")
+    assert re.fullmatch(
+        r"propensity fit stopped after 0 iterations: line search failed "
+        r"with gradient norm \d\.\d\de[+-]\d\d",
+        line,
+    )
+    # the bootstrap's unconverged count leaves the full-sample fit out
+    assert propensity_lines(stalled, "bootstrap propensity refits") == propensity_lines(
+        plain, "bootstrap propensity refits"
+    )
 
 
 def test_pipeline_surfaces_load_warnings(full_run):
