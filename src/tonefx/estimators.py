@@ -29,6 +29,14 @@ a chunk holds as many resamples as fit ``CHUNK_BYTES`` for one
 n x (d + 1) float stack, which bounds the memory of a pass whatever the
 replicate count.
 
+``estimate_cell`` fits a cell's full sample in the same pass: the full
+sample, as the identity resample ``np.arange(n)``, is row 0 of the
+first chunk and gives the cell's nuisances and point estimates, and the
+rows after it are the replicates.  A sample's stacked fit does not
+depend on the other samples of its stack, so row 0 gets the bits of a
+fit of its own.  Without refitting (``--no-refit``) the pass is row 0
+alone, and every replicate indexes row 0's values.
+
 A pass allocates one working set, three buffers of one stack each, and
 refits every chunk in it: the resampled features, the standardized and
 augmented designs, the Hessians and their x * s products, each outcome
@@ -51,9 +59,9 @@ and the whole refit pass of ``bootstrap_se`` take:
                      18              334 us        482 us
                      60              263 us        380 us
 
-The 1 MiB budget holds a whole 60-replicate cell at that size
-(60 x 60 x 29 x 8 B = 835 KB), and 3 resamples per chunk at n = 300,
-d = 116.
+The 1 MiB budget holds a whole 60-replicate cell at that size, with
+its full sample, as one chunk of 61 rows (61 x 60 x 29 x 8 B = 849 KB),
+and 3 resamples per chunk at n = 300, d = 116.
 """
 
 from __future__ import annotations
@@ -69,12 +77,12 @@ import numpy as np
 from .inference import (
     DEFAULT_CLIP_EPSILON,
     DEFAULT_REGULARIZATION,
+    _check_cell,
+    _check_settings,
+    _log_unconverged,
     _refit_resamples,
+    _sample,
     _workspace,
-    fit_outcome_models,
-    fit_propensity,
-    predict_outcome,
-    predict_propensity,
 )
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
@@ -120,8 +128,8 @@ class EstimationInput:
     features: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.treatments = np.asarray(self.treatments)
-        if self.treatments.ndim not in (1, 2) or not np.all(np.isin(self.treatments, (0, 1))):
+        self.treatments = t = np.asarray(self.treatments)
+        if t.ndim not in (1, 2) or not np.all((t == 0) | (t == 1)):
             raise EstimationError("treatments must be a flat 0/1 vector or a stack of them")
         n = self.n
         if np.any(self.treatments.min(axis=-1) == self.treatments.max(axis=-1)):
@@ -159,19 +167,18 @@ def build_estimation_input(
     ridge: float = 0.0,
     clip_epsilon: float = DEFAULT_CLIP_EPSILON,
 ) -> EstimationInput:
-    """Fit both nuisance models on the full sample and bundle their values."""
-    features = np.asarray(features, dtype=float)
-    propensity_model = fit_propensity(features, treatments, regularization=regularization)
-    scores = predict_propensity(propensity_model, features, clip_epsilon=clip_epsilon)
-    model0, model1 = fit_outcome_models(features, treatments, outcomes, ridge=ridge)
-    return EstimationInput(
-        treatments=np.asarray(treatments),
-        outcomes=np.asarray(outcomes, dtype=float),
-        propensity=scores,
-        q0=predict_outcome(model0, features),
-        q1=predict_outcome(model1, features),
-        features=features,
-    )
+    """Fit both nuisance models on the full sample and bundle their values.
+
+    ``estimate_cell`` without a bootstrap: a pass of row 0 alone.
+    """
+    return estimate_cell(
+        features,
+        treatments,
+        outcomes,
+        regularization=regularization,
+        ridge=ridge,
+        clip_epsilon=clip_epsilon,
+    )[0]
 
 
 def _value(estimate: np.ndarray) -> float | np.ndarray:
@@ -280,6 +287,30 @@ def _resample_indices(
     return None
 
 
+def _check_bootstrap(
+    estimator: Estimator | Sequence[Estimator], replicates: int, seed: int
+) -> list[Estimator]:
+    """The requested estimators, once each in order, after checking the pass's arguments."""
+    if isinstance(estimator, str):
+        estimator = [estimator]
+    requested = list(dict.fromkeys(Estimator(e) for e in estimator))
+    if not requested:
+        raise EstimationError("no estimator requested")
+    for name, value in (("replicates", replicates), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise EstimationError(f"{name} must be an integer, got {value!r}")
+    if replicates < 2:
+        raise EstimationError(f"need at least 2 bootstrap replicates, got {replicates}")
+    if seed < 0:
+        raise EstimationError(f"seed must be nonnegative, got {seed}")
+    return requested
+
+
+def _refits(requested: Sequence[Estimator], refit: bool) -> bool:
+    """Whether a bootstrap of these estimators refits the nuisances on its resamples."""
+    return refit and any(e is not Estimator.UNADJUSTED for e in requested)
+
+
 def bootstrap_se(
     data: EstimationInput,
     estimator: Estimator | Sequence[Estimator],
@@ -309,56 +340,139 @@ def bootstrap_se(
     that requests it alone.  Propensity refits that end unconverged are
     counted in the result's ``unconverged``, and are not logged either.
     ``replicates`` and ``seed`` are integers, Python's or numpy's, and
-    ``seed`` is nonnegative.
+    ``seed`` is nonnegative.  ``data`` is checked on construction, so a
+    refitting call checks only the fit settings, once.
     """
-    if isinstance(estimator, str):
-        estimator = [estimator]
-    requested = list(dict.fromkeys(Estimator(e) for e in estimator))
-    if not requested:
-        raise EstimationError("no estimator requested")
-    for name, value in (("replicates", replicates), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise EstimationError(f"{name} must be an integer, got {value!r}")
-    if replicates < 2:
-        raise EstimationError(f"need at least 2 bootstrap replicates, got {replicates}")
-    if seed < 0:
-        raise EstimationError(f"seed must be nonnegative, got {seed}")
-    needs_nuisances = any(e is not Estimator.UNADJUSTED for e in requested)
-    do_refit = refit and needs_nuisances
-    if do_refit and data.features is None:
+    requested = _check_bootstrap(estimator, replicates, seed)
+    if not _refits(requested, refit):
+        nuisances = (data.propensity, data.q0, data.q1)
+    elif data.features is None:
         raise EstimationError(
             "bootstrap refitting needs the feature matrix; "
             "provide features or pass refit=False"
         )
+    else:
+        nuisances = None
+        _check_settings(regularization, ridge, clip_epsilon)
+    return _pass(
+        data.features, data.treatments, data.outcomes, requested, replicates, seed,
+        aipw_variant, regularization, ridge, clip_epsilon, nuisances=nuisances,
+    )[1]
 
-    width = data.features.shape[1] + 1 if do_refit else 1
-    chunk = max(1, CHUNK_BYTES // (8 * data.n * width))
+
+def estimate_cell(
+    features: np.ndarray | Sequence[Sequence[float]],
+    treatments: np.ndarray | Sequence[int],
+    outcomes: np.ndarray | Sequence[float],
+    estimators: Estimator | Sequence[Estimator] = (),
+    replicates: int = 0,
+    seed: int = 0,
+    refit: bool = True,
+    aipw_variant: AipwVariant = AipwVariant.STABILIZED,
+    regularization: float = DEFAULT_REGULARIZATION,
+    ridge: float = 0.0,
+    clip_epsilon: float = DEFAULT_CLIP_EPSILON,
+) -> tuple[EstimationInput, BootstrapResult | None]:
+    """One cell's full-sample nuisances and its bootstrap, from one refit pass.
+
+    Checks the cell's inputs once, as ``build_estimation_input`` always
+    has, then refits the full sample, as the identity resample
+    ``np.arange(n)``, in row 0 of the pass's first chunk, ahead of the
+    resamples that ``bootstrap_se`` would draw and refit.  Row 0 gives
+    the returned ``EstimationInput``, and an unconverged row 0 is logged
+    as ``fit_propensity`` logs it; rows 1.. give the replicates, and the
+    result's ``unconverged`` counts only them.  With ``replicates`` 0 the
+    pass is row 0 alone and there is no result; without refitting (see
+    ``bootstrap_se``) the pass is row 0 alone and the replicates then
+    index its values.  Every value equals those of
+    ``build_estimation_input`` followed by ``bootstrap_se`` on its result.
+    """
+    matrix, t, y = _check_cell(features, treatments, outcomes, regularization, ridge, clip_epsilon)
+    requested = _check_bootstrap(estimators, replicates, seed) if replicates else []
+    refits = _refits(requested, refit)
+    settings = aipw_variant, regularization, ridge, clip_epsilon
+    full, result = _pass(
+        matrix, t, y, requested, replicates if refits else 0, seed, *settings, full_sample=True
+    )
+    data = EstimationInput(
+        treatments=t, outcomes=y, propensity=full[0], q0=full[1], q1=full[2], features=matrix
+    )
+    if replicates and not refits:
+        nuisances = (data.propensity, data.q0, data.q1)
+        result = _pass(matrix, t, y, requested, replicates, seed, *settings, nuisances=nuisances)[1]
+    return data, result
+
+
+def _pass(
+    features: np.ndarray | None,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    requested: Sequence[Estimator],
+    replicates: int,
+    seed: int,
+    aipw_variant: AipwVariant,
+    regularization: float,
+    ridge: float,
+    clip_epsilon: float,
+    nuisances: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    full_sample: bool = False,
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, BootstrapResult | None]:
+    """The chunk loop of a cell's bootstrap, on checked input.
+
+    Refits both nuisances on every usable resample, or, given the
+    full-sample ``nuisances`` (p, q0, q1 per unit), indexes those.  With
+    ``full_sample`` the refit pass fits the full sample first, as row 0
+    of its first chunk, and returns its p, q0 and q1.  The replicate
+    result is None when ``replicates`` is 0.
+    """
+    n = treatments.shape[0]
+    width = 1 if nuisances is not None else features.shape[1] + 1
+    chunk = max(1, CHUNK_BYTES // (8 * n * width))
     # every chunk is refit in this one working set
-    work = _workspace(3, min(chunk, replicates), *data.features.shape) if do_refit else None
+    work = (
+        _workspace(3, min(chunk, replicates + full_sample), *features.shape)
+        if nuisances is None
+        else None
+    )
     draws = (
-        _resample_indices(np.random.default_rng([seed, i]), data.treatments, MAX_REDRAWS)
+        _resample_indices(np.random.default_rng([seed, i]), treatments, MAX_REDRAWS)
         for i in range(replicates)
     )
-    usable = (idx for idx in draws if idx is not None)
+    rows = itertools.chain(
+        [np.arange(n)] if full_sample else [], (idx for idx in draws if idx is not None)
+    )
     estimates: dict[Estimator, list[np.ndarray]] = {e: [] for e in requested}
+    full = None
     used = unconverged = 0
-    while drawn := list(itertools.islice(usable, chunk)):
+    while drawn := list(itertools.islice(rows, chunk)):
         idx = np.stack(drawn)
-        used += len(drawn)
-        t, y = data.treatments[idx], data.outcomes[idx]
-        if do_refit:
-            p, q0, q1, converged = _refit_resamples(
-                data.features, idx, t, y, regularization, ridge, clip_epsilon, work
+        t, y = treatments[idx], outcomes[idx]
+        if nuisances is None:
+            p, q0, q1, propensity = _refit_resamples(
+                features, idx, t, y, regularization, ridge, clip_epsilon, work
             )
-            unconverged += int(np.count_nonzero(~converged))
         else:
-            p, q0, q1 = data.propensity[idx], data.q0[idx], data.q1[idx]
-        replicate = EstimationInput(treatments=t, outcomes=y, propensity=p, q0=q0, q1=q1)
+            p, q0, q1 = (values[idx] for values in nuisances)
+        # the full sample, when the pass fits it, is row 0 of its first chunk
+        head = int(full_sample and full is None)
+        if head:
+            _log_unconverged(_sample(propensity, 0))
+            full = p[0], q0[0], q1[0]
+        if nuisances is None:
+            unconverged += int(np.count_nonzero(~propensity.converged[head:]))
+        if head == len(drawn):
+            continue
+        used += len(drawn) - head
+        replicate = EstimationInput(
+            treatments=t[head:], outcomes=y[head:], propensity=p[head:], q0=q0[head:], q1=q1[head:]
+        )
         for e, values in estimates.items():
             values.append(point_estimate(replicate, e, aipw_variant=aipw_variant))
+    if not replicates:
+        return full, None
     if used < 2:
         raise EstimationError(f"only {used} of {replicates} bootstrap replicates usable")
-    return BootstrapResult(
+    return full, BootstrapResult(
         estimates={e: np.concatenate(values) for e, values in estimates.items()},
         skipped=replicates - used,
         unconverged=unconverged,

@@ -95,8 +95,7 @@ from ..estimators import (
     AteEstimate,
     EstimationError,
     Estimator,
-    bootstrap_se,
-    build_estimation_input,
+    estimate_cell,
     point_estimate,
 )
 from ..inference import (
@@ -587,34 +586,27 @@ def _run_cell(task: _CellTask) -> tuple[list[AteEstimate], list[str], bool, str 
     """One cell's estimates, its warning lines, whether it failed, and the line
     to log when propensity refits of its bootstrap ended unconverged.
 
-    Every requested estimator is scored from one nuisance fit, and its
-    standard error comes from one ``bootstrap_se`` pass over the cell
-    (none when ``bootstrap_replicates`` is 0).  A cell that cannot be
-    estimated gives no estimates and one warning line, so the run goes on.
+    Every requested estimator is scored from one nuisance fit, the full
+    sample's, and its standard error comes from the bootstrap of the
+    same ``estimate_cell`` pass (none when ``bootstrap_replicates`` is 0).
+    A cell that cannot be estimated gives no estimates and one warning
+    line, so the run goes on.
     """
     config = task.config
     try:
-        data = build_estimation_input(
+        data, bootstrap = estimate_cell(
             task.features,
             task.treatments,
             task.outcomes,
+            config.estimators,
+            replicates=config.bootstrap_replicates,
+            seed=task.seed,
+            refit=config.bootstrap_refit,
+            aipw_variant=config.aipw_variant,
             regularization=config.regularization,
             ridge=config.outcome_ridge,
             clip_epsilon=config.clip_epsilon,
         )
-        bootstrap = None
-        if config.bootstrap_replicates:
-            bootstrap = bootstrap_se(
-                data,
-                config.estimators,
-                replicates=config.bootstrap_replicates,
-                seed=task.seed,
-                refit=config.bootstrap_refit,
-                aipw_variant=config.aipw_variant,
-                regularization=config.regularization,
-                ridge=config.outcome_ridge,
-                clip_epsilon=config.clip_epsilon,
-            )
         standard_errors = bootstrap.standard_errors if bootstrap else {}
         estimates = [
             AteEstimate(

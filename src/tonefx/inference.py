@@ -26,12 +26,12 @@ the stack, with stacked matrix products and solves, and each sample's
 fit is the one it would get alone.  They return the same model types as
 the one-sample fits, with a leading sample axis on every field (arm,
 then sample, for outcomes).  ``fit_propensity`` and
-``fit_outcome_models`` return sample 0 of a stack of one, used for
-full-sample fits.  Cross-validation fits its folds as one stack per
-training size, and the bootstrap refits whole stacks of resamples.
-Every stack-sized intermediate of a stacked fit lives in flat buffers
-allocated once per fit (``_workspace``); the bootstrap allocates them
-once per pass and refits every stack of resamples in them.
+``fit_outcome_models`` return sample 0 of a stack of one.
+Cross-validation fits its folds as one stack per training size, and a
+cell's bootstrap pass refits its full sample, as row 0, and its
+resamples in whole stacks.  Every stack-sized intermediate of a stacked
+fit lives in flat buffers allocated once per fit (``_workspace``); the
+bootstrap allocates them once per pass and refits every stack in them.
 """
 
 from __future__ import annotations
@@ -128,21 +128,27 @@ def _view(buffer: np.ndarray, *shape: int) -> np.ndarray:
 
 
 def _standardize(
-    matrix: np.ndarray, rows: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    matrix: np.ndarray, rows: np.ndarray | None, out: np.ndarray, scratch: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standardize every sample of a (samples, n, d) stack over its marked rows.
+    """Standardize every sample of a C-contiguous (samples, n, d) stack over its marked rows.
 
     ``rows`` (samples, n) holds 1.0 for the rows that count and 0.0 for
-    the rest, which come out as zero rows.  Constant columns get scale 1.
-    The standardized stack is written to ``out``; ``scratch``, of the
-    same shape, takes the products on the way.  Returns ``out`` with the
-    means and scales it used.
+    the rest, which come out as zero rows; ``None`` counts every row, with
+    the bits of a mask of ones.  Constant columns get scale 1.  The
+    standardized stack is written to ``out``; ``scratch``, of the same
+    shape, takes the products on the way.  Returns ``out`` with the means
+    and scales it used.
     """
-    weight = rows[..., np.newaxis]
-    count = rows.sum(axis=-1)[..., np.newaxis]
-    means = np.multiply(matrix, weight, out=scratch).sum(axis=-2) / count
-    deviations = np.subtract(matrix, means[..., np.newaxis, :], out=out)
-    deviations *= weight
+    if rows is None:
+        count = matrix.shape[-2]
+        means = matrix.sum(axis=-2) / count
+        deviations = np.subtract(matrix, means[..., np.newaxis, :], out=out)
+    else:
+        weight = rows[..., np.newaxis]
+        count = rows.sum(axis=-1)[..., np.newaxis]
+        means = np.multiply(matrix, weight, out=scratch).sum(axis=-2) / count
+        deviations = np.subtract(matrix, means[..., np.newaxis, :], out=out)
+        deviations *= weight
     scales = np.sqrt(np.multiply(deviations, deviations, out=scratch).sum(axis=-2) / count)
     scales = np.where(scales < 1e-12, 1.0, scales)
     deviations /= scales[..., np.newaxis, :]
@@ -152,7 +158,7 @@ def _standardize(
 def _check_treatments(treatments: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     """A (samples, n) stack of 0/1 treatments with both arms in every sample."""
     t = np.asarray(treatments)
-    if t.ndim != 2 or not np.all(np.isin(t, (0, 1))):
+    if t.ndim != 2 or not np.all((t == 0) | (t == 1)):
         raise InferenceError("treatments must be a flat 0/1 vector per sample")
     if np.any(t.min(axis=-1) == t.max(axis=-1)):
         raise InferenceError("all units share one treatment arm; need both arms to fit")
@@ -338,9 +344,12 @@ def fit_propensity_stack(
 def _propensity_input(
     features: np.ndarray, treatments: np.ndarray, regularization: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The checked feature and treatment stacks of a stacked propensity fit."""
+    """The checked feature and treatment stacks of a stacked propensity fit.
+
+    The features come back C-contiguous, the layout ``_standardize`` sums.
+    """
     t = _check_treatments(treatments)
-    matrix = np.asarray(features, dtype=float)
+    matrix = np.ascontiguousarray(features, dtype=float)
     if matrix.ndim != 3 or matrix.shape[:2] != t.shape:
         raise InferenceError(f"{matrix.shape[-2]} feature rows but {t.shape[-1]} treatments")
     if regularization < 0:
@@ -370,7 +379,7 @@ def _fit_propensity(
     samples, n, d = matrix.shape
     design, means, scales = _standardize(
         matrix,
-        np.ones((samples, n)),
+        None,
         _view(design_buffer, samples, n, d),
         _view(augmented_buffer, samples, n, d),
     )
@@ -553,24 +562,24 @@ def fit_outcome_stack(
     raises with a suggestion to pass ridge > 0 instead of silently
     picking one of many solutions.
     """
-    matrix, t, y = _outcome_input(features, treatments, outcomes, ridge)
+    t = _check_treatments(treatments)
+    matrix = np.asarray(features, dtype=float)
+    y = _outcome_input(matrix, t, outcomes, ridge)
     return _fit_outcome(matrix, t, y, ridge, *_workspace(2, *matrix.shape))
 
 
 def _outcome_input(
-    features: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray, ridge: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked feature, treatment and outcome stacks of a stacked outcome fit."""
-    t = _check_treatments(treatments)
+    matrix: np.ndarray, t: np.ndarray, outcomes: np.ndarray, ridge: float
+) -> np.ndarray:
+    """The checked outcome stack of a stacked outcome fit on checked treatments."""
     y = np.asarray(outcomes, dtype=float)
-    matrix = np.asarray(features, dtype=float)
     if y.shape != t.shape or matrix.ndim != 3 or matrix.shape[:2] != t.shape:
         raise InferenceError("features, treatments and outcomes must align")
     if not np.all(np.isfinite(y)):
         raise InferenceError("outcomes must be finite")
     if ridge < 0:
         raise InferenceError("ridge must be nonnegative")
-    return matrix, t, y
+    return y
 
 
 def _fit_outcome(
@@ -627,6 +636,37 @@ def _fit_outcome(
     )
 
 
+def _check_cell(
+    features: np.ndarray | Sequence[Sequence[float]],
+    treatments: np.ndarray | Sequence[int],
+    outcomes: np.ndarray | Sequence[float],
+    regularization: float,
+    ridge: float,
+    clip_epsilon: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked (n, d) features, float treatments and outcomes of one cell.
+
+    Runs, once, the checks that ``fit_propensity``, ``fit_outcome_models``
+    and ``predict_propensity`` make on a full sample: the feature matrix,
+    the propensity input, the outcome input, then ``clip_epsilon``, with
+    their exceptions and messages.
+    """
+    matrix = as_feature_matrix(features)
+    _, t = _propensity_input(matrix[np.newaxis], np.asarray(treatments)[np.newaxis], regularization)
+    y = _outcome_input(matrix[np.newaxis], t, np.asarray(outcomes, dtype=float)[np.newaxis], ridge)
+    _check_clip_epsilon(clip_epsilon)
+    return matrix, t[0], y[0]
+
+
+def _check_settings(regularization: float, ridge: float, clip_epsilon: float) -> None:
+    """Reject the fit settings that a stack's input checks reject, in their order."""
+    if regularization < 0:
+        raise InferenceError("regularization must be nonnegative")
+    _check_clip_epsilon(clip_epsilon)
+    if ridge < 0:
+        raise InferenceError("ridge must be nonnegative")
+
+
 def _refit_resamples(
     features: np.ndarray,
     index: np.ndarray,
@@ -636,13 +676,22 @@ def _refit_resamples(
     ridge: float,
     clip_epsilon: float,
     work: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, PropensityModel]:
     """Refit both nuisance models on a stack of resamples and score the resamples.
 
     ``index`` (samples, n) picks the rows of the (units, d) ``features``
-    that form each resample, whose treatments and outcomes are given.
-    Returns the clipped treated probabilities, q0 and q1, each of shape
-    (samples, n), and which propensity fits converged.  Every fit equals
+    that form each resample, whose float treatments and outcomes are
+    given.  A row ``np.arange(units)`` is the full sample, whose fit the
+    other samples of the stack do not change: ``estimate_cell`` makes it
+    row 0 of a cell's first chunk, ahead of the resamples (61 rows for a
+    60-replicate cell at d = 28, one chunk), and without refitting the
+    pass is that row alone, whose values the replicates reuse.  The
+    caller has checked the cell (see ``_check_cell``) and the settings,
+    and every resample holds both arms, so nothing is checked again
+    here.  Returns the clipped treated
+    probabilities, q0 and q1, each of shape (samples, n), and the stacked
+    propensity model, whose iterations, gradient norms, stalled and
+    converged flags say how each fit ended.  Every fit equals
     ``fit_propensity_stack`` and ``fit_outcome_stack`` on
     ``features[index]``, and every score ``predict_propensity`` and
     ``predict_outcome``, but each stack-sized intermediate lives in
@@ -655,15 +704,12 @@ def _refit_resamples(
     z = np.take(
         features, index, axis=0, out=_view(work[0], samples, n, features.shape[1]), mode="clip"
     )
-    t = _propensity_input(z, treatments, regularization)[1]
-    _check_clip_epsilon(clip_epsilon)
-    y = _outcome_input(z, treatments, outcomes, ridge)[2]
-    q0, q1 = _outcome_predictions(z, t, y, ridge, work)
+    q0, q1 = _outcome_predictions(z, treatments, outcomes, ridge, work)
     propensity, design = _fit_propensity(
-        z, t, regularization, 100, 1e-8, work[1], work[2], work[0]
+        z, treatments, regularization, 100, 1e-8, work[1], work[2], work[0]
     )
     p = _probabilities(_scores(propensity, design), clip_epsilon)
-    return p, q0, q1, propensity.converged
+    return p, q0, q1, propensity
 
 
 def _outcome_predictions(

@@ -23,6 +23,7 @@ from tonefx.estimators import (
     ate_unadjusted,
     bootstrap_se,
     build_estimation_input,
+    estimate_cell,
     point_estimate,
 )
 from tonefx.harness import pipeline
@@ -594,11 +595,10 @@ def _reference_cell(features, treatments, outcomes, replicates, seed, refit, rid
 
 def _cell(features, treatments, outcomes, replicates, seed, refit, ridge):
     """The cell's EstimationInput and its bootstrap, as the pipeline runs them."""
-    data = build_estimation_input(features, treatments, outcomes, ridge=ridge)
-    result = bootstrap_se(
-        data, list(Estimator), replicates=replicates, seed=seed, refit=refit, ridge=ridge
+    return estimate_cell(
+        features, treatments, outcomes, list(Estimator), replicates=replicates, seed=seed,
+        refit=refit, ridge=ridge,
     )
-    return data, result
 
 
 def _assert_cell_equal(data, result, expected_data, expected, unconverged):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from tonefx import estimators, lexicon, topics
 from tonefx.corpus import extract_triples, load_annotations, load_posts
-from tonefx.estimators import AipwVariant, Estimator, bootstrap_se
+from tonefx.estimators import AipwVariant, Estimator, estimate_cell
 from tonefx.harness import pipeline
 from tonefx.harness.cli import EXIT_INCOMPLETE, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from tonefx.harness.config import PipelineConfig
@@ -108,12 +108,13 @@ def test_pipeline_covers_the_whole_grid(full_run):
 def test_pipeline_scores_each_cell_from_one_bootstrap_pass(tmp_path, monkeypatch):
     passes = []
 
-    def recorded(data, estimator, **kwargs):
-        passes.append((list(estimator), bootstrap_se(data, estimator, **kwargs)))
-        return passes[-1][1]
+    def recorded(features, treatments, outcomes, estimators, **kwargs):
+        data, result = estimate_cell(features, treatments, outcomes, estimators, **kwargs)
+        passes.append((list(estimators), result))
+        return data, result
 
     skip_odd_first_unit(monkeypatch)
-    monkeypatch.setattr(pipeline, "bootstrap_se", recorded)
+    monkeypatch.setattr(pipeline, "estimate_cell", recorded)
     report = run_pipeline(_config(
         tmp_path, bootstrap_replicates=8, reply_types=("nasty_nice",),
         category_types=("linguistic_style",), estimators=("q", "unadjusted"),
@@ -138,10 +139,11 @@ def test_pipeline_logs_unconverged_bootstrap_refits_once_per_cell(tmp_path, monk
     results = []
 
     def stalled(*args, **kwargs):
-        results.append(dataclasses.replace(bootstrap_se(*args, **kwargs), unconverged=3))
-        return results[-1]
+        data, result = estimate_cell(*args, **kwargs)
+        results.append(dataclasses.replace(result, unconverged=3))
+        return data, results[-1]
 
-    monkeypatch.setattr(pipeline, "bootstrap_se", stalled)
+    monkeypatch.setattr(pipeline, "estimate_cell", stalled)
     categories = ("linguistic_style", "negative_sentiment")
     with caplog.at_level(logging.WARNING, logger="tonefx"):
         report = run_pipeline(_config(
