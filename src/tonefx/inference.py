@@ -40,6 +40,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -811,14 +812,20 @@ def cross_validate(
     outcome stack per training size, and each fold's fit is the one it
     would get alone.  ``np.array_split`` gives at most two sizes, the
     smaller one to the first folds, so fits, their unconverged-fit
-    warnings and their errors come in fold order.
+    warnings and their errors come in fold order.  ``folds`` and ``seed``
+    are integers, Python's or numpy's, and ``seed`` is nonnegative.
     """
     matrix = as_feature_matrix(features)
     t = np.asarray(treatments)
     y = np.asarray(outcomes, dtype=float)
     n = matrix.shape[0]
-    if not isinstance(folds, int) or folds < 2:
+    for name, value in (("folds", folds), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InferenceError(f"{name} must be an integer, got {value!r}")
+    if folds < 2:
         raise InferenceError(f"folds must be an integer >= 2, got {folds!r}")
+    if seed < 0:
+        raise InferenceError(f"seed must be nonnegative, got {seed}")
     if folds > n:
         raise InferenceError(f"cannot split {n} units into {folds} folds")
 

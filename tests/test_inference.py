@@ -519,6 +519,32 @@ def test_cross_validate_rejects_bad_folds():
 
 
 @pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"folds": 3.0}, "folds"),
+        ({"folds": "3"}, "folds"),
+        ({"folds": True}, "folds"),
+        ({"folds": np.int64(1)}, "folds"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "3"}, "seed"),
+        ({"seed": np.True_}, "seed"),
+    ],
+)
+def test_cross_validate_rejects_malformed_folds_and_seed(overrides, name):
+    features, treatments, outcomes = _cv_data()
+    with pytest.raises(InferenceError, match=name):
+        cross_validate(features, treatments, outcomes, **{"folds": 4, "seed": 11, **overrides})
+
+
+def test_cross_validate_accepts_numpy_integers():
+    features, treatments, outcomes = _cv_data()
+    plain = cross_validate(features, treatments, outcomes, folds=4, seed=11)
+    numpy = cross_validate(features, treatments, outcomes, folds=np.int64(4), seed=np.uint32(11))
+    assert (numpy.rmse_q1, numpy.rmse_q0, numpy.f1) == (plain.rmse_q1, plain.rmse_q0, plain.f1)
+
+
+@pytest.mark.parametrize(
     "n, d, folds, ridge",
     [(63, 28, 5, 1e-6), (61, 2, 5, 0.0), (47, 10, 4, 0.0), (300, 116, 5, 1e-6)],
 )
