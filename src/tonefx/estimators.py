@@ -297,13 +297,18 @@ def _check_bootstrap(
     if not requested:
         raise EstimationError("no estimator requested")
     for name, value in (("replicates", replicates), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise EstimationError(f"{name} must be an integer, got {value!r}")
     if replicates < 2:
         raise EstimationError(f"need at least 2 bootstrap replicates, got {replicates}")
     if seed < 0:
         raise EstimationError(f"seed must be nonnegative, got {seed}")
     return requested
+
+
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _refits(requested: Sequence[Estimator], refit: bool) -> bool:
@@ -382,13 +387,16 @@ def estimate_cell(
     the returned ``EstimationInput``, and an unconverged row 0 is logged
     as ``fit_propensity`` logs it; rows 1.. give the replicates, and the
     result's ``unconverged`` counts only them.  With ``replicates`` 0 the
-    pass is row 0 alone and there is no result; without refitting (see
-    ``bootstrap_se``) the pass is row 0 alone and the replicates then
-    index its values.  Every value equals those of
-    ``build_estimation_input`` followed by ``bootstrap_se`` on its result.
+    pass is row 0 alone and there is no result; otherwise ``estimators``,
+    ``replicates`` and ``seed`` are checked as ``bootstrap_se`` checks
+    them.  Without refitting (see ``bootstrap_se``) the pass is row 0
+    alone and the replicates then index its values.  Every value equals
+    those of ``build_estimation_input`` followed by ``bootstrap_se`` on
+    its result.
     """
     matrix, t, y = _check_cell(features, treatments, outcomes, regularization, ridge, clip_epsilon)
-    requested = _check_bootstrap(estimators, replicates, seed) if replicates else []
+    no_bootstrap = _is_integer(replicates) and replicates == 0
+    requested = [] if no_bootstrap else _check_bootstrap(estimators, replicates, seed)
     refits = _refits(requested, refit)
     settings = aipw_variant, regularization, ridge, clip_epsilon
     full, result = _pass(
@@ -397,9 +405,11 @@ def estimate_cell(
     data = EstimationInput(
         treatments=t, outcomes=y, propensity=full[0], q0=full[1], q1=full[2], features=matrix
     )
-    if replicates and not refits:
+    if requested and not refits:
         nuisances = (data.propensity, data.q0, data.q1)
-        result = _pass(matrix, t, y, requested, replicates, seed, *settings, nuisances=nuisances)[1]
+        _, result = _pass(
+            matrix, t, y, requested, replicates, seed, *settings, nuisances=nuisances
+        )
     return data, result
 
 

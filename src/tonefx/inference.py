@@ -653,8 +653,9 @@ def _check_cell(
     their exceptions and messages.
     """
     matrix = as_feature_matrix(features)
-    _, t = _propensity_input(matrix[np.newaxis], np.asarray(treatments)[np.newaxis], regularization)
-    y = _outcome_input(matrix[np.newaxis], t, np.asarray(outcomes, dtype=float)[np.newaxis], ridge)
+    stack = matrix[np.newaxis]
+    _, t = _propensity_input(stack, np.asarray(treatments)[np.newaxis], regularization)
+    y = _outcome_input(stack, t, np.asarray(outcomes, dtype=float)[np.newaxis], ridge)
     _check_clip_epsilon(clip_epsilon)
     return matrix, t[0], y[0]
 
@@ -689,10 +690,10 @@ def _refit_resamples(
     pass is that row alone, whose values the replicates reuse.  The
     caller has checked the cell (see ``_check_cell``) and the settings,
     and every resample holds both arms, so nothing is checked again
-    here.  Returns the clipped treated
-    probabilities, q0 and q1, each of shape (samples, n), and the stacked
-    propensity model, whose iterations, gradient norms, stalled and
-    converged flags say how each fit ended.  Every fit equals
+    here.  Returns the clipped treated probabilities, q0 and q1, each of
+    shape (samples, n), and the stacked propensity model, whose
+    iterations, gradient norms, stalled and converged flags say how each
+    fit ended.  Every fit equals
     ``fit_propensity_stack`` and ``fit_outcome_stack`` on
     ``features[index]``, and every score ``predict_propensity`` and
     ``predict_outcome``, but each stack-sized intermediate lives in

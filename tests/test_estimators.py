@@ -681,6 +681,29 @@ def test_bootstrap_rejects_malformed_replicates_and_seed(overrides, name):
         bootstrap_se(data, Estimator.Q, **{"replicates": 10, "seed": 3, **overrides})
 
 
+@pytest.mark.parametrize(
+    "replicates, match",
+    [(1, "at least 2"), (-3, "at least 2"), (0.0, "replicates"), (False, "replicates")],
+)
+def test_estimate_cell_rejects_malformed_replicates(replicates, match):
+    data = _random_input(8, n=40)
+    with pytest.raises(EstimationError, match=match):
+        estimate_cell(
+            data.features, data.treatments, data.outcomes, Estimator.Q, replicates=replicates
+        )
+
+
+def test_estimate_cell_without_replicates_is_build_estimation_input():
+    data = _random_input(8, n=40)
+    cell, result = estimate_cell(
+        data.features, data.treatments, data.outcomes, replicates=np.int64(0)
+    )
+    alone = build_estimation_input(data.features, data.treatments, data.outcomes)
+    assert result is None
+    for name in ("treatments", "outcomes", "propensity", "q0", "q1", "features"):
+        np.testing.assert_array_equal(getattr(cell, name), getattr(alone, name))
+
+
 def test_bootstrap_accepts_numpy_integers():
     data = _random_input(8, n=40)
     plain = bootstrap_se(data, Estimator.Q, replicates=10, seed=3)
