@@ -67,7 +67,6 @@ and 3 resamples per chunk at n = 300, d = 116.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -79,6 +78,7 @@ from .inference import (
     DEFAULT_REGULARIZATION,
     _check_cell,
     _check_settings,
+    _is_integer,
     _log_unconverged,
     _refit_resamples,
     _sample,
@@ -304,11 +304,6 @@ def _check_bootstrap(
     if seed < 0:
         raise EstimationError(f"seed must be nonnegative, got {seed}")
     return requested
-
-
-def _is_integer(value: object) -> bool:
-    """A Python or numpy integer, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _refits(requested: Sequence[Estimator], refit: bool) -> bool:

@@ -112,6 +112,11 @@ def as_feature_matrix(features: np.ndarray | Sequence[Sequence[float]]) -> np.nd
     return matrix
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _workspace(count: int, samples: int, n: int, d: int) -> np.ndarray:
     """``count`` flat float buffers for the stacked fits of a (samples, n, d) stack.
 
@@ -821,7 +826,7 @@ def cross_validate(
     y = np.asarray(outcomes, dtype=float)
     n = matrix.shape[0]
     for name, value in (("folds", folds), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not _is_integer(value):
             raise InferenceError(f"{name} must be an integer, got {value!r}")
     if folds < 2:
         raise InferenceError(f"folds must be an integer >= 2, got {folds!r}")
