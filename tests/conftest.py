@@ -54,22 +54,28 @@ def make_post(
     )
 
 
-def stall_line_search(monkeypatch, treatments) -> None:
-    """Fail every propensity line search of the samples with these treatments.
+def stall_line_search(monkeypatch, *treatments) -> None:
+    """Fail every propensity line search of the samples with any of these treatments.
 
-    Starting points (all-zero parameters) are scored truly and every
-    candidate step of a matching sample loses, so its fit stops at zero
-    parameters; samples with other treatments, or of another length, are
-    fit as usual.
+    Each argument is one treatment vector, and the vectors may differ in
+    length.  Starting points (all-zero parameters) are scored truly and
+    every candidate step of a matching sample loses, so its fit stops at
+    zero parameters; samples with other treatments, or of another length,
+    are fit as usual.
     """
     real = inference.logistic_loss_and_grad
-    target = np.asarray(treatments, dtype=float)
+    targets = [np.asarray(target, dtype=float) for target in treatments]
 
     def stalling(params, features, t, regularization):
         loss, grad = real(params, features, t, regularization)
-        if np.shape(t)[-1] != target.shape[-1]:
+        matches = [
+            np.all(t == target, axis=-1)
+            for target in targets
+            if np.shape(t)[-1] == target.shape[-1]
+        ]
+        if not matches:
             return loss, grad
-        hit = np.all(t == target, axis=-1) & np.any(params != 0, axis=-1)
+        hit = np.logical_or.reduce(matches) & np.any(params != 0, axis=-1)
         return loss + hit, grad
 
     monkeypatch.setattr(inference, "logistic_loss_and_grad", stalling)

@@ -1,5 +1,7 @@
 """Confounder assembly, nuisance models, and cross-validated diagnostics."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -440,27 +442,55 @@ def _wide_cv_data(n, d, seed=0):
     return features, treatments, outcomes
 
 
+class _Lines(logging.Handler):
+    """The messages of the records a logger emits, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
 def _fold_by_fold(features, treatments, outcomes, folds, seed, ridge):
-    """cross_validate's numbers from one propensity and one outcome fit per fold."""
+    """cross_validate's numbers from one propensity and one outcome fit per fold.
+
+    Returns (rmse_q1, rmse_q0, f1, skipped_folds) and the unconverged-fit
+    lines that the folds' propensity fits log, in fold order.
+    """
     n = len(treatments)
     rmse_q1, rmse_q0, f1s, skipped = [], [], [], []
     assignment = np.array_split(np.random.default_rng(seed).permutation(n), folds)
-    for fold, test in enumerate(assignment):
-        train = np.setdiff1d(np.arange(n), test)
-        if len(np.unique(treatments[train])) < 2:
-            skipped.append(f"fold {fold}: training split lacks a treatment arm")
-            continue
-        if len(np.unique(treatments[test])) < 2:
-            skipped.append(f"fold {fold}: test split lacks a treatment arm")
-            continue
-        scores = predict_propensity(fit_propensity(features[train], treatments[train]), features[test])
-        f1s.append(f1_score(treatments[test], (scores >= 0.5).astype(int)))
-        models = fit_outcome_models(features[train], treatments[train], outcomes[train], ridge=ridge)
-        for arm, model, sink in zip((0, 1), models, (rmse_q0, rmse_q1)):
-            mask = treatments[test] == arm
-            predicted = predict_outcome(model, features[test][mask])
-            sink.append(float(np.sqrt(np.mean((outcomes[test][mask] - predicted) ** 2))))
-    return tuple(rmse_q1), tuple(rmse_q0), tuple(f1s), tuple(skipped)
+    lines = _Lines()
+    logger = logging.getLogger("tonefx.inference")
+    logger.addHandler(lines)
+    try:
+        for fold, test in enumerate(assignment):
+            train = np.setdiff1d(np.arange(n), test)
+            if len(np.unique(treatments[train])) < 2:
+                skipped.append(f"fold {fold}: training split lacks a treatment arm")
+                continue
+            if len(np.unique(treatments[test])) < 2:
+                skipped.append(f"fold {fold}: test split lacks a treatment arm")
+                continue
+            model = fit_propensity(features[train], treatments[train])
+            scores = predict_propensity(model, features[test])
+            f1s.append(f1_score(treatments[test], (scores >= 0.5).astype(int)))
+            models = fit_outcome_models(
+                features[train], treatments[train], outcomes[train], ridge=ridge
+            )
+            for arm, model, sink in zip((0, 1), models, (rmse_q0, rmse_q1)):
+                mask = treatments[test] == arm
+                predicted = predict_outcome(model, features[test][mask])
+                sink.append(float(np.sqrt(np.mean((outcomes[test][mask] - predicted) ** 2))))
+    finally:
+        logger.removeHandler(lines)
+    return (tuple(rmse_q1), tuple(rmse_q0), tuple(f1s), tuple(skipped)), lines.messages
+
+
+def _numbers(report):
+    return report.rmse_q1, report.rmse_q0, report.f1, report.skipped_folds
 
 
 def test_cross_validate_is_deterministic():
@@ -497,8 +527,8 @@ def test_cross_validate_skips_single_arm_folds():
     assert report.fold_count + len(report.skipped_folds) == 5
     assert report.fold_count >= 1
     assert all("lacks a treatment arm" in reason for reason in report.skipped_folds)
-    expected = _fold_by_fold(features, treatments, outcomes, 5, 1, 1e-3)
-    assert (report.rmse_q1, report.rmse_q0, report.f1, report.skipped_folds) == expected
+    expected, _ = _fold_by_fold(features, treatments, outcomes, 5, 1, 1e-3)
+    assert _numbers(report) == expected
 
 
 def test_cross_validate_all_folds_skipped_is_error():
@@ -552,9 +582,27 @@ def test_cross_validate_equals_one_fit_per_fold(n, d, folds, ridge):
     # n % folds > 0 gives two training sizes
     features, treatments, outcomes = _wide_cv_data(n, d, seed=n)
     report = cross_validate(features, treatments, outcomes, folds=folds, seed=5, ridge=ridge)
-    expected = _fold_by_fold(features, treatments, outcomes, folds, 5, ridge)
-    assert (report.rmse_q1, report.rmse_q0, report.f1, report.skipped_folds) == expected
+    expected, _ = _fold_by_fold(features, treatments, outcomes, folds, 5, ridge)
+    assert _numbers(report) == expected
     assert report.fold_count == len(expected[2]) == folds
+
+
+def test_cross_validate_logs_every_stalled_fold_in_fold_order(monkeypatch, caplog):
+    # 63 units in 5 folds train folds 0-2 on 50 units and folds 3-4 on 51;
+    # folds 1 and 4 stall, one in each training size
+    features, treatments, outcomes = _wide_cv_data(63, 28, seed=63)
+    assignment = np.array_split(np.random.default_rng(5).permutation(63), 5)
+    stall_line_search(monkeypatch, *(np.delete(treatments, assignment[fold]) for fold in (1, 4)))
+    expected, lines = _fold_by_fold(features, treatments, outcomes, 5, 5, 1e-6)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tonefx.inference"):
+        report = cross_validate(features, treatments, outcomes, folds=5, seed=5, ridge=1e-6)
+    assert caplog.messages == lines
+    assert [line.startswith("propensity fit stopped after 0 iterations") for line in lines] == [
+        True, True
+    ]
+    assert _numbers(report) == expected
+    assert report.fold_count == 5
 
 
 @pytest.mark.parametrize("n, d", [(47, 15), (61, 20)])
