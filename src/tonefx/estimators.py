@@ -51,7 +51,7 @@ n = 60, d = 28 (2.82 MiB) and at 3.39 stacks at n = 300, d = 116
 Each chunk pays its own Newton loop, about 11 iterations at the sizes
 below, so a larger chunk spreads that loop over more resamples.  Per
 resample at n = 60, d = 28 (best of 5, one OpenBLAS thread of a 2-core
-Xeon, numpy 2.4), a propensity refit through ``fit_propensity_stack``
+Xeon, numpy 2.4), a propensity refit through ``inference._fit_propensity``
 and the whole refit pass of ``bootstrap_se`` take:
 
     resamples per chunk    propensity refit    whole pass

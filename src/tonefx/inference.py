@@ -19,19 +19,19 @@ statistics stored on the model, which keeps prediction consistent and
 the optimization well conditioned.  Cross-validation reports fold-wise
 held-out RMSE per arm and propensity F1 with seeded fold assignment.
 
-Both nuisance fits work on a stack of samples at once, shape
-(samples, n, d): ``fit_propensity_stack`` and ``fit_outcome_stack`` run
-one Newton iteration and one least-squares solve for every sample of
-the stack, with stacked matrix products and solves, and each sample's
-fit is the one it would get alone.  They return the same model types as
-the one-sample fits, with a leading sample axis on every field (arm,
-then sample, for outcomes).  ``fit_propensity`` and
-``fit_outcome_models`` return sample 0 of a stack of one.
-Cross-validation fits its folds as one stack per training size, and a
-cell's bootstrap pass refits its full sample, as row 0, and its
-resamples in whole stacks.  Every stack-sized intermediate of a stacked
-fit lives in flat buffers allocated once per fit (``_workspace``); the
-bootstrap allocates them once per pass and refits every stack in them.
+Every nuisance fit runs through two private cores that work on a
+stack of samples at once, shape (samples, n, d): ``_fit_propensity``
+and ``_fit_outcome`` run one Newton iteration and one least-squares
+solve for every sample of the stack, with stacked matrix products and
+solves, and each sample's fit is the one it would get alone.  They
+return the public model types with a leading sample axis on every field
+(arm, then sample, for outcomes), and every stack-sized intermediate
+lives in the flat buffers of one working set (``_workspace``).
+``fit_propensity`` and ``fit_outcome_models`` fit a stack of one in a
+working set of their own.  Cross-validation checks its input once and
+fits its folds as one stack per training size, each in one working
+set; a cell's bootstrap pass refits its full sample, as row 0, and its
+resamples in whole stacks, all in one working set per pass.
 """
 
 from __future__ import annotations
@@ -161,12 +161,14 @@ def _standardize(
     return deviations, means, scales
 
 
-def _check_treatments(treatments: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    """A (samples, n) stack of 0/1 treatments with both arms in every sample."""
+def _check_treatments(
+    treatments: np.ndarray | Sequence[int], both_arms: bool = True
+) -> np.ndarray:
+    """A flat vector of 0/1 treatments as floats, with both arms unless ``both_arms`` is false."""
     t = np.asarray(treatments)
-    if t.ndim != 2 or not np.all((t == 0) | (t == 1)):
-        raise InferenceError("treatments must be a flat 0/1 vector per sample")
-    if np.any(t.min(axis=-1) == t.max(axis=-1)):
+    if t.ndim != 1 or not np.all((t == 0) | (t == 1)):
+        raise InferenceError("treatments must be a flat 0/1 vector")
+    if both_arms and t.min() == t.max():
         raise InferenceError("all units share one treatment arm; need both arms to fit")
     return t.astype(float, copy=False)
 
@@ -324,42 +326,27 @@ def _sample(model: _LinearModel, index: int | tuple[int, ...]) -> _LinearModel:
     return type(model)(**fields)
 
 
-def fit_propensity_stack(
-    features: np.ndarray,
-    treatments: np.ndarray,
-    regularization: float = DEFAULT_REGULARIZATION,
-    max_iters: int = 100,
-    tol: float = 1e-8,
-) -> PropensityModel:
-    """Fit one treatment model per sample of a (samples, n, d) stack.
-
-    Every sample runs its own damped Newton iteration and stops when its
-    gradient norm drops below ``tol``.  The Hessians, gradients and steps
-    of all samples still iterating are computed together, as stacked
-    products and one stacked solve.  Each sample halves its own step
-    until the Armijo condition holds; a sample whose line search finds no
-    such step freezes at its last accepted parameters and is marked
-    stalled.  A sample's fit does not depend on the other samples of its
-    stack.
-    """
-    matrix, t = _propensity_input(features, treatments, regularization)
-    work = _workspace(3, *matrix.shape)
-    return _fit_propensity(matrix, t, regularization, max_iters, tol, *work)[0]
+def _check_penalty(name: str, value: float) -> None:
+    """Reject a penalty weight that is negative, NaN or infinite."""
+    if not 0 <= value < math.inf:
+        raise InferenceError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 def _propensity_input(
-    features: np.ndarray, treatments: np.ndarray, regularization: float
+    features: np.ndarray | Sequence[Sequence[float]],
+    treatments: np.ndarray | Sequence[int],
+    regularization: float,
+    both_arms: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The checked feature and treatment stacks of a stacked propensity fit.
+    """The checked (n, d) features and float treatments of a propensity fit.
 
     The features come back C-contiguous, the layout ``_standardize`` sums.
     """
-    t = _check_treatments(treatments)
-    matrix = np.ascontiguousarray(features, dtype=float)
-    if matrix.ndim != 3 or matrix.shape[:2] != t.shape:
-        raise InferenceError(f"{matrix.shape[-2]} feature rows but {t.shape[-1]} treatments")
-    if regularization < 0:
-        raise InferenceError("regularization must be nonnegative")
+    matrix = np.ascontiguousarray(as_feature_matrix(features))
+    t = _check_treatments(treatments, both_arms)
+    if t.shape[0] != matrix.shape[0]:
+        raise InferenceError(f"{matrix.shape[0]} feature rows but {t.shape[0]} treatments")
+    _check_penalty("regularization", regularization)
     return matrix, t
 
 
@@ -373,14 +360,24 @@ def _fit_propensity(
     augmented_buffer: np.ndarray,
     product_buffer: np.ndarray,
 ) -> tuple[PropensityModel, np.ndarray]:
-    """``fit_propensity_stack`` on checked input, in the three buffers of a ``_workspace``.
+    """Fit one treatment model per sample of a checked (samples, n, d) stack.
 
-    Returns the model and the standardized design, a view of
-    ``design_buffer``.  ``augmented_buffer`` holds the design with a
-    leading column of ones, and keeps only the rows of the samples still
-    iterating.  ``product_buffer`` takes the Hessian's x * s products and
-    the design rows of a line search, and is first written after the
-    design is built, so ``matrix`` may lie in it.
+    Every sample runs its own damped Newton iteration and stops when its
+    gradient norm drops below ``tol``.  The Hessians, gradients and steps
+    of all samples still iterating are computed together, as stacked
+    products and one stacked solve.  Each sample halves its own step
+    until the Armijo condition holds; a sample whose line search finds no
+    such step freezes at its last accepted parameters and is marked
+    stalled.  A sample's fit does not depend on the other samples of its
+    stack.
+
+    The fit runs in the three buffers of a ``_workspace``.  Returns the
+    model and the standardized design, a view of ``design_buffer``.
+    ``augmented_buffer`` holds the design with a leading column of ones,
+    and keeps only the rows of the samples still iterating.
+    ``product_buffer`` takes the Hessian's x * s products and the design
+    rows of a line search, and is first written after the design is
+    built, so ``matrix`` may lie in it.
     """
     samples, n, d = matrix.shape
     design, means, scales = _standardize(
@@ -481,21 +478,18 @@ def fit_propensity(
 ) -> PropensityModel:
     """Fit the treatment model by damped Newton iteration.
 
-    Returns sample 0 of ``fit_propensity_stack`` on a stack of one
-    sample.  It converges when the gradient norm drops below ``tol``.
+    Returns sample 0 of ``_fit_propensity`` on a stack of one sample.
+    It converges when the gradient norm drops below ``tol``.
     The penalty keeps the Hessian positive definite, and a halving line
     search guards the occasional overshoot, so the fit is deterministic
     and never requires randomness.  If the line search finds no step that
     lowers the loss enough, the fit stops at the last accepted parameters
     and reports itself unconverged (``gradient_norm >= tol``).
     """
-    matrix = as_feature_matrix(features)
-    stack = fit_propensity_stack(
-        matrix[np.newaxis],
-        np.asarray(treatments)[np.newaxis],
-        regularization=regularization,
-        max_iters=max_iters,
-        tol=tol,
+    matrix, t = _propensity_input(features, treatments, regularization)
+    work = _workspace(3, 1, *matrix.shape)
+    stack, _ = _fit_propensity(
+        matrix[np.newaxis], t[np.newaxis], regularization, max_iters, tol, *work
     )
     model = _sample(stack, 0)
     _log_unconverged(model)
@@ -551,40 +545,16 @@ def predict_outcome(model: OutcomeModel, features: np.ndarray) -> np.ndarray:
     return _linear_predictor(model, features)
 
 
-def fit_outcome_stack(
-    features: np.ndarray,
-    treatments: np.ndarray,
-    outcomes: np.ndarray,
-    ridge: float = 0.0,
-) -> OutcomeModel:
-    """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares on every sample of a stack.
-
-    Each arm of each sample is standardized over its own rows; the rows
-    of the other arm become zero rows of its design, so all samples and
-    both arms solve as one stack.  With ridge > 0 the normal equations
-    are solved directly.  With ridge == 0 a stacked SVD gives the
-    least-squares solution with the rank cutoff of ``np.linalg.lstsq``,
-    which leaves residuals orthogonal to the design; a rank-deficient arm
-    raises with a suggestion to pass ridge > 0 instead of silently
-    picking one of many solutions.
-    """
-    t = _check_treatments(treatments)
-    matrix = np.asarray(features, dtype=float)
-    y = _outcome_input(matrix, t, outcomes, ridge)
-    return _fit_outcome(matrix, t, y, ridge, *_workspace(2, *matrix.shape))
-
-
 def _outcome_input(
-    matrix: np.ndarray, t: np.ndarray, outcomes: np.ndarray, ridge: float
+    matrix: np.ndarray, t: np.ndarray, outcomes: np.ndarray | Sequence[float], ridge: float
 ) -> np.ndarray:
-    """The checked outcome stack of a stacked outcome fit on checked treatments."""
+    """The checked outcomes of an outcome fit on checked (n, d) features and treatments."""
     y = np.asarray(outcomes, dtype=float)
-    if y.shape != t.shape or matrix.ndim != 3 or matrix.shape[:2] != t.shape:
+    if y.shape != t.shape or matrix.shape[0] != t.shape[0]:
         raise InferenceError("features, treatments and outcomes must align")
     if not np.all(np.isfinite(y)):
         raise InferenceError("outcomes must be finite")
-    if ridge < 0:
-        raise InferenceError("ridge must be nonnegative")
+    _check_penalty("ridge", ridge)
     return y
 
 
@@ -596,11 +566,22 @@ def _fit_outcome(
     design_buffer: np.ndarray,
     scratch_buffer: np.ndarray,
 ) -> OutcomeModel:
-    """``fit_outcome_stack`` on checked input, in the two buffers of a ``_workspace``.
+    """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares on every sample of a checked stack.
 
-    The arms are fit one after the other, each arm's design built in
-    ``design_buffer``; ``scratch_buffer`` takes its standardized features
-    and then its Gram matrices.
+    Each arm of each sample is standardized over its own rows; the rows
+    of the other arm become zero rows of its design, so all samples and
+    both arms solve as one stack.  With ridge > 0 the normal equations
+    are solved directly.  With ridge == 0 a stacked SVD gives the
+    least-squares solution with the rank cutoff of ``np.linalg.lstsq``,
+    which leaves residuals orthogonal to the design; a rank-deficient arm
+    raises with a suggestion to pass ridge > 0 instead of silently
+    picking one of many solutions, the first such arm in (sample, arm)
+    order.
+
+    The fit runs in two buffers of a ``_workspace``.  The arms are fit
+    one after the other, each arm's design built in ``design_buffer``;
+    ``scratch_buffer`` takes its standardized features and then its Gram
+    matrices.
     """
     samples, n, d = matrix.shape
     p = d + 1
@@ -649,29 +630,27 @@ def _check_cell(
     regularization: float,
     ridge: float,
     clip_epsilon: float,
+    both_arms: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The checked (n, d) features, float treatments and outcomes of one cell.
 
     Runs, once, the checks that ``fit_propensity``, ``fit_outcome_models``
-    and ``predict_propensity`` make on a full sample: the feature matrix,
-    the propensity input, the outcome input, then ``clip_epsilon``, with
-    their exceptions and messages.
+    and ``predict_propensity`` make on a full sample: the feature matrix
+    and the propensity input, the outcome input, then ``clip_epsilon``,
+    with their exceptions and messages.  Without ``both_arms`` the
+    treatments may all share one arm.
     """
-    matrix = as_feature_matrix(features)
-    stack = matrix[np.newaxis]
-    _, t = _propensity_input(stack, np.asarray(treatments)[np.newaxis], regularization)
-    y = _outcome_input(stack, t, np.asarray(outcomes, dtype=float)[np.newaxis], ridge)
+    matrix, t = _propensity_input(features, treatments, regularization, both_arms)
+    y = _outcome_input(matrix, t, outcomes, ridge)
     _check_clip_epsilon(clip_epsilon)
-    return matrix, t[0], y[0]
+    return matrix, t, y
 
 
 def _check_settings(regularization: float, ridge: float, clip_epsilon: float) -> None:
-    """Reject the fit settings that a stack's input checks reject, in their order."""
-    if regularization < 0:
-        raise InferenceError("regularization must be nonnegative")
+    """Reject the fit settings that a cell's input checks reject."""
+    _check_penalty("regularization", regularization)
     _check_clip_epsilon(clip_epsilon)
-    if ridge < 0:
-        raise InferenceError("ridge must be nonnegative")
+    _check_penalty("ridge", ridge)
 
 
 def _refit_resamples(
@@ -698,13 +677,12 @@ def _refit_resamples(
     here.  Returns the clipped treated probabilities, q0 and q1, each of
     shape (samples, n), and the stacked propensity model, whose
     iterations, gradient norms, stalled and converged flags say how each
-    fit ended.  Every fit equals
-    ``fit_propensity_stack`` and ``fit_outcome_stack`` on
-    ``features[index]``, and every score ``predict_propensity`` and
-    ``predict_outcome``, but each stack-sized intermediate lives in
+    fit ended.  Each sample's fits equal ``fit_propensity`` and
+    ``fit_outcome_models`` on its rows of ``features``, and its scores
+    ``predict_propensity`` and ``predict_outcome``, but the fits run in
     ``work``, from ``_workspace(3, samples, n, d)`` or a larger one.  The
-    resampled features go to its first buffer, which the outcome fits and
-    predictions read and the propensity fit then overwrites.
+    resampled features go to its first buffer, which ``_fit_outcome`` and
+    the predictions read and ``_fit_propensity`` then overwrites.
     """
     samples, n = index.shape
     # the resamples draw their rows from range(units), so clipping never moves one
@@ -743,16 +721,14 @@ def fit_outcome_models(
 ) -> tuple[OutcomeModel, OutcomeModel]:
     """Fit Q(Z, 0) and Q(Z, 1) by per-arm least squares.
 
-    Returns arm 0 and arm 1 of sample 0 of ``fit_outcome_stack`` on a
-    stack of one sample.
+    Returns arm 0 and arm 1 of sample 0 of ``_fit_outcome`` on a stack of
+    one sample (see there for ridge 0 and rank deficiency).
     """
     matrix = as_feature_matrix(features)
-    stack = fit_outcome_stack(
-        matrix[np.newaxis],
-        np.asarray(treatments)[np.newaxis],
-        np.asarray(outcomes, dtype=float)[np.newaxis],
-        ridge=ridge,
-    )
+    t = _check_treatments(treatments)
+    y = _outcome_input(matrix, t, outcomes, ridge)
+    work = _workspace(2, 1, *matrix.shape)
+    stack = _fit_outcome(matrix[np.newaxis], t[np.newaxis], y[np.newaxis], ridge, *work)
     return _sample(stack, (0, 0)), _sample(stack, (1, 0))
 
 
@@ -814,17 +790,22 @@ def cross_validate(
     reason goes to ``skipped_folds`` (it is not logged); if every fold is
     skipped, the split is unusable and that is an error.
 
-    The folds that run are fit as stacks, one propensity stack and one
-    outcome stack per training size, and each fold's fit is the one it
-    would get alone.  ``np.array_split`` gives at most two sizes, the
-    smaller one to the first folds, so fits, their unconverged-fit
-    warnings and their errors come in fold order.  ``folds`` and ``seed``
-    are integers, Python's or numpy's, and ``seed`` is nonnegative.
+    The features, treatments, outcomes and fit settings are checked
+    once, as ``estimate_cell`` checks a cell, except that the treatments
+    may share one arm.  The folds that run are fit as one stack per
+    training size, in one working set, outcomes first as a cell's refit
+    pass fits them, and each fold's fits are the ones
+    ``fit_outcome_models`` and ``fit_propensity`` give it alone; each
+    fold is scored on its held-out rows.  ``np.array_split`` gives at
+    most two sizes, the smaller one to the first folds, so the
+    unconverged-fit warnings and the first rank-deficiency error come in
+    fold order.  ``folds`` and ``seed`` are integers, Python's or
+    numpy's, and ``seed`` is nonnegative.
     """
-    matrix = as_feature_matrix(features)
-    t = np.asarray(treatments)
-    y = np.asarray(outcomes, dtype=float)
-    n = matrix.shape[0]
+    matrix, t, y = _check_cell(
+        features, treatments, outcomes, regularization, ridge, clip_epsilon, both_arms=False
+    )
+    n, d = matrix.shape
     for name, value in (("folds", folds), ("seed", seed)):
         if not _is_integer(value):
             raise InferenceError(f"{name} must be an integer, got {value!r}")
@@ -856,20 +837,24 @@ def cross_validate(
     for _, same_size in itertools.groupby(usable, key=lambda fold: fold[0].size):
         group = list(same_size)
         train = np.stack([train_idx for train_idx, _ in group])
-        z, t_train = matrix[train], t[train]
-        propensity = fit_propensity_stack(z, t_train, regularization=regularization)
-        models = [_sample(propensity, i) for i in range(len(group))]
-        for model in models:
+        work = _workspace(3, *train.shape, d)
+        # the training units come from range(n), so clipping never moves one
+        z = np.take(matrix, train, axis=0, out=_view(work[0], *train.shape, d), mode="clip")
+        t_train = t[train]
+        outcome = _fit_outcome(z, t_train, y[train], ridge, work[1], work[2])
+        propensity, _ = _fit_propensity(
+            z, t_train, regularization, 100, 1e-8, work[1], work[2], work[0]
+        )
+        for i, (_, test_idx) in enumerate(group):
+            model = _sample(propensity, i)
             _log_unconverged(model)
-        outcome = fit_outcome_stack(z, t_train, y[train], ridge=ridge)
-        for i, (model, (_, test_idx)) in enumerate(zip(models, group)):
-            t_test = t[test_idx]
-            scores = predict_propensity(model, matrix[test_idx], clip_epsilon=clip_epsilon)
+            test, t_test, y_test = matrix[test_idx], t[test_idx], y[test_idx]
+            scores = _probabilities(_linear_predictor(model, test), clip_epsilon)
             f1s.append(f1_score(t_test, (scores >= 0.5).astype(int)))
             for arm, sink in ((0, rmse_q0), (1, rmse_q1)):
                 mask = t_test == arm
-                predicted = predict_outcome(_sample(outcome, (arm, i)), matrix[test_idx][mask])
-                sink.append(float(np.sqrt(np.mean((y[test_idx][mask] - predicted) ** 2))))
+                predicted = _linear_predictor(_sample(outcome, (arm, i)), test[mask])
+                sink.append(float(np.sqrt(np.mean((y_test[mask] - predicted) ** 2))))
     if not f1s:
         raise InferenceError(
             "every fold was skipped: " + "; ".join(skipped) if skipped else "no folds ran"

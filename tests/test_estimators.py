@@ -693,6 +693,20 @@ def test_estimate_cell_rejects_malformed_replicates(replicates, match):
         )
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["regularization", "ridge"])
+def test_entry_points_reject_non_finite_penalties(name, value):
+    data = _random_input(8, n=40)
+    cell = (data.features, data.treatments, data.outcomes)
+    message = f"{name} must be finite and nonnegative"
+    with pytest.raises(InferenceError, match=message):
+        build_estimation_input(*cell, **{name: value})
+    with pytest.raises(InferenceError, match=message):
+        estimate_cell(*cell, Estimator.Q, replicates=10, **{name: value})
+    with pytest.raises(InferenceError, match=message):
+        bootstrap_se(data, Estimator.Q, replicates=10, **{name: value})
+
+
 def test_estimate_cell_without_replicates_is_build_estimation_input():
     data = _random_input(8, n=40)
     cell, result = estimate_cell(

@@ -11,6 +11,8 @@ from scipy.special import expit
 from tonefx.corpus import Triple
 from tonefx import inference
 from tonefx.inference import (
+    DEFAULT_CLIP_EPSILON,
+    DEFAULT_REGULARIZATION,
     ConfounderVariant,
     InferenceError,
     as_feature_matrix,
@@ -18,9 +20,7 @@ from tonefx.inference import (
     cross_validate,
     f1_score,
     fit_outcome_models,
-    fit_outcome_stack,
     fit_propensity,
-    fit_propensity_stack,
     logistic_loss_and_grad,
     predict_outcome,
     predict_propensity,
@@ -243,16 +243,24 @@ def test_fit_propensity_names_its_iteration_cap(caplog):
         ]
 
 
-def _resample_stack(features, treatments, outcomes, samples, seed):
-    """Seeded with-replacement resamples with both arms, stacked on a leading axis."""
+def _resample_index(treatments, samples, seed):
+    """Seeded with-replacement resamples with both arms, one row of unit indices each."""
     rng = np.random.default_rng(seed)
     rows = []
     while len(rows) < samples:
         idx = rng.integers(0, len(treatments), size=len(treatments))
         if treatments[idx].min() != treatments[idx].max():
             rows.append(idx)
-    idx = np.stack(rows)
-    return features[idx], treatments[idx], outcomes[idx]
+    return np.stack(rows)
+
+
+def _refit(features, idx, treatments, outcomes, regularization=DEFAULT_REGULARIZATION, ridge=0.0):
+    """p, q0, q1 and the propensity model of the stacked refit of these resamples."""
+    work = inference._workspace(3, *idx.shape, features.shape[1])
+    return inference._refit_resamples(
+        features, idx, treatments[idx].astype(float), outcomes[idx],
+        regularization, ridge, DEFAULT_CLIP_EPSILON, work,
+    )
 
 
 @settings(deadline=None, max_examples=25)
@@ -266,11 +274,11 @@ def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularizati
     features, treatments = _logistic_data(n=n, seed=seed)
     # data of one arm has no resample with both arms (12 draws at seed 1109)
     assume(treatments.min() != treatments.max())
-    z, t, _ = _resample_stack(features, treatments, np.zeros(n), samples, seed)
-    stack = fit_propensity_stack(z, t, regularization=regularization)
-    scores = predict_propensity(stack, z)
-    for r in range(samples):
-        alone = fit_propensity(z[r], t[r], regularization=regularization)
+    idx = _resample_index(treatments, samples, seed)
+    # a ridge keeps every resample's outcome fit solvable
+    scores, _, _, stack = _refit(features, idx, treatments, np.zeros(n), regularization, 1e-6)
+    for r, rows in enumerate(idx):
+        alone = fit_propensity(features[rows], treatments[rows], regularization=regularization)
         assert stack.iterations[r] == alone.iterations
         assert stack.converged[r] == (alone.gradient_norm < 1e-8)
         np.testing.assert_allclose(stack.weights[r], alone.weights, rtol=1e-10, atol=1e-10)
@@ -279,7 +287,7 @@ def test_propensity_stack_matches_one_sample_fits(seed, samples, n, regularizati
             _raw_parameters(stack)[0][r], _raw_parameters(alone)[0], rtol=1e-10, atol=1e-10
         )
         np.testing.assert_allclose(
-            scores[r], predict_propensity(alone, z[r]), rtol=1e-10, atol=1e-10
+            scores[r], predict_propensity(alone, features[rows]), rtol=1e-10, atol=1e-10
         )
 
 
@@ -296,34 +304,34 @@ def test_outcome_stack_matches_one_sample_fits(seed, samples, n, ridge):
     assume(treatments.min() != treatments.max())
     outcomes = treatments + features @ np.array([1.0, -2.0, 0.5])
     outcomes += np.random.default_rng(seed).normal(size=n)
-    z, t, y = _resample_stack(features, treatments, outcomes, samples, seed)
+    idx = _resample_index(treatments, samples, seed)
     try:
-        stack = fit_outcome_stack(z, t, y, ridge=ridge)
+        _, q0, q1, _ = _refit(features, idx, treatments, outcomes, ridge=ridge)
     except InferenceError as exc:
         # some resample has an arm with too few distinct units; the first
         # such sample in fit order raises the same error alone
-        for r in range(samples):
+        for rows in idx:
             try:
-                fit_outcome_models(z[r], t[r], y[r], ridge=ridge)
+                fit_outcome_models(features[rows], treatments[rows], outcomes[rows], ridge=ridge)
             except InferenceError as alone:
                 assert str(alone) == str(exc)
                 return
         raise
-    q0, q1 = predict_outcome(stack, z)
-    for r in range(samples):
-        for arm, model, q in zip((0, 1), fit_outcome_models(z[r], t[r], y[r], ridge=ridge), (q0, q1)):
-            np.testing.assert_allclose(stack.weights[arm, r], model.weights, rtol=1e-10, atol=1e-10)
-            for stacked, alone in zip(_raw_parameters(stack), _raw_parameters(model)):
-                np.testing.assert_allclose(stacked[arm, r], alone, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(q[r], predict_outcome(model, z[r]), rtol=1e-10, atol=1e-10)
+    # each arm's predictions on every row of a resample pin its fit's
+    # parameters, since the rows span the feature space
+    for r, rows in enumerate(idx):
+        z = features[rows]
+        models = fit_outcome_models(z, treatments[rows], outcomes[rows], ridge=ridge)
+        for model, q in zip(models, (q0, q1)):
+            np.testing.assert_allclose(q[r], predict_outcome(model, z), rtol=1e-10, atol=1e-10)
 
 
 def test_propensity_stack_freezes_only_the_stalled_sample(monkeypatch):
     features, treatments = _logistic_data(n=120, seed=6)
-    z, t, _ = _resample_stack(features, treatments, np.zeros(120), 5, 6)
-    expected = [fit_propensity(z[r], t[r]) for r in range(5)]
-    stall_line_search(monkeypatch, t[2])
-    stack = fit_propensity_stack(z, t)
+    idx = _resample_index(treatments, 5, 6)
+    expected = [fit_propensity(features[rows], treatments[rows]) for rows in idx]
+    stall_line_search(monkeypatch, treatments[idx[2]])
+    *_, stack = _refit(features, idx, treatments, np.zeros(120))
     assert stack.stalled.tolist() == [False, False, True, False, False]
     assert stack.converged.tolist() == [True, True, False, True, True]
     assert stack.iterations[2] == 0
@@ -335,17 +343,31 @@ def test_propensity_stack_freezes_only_the_stalled_sample(monkeypatch):
         assert stack.intercept[r] == pytest.approx(expected[r].intercept, rel=1e-10, abs=1e-10)
 
 
-def test_stack_fits_check_their_inputs():
+def test_one_sample_fits_check_their_inputs():
     features, treatments = _logistic_data(n=40, seed=7)
-    z, t, y = features[np.newaxis], treatments[np.newaxis], np.zeros((1, 40))
+    outcomes = np.zeros(40)
     with pytest.raises(InferenceError, match="arm"):
-        fit_propensity_stack(np.concatenate([z, z]), np.stack([treatments, np.ones(40)]))
-    with pytest.raises(InferenceError, match="feature rows"):
-        fit_propensity_stack(z[:, :30], t)
+        fit_outcome_models(features, np.ones(40), outcomes)
     with pytest.raises(InferenceError, match="0/1"):
-        fit_outcome_stack(z, treatments, y[0])
-    with pytest.raises(InferenceError, match="align"):
-        fit_outcome_stack(z, t, y[:, :30])
+        fit_outcome_models(features, treatments[np.newaxis], outcomes)
+    with pytest.raises(InferenceError, match="40 feature rows but 30 treatments"):
+        fit_propensity(features, treatments[:30])
+    for rows in (slice(30), slice(None)):
+        with pytest.raises(InferenceError, match="align"):
+            fit_outcome_models(features[rows], treatments, outcomes[:30])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_fits_reject_negative_and_non_finite_penalties(value):
+    features, treatments = _logistic_data(n=40, seed=7)
+    outcomes = np.zeros(40)
+    with pytest.raises(InferenceError, match="regularization must be finite and nonnegative"):
+        fit_propensity(features, treatments, regularization=value)
+    with pytest.raises(InferenceError, match="ridge must be finite and nonnegative"):
+        fit_outcome_models(features, treatments, outcomes, ridge=value)
+    for name in ("regularization", "ridge"):
+        with pytest.raises(InferenceError, match=f"{name} must be finite and nonnegative"):
+            cross_validate(features, treatments, outcomes, folds=4, **{name: value})
 
 
 def test_predict_propensity_clips_and_keeps_row_shape():
@@ -538,6 +560,24 @@ def test_cross_validate_all_folds_skipped_is_error():
     treatments[0] = 1
     with pytest.raises(InferenceError, match="every fold was skipped"):
         cross_validate(features, treatments, rng.normal(size=40), folds=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((30, 40), "40 feature rows but 30 treatments"),
+        ((80, 40), "40 feature rows but 80 treatments"),
+        ((40, 30), "features, treatments and outcomes must align"),
+        ((40, 80), "features, treatments and outcomes must align"),
+    ],
+)
+def test_cross_validate_rejects_misaligned_input(rows, message):
+    features, treatments, outcomes = _wide_cv_data(80, 3)
+    treatment_rows, outcome_rows = rows
+    with pytest.raises(InferenceError, match=message):
+        cross_validate(
+            features[:40], treatments[:treatment_rows], outcomes[:outcome_rows], folds=4
+        )
 
 
 def test_cross_validate_rejects_bad_folds():
