@@ -352,9 +352,9 @@ def test_one_sample_fits_check_their_inputs():
         fit_outcome_models(features, treatments[np.newaxis], outcomes)
     with pytest.raises(InferenceError, match="40 feature rows but 30 treatments"):
         fit_propensity(features, treatments[:30])
-    for rows in (slice(30), slice(None)):
+    for rows, outcome_rows in ((30, 40), (40, 30)):
         with pytest.raises(InferenceError, match="align"):
-            fit_outcome_models(features[rows], treatments, outcomes[:30])
+            fit_outcome_models(features[:rows], treatments, outcomes[:outcome_rows])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
