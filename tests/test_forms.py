@@ -32,7 +32,7 @@ _WORDS = st.sampled_from(
     + sorted(topics._LEMMA_EXCEPTIONS)[:8]
     + sorted(topics._LEMMA_EXCEPTIONS.values())[:4]
     + ["gun", "guns", "running", "run", "parties", "party", "happy", "hate", "nice",
-       "don't", "GUNS", "zebra", "42"]
+       "don't", "GUNS", "zebra", "42", "'quoted'", "dog's", "café", "don’t", "rock''n"]
 )
 _TEXTS = st.lists(
     st.lists(_WORDS, max_size=12).map(" ".join), min_size=1, max_size=10

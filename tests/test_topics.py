@@ -108,6 +108,32 @@ def test_tokenizer_drops_non_alphabetic():
     assert split_words("42 --") == []
 
 
+# every character that str.split() treats as whitespace
+_SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+# letters, apostrophes at word edges and doubled, separators, and characters
+# whose lowercase form is ASCII (K, U+212A), longer (İ) or not a letter
+_SPLIT_PIECES = st.lists(
+    st.sampled_from(list("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"))
+    | st.sampled_from(["'", "''", "'s", "s'", "'a'", "a''b"])
+    | st.sampled_from(list("0123456789_!\"#$%&()*+,-./:;<=>?@[\\]^`{|}~") + _SPACES)
+    | st.sampled_from(["é", "ß", "İ", "K", "ﬁ", "’", "中文", "😀", "̇", "\ud800"]),
+    max_size=60,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.text(max_size=200) | _SPLIT_PIECES)
+def test_split_words_is_the_token_pattern(text):
+    assert split_words(text) == _TOKEN_RE.findall(text.lower())
+
+
+def test_split_words_is_the_token_pattern_for_every_code_point():
+    for start in range(0, 0x110000, 4096):
+        chars = map(chr, range(start, start + 4096))
+        text = "".join(f"ab{c}cd'e{c} {c}'x{c}y'{c}" for c in chars)
+        assert split_words(text) == _TOKEN_RE.findall(text.lower()), hex(start)
+
+
 def test_tokenizer_fingerprint_tracks_config():
     # the digest of the shipped stop words and lemma exceptions is part of
     # every topic cache key; an edit of either list must change this value
