@@ -132,6 +132,8 @@ class EstimationInput:
         if t.ndim not in (1, 2) or not np.all((t == 0) | (t == 1)):
             raise EstimationError("treatments must be a flat 0/1 vector or a stack of them")
         n = self.n
+        if n == 0:
+            raise EstimationError("no units given")
         if np.any(self.treatments.min(axis=-1) == self.treatments.max(axis=-1)):
             raise EstimationError("both treatment arms must be present")
         self.treatments = self.treatments.astype(float)

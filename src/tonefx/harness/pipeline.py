@@ -140,7 +140,9 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-MODEL_CACHE_VERSION = "1"
+# part of each cache key: bump one when what its entries hold changes in a
+# way the rest of the key does not cover (the lemma rules, for a model)
+MODEL_CACHE_VERSION = "2"
 THETA_CACHE_VERSION = "2"
 
 # settings that change how a run goes but no number in its report, so

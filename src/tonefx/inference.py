@@ -164,11 +164,14 @@ def _standardize(
 def _check_treatments(
     treatments: np.ndarray | Sequence[int], both_arms: bool = True
 ) -> np.ndarray:
-    """A flat vector of 0/1 treatments as floats, with both arms unless ``both_arms`` is false."""
+    """A flat vector of 0/1 treatments as floats, with both arms unless ``both_arms`` is false.
+
+    An empty vector passes, so the caller's row-count check names it.
+    """
     t = np.asarray(treatments)
     if t.ndim != 1 or not np.all((t == 0) | (t == 1)):
         raise InferenceError("treatments must be a flat 0/1 vector")
-    if both_arms and t.min() == t.max():
+    if both_arms and t.size and t.min() == t.max():
         raise InferenceError("all units share one treatment arm; need both arms to fit")
     return t.astype(float, copy=False)
 

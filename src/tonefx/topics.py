@@ -53,6 +53,9 @@ _THETA_MAX_ITERS = 200
 _THETA_TOL = 1e-6
 
 _TOKEN_RE = re.compile(r"[a-z]+(?:'[a-z]+)*")
+# UTF-8 bytes of lowered text to form characters: a-z and "'" stay, every
+# other byte, each byte of a non-ASCII character included, becomes a space
+_FORM_BYTES = bytes(b if b == 39 or 97 <= b <= 122 else 32 for b in range(256))
 _VOWELS = "aeiou"
 
 
@@ -131,15 +134,35 @@ def lemmatize_token(token: str, exceptions: Mapping[str, str] | None = None) -> 
 def normalize_form(raw: str) -> str:
     """The token of one ``split_words`` form, or "" for a stop word.
 
-    Stop words are the shipped list; every other form is lemmatized with
-    the shipped exception table.  Nothing is memoized here.
+    A final "'s" is dropped first ("dog's" -> "dog", "it's" -> "it"),
+    so no term ends with an apostrophe.  Stop words are the shipped
+    list; every other form is lemmatized with the shipped exception
+    table.  Nothing is memoized here.
     """
+    if raw.endswith("'s"):
+        raw = raw[:-2]
     return "" if raw in _STOPWORDS else lemmatize_token(raw, _LEMMA_EXCEPTIONS)
 
 
 def split_words(text: str) -> list[str]:
-    """The lowercased alphabetic unigrams of a text, internal apostrophes allowed."""
-    return _TOKEN_RE.findall(text.lower())
+    """The word forms of a text: ``_TOKEN_RE.findall(text.lower())``.
+
+    After lowercasing, a form is a run of ``a``-``z`` with single
+    apostrophes between letters, and every other character separates
+    forms.  Those characters are all ASCII, so one ``bytes.translate``
+    of the UTF-8 text turns every separator into a space and keeps the
+    maximal runs of letters and apostrophes; ``str.split`` returns them.
+    A run with no apostrophe at either end and none doubled is exactly
+    one form.  Only a text with some other run falls back to the
+    pattern, which gives the same list on every text.
+    """
+    lowered = text.lower()
+    kept = lowered.encode("utf-8", "surrogatepass").translate(_FORM_BYTES).decode("ascii")
+    if "'" in kept and (
+        "''" in kept or " '" in kept or "' " in kept or kept[0] == "'" or kept[-1] == "'"
+    ):
+        return _TOKEN_RE.findall(lowered)
+    return kept.split()
 
 
 class FormIndex(dict):

@@ -193,6 +193,27 @@ def test_estimation_input_validation():
         )
 
 
+_NO_UNITS = np.ones((3, 2)), [], []
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: fit_propensity(*_NO_UNITS[:2]), InferenceError, "3 feature rows but 0 treatments"),
+        (lambda: fit_outcome_models(*_NO_UNITS), InferenceError, "must align"),
+        (lambda: build_estimation_input(*_NO_UNITS), InferenceError, "3 feature rows but 0"),
+        (lambda: estimate_cell(*_NO_UNITS), InferenceError, "3 feature rows but 0 treatments"),
+        (lambda: EstimationInput([], [], [], [], []), EstimationError, "no units"),
+    ],
+    ids=["fit_propensity", "fit_outcome_models", "build_estimation_input", "estimate_cell",
+         "EstimationInput"],
+)
+def test_entry_points_name_zero_units(call, error, match):
+    # an empty treatment vector once escaped as numpy's "zero-size array" error
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_build_estimation_input_wires_nuisances():
     rng = np.random.default_rng(0)
     n = 400

@@ -46,13 +46,17 @@ def _posts(texts):
     ))
 
 
+def _drop_final_s(raw):
+    return raw[:-2] if raw.endswith("'s") else raw
+
+
 def _reference_counts(texts, min_df, max_df):
     """Vocabulary, document frequencies, CSR counts and zero rows, counted one
     token list at a time with a Counter, as a string-list counter would."""
     token_lists = [
         [
             lemmatize_token(raw, topics._LEMMA_EXCEPTIONS)
-            for raw in _TOKEN_RE.findall(text.lower())
+            for raw in map(_drop_final_s, _TOKEN_RE.findall(text.lower()))
             if raw not in topics._STOPWORDS
         ]
         for text in texts

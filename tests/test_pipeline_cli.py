@@ -760,7 +760,7 @@ def test_minicorpus_topic_model_entry_names_are_pinned(tmp_path):
     args = ["fit-topics", "--posts", POSTS, "--out-dir", str(tmp_path), "--seed", "3", "--k", "4"]
     assert main(args) == EXIT_OK
     assert sorted(p.name for p in (tmp_path / "cache").glob("lda-*")) == [
-        "lda-evolution-4e5ced67e20f01e3.json", "lda-gun-control-f12a00833ee3afbe.json",
+        "lda-evolution-5cc1f728c5bd7dca.json", "lda-gun-control-e286e0b938dbb274.json",
     ]
 
 

@@ -29,6 +29,7 @@ from tonefx.topics import (
     lemmatize_token,
     load_model,
     load_theta,
+    normalize_form,
     save_model,
     save_theta,
     split_words,
@@ -72,9 +73,10 @@ def test_lemmatizer_suffix_rules(token, base):
 
 def _reference_tokens(text: str) -> list[str]:
     """The tokenizer's output rebuilt one occurrence at a time, with no memo."""
+    raws = (raw[:-2] if raw.endswith("'s") else raw for raw in _TOKEN_RE.findall(text.lower()))
     return [
         lemmatize_token(raw, topics._LEMMA_EXCEPTIONS)
-        for raw in _TOKEN_RE.findall(text.lower())
+        for raw in raws
         if raw not in topics._STOPWORDS
     ]
 
@@ -134,6 +136,13 @@ def test_split_words_is_the_token_pattern_for_every_code_point():
         assert split_words(text) == _TOKEN_RE.findall(text.lower()), hex(start)
 
 
+def test_final_s_is_dropped_before_the_stop_word_test():
+    # "it" is a stop word; "don't" keeps its inner apostrophe
+    assert [normalize_form(w) for w in ("dog's", "children's", "it's", "don't")] == [
+        "dog", "child", "", "don't",
+    ]
+
+
 def test_tokenizer_fingerprint_tracks_config():
     # the digest of the shipped stop words and lemma exceptions is part of
     # every topic cache key; an edit of either list must change this value
@@ -148,6 +157,7 @@ def test_tokenizer_output_is_lowercase_alpha(text):
     for token in Tokenizer()(text):
         assert token == token.lower()
         assert all(c.isalpha() or c == "'" for c in token)
+        assert not token.endswith("'")
 
 
 # ------------------------------------------------------------ vocabulary
