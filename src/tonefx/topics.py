@@ -148,13 +148,14 @@ def split_words(text: str) -> list[str]:
     """The word forms of a text: ``_TOKEN_RE.findall(text.lower())``.
 
     After lowercasing, a form is a run of ``a``-``z`` with single
-    apostrophes between letters, and every other character separates
-    forms.  Those characters are all ASCII, so one ``bytes.translate``
-    of the UTF-8 text turns every separator into a space and keeps the
-    maximal runs of letters and apostrophes; ``str.split`` returns them.
-    A run with no apostrophe at either end and none doubled is exactly
-    one form.  Only a text with some other run falls back to the
-    pattern, which gives the same list on every text.
+    apostrophes between letters; every other character separates forms.
+    The form characters are all ASCII, so mapping every other byte of
+    the UTF-8 text (``surrogatepass`` keeps lone surrogates) to a space
+    with one ``bytes.translate`` keeps the maximal runs of letters and
+    apostrophes, and ``str.split`` returns them.  A run with no
+    apostrophe at either end and none doubled is exactly one form.  A
+    text that holds another run ("'quoted'", "rock''n") is split by the
+    pattern itself, so every text gets the pattern's list.
     """
     lowered = text.lower()
     kept = lowered.encode("utf-8", "surrogatepass").translate(_FORM_BYTES).decode("ascii")

@@ -194,15 +194,16 @@ def test_estimation_input_validation():
 
 
 _NO_UNITS = np.ones((3, 2)), [], []
+_ROWS = "3 feature rows but 0 treatments"
 
 
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda: fit_propensity(*_NO_UNITS[:2]), InferenceError, "3 feature rows but 0 treatments"),
+        (lambda: fit_propensity(*_NO_UNITS[:2]), InferenceError, _ROWS),
         (lambda: fit_outcome_models(*_NO_UNITS), InferenceError, "must align"),
-        (lambda: build_estimation_input(*_NO_UNITS), InferenceError, "3 feature rows but 0"),
-        (lambda: estimate_cell(*_NO_UNITS), InferenceError, "3 feature rows but 0 treatments"),
+        (lambda: build_estimation_input(*_NO_UNITS), InferenceError, _ROWS),
+        (lambda: estimate_cell(*_NO_UNITS), InferenceError, _ROWS),
         (lambda: EstimationInput([], [], [], [], []), EstimationError, "no units"),
     ],
     ids=["fit_propensity", "fit_outcome_models", "build_estimation_input", "estimate_cell",
